@@ -36,7 +36,7 @@ from .ewl import (
     payoff_two_qubit_general,
     two_stage_game,
 )
-from .optimize import maximize_1d
+from .optimize import TWO_PI, maximize_1d, wrap_phase
 
 AMP_TOL = 1e-12
 MASS_TOL = 1e-9
@@ -312,15 +312,14 @@ def formulas_verify(n_max: int = 5, samples: int = 500, seed: int = 11) -> dict:
         raise ValueError("n_max must be >= 1")
     rng = np.random.default_rng(seed)
     checks = []
-    two_pi = 2.0 * math.pi
 
     dev = 0.0
     for _ in range(samples):
         n = int(rng.integers(1, n_max + 1))
         lam = float(rng.uniform(0.0, 20.0))
         params = UnitaryParams(float(rng.uniform(0.0, math.pi)),
-                               float(rng.uniform(0.0, two_pi)),
-                               float(rng.uniform(0.0, two_pi)))
+                               float(rng.uniform(0.0, TWO_PI)),
+                               float(rng.uniform(0.0, TWO_PI)))
         sim = expected_payoff(n_tuple_driver_game(n, lam), [build_gate(params)] * (n + 1))
         dev = max(dev, abs(sim - payoff_three_param(n, lam, params)))
     checks.append(make_check(
@@ -367,8 +366,8 @@ def formulas_verify(n_max: int = 5, samples: int = 500, seed: int = 11) -> dict:
     dev = 0.0
     for _ in range(100):
         theta1 = float(rng.uniform(0.0, math.pi))
-        alpha1 = float(rng.uniform(0.0, two_pi))
-        beta1 = float(rng.uniform(0.0, two_pi))
+        alpha1 = float(rng.uniform(0.0, TWO_PI))
+        beta1 = float(rng.uniform(0.0, TWO_PI))
         c2 = math.cos(theta1 / 2.0) ** 2
         s2 = math.sin(theta1 / 2.0) ** 2
         form = ((payoffs[0] * math.cos(alpha1) ** 2 + payoffs[3] * math.sin(alpha1) ** 2) * c2
@@ -383,8 +382,8 @@ def formulas_verify(n_max: int = 5, samples: int = 500, seed: int = 11) -> dict:
     dev = 0.0
     for _ in range(100):
         params = UnitaryParams(float(rng.uniform(0.0, math.pi)),
-                               float(rng.uniform(0.0, two_pi)),
-                               float(rng.uniform(0.0, two_pi)))
+                               float(rng.uniform(0.0, TWO_PI)),
+                               float(rng.uniform(0.0, TWO_PI)))
         dev = max(dev, eta_symmetry_check(params))
     checks.append(make_check(
         "eta_symmetry", {"samples": 100, "seed": seed}, 0.0, dev, dev, dev <= 1e-12))
@@ -394,9 +393,9 @@ def formulas_verify(n_max: int = 5, samples: int = 500, seed: int = 11) -> dict:
     dev_beta0 = 0.0
     game = n_tuple_driver_game(1, lam)
     for theta in np.linspace(0.0, math.pi, 41):
-        for alpha in np.linspace(0.0, two_pi, 41):
+        for alpha in np.linspace(0.0, TWO_PI, 41):
             theta, alpha = float(theta), float(alpha)
-            params = UnitaryParams(theta, alpha if alpha < two_pi else 0.0, 0.0)
+            params = UnitaryParams(theta, wrap_phase(alpha), 0.0)
             sim = expected_payoff(game, [build_gate(params)] * 2)
             dev_linear = max(dev_linear, abs(sim - _two_param_sine_variant(lam, theta, alpha)))
             dev_beta0 = max(dev_beta0, abs(sim - payoff_three_param(1, lam, params)))

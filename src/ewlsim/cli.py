@@ -17,8 +17,7 @@ import sys
 from dataclasses import dataclass
 
 from . import analysis, decision, ewl, optimize
-
-TWO_PI = 2.0 * math.pi
+from .optimize import TWO_PI, wrap_phase
 
 _ANGLE_RE = re.compile(r"^([+-]?\d*\.?\d*)\*?pi(?:/(\d*\.?\d+))?$")
 
@@ -32,17 +31,15 @@ def parse_angle(text: str) -> float:
         coef = 1.0 if coef_txt in ("", "+") else -1.0 if coef_txt == "-" else float(coef_txt)
         value = coef * math.pi
         if div_txt is not None:
-            value /= float(div_txt)
+            div = float(div_txt)
+            if div == 0.0:
+                raise argparse.ArgumentTypeError(f"angle {text!r} divides by zero")
+            value /= div
         return value
     try:
         return float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"cannot parse angle {text!r}") from None
-
-
-def _wrap_phase(x: float) -> float:
-    w = x % TWO_PI
-    return 0.0 if w >= TWO_PI else w
 
 
 class ValidationError(Exception):
@@ -103,7 +100,7 @@ class RunConfig:
             raise ValidationError(f"--tol must be positive, got {self.tol!r}")
 
     def unitary_params(self) -> ewl.UnitaryParams:
-        return ewl.UnitaryParams(self.theta, _wrap_phase(self.alpha), _wrap_phase(self.beta))
+        return ewl.UnitaryParams(self.theta, wrap_phase(self.alpha), wrap_phase(self.beta))
 
 
 # --------------------------------------------------------------------------
@@ -230,7 +227,7 @@ def cmd_optimize(cfg: RunConfig, mode: str, starts: int) -> int:
             grid_per_dim=cfg.grid, starts=starts, tol=cfg.tol)
         theta, alpha, beta = res.argmax
         params = ewl.UnitaryParams(min(max(theta, 0.0), math.pi),
-                                   _wrap_phase(alpha), _wrap_phase(beta))
+                                   wrap_phase(alpha), wrap_phase(beta))
         gate = ewl.build_gate(params)
         sim = ewl.expected_payoff(ewl.n_tuple_driver_game(n, cfg.lam),
                                   [gate] * (n + 1))

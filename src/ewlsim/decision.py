@@ -470,16 +470,33 @@ def problem_to_json_dict(problem: DecisionProblem) -> dict:
     }
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def problem_from_json_dict(doc: Mapping) -> DecisionProblem:
-    histories = [tuple(int(a) for a in h) for h in doc["histories"]]
-    partition = tuple(tuple(histories[i] for i in cell) for cell in doc["partition"])
-    labels = {histories[int(i)]: str(lab) for i, lab in doc["labels"].items()}
-    payoffs = doc.get("payoffs")
+    """Inverse of problem_to_json_dict; a malformed document raises ValueError."""
+    if not (isinstance(doc, Mapping) and isinstance(doc.get("histories"), list)
+            and isinstance(doc.get("partition"), list) and isinstance(doc.get("labels"), Mapping)
+            and all(isinstance(x, list) for x in doc["histories"] + doc["partition"])
+            and all(_is_int(a) for h in doc["histories"] for a in h)
+            and (doc.get("payoffs") is None or isinstance(doc["payoffs"], Mapping)
+                 and all(isinstance(v, (int, float)) for v in doc["payoffs"].values()))):
+        raise ValueError("a problem is a JSON object: 'histories' lists of integer actions, "
+                         "'partition' lists of history indices, 'labels' and 'payoffs' objects")
+    histories = [tuple(h) for h in doc["histories"]]
+
+    def history(i) -> History:
+        i = int(i) if isinstance(i, str) and i.isdecimal() else i  # label keys are strings
+        if not (_is_int(i) and 0 <= i < len(histories)):
+            raise ValueError(f"history index {i!r} is not an integer in 0..{len(histories) - 1}")
+        return histories[i]
+
     return DecisionProblem(
         histories=tuple(histories),
-        terminal_labels=labels,
-        info_partition=partition,
-        payoffs=payoffs,
+        terminal_labels={history(i): str(lab) for i, lab in doc["labels"].items()},
+        info_partition=tuple(tuple(history(i) for i in cell) for cell in doc["partition"]),
+        payoffs=doc.get("payoffs"),
     )
 
 

@@ -14,17 +14,15 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .decision import OutcomeDistribution
+from .optimize import TWO_PI
 from .qstate import (
     Gate,
     StateVector,
     apply_entangler,
     apply_single_qubit_gate,
     basis_state,
-    bit_complement,
     hamming_weight,
 )
-
-TWO_PI = 2.0 * math.pi
 
 _I_POW = (1 + 0j, 1j, -1 + 0j, -1j)  # i**k for k mod 4
 
@@ -75,34 +73,50 @@ IDENTITY_PARAMS = UnitaryParams(0.0, 0.0, 0.0)
 class EwlGame:
     """Basis-indexed payoffs (or outcome labels) for an m-qubit protocol run.
 
-    Numeric maps may omit entries, which default to payoff 0; label maps must
-    cover every basis state.
+    Given as a mapping or a full-length array, stored as one read-only numpy
+    vector.  Numeric maps may omit entries, which default to payoff 0; label
+    maps must cover every basis state.
     """
 
     m: int
-    payoff_map: Mapping[int, float] | Mapping[int, str]
+    payoff_map: Mapping[int, float] | Mapping[int, str] | np.ndarray
 
     def __post_init__(self):
         if not isinstance(self.m, int) or self.m < 1:
             raise ValueError(f"qubit count must be an integer >= 1, got {self.m}")
         dim = 1 << self.m
-        if any(not isinstance(y, int) or not 0 <= y < dim for y in self.payoff_map):
-            raise ValueError("payoff map keys must be basis indices")
-        values = list(self.payoff_map.values())
-        if values and all(isinstance(v, str) for v in values):
-            if len(self.payoff_map) != dim:
-                raise ValueError("label-valued games must label every basis state")
-            table = {y: str(v) for y, v in self.payoff_map.items()}
-        elif all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in values):
-            table = {y: 0.0 for y in range(dim)}
-            table.update({y: float(v) for y, v in self.payoff_map.items()})
-        else:
-            raise ValueError("payoff map values must be all numbers or all labels")
+        table = self.payoff_map
+        if isinstance(table, Mapping):
+            table = _vector_from_map(table, dim)
+        if not (isinstance(table, np.ndarray) and table.dtype.kind in "iufU"
+                and table.shape == (dim,)):
+            raise ValueError(f"payoffs must be a mapping or a number or str array of length {dim}")
+        table = table.astype(str if table.dtype.kind == "U" else float)
+        if table.dtype.kind == "f" and not np.all(np.isfinite(table)):
+            raise ValueError("payoffs must be finite")
+        table.flags.writeable = False
         object.__setattr__(self, "payoff_map", table)
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, EwlGame) and self.m == other.m
+                and np.array_equal(self.payoff_map, other.payoff_map))
 
     @property
     def has_labels(self) -> bool:
-        return any(isinstance(v, str) for v in self.payoff_map.values())
+        return self.payoff_map.dtype.kind == "U"
+
+
+def _vector_from_map(payoff_map: Mapping, dim: int) -> np.ndarray:
+    if any(not isinstance(y, int) or not 0 <= y < dim for y in payoff_map):
+        raise ValueError("payoff map keys must be basis indices")
+    values = list(payoff_map.values())
+    if all(isinstance(v, str) for v in values) and len(values) == dim:
+        return np.array([payoff_map[y] for y in range(dim)])
+    if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in values):
+        raise ValueError("payoff values must be all numbers, or labels on every basis state")
+    table = np.zeros(dim)
+    table[list(payoff_map)] = values
+    return table
 
 
 def n_tuple_driver_game(n: int, lam: float) -> EwlGame:
@@ -124,32 +138,18 @@ def two_stage_game(labels: Sequence[str] = ("o00", "o01", "o10", "o11")) -> EwlG
     return EwlGame(2, {y: str(labels[y]) for y in range(4)})
 
 
-def leading_ones(y: int, m: int) -> int:
-    """Number of consecutive 1-bits of y starting at the most significant bit."""
-    count = 0
-    for bit in range(m - 1, -1, -1):
-        if (y >> bit) & 1:
-            count += 1
-        else:
-            break
-    return count
-
-
 def n_tuple_outcome_game(n: int) -> EwlGame:
     """Label-valued driver game, grouping basis states by first-exit position.
 
-    A basis state starting with t ones followed by a zero means the driver
-    exited at intersection t+1, so it carries label o{t+1}; the all-ones
-    state carries o{n+2}.
+    A basis state starting with t ones and a zero, i.e. one in
+    [2^m - 2^(m-t), 2^m - 2^(m-t-1)), means the driver exited at intersection
+    t+1, so it carries label o{t+1}; the all-ones state carries o{n+2}.
     """
     if not isinstance(n, int) or n < 1:
         raise ValueError(f"n must be an integer >= 1, got {n}")
     m = n + 1
-    table = {}
-    for y in range(1 << m):
-        t = leading_ones(y, m)
-        table[y] = f"o{t + 1}" if t < m else f"o{n + 2}"
-    return EwlGame(m, table)
+    counts = [1 << (m - t - 1) for t in range(m)] + [1]
+    return EwlGame(m, np.repeat([f"o{t + 1}" for t in range(m + 1)], counts))
 
 
 # --------------------------------------------------------------------------
@@ -163,15 +163,14 @@ def final_state(game: EwlGame, gates: Sequence[Gate]) -> StateVector:
     state = apply_entangler(basis_state(game.m))
     for qubit, gate in enumerate(gates, start=1):
         state = apply_single_qubit_gate(state, qubit, gate)
-    return apply_entangler(state, dagger=True)
+    return StateVector(game.m, apply_entangler(state, dagger=True).amps)
 
 
 def expected_payoff(game: EwlGame, gates: Sequence[Gate]) -> float:
     """Sum of payoff(y) * |<psi_f|y>|^2 over the basis."""
     if game.has_labels:
         raise TypeError("label-valued game: use outcome_distribution_ewl")
-    probs = final_state(game, gates).probabilities
-    return float(sum(game.payoff_map[y] * probs[y] for y in range(1 << game.m)))
+    return float(game.payoff_map @ final_state(game, gates).probabilities)
 
 
 def outcome_distribution_ewl(game: EwlGame, gates: Sequence[Gate]) -> OutcomeDistribution:
@@ -179,10 +178,12 @@ def outcome_distribution_ewl(game: EwlGame, gates: Sequence[Gate]) -> OutcomeDis
     if not game.has_labels:
         raise TypeError("numeric game: use expected_payoff")
     probs = final_state(game, gates).probabilities
+    # reduceat sums each run pairwise; a sequential sum misses the 1e-12 check at m=20
+    labels = game.payoff_map
+    starts = np.flatnonzero(np.concatenate(([True], labels[1:] != labels[:-1])))
     acc: dict[str, float] = {}
-    for y in range(1 << game.m):
-        lab = game.payoff_map[y]
-        acc[lab] = acc.get(lab, 0.0) + float(probs[y])
+    for lab, mass in zip(labels[starts].tolist(), np.add.reduceat(probs, starts).tolist()):
+        acc[lab] = acc.get(lab, 0.0) + mass
     return OutcomeDistribution(acc)
 
 
@@ -197,10 +198,9 @@ def amplitude_one_param(y: int, theta: float, m: int) -> complex:
     with r the Hamming weight and ybar the bit complement.
     """
     r = hamming_weight(y, m)
-    rbar = hamming_weight(bit_complement(y, m), m)
     c = math.cos(theta / 2.0)
     s = math.sin(theta / 2.0)
-    return _I_POW[r % 4] * (c ** rbar) * (s ** r)
+    return _I_POW[r % 4] * (c ** (m - r)) * (s ** r)
 
 
 def payoff_one_param(n: int, lam: float, theta: float) -> float:
@@ -256,9 +256,7 @@ def payoff_two_qubit_general(outcome_payoffs: Sequence[float], p1: UnitaryParams
 
     ``outcome_payoffs`` orders the basis as (o00, o01, o10, o11).
     """
-    if len(outcome_payoffs) != 4:
-        raise ValueError("need four basis payoffs")
-    game = EwlGame(2, {y: float(outcome_payoffs[y]) for y in range(4)})
+    game = EwlGame(2, np.asarray(outcome_payoffs, dtype=float))
     return expected_payoff(game, [build_gate(p1), build_gate(p2)])
 
 

@@ -58,19 +58,26 @@ def _golden_max(f, a: float, b: float, tol: float) -> tuple[float, float]:
     return x, f(x)
 
 
-def _grid_then_golden(f, lo: float, hi: float, n: int, tol: float) -> tuple[float, float]:
-    step = (hi - lo) / (n - 1)
-    best_i, best_v = 0, -math.inf
+def _grid_then_golden(f, lo: float, hi: float, n: int, tol: float,
+                      periodic: bool = False) -> tuple[float, float, float]:
+    """Best of n points spanning [lo, hi] ([lo, hi) and wrapped by f if periodic),
+    then golden-section on its bracket: (argmax, value >= grid max, grid max)."""
+    step = (hi - lo) / (n if periodic else n - 1)
+    best_i, grid_best = 0, -math.inf
     for i in range(n):
         v = f(lo + i * step)
-        if v > best_v:
-            best_i, best_v = i, v
-    a = lo + max(best_i - 1, 0) * step
-    b = lo + min(best_i + 1, n - 1) * step
+        if v > grid_best:
+            best_i, grid_best = i, v
+    center = lo + best_i * step
+    if periodic:
+        a, b = center - step, center + step
+    else:
+        a = lo + max(best_i - 1, 0) * step
+        b = lo + min(best_i + 1, n - 1) * step
     x, v = _golden_max(f, a, b, tol)
-    if v >= best_v:
-        return x, v
-    return lo + best_i * step, best_v
+    if v < grid_best:
+        return center, grid_best, grid_best
+    return x, v, grid_best
 
 
 def maximize_1d(f: Callable[[float], float], lo: float, hi: float, tol: float = 1e-8) -> OptResult:
@@ -84,50 +91,28 @@ def maximize_1d(f: Callable[[float], float], lo: float, hi: float, tol: float = 
     if tol <= 0:
         raise ValueError("tol must be positive")
     g = _Counter(f)
-    step = (hi - lo) / (GRID_1D - 1)
-    best_i, grid_best = 0, -math.inf
-    for i in range(GRID_1D):
-        v = g(lo + i * step)
-        if v > grid_best:
-            best_i, grid_best = i, v
-    a = lo + max(best_i - 1, 0) * step
-    b = lo + min(best_i + 1, GRID_1D - 1) * step
-    x, v = _golden_max(g, a, b, tol)
-    if v < grid_best:
-        x, v = lo + best_i * step, grid_best
+    x, v, grid_best = _grid_then_golden(g, lo, hi, GRID_1D, tol)
     return OptResult((x,), v, g.count, grid_best)
 
 
-def _wrap(x: float) -> float:
+def wrap_phase(x: float) -> float:
+    """x reduced to the phase interval [0, 2pi)."""
     w = x % TWO_PI
     return 0.0 if w >= TWO_PI else w
 
 
-def _line_max_theta(g, x: list[float], tol: float) -> float:
-    def slice_f(t):
-        return g(t, x[1], x[2])
+def _line_max(g, x: list[float], coord: int, tol: float) -> float:
+    """Argmax of g along one coordinate of x: theta on [0, pi], a phase on [0, 2pi)."""
+    periodic = coord > 0
 
-    t, _ = _grid_then_golden(slice_f, 0.0, math.pi, LINE_SAMPLES, tol)
-    return t
-
-
-def _line_max_periodic(g, x: list[float], coord: int, tol: float) -> float:
     def slice_f(raw):
         probe = list(x)
-        probe[coord] = _wrap(raw)
+        probe[coord] = wrap_phase(raw) if periodic else raw
         return g(*probe)
 
-    step = TWO_PI / LINE_SAMPLES
-    best_i, best_v = 0, -math.inf
-    for i in range(LINE_SAMPLES):
-        v = slice_f(i * step)
-        if v > best_v:
-            best_i, best_v = i, v
-    center = best_i * step
-    raw, v = _golden_max(slice_f, center - step, center + step, tol)
-    if v < best_v:
-        raw = center
-    return _wrap(raw)
+    hi = TWO_PI if periodic else math.pi
+    best = _grid_then_golden(slice_f, 0.0, hi, LINE_SAMPLES, tol, periodic)[0]
+    return wrap_phase(best) if periodic else best
 
 
 def maximize_3d(
@@ -167,9 +152,8 @@ def maximize_3d(
         x = list(start)
         value = g(*x)
         for _ in range(MAX_CYCLES):
-            x[0] = _line_max_theta(g, x, tol)
-            x[1] = _line_max_periodic(g, x, 1, tol)
-            x[2] = _line_max_periodic(g, x, 2, tol)
+            for coord in range(3):
+                x[coord] = _line_max(g, x, coord, tol)
             new_value = g(*x)
             if new_value - value <= 1e-13 * (1.0 + abs(value)):
                 value = max(value, new_value)

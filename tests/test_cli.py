@@ -36,8 +36,9 @@ def test_parse_angle(text, expected):
 def test_parse_angle_rejects_garbage():
     import argparse
 
-    with pytest.raises(argparse.ArgumentTypeError):
-        cli.parse_angle("pie/2")
+    for text in ("pie/2", "pi/0"):
+        with pytest.raises(argparse.ArgumentTypeError):
+            cli.parse_angle(text)
 
 
 # ----------------------------------------------------------------- simulate
@@ -171,6 +172,19 @@ def test_verify_recall_with_problem_file(tmp_path, capsys):
     report = json.loads(out)
     assert report["checks"][-1]["check"] == "user_problem_imperfect_recall"
     assert report["checks"][-1]["actual"] is True
+
+
+@pytest.mark.parametrize("doc", [
+    [1, 2],
+    {"histories": [[]], "partition": [[5]], "labels": {}},
+    {"histories": [[], [0], [1]], "partition": [[0]], "labels": {"-2": "a", "2": "b"}},
+])
+def test_verify_recall_rejects_malformed_problem(doc, tmp_path, capsys):
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(doc))
+    code = cli.main(["verify", "recall", "--problem", str(path)])
+    assert code == 2
+    assert "cannot load problem" in capsys.readouterr().err
 
 
 def test_verify_recall_missing_problem_file(capsys):

@@ -132,6 +132,42 @@ def test_expected_payoff_rejects_label_games():
         outcome_distribution_ewl(driver_game(4.0), gates)
 
 
+@pytest.mark.parametrize("angles", [(2.0, 1.0, 0.5),
+                                    # BLAS nrm2 put this state's norm 1.2e-12 below 1
+                                    (2.7666568448552162, 1.4539806430436621, 0.30498698258117435)])
+def test_twenty_qubit_runs_pass_their_sum_checks(angles):
+    params = UnitaryParams(*angles)
+    gates = [build_gate(params)] * 20
+    dist = outcome_distribution_ewl(n_tuple_outcome_game(19), gates)
+    assert abs(sum(dist.probs.values()) - 1.0) <= 1e-12
+    closed = payoff_three_param(19, 20.0, params)
+    assert abs(20.0 * dist["o20"] + dist["o21"] - closed) <= 1e-9
+    assert abs(expected_payoff(n_tuple_driver_game(19, 20.0), gates) - closed) <= 1e-9
+
+
+def test_outcome_distribution_matches_per_basis_sum_for_scattered_labels():
+    # parity labels recur in many separate runs of the basis
+    rng = np.random.default_rng(5)
+    game = EwlGame(4, {y: ("even", "odd")[bin(y).count("1") % 2] for y in range(16)})
+    gates = [build_gate(UnitaryParams(rng.uniform(0, math.pi), *rng.uniform(0, TWO_PI, 2)))
+             for _ in range(4)]
+    probs = final_state(game, gates).probabilities
+    dist = outcome_distribution_ewl(game, gates)
+    for label in ("even", "odd"):
+        expected = sum(probs[y] for y in range(16) if game.payoff_map[y] == label)
+        assert dist[label] == pytest.approx(expected, abs=1e-15)
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_outcome_game_labels_are_first_exits(n):
+    m = n + 1
+    labels = n_tuple_outcome_game(n).payoff_map
+    for y in range(1 << m):
+        bits = format(y, f"0{m}b")
+        t = len(bits) - len(bits.lstrip("1"))
+        assert labels[y] == (f"o{t + 1}" if t < m else f"o{n + 2}")
+
+
 def test_two_stage_identity_point_mass():
     dist = outcome_distribution_ewl(two_stage_game(), [build_gate(UnitaryParams(0.0))] * 2)
     assert dist["o00"] == pytest.approx(1.0, abs=1e-12)
@@ -295,6 +331,25 @@ def test_game_validation():
         EwlGame(2, {0: "a", 1: 1.0, 2: "b", 3: "c"})
     with pytest.raises(ValueError):
         n_tuple_driver_game(0, 4.0)
+    with pytest.raises(ValueError):
+        EwlGame(2, np.zeros(3))  # arrays must cover the basis
+
+
+def test_game_rejects_non_finite_payoffs():
+    with pytest.raises(ValueError):
+        EwlGame(1, {0: math.nan, 1: math.inf})
+    with pytest.raises(ValueError):
+        EwlGame(1, np.array([0.0, -np.inf]))
+
+
+def test_game_from_array_matches_map():
+    values = np.array([0.0, 2.0, 0.0, 5.0])
+    game = EwlGame(2, values)
+    assert np.array_equal(game.payoff_map, EwlGame(2, {1: 2.0, 3: 5.0}).payoff_map)
+    values[1] = 9.0  # the game keeps its own read-only copy
+    assert game.payoff_map[1] == 2.0 and not game.payoff_map.flags.writeable
+    assert game == EwlGame(2, {1: 2.0, 3: 5.0}) != EwlGame(2, {1: 2.0})
+    assert two_stage_game() == two_stage_game() != n_tuple_outcome_game(1)
 
 
 def test_driver_game_payoff_layout():

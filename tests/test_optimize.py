@@ -63,6 +63,12 @@ def test_3d_deterministic_bit_identical():
     assert r1 == r2
 
 
+def test_3d_evaluation_counts_are_pinned():
+    assert maximize_3d(payoff_three_param_fn(3, 20.0)).evaluations == 67772
+    res = maximize_3d(payoff_three_param_fn(1, 10.0), grid_per_dim=17, starts=6, tol=1e-9)
+    assert res.evaluations == 12371
+
+
 def test_3d_beats_its_own_coarse_grid():
     f = payoff_three_param_fn(2, 7.0)
     res = maximize_3d(f, grid_per_dim=9, starts=4, tol=1e-8)
