@@ -37,6 +37,7 @@ from .ewl import (
     two_stage_game,
 )
 from .optimize import TWO_PI, maximize_1d, wrap_phase
+from .qstate import check_qubit_count
 
 AMP_TOL = 1e-12
 MASS_TOL = 1e-9
@@ -170,6 +171,7 @@ def prop2_verify(n_max: int = 5, theta_grid: int = 101) -> dict:
     """Exhaustive closed-form vs simulation check over n <= n_max and a theta grid."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
+    check_qubit_count(n_max + 1)
     checks = []
     for n in range(1, n_max + 1):
         m = n + 1
@@ -219,8 +221,11 @@ def prop3_params(n: int) -> tuple[float, float, float, float]:
 
     theta' = 2 arccos(1/sqrt(n+1)),
     alpha' = (pi + 2 pi chi(n)) n / (2 (n^2 - 1)),  beta' = alpha'/n,
-    lambda0 = 1 / (cos^2n(theta'/2) sin^2(theta'/2)),
+    lambda0 = 1 / (cos^2n(theta'/2) sin^2(theta'/2)) = (n+1)^(n+1) / n,
     with chi(n) = 1 iff n = 3 (mod 4), which is when i^(n-1) = -1.
+
+    lambda0 is computed in log space; from n = 143 on it exceeds the largest
+    float and a ValueError is raised.
     """
     if not isinstance(n, int) or n < 2:
         raise ValueError(f"n must be an integer >= 2, got {n}")
@@ -228,7 +233,12 @@ def prop3_params(n: int) -> tuple[float, float, float, float]:
     chi = 1 if n % 4 == 3 else 0
     alpha = (math.pi + 2.0 * math.pi * chi) * n / (2.0 * (n * n - 1))
     beta = (math.pi + 2.0 * math.pi * chi) / (2.0 * (n * n - 1))
-    lam0 = 1.0 / (math.cos(theta / 2.0) ** (2 * n) * math.sin(theta / 2.0) ** 2)
+    log_lam0 = (n + 1) * math.log(n + 1) - math.log(n)
+    try:
+        lam0 = math.exp(log_lam0)
+    except OverflowError:
+        raise ValueError(f"lambda0 = (n+1)^(n+1)/n = e^{log_lam0:.2f} at n={n} is beyond the "
+                         f"largest float; prop3_params needs n <= 142") from None
     return theta, alpha, beta, lam0
 
 
@@ -280,6 +290,7 @@ def prop3_verify(n: int, delta: float = 1.5, lam: float | None = None) -> Prop3C
 
 def prop3_sweep(n_values=(2, 3, 4, 5, 6), deltas=(1.1, 1.5, 3.0)) -> dict:
     """Dominance certificates over a grid of (n, delta); all must be strict."""
+    check_qubit_count(max(n_values, default=1) + 1)  # before the sweep's first run
     checks = []
     for n in n_values:
         for delta in deltas:
@@ -310,6 +321,7 @@ def formulas_verify(n_max: int = 5, samples: int = 500, seed: int = 11) -> dict:
     """Cross-check every closed-form payoff against direct simulation."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
+    check_qubit_count(n_max + 1)
     rng = np.random.default_rng(seed)
     checks = []
 

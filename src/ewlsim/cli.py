@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 from . import analysis, decision, ewl, optimize
 from .optimize import TWO_PI, wrap_phase
+from .qstate import check_qubit_count
 
 _ANGLE_RE = re.compile(r"^([+-]?\d*\.?\d*)\*?pi(?:/(\d*\.?\d+))?$")
 
@@ -205,6 +206,8 @@ def cmd_optimize(cfg: RunConfig, mode: str, starts: int) -> int:
     report_checks = []
     classical_value = quantum_value = None
     n = cfg.n_value()
+    if mode != "classical":
+        check_qubit_count(n + 1)  # the quantum argmax is cross-checked by simulation
 
     if mode in ("classical", "both"):
         res = optimize.maximize_1d(

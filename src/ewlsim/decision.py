@@ -18,6 +18,8 @@ from typing import Mapping, Sequence, Union
 from . import optimize
 
 PROB_TOL = 1e-12
+# grid points behavioral_gap may evaluate: about 5 s at ~2.3 us per point
+GAP_GRID_BUDGET = 2_000_000
 
 History = tuple[int, ...]
 
@@ -37,34 +39,36 @@ class DecisionProblem:
         hset = set(hist)
         if () not in hset:
             raise ValueError("the empty history must be present")
-        for h in hist:
-            if h and h[:-1] not in hset:
+        # parents sort before their children, so one pass fills the map top-down
+        # (outcome_of relies on that order) with every action tuple already sorted
+        children: dict[History, tuple[int, ...]] = {}
+        for h in hist[1:]:
+            if h[:-1] not in hset:
                 raise ValueError(f"history {h} lacks its prefix {h[:-1]}")
+            children[h[:-1]] = children.get(h[:-1], ()) + (h[-1],)
+        object.__setattr__(self, "_children", children)
 
-        terminal = {h for h in hist if not any(g[:-1] == h for g in hist if g)}
         labels = {tuple(h): str(lab) for h, lab in self.terminal_labels.items()}
-        if set(labels) != terminal:
+        if set(labels) != hset - children.keys():
             raise ValueError("terminal labels must cover exactly the terminal histories")
         object.__setattr__(self, "terminal_labels", labels)
 
         cells = tuple(tuple(sorted(set(tuple(h) for h in cell), key=lambda h: (len(h), h)))
                       for cell in self.info_partition)
-        seen: set[History] = set()
-        for cell in cells:
+        set_index: dict[History, int] = {}
+        for i, cell in enumerate(cells):
             if not cell:
                 raise ValueError("information sets must be nonempty")
-            if seen & set(cell):
+            if set_index.keys() & set(cell):
                 raise ValueError("information sets must be disjoint")
-            seen |= set(cell)
-        nonterminal = hset - terminal
-        if seen != nonterminal:
+            set_index.update((h, i) for h in cell)
+        if set_index.keys() != children.keys():
             raise ValueError("information partition must cover exactly the nonterminal histories")
         object.__setattr__(self, "info_partition", cells)
+        object.__setattr__(self, "_set_index", set_index)
         for cell in cells:
-            first = self._raw_actions(cell[0], hset)
-            for h in cell[1:]:
-                if self._raw_actions(h, hset) != first:
-                    raise ValueError(f"histories in one information set need equal action sets: {cell}")
+            if any(children[h] != children[cell[0]] for h in cell[1:]):
+                raise ValueError(f"histories in one information set need equal action sets: {cell}")
 
         if self.payoffs is not None:
             pay = {str(k): float(v) for k, v in self.payoffs.items()}
@@ -73,31 +77,19 @@ class DecisionProblem:
                 raise ValueError(f"payoffs missing for labels {sorted(missing)}")
             object.__setattr__(self, "payoffs", pay)
 
-    @staticmethod
-    def _raw_actions(h: History, hset: set[History]) -> tuple[int, ...]:
-        return tuple(sorted(g[-1] for g in hset if len(g) == len(h) + 1 and g[:-1] == h))
-
     @cached_property
     def terminals(self) -> tuple[History, ...]:
         return tuple(h for h in self.histories if h in self.terminal_labels)
 
     @cached_property
-    def nonterminals(self) -> tuple[History, ...]:
-        return tuple(h for h in self.histories if h not in self.terminal_labels)
-
-    @cached_property
     def labels(self) -> tuple[str, ...]:
         return tuple(sorted(set(self.terminal_labels.values())))
 
-    @cached_property
-    def _set_index(self) -> dict[History, int]:
-        return {h: i for i, cell in enumerate(self.info_partition) for h in cell}
-
     def actions(self, h: History) -> tuple[int, ...]:
         """Sorted action indices available after nonterminal history h."""
-        if h not in self._set_index:
+        if h not in self._children:
             raise ValueError(f"{h} is not a nonterminal history")
-        return self._raw_actions(h, set(self.histories))
+        return self._children[h]
 
     def info_set_index(self, h: History) -> int:
         if h not in self._set_index:
@@ -274,8 +266,16 @@ def outcome_of(problem: DecisionProblem, strategy: Strategy) -> OutcomeDistribut
     elif isinstance(strategy, BehavioralStrategy):
         if len(strategy.local) != len(problem.info_partition):
             raise ValueError("behavioral strategy does not cover every information set")
+        reach = {(): 1.0}
+        for h, acts in problem._children.items():
+            idx = problem._set_index[h]
+            row = strategy.local[idx]
+            if len(row) != len(acts):
+                raise ValueError(f"behavioral row {idx} has {len(row)} entries for {len(acts)} actions")
+            for a, p in zip(acts, row):
+                reach[h + (a,)] = reach[h] * p
         for z in problem.terminals:
-            probs[problem.terminal_labels[z]] += _path_probability(problem, strategy, z)
+            probs[problem.terminal_labels[z]] += reach[z]
     else:
         raise TypeError(f"unsupported strategy type {type(strategy).__name__}")
     return OutcomeDistribution(probs)
@@ -291,19 +291,6 @@ def _pure_walk(problem: DecisionProblem, strategy: PureStrategy) -> History:
             raise ValueError(f"action {a} unavailable after history {h}")
         h = h + (a,)
     return h
-
-
-def _path_probability(problem: DecisionProblem, strategy: BehavioralStrategy, z: History) -> float:
-    prob = 1.0
-    for depth, a in enumerate(z):
-        h = z[:depth]
-        idx = problem.info_set_index(h)
-        acts = problem.actions(h)
-        row = strategy.local[idx]
-        if len(row) != len(acts):
-            raise ValueError(f"behavioral row {idx} has {len(row)} entries for {len(acts)} actions")
-        prob *= row[acts.index(a)]
-    return prob
 
 
 def expected_payoff_classical(problem: DecisionProblem, strategy: Strategy) -> float:
@@ -398,7 +385,7 @@ def behavioral_gap(problem: DecisionProblem, target: OutcomeDistribution,
     Dense grid over the behavioral parameter box followed by cyclic
     golden-section refinement.  Information sets must be binary (every
     problem built in this module is); cost grows as grid_points**k for k
-    binary sets.
+    binary sets, and a grid larger than GAP_GRID_BUDGET points is refused.
     """
     if set(target.probs) != set(problem.terminal_labels.values()):
         raise ValueError("target distribution is not over the problem's labels")
@@ -406,6 +393,9 @@ def behavioral_gap(problem: DecisionProblem, target: OutcomeDistribution,
         if len(problem.actions(cell[0])) != 2:
             raise ValueError("behavioral_gap supports binary action sets only")
     k = len(problem.info_partition)
+    if grid_points ** k > GAP_GRID_BUDGET:
+        raise ValueError(f"behavioral_gap grid of {grid_points}**{k} points exceeds the budget "
+                         f"of {GAP_GRID_BUDGET:,} (GAP_GRID_BUDGET)")
     labels = sorted(set(problem.terminal_labels.values()))
     target_vec = [target.probs[lab] for lab in labels]
 

@@ -21,6 +21,8 @@ from .qstate import (
     apply_entangler,
     apply_single_qubit_gate,
     basis_state,
+    check_qubit_count,
+    eq_by_value,
     hamming_weight,
 )
 
@@ -82,8 +84,7 @@ class EwlGame:
     payoff_map: Mapping[int, float] | Mapping[int, str] | np.ndarray
 
     def __post_init__(self):
-        if not isinstance(self.m, int) or self.m < 1:
-            raise ValueError(f"qubit count must be an integer >= 1, got {self.m}")
+        check_qubit_count(self.m)
         dim = 1 << self.m
         table = self.payoff_map
         if isinstance(table, Mapping):
@@ -97,9 +98,7 @@ class EwlGame:
         table.flags.writeable = False
         object.__setattr__(self, "payoff_map", table)
 
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, EwlGame) and self.m == other.m
-                and np.array_equal(self.payoff_map, other.payoff_map))
+    __eq__ = eq_by_value
 
     @property
     def has_labels(self) -> bool:
@@ -123,6 +122,7 @@ def n_tuple_driver_game(n: int, lam: float) -> EwlGame:
     """Driver payoffs on n+1 qubits: lam on |1..10>, 1 on |1..11>, 0 elsewhere."""
     if not isinstance(n, int) or n < 1:
         raise ValueError(f"n must be an integer >= 1, got {n}")
+    check_qubit_count(n + 1)
     dim = 1 << (n + 1)
     return EwlGame(n + 1, {dim - 2: float(lam), dim - 1: 1.0})
 
@@ -148,6 +148,7 @@ def n_tuple_outcome_game(n: int) -> EwlGame:
     if not isinstance(n, int) or n < 1:
         raise ValueError(f"n must be an integer >= 1, got {n}")
     m = n + 1
+    check_qubit_count(m)
     counts = [1 << (m - t - 1) for t in range(m)] + [1]
     return EwlGame(m, np.repeat([f"o{t + 1}" for t in range(m + 1)], counts))
 

@@ -8,15 +8,33 @@ are immutable; the StateVector constructor validates, the gate kernels do not.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
 
 NORM_TOL = 1e-12
 UNITARY_TOL = 1e-12
+# largest qubit count a protocol run may allocate: 2^24 amplitudes are 256 MiB each
+MAX_QUBITS = 24
 
 _SQRT2_INV = 1.0 / math.sqrt(2.0)
+
+
+def check_qubit_count(m: int) -> None:
+    """Refuse a qubit count outside 1..MAX_QUBITS before anything of size 2^m exists."""
+    if not isinstance(m, int) or m < 1:
+        raise ValueError(f"qubit count must be an integer >= 1, got {m}")
+    if m > MAX_QUBITS:
+        raise ValueError(f"{m} qubits exceed the limit of MAX_QUBITS = {MAX_QUBITS} "
+                         f"(a run allocates arrays of 2^m amplitudes)")
+
+
+def eq_by_value(self, other) -> bool:
+    """``__eq__`` for frozen dataclasses with ndarray fields: every field compared by value."""
+    if type(other) is not type(self):
+        return NotImplemented
+    return all(np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -42,6 +60,8 @@ class Gate:
             raise ValueError(f"gate is not unitary (defect {defect:.3e})")
         object.__setattr__(self, "matrix", _frozen(mat))
 
+    __eq__ = eq_by_value
+
 
 @dataclass(frozen=True)
 class StateVector:
@@ -51,8 +71,7 @@ class StateVector:
     amps: np.ndarray
 
     def __post_init__(self):
-        if not isinstance(self.m, int) or self.m < 1:
-            raise ValueError(f"qubit count must be an integer >= 1, got {self.m}")
+        check_qubit_count(self.m)
         amps = np.asarray(self.amps, dtype=complex)
         dim = 1 << self.m
         if amps.shape != (dim,):
@@ -64,6 +83,8 @@ class StateVector:
         if abs(norm - 1.0) > NORM_TOL:
             raise ValueError(f"state norm {norm!r} is not 1 within {NORM_TOL}")
         object.__setattr__(self, "amps", _frozen(amps))
+
+    __eq__ = eq_by_value
 
     @cached_property
     def probabilities(self) -> np.ndarray:
@@ -79,6 +100,7 @@ class StateVector:
 
 def basis_state(m: int, y: int = 0) -> StateVector:
     """The computational basis state |y> on m qubits."""
+    check_qubit_count(m)
     _check_basis_index(y, m)
     amps = np.zeros(1 << m, dtype=complex)
     amps[y] = 1.0

@@ -138,6 +138,19 @@ def test_prop3_theta_maximizes_exit_mass():
         assert res.argmax[0] == pytest.approx(theta, abs=1e-5)
 
 
+def test_prop3_threshold_matches_direct_formula_up_to_n142():
+    for n in range(2, 143):
+        theta = 2.0 * math.acos(1.0 / math.sqrt(n + 1.0))
+        direct = 1.0 / (math.cos(theta / 2.0) ** (2 * n) * math.sin(theta / 2.0) ** 2)
+        assert prop3_params(n)[3] == pytest.approx(direct, rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [143, 150])
+def test_prop3_params_refuses_thresholds_beyond_float(n):
+    with pytest.raises(ValueError, match="n <= 142"):
+        prop3_params(n)
+
+
 def test_prop3_params_rejects_n1():
     with pytest.raises(ValueError):
         prop3_params(1)

@@ -84,6 +84,23 @@ def test_simulate_validates_ranges(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("simulate", "--n", "40", "--theta", "pi/2"),
+    ("verify", "prop3", "--n", "40"),
+    ("optimize", "--n", "40"),
+])
+def test_oversized_runs_exit_2_before_any_work(argv, capsys, monkeypatch):
+    def refused(*args, **kwargs):
+        raise AssertionError("an oversized run started its work")
+
+    monkeypatch.setattr(cli.ewl, "final_state", refused)
+    monkeypatch.setattr(cli.analysis, "prop3_verify", refused)
+    monkeypatch.setattr(cli.optimize, "maximize_1d", refused)
+    monkeypatch.setattr(cli.optimize, "maximize_3d", refused)
+    assert cli.main(list(argv)) == 2
+    assert "41 qubits exceed the limit of MAX_QUBITS = 24" in capsys.readouterr().err
+
+
 # ----------------------------------------------------------------- optimize
 
 

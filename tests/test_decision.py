@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+from ewlsim.analysis import perfect_recall_control
 from ewlsim.decision import (
     BehavioralStrategy,
     DecisionProblem,
@@ -21,6 +24,7 @@ from ewlsim.decision import (
     problem_to_json,
     two_stage_problem,
 )
+from ewlsim.ewl import payoff_one_param
 
 # frozen from an independent 2001^2 grid + pattern-search minimization of
 # max(|pq-1/2|, p(1-q), (1-p)q, |(1-p)(1-q)-1/2|): minimum 0.25 at p=q=1/2
@@ -99,6 +103,15 @@ def test_partition_must_cover_nonterminals():
             terminal_labels={(0,): "a", (1,): "b"},
             info_partition=(),
         )
+
+
+@pytest.mark.parametrize("h", [(0, 1), (2,), (0, 1, 0)])
+def test_lookups_reject_terminal_and_absent_histories(h):
+    prob = two_stage_problem()
+    with pytest.raises(ValueError):
+        prob.actions(h)
+    with pytest.raises(ValueError):
+        prob.info_set_index(h)
 
 
 def test_unequal_action_sets_in_one_cell_rejected():
@@ -285,6 +298,40 @@ def _random_tree(rng, max_depth=3):
                            info_partition=partition)
 
 
+def _path_product_outcome(problem, strategy):
+    """Reference: one root-to-leaf product per terminal, summed per label."""
+    probs = dict.fromkeys(problem.terminal_labels.values(), 0.0)
+    for z in problem.terminals:
+        prob = 1.0
+        for depth, a in enumerate(z):
+            h = z[:depth]
+            prob *= strategy.local[problem.info_set_index(h)][problem.actions(h).index(a)]
+        probs[problem.terminal_labels[z]] += prob
+    return probs
+
+
+def test_behavioral_outcome_equals_path_products():
+    rng = np.random.default_rng(17)
+    problems = [_random_tree(rng) for _ in range(10)] + [n_tuple_driver(n, 3.0) for n in (1, 5, 30)]
+    for prob in problems:
+        for _ in range(3):
+            rows = []
+            for cell in prob.info_partition:
+                raw = rng.uniform(size=len(prob.actions(cell[0])))
+                rows.append(tuple(raw / raw.sum()))
+            beh = BehavioralStrategy(tuple(rows))
+            assert outcome_of(prob, beh).probs == _path_product_outcome(prob, beh)
+
+
+def test_n200_classical_payoff_matches_closed_form():
+    lam = 7.5
+    prob = n_tuple_driver(200, lam)
+    for p in (0.001, 0.005, 0.02, 0.5):
+        theta = 2.0 * math.acos(math.sqrt(p))
+        assert expected_payoff_classical(prob, BehavioralStrategy(((p, 1 - p),))) == \
+            pytest.approx(payoff_one_param(200, lam, theta), abs=1e-9)
+
+
 def test_kuhn_equivalence_on_perfect_recall_trees():
     rng = np.random.default_rng(42)
     for _ in range(10):
@@ -328,6 +375,13 @@ def test_gap_for_half_half_diagonal_target():
     gap = behavioral_gap(two_stage_problem(), HALF_HALF)
     assert gap >= 0.1
     assert gap == pytest.approx(TWO_STAGE_GAP, abs=1e-6)
+
+
+def test_gap_refuses_grids_over_budget():
+    prob = perfect_recall_control()  # three binary sets: 201**3 = 8.1e6 points
+    target = outcome_of(prob, BehavioralStrategy(((0.5, 0.5),) * 3))
+    with pytest.raises(ValueError, match="GAP_GRID_BUDGET"):
+        behavioral_gap(prob, target)
 
 
 def test_gap_rejects_foreign_labels():

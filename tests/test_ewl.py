@@ -335,6 +335,14 @@ def test_game_validation():
         EwlGame(2, np.zeros(3))  # arrays must cover the basis
 
 
+def test_oversized_games_are_refused_before_allocating():
+    # far past the limit, so a missing check fails fast instead of allocating
+    for build in (lambda: EwlGame(40, {}), lambda: n_tuple_driver_game(39, 4.0),
+                  lambda: n_tuple_outcome_game(39)):
+        with pytest.raises(ValueError, match="MAX_QUBITS = 24"):
+            build()
+
+
 def test_game_rejects_non_finite_payoffs():
     with pytest.raises(ValueError):
         EwlGame(1, {0: math.nan, 1: math.inf})

@@ -6,12 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ewlsim.qstate import (
+    MAX_QUBITS,
     Gate,
     StateVector,
     apply_entangler,
     apply_single_qubit_gate,
     basis_state,
     bit_complement,
+    check_qubit_count,
     hamming_weight,
     inner_product,
 )
@@ -150,6 +152,23 @@ def test_rejects_bad_states():
         StateVector(2, np.array([1.0, 1.0, 0.0, 0.0], dtype=complex))
     with pytest.raises(ValueError):
         StateVector(1, np.array([np.inf, 0.0], dtype=complex))
+
+
+def test_states_and_gates_compare_by_value():
+    assert basis_state(2) == basis_state(2)
+    assert basis_state(2) != basis_state(2, 1)
+    assert basis_state(2) != basis_state(3)
+    assert Gate(np.eye(2)) == Gate(np.eye(2))
+    assert Gate(np.eye(2)) != ISX
+    assert basis_state(1) != Gate(np.eye(2))
+
+
+def test_qubit_limit_is_checked_before_allocating():
+    check_qubit_count(MAX_QUBITS)
+    with pytest.raises(ValueError, match="MAX_QUBITS = 24"):
+        check_qubit_count(MAX_QUBITS + 1)
+    with pytest.raises(ValueError, match="MAX_QUBITS = 24"):
+        basis_state(40)  # 2^40 amplitudes: refused, never requested from the allocator
 
 
 def test_states_are_immutable():
