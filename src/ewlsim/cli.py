@@ -20,6 +20,9 @@ from . import analysis, decision, ewl, optimize
 from .optimize import TWO_PI, wrap_phase
 from .qstate import check_qubit_count
 
+# most rows `landscape` emits (grid^3); 100 points per axis, ~60 MB of CSV
+GRID_BUDGET = 1_000_000
+
 _ANGLE_RE = re.compile(r"^([+-]?\d*\.?\d*)\*?pi(?:/(\d*\.?\d+))?$")
 
 
@@ -95,6 +98,9 @@ class RunConfig:
             raise ValidationError(f"--theta must lie in [0, pi], got {self.theta!r}")
         if self.grid < 2:
             raise ValidationError(f"--grid must be >= 2, got {self.grid}")
+        if self.command == "landscape" and self.grid ** 3 > GRID_BUDGET:
+            raise ValidationError(f"--grid {self.grid} gives {self.grid ** 3:,} landscape rows, "
+                                  f"over the budget of {GRID_BUDGET:,} (GRID_BUDGET)")
         if self.samples < 1:
             raise ValidationError(f"--samples must be >= 1, got {self.samples}")
         if self.tol <= 0:

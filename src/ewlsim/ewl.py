@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -18,11 +19,9 @@ from .optimize import TWO_PI
 from .qstate import (
     Gate,
     StateVector,
-    apply_entangler,
-    apply_single_qubit_gate,
-    basis_state,
     check_qubit_count,
     eq_by_value,
+    fresh_state,
     hamming_weight,
 )
 
@@ -104,6 +103,13 @@ class EwlGame:
     def has_labels(self) -> bool:
         return self.payoff_map.dtype.kind == "U"
 
+    @cached_property
+    def _label_runs(self) -> tuple[list[str], np.ndarray]:
+        """The label and the start index of each run of equal labels, in basis order."""
+        labels = self.payoff_map
+        starts = np.flatnonzero(np.concatenate(([True], labels[1:] != labels[:-1])))
+        return labels[starts].tolist(), starts
+
 
 def _vector_from_map(payoff_map: Mapping, dim: int) -> np.ndarray:
     if any(not isinstance(y, int) or not 0 <= y < dim for y in payoff_map):
@@ -157,14 +163,33 @@ def n_tuple_outcome_game(n: int) -> EwlGame:
 # protocol simulation
 
 
+# weights of P_0, P_1, rev(P_0), rev(P_1) in the final state (see final_state)
+_FINAL_WEIGHTS = np.array([[0.5], [0.5j], [-0.5j], [0.5]])
+
+
+def _column_products(gates: Sequence[Gate]) -> np.ndarray:
+    """Rows: the Kronecker products of column 0 and of column 1 of every gate, in
+    order, then the same two reversed."""
+    cols = np.ones((2, 1), dtype=complex)
+    for gate in gates:
+        cols = (cols[:, :, None] * gate.matrix.T[:, None, :]).reshape(2, -1)
+    return np.concatenate((cols, cols[:, ::-1]))
+
+
 def final_state(game: EwlGame, gates: Sequence[Gate]) -> StateVector:
-    """J^dag (U_1 x ... x U_m) J |0...0> by structured application."""
+    """J^dag (U_1 x ... x U_m) J |0...0>, built in closed form.
+
+    J|0...0> = (|0...0> + i|1...1>)/sqrt2, so with P_j the Kronecker product of
+    column j of every gate, psi = (P_0 + i P_1 - i rev(P_0) + rev(P_1)) / 2,
+    because J^dag = (I - i X^m)/sqrt2 and X^m reverses the basis.  Split at
+    qubit h = m // 2, P_j = A_j x B_j and rev(P_j) = rev(A_j) x rev(B_j), so
+    the 2^h x 2^(m-h) amplitude matrix is one rank-4 product.
+    """
     if len(gates) != game.m:
         raise ValueError(f"need exactly {game.m} gates, got {len(gates)}")
-    state = apply_entangler(basis_state(game.m))
-    for qubit, gate in enumerate(gates, start=1):
-        state = apply_single_qubit_gate(state, qubit, gate)
-    return StateVector(game.m, apply_entangler(state, dagger=True).amps)
+    h = game.m // 2
+    amps = _column_products(gates[:h]).T @ (_column_products(gates[h:]) * _FINAL_WEIGHTS)
+    return fresh_state(game.m, amps.reshape(-1))
 
 
 def expected_payoff(game: EwlGame, gates: Sequence[Gate]) -> float:
@@ -179,11 +204,10 @@ def outcome_distribution_ewl(game: EwlGame, gates: Sequence[Gate]) -> OutcomeDis
     if not game.has_labels:
         raise TypeError("numeric game: use expected_payoff")
     probs = final_state(game, gates).probabilities
+    labels, starts = game._label_runs
     # reduceat sums each run pairwise; a sequential sum misses the 1e-12 check at m=20
-    labels = game.payoff_map
-    starts = np.flatnonzero(np.concatenate(([True], labels[1:] != labels[:-1])))
     acc: dict[str, float] = {}
-    for lab, mass in zip(labels[starts].tolist(), np.add.reduceat(probs, starts).tolist()):
+    for lab, mass in zip(labels, np.add.reduceat(probs, starts).tolist()):
         acc[lab] = acc.get(lab, 0.0) + mass
     return OutcomeDistribution(acc)
 

@@ -2,7 +2,8 @@
 
 Basis indices read qubit 1 as the most significant bit, so the label
 y = (j1, j2, ..., jm) in binary addresses amplitude ``amps[y]``.  All values
-are immutable; the StateVector constructor validates, the gate kernels do not.
+are immutable; the StateVector constructor validates a copy, ``fresh_state``
+validates a new array in place, the gate kernels do not validate.
 """
 
 from __future__ import annotations
@@ -72,17 +73,10 @@ class StateVector:
 
     def __post_init__(self):
         check_qubit_count(self.m)
-        amps = np.asarray(self.amps, dtype=complex)
-        dim = 1 << self.m
-        if amps.shape != (dim,):
-            raise ValueError(f"expected {dim} amplitudes, got shape {amps.shape}")
-        if not np.all(np.isfinite(amps.view(np.float64))):
-            raise ValueError("amplitudes must be finite")
-        # numpy's pairwise sum; BLAS nrm2 was off by 1.2e-12 on a 2^20-amplitude state
-        norm = math.sqrt(float(np.sum(amps.real ** 2 + amps.imag ** 2)))
-        if abs(norm - 1.0) > NORM_TOL:
-            raise ValueError(f"state norm {norm!r} is not 1 within {NORM_TOL}")
-        object.__setattr__(self, "amps", _frozen(amps))
+        # the contiguous copy also lets the checks view strided caller arrays as floats
+        amps = _frozen(self.amps)
+        _check_amplitudes(self.m, amps)
+        object.__setattr__(self, "amps", amps)
 
     __eq__ = eq_by_value
 
@@ -114,12 +108,33 @@ def _check_basis_index(y: int, m: int) -> None:
         raise ValueError(f"basis index {y} out of range for {m} qubits")
 
 
+def _check_amplitudes(m: int, amps: np.ndarray) -> None:
+    dim = 1 << m
+    if amps.shape != (dim,):
+        raise ValueError(f"expected {dim} amplitudes, got shape {amps.shape}")
+    parts = amps.view(np.float64)
+    if not np.all(np.isfinite(parts)):
+        raise ValueError("amplitudes must be finite")
+    # numpy's pairwise sum; BLAS nrm2 was off by 1.2e-12 on a 2^20-amplitude state
+    norm = math.sqrt(float(np.sum(np.square(parts))))
+    if abs(norm - 1.0) > NORM_TOL:
+        raise ValueError(f"state norm {norm!r} is not 1 within {NORM_TOL}")
+
+
 def _unchecked_state(m: int, amps: np.ndarray) -> StateVector:
     """Freeze freshly computed amplitudes into a StateVector without validation."""
     amps.flags.writeable = False
     state = object.__new__(StateVector)
     state.__dict__.update(m=m, amps=amps)
     return state
+
+
+def fresh_state(m: int, amps: np.ndarray) -> StateVector:
+    """Validate a freshly computed complex amplitude array as the constructor does,
+    then freeze it in place instead of copying it."""
+    check_qubit_count(m)
+    _check_amplitudes(m, amps)
+    return _unchecked_state(m, amps)
 
 
 def apply_single_qubit_gate(state: StateVector, qubit_index: int, gate: Gate) -> StateVector:

@@ -1,8 +1,9 @@
 """Independent dense-matrix reference implementations for the tests.
 
 Everything here builds explicit 2^m x 2^m operators with np.kron, on purpose:
-the package applies gates and the entangler structurally, so agreement with
-these oracles checks the fast path against a genuinely different one.
+the package applies gates and the entangler structurally and builds the final
+protocol state in closed form, so agreement with these oracles checks the fast
+paths against a genuinely different one.
 """
 
 import numpy as np

@@ -222,6 +222,16 @@ def test_landscape_row_count(capsys):
     assert len(lines) == 1 + 27
 
 
+def test_landscape_refuses_grids_over_budget(capsys, monkeypatch):
+    def refused(*args, **kwargs):
+        raise AssertionError("an oversized landscape started computing rows")
+
+    monkeypatch.setattr(cli.ewl, "payoff_three_param_fn", refused)
+    assert cli.main(["landscape", "--grid", "101"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "over the budget of 1,000,000 (GRID_BUDGET)" in err
+
+
 def test_landscape_reference_row_and_roundtrip(capsys):
     # grid 9 puts pi/2 on the theta axis and pi/4 on the alpha axis
     code, out = run_cli("landscape", "--n", "1", "--lambda", "4", "--grid", "9",

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from ewlsim.ewl import (
     payoff_two_qubit_general,
     two_stage_game,
 )
+from ewlsim.qstate import apply_entangler, apply_single_qubit_gate, basis_state
 from oracles import dense_final_state, dense_gate
 
 TWO_PI = 2.0 * math.pi
@@ -103,6 +105,37 @@ def test_final_state_matches_dense_oracle():
 
         psi = final_state(EwlGame(m, {}), [Gate(mat) for mat in mats])
         np.testing.assert_allclose(psi.amps, dense_final_state(mats), atol=1e-12)
+
+
+def _random_gate(rng):
+    return build_gate(UnitaryParams(rng.uniform(0, math.pi), *rng.uniform(0, TWO_PI, 2)))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 7, 14])
+def test_final_state_matches_gate_by_gate_reference(m):
+    # m = 1 leaves the first half empty, odd m splits unevenly
+    rng = np.random.default_rng(100 + m)
+    gates = [_random_gate(rng) for _ in range(m)]
+    state = apply_entangler(basis_state(m))
+    for qubit, gate in enumerate(gates, start=1):
+        state = apply_single_qubit_gate(state, qubit, gate)
+    expected = apply_entangler(state, dagger=True).amps
+    np.testing.assert_allclose(final_state(EwlGame(m, {}), gates).amps, expected, atol=1e-12)
+
+
+def test_final_state_peak_allocation():
+    # the 2^m output plus one squared-magnitude array for the norm check
+    m = 18
+    game = EwlGame(m, {})
+    gates = [_random_gate(np.random.default_rng(m))] * m
+    final_state(game, gates)
+    tracemalloc.start()
+    try:
+        final_state(game, gates)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (16 * 2 ** m) < 2.05
 
 
 def test_gate_count_mismatch():

@@ -154,6 +154,13 @@ def test_rejects_bad_states():
         StateVector(1, np.array([np.inf, 0.0], dtype=complex))
 
 
+def test_constructor_copies_caller_arrays():
+    amps = np.array([0.6, 0.0, 0.0, 0.8j])
+    state = StateVector(2, amps[::-1])  # a strided view is accepted too
+    amps[0] = 0.0
+    assert state.amps[3] == 0.6 and state.amps.flags.c_contiguous
+
+
 def test_states_and_gates_compare_by_value():
     assert basis_state(2) == basis_state(2)
     assert basis_state(2) != basis_state(2, 1)
