@@ -15,13 +15,13 @@ import math
 import re
 import sys
 from dataclasses import dataclass
+from itertools import product
+
+import numpy as np
 
 from . import analysis, decision, ewl, optimize
-from .optimize import TWO_PI, wrap_phase
+from .optimize import GRID_BUDGET, TWO_PI, wrap_phase
 from .qstate import check_qubit_count
-
-# most rows `landscape` emits (grid^3); 100 points per axis, ~60 MB of CSV
-GRID_BUDGET = 1_000_000
 
 _ANGLE_RE = re.compile(r"^([+-]?\d*\.?\d*)\*?pi(?:/(\d*\.?\d+))?$")
 
@@ -61,6 +61,7 @@ class RunConfig:
     alpha: float = 0.0
     beta: float = 0.0
     grid: int = 33
+    mode: str | None = None
     samples: int = 1000
     seed: int = 7
     tol: float = 1e-8
@@ -77,6 +78,7 @@ class RunConfig:
             alpha=getattr(args, "alpha", 0.0) or 0.0,
             beta=getattr(args, "beta", 0.0) or 0.0,
             grid=getattr(args, "grid", 33),
+            mode=getattr(args, "mode", None),
             samples=getattr(args, "samples", 1000),
             seed=getattr(args, "seed", 7),
             tol=getattr(args, "tol", 1e-8),
@@ -98,8 +100,10 @@ class RunConfig:
             raise ValidationError(f"--theta must lie in [0, pi], got {self.theta!r}")
         if self.grid < 2:
             raise ValidationError(f"--grid must be >= 2, got {self.grid}")
-        if self.command == "landscape" and self.grid ** 3 > GRID_BUDGET:
-            raise ValidationError(f"--grid {self.grid} gives {self.grid ** 3:,} landscape rows, "
+        scans_grid = self.command == "landscape" or (self.command == "optimize"
+                                                     and self.mode != "classical")
+        if scans_grid and self.grid ** 3 > GRID_BUDGET:
+            raise ValidationError(f"--grid {self.grid} gives {self.grid ** 3:,} grid points, "
                                   f"over the budget of {GRID_BUDGET:,} (GRID_BUDGET)")
         if self.samples < 1:
             raise ValidationError(f"--samples must be >= 1, got {self.samples}")
@@ -132,6 +136,9 @@ def _checks_text(report: dict) -> str:
     for c in report["checks"]:
         status = "PASS" if c["pass"] else "FAIL"
         note = f"  [{c['note']}]" if "note" in c else ""
+        if "argmax" in c:
+            argmax = ", ".join(f"{x:.9f}" for x in c["argmax"])
+            note += f"  argmax=({argmax}) evals={c['evaluations']}"
         lines.append(f"{status}  {c['check']}  deviation={c['deviation']:.3e}{note}")
     lines.append(f"overall: {'PASS' if report['pass'] else 'FAIL'}")
     return "\n".join(lines)
@@ -208,14 +215,19 @@ def cmd_simulate(cfg: RunConfig) -> int:
     return _emit("\n".join(lines), cfg.output)
 
 
-def cmd_optimize(cfg: RunConfig, mode: str, starts: int) -> int:
+def _search_fields(check: dict, res: optimize.OptResult) -> dict:
+    """The check with the optimizer's argmax and evaluation count as fields."""
+    return {**check, "argmax": list(res.argmax), "evaluations": res.evaluations}
+
+
+def cmd_optimize(cfg: RunConfig, starts: int) -> int:
     report_checks = []
     classical_value = quantum_value = None
     n = cfg.n_value()
-    if mode != "classical":
+    if cfg.mode != "classical":
         check_qubit_count(n + 1)  # the quantum argmax is cross-checked by simulation
 
-    if mode in ("classical", "both"):
+    if cfg.mode in ("classical", "both"):
         res = optimize.maximize_1d(
             lambda t: ewl.payoff_one_param(n, cfg.lam, t), 0.0, math.pi, tol=cfg.tol)
         p_star, closed = analysis.classical_max_closed_form(n, cfg.lam)
@@ -225,12 +237,11 @@ def cmd_optimize(cfg: RunConfig, mode: str, starts: int) -> int:
                   f"closed form {closed!r}", file=sys.stderr)
             return 3
         classical_value = res.value
-        report_checks.append(analysis.make_check(
+        report_checks.append(_search_fields(analysis.make_check(
             "classical_optimum", {"n": n, "lambda": cfg.lam},
-            closed, res.value, dev, True,
-            note=f"theta*={res.argmax[0]:.9f} p*={p_star:.9f} evals={res.evaluations}"))
+            closed, res.value, dev, True, note=f"p*={p_star:.9f}"), res))
 
-    if mode in ("quantum", "both"):
+    if cfg.mode in ("quantum", "both"):
         res = optimize.maximize_3d(
             ewl.payoff_three_param_fn(n, cfg.lam),
             grid_per_dim=cfg.grid, starts=starts, tol=cfg.tol)
@@ -246,11 +257,9 @@ def cmd_optimize(cfg: RunConfig, mode: str, starts: int) -> int:
                   f"simulation {sim!r} at the argmax", file=sys.stderr)
             return 3
         quantum_value = res.value
-        report_checks.append(analysis.make_check(
+        report_checks.append(_search_fields(analysis.make_check(
             "quantum_optimum", {"n": n, "lambda": cfg.lam, "grid": cfg.grid},
-            sim, res.value, dev, True,
-            note=(f"argmax=({theta:.9f}, {alpha:.9f}, {beta:.9f}) "
-                  f"evals={res.evaluations}")))
+            sim, res.value, dev, True), res))
 
     if classical_value is not None and quantum_value is not None:
         ratio = quantum_value / classical_value if classical_value else math.inf
@@ -293,15 +302,14 @@ def cmd_verify(cfg: RunConfig, target: str, problem_path: str | None) -> int:
 
 
 def cmd_landscape(cfg: RunConfig) -> int:
-    g = cfg.grid
-    thetas = [i * math.pi / (g - 1) for i in range(g)]
-    phases = [i * TWO_PI / (g - 1) for i in range(g)]
+    index = np.arange(cfg.grid)
+    thetas = index * math.pi / (cfg.grid - 1)
+    phases = index * TWO_PI / (cfg.grid - 1)
     f = ewl.payoff_three_param_fn(cfg.n_value(), cfg.lam)
+    values = f(thetas[:, None, None], phases[None, :, None], phases[None, None, :])
     rows = ["theta,alpha,beta,payoff"]
-    for t in thetas:
-        for a in phases:
-            for b in phases:
-                rows.append(f"{t:.12g},{a:.12g},{b:.12g},{f(t, a, b):.12g}")
+    rows += [f"{t:.12g},{a:.12g},{b:.12g},{v:.12g}" for (t, a, b), v in
+             zip(product(thetas.tolist(), phases.tolist(), phases.tolist()), values.ravel().tolist())]
     return _emit("\n".join(rows), cfg.output)
 
 
@@ -352,10 +360,10 @@ def cmd_reproduce(cfg: RunConfig, lambda_sweep: str | None) -> int:
             res = optimize.maximize_3d(ewl.payoff_three_param_fn(1, lam),
                                        grid_per_dim=17, starts=6, tol=1e-9)
             expected = max(1.0, lam / 2.0)
-            checks.append(analysis.make_check(
+            checks.append(_search_fields(analysis.make_check(
                 f"driver_quantum_optimum_lambda{lam:g}", {"n": 1, "lambda": lam},
                 expected, res.value, abs(res.value - expected),
-                abs(res.value - expected) <= 1e-6))
+                abs(res.value - expected) <= 1e-6), res))
 
     report = analysis.make_report(checks)
     code = _emit_report(report, cfg)
@@ -429,7 +437,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "simulate":
             return cmd_simulate(cfg)
         if args.command == "optimize":
-            return cmd_optimize(cfg, args.mode, args.starts)
+            return cmd_optimize(cfg, args.starts)
         if args.command == "verify":
             return cmd_verify(cfg, args.target, args.problem)
         if args.command == "landscape":

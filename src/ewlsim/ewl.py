@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -243,14 +243,33 @@ def payoff_one_param(n: int, lam: float, theta: float) -> float:
     return lam * c2 * s2 ** n + s2 ** (n + 1)
 
 
-def _three_param_value(n: int, lam: float, theta: float, alpha: float, beta: float) -> float:
-    c = math.cos(theta / 2.0)
-    s = math.sin(theta / 2.0)
-    amp_home = (1j * (c ** n) * s * math.sin(n * alpha - beta)
-                + _I_POW[n % 4] * c * (s ** n) * math.cos(alpha - n * beta))
-    amp_lodge = ((c ** (n + 1)) * math.sin((n + 1) * alpha)
-                 + _I_POW[(n + 1) % 4] * (s ** (n + 1)) * math.cos((n + 1) * beta))
-    return lam * abs(amp_home) ** 2 + abs(amp_lodge) ** 2
+def _three_param_value(n: int, lam: float, theta, alpha, beta):
+    """The payoff of ``payoff_three_param`` in real arithmetic, on Python floats
+    (through ``math``) or on numpy arrays that broadcast together (through numpy).
+
+    With x = c^n s sin(n a - b), y = c s^n cos(a - n b), p = c^(n+1) sin((n+1) a)
+    and q = s^(n+1) cos((n+1) b), the two amplitudes are i x + i^n y and
+    p + i^(n+1) q, so by n mod 4 their squared moduli are x^2 + y^2 and
+    p^2 + q^2 (n even), (x + y)^2 and (p - q)^2 (n = 1 mod 4), or (x - y)^2
+    and (p + q)^2 (n = 3 mod 4).  Powers are repeated products, not pow, so a
+    float call and an array call run the same operations; they give equal
+    values wherever numpy's sin and cos round as math's do (the tests check it).
+    """
+    xp = math if type(theta) is type(alpha) is type(beta) is float else np
+    half = theta / 2.0
+    c, s = xp.cos(half), xp.sin(half)
+    cn, sn = c, s
+    for _ in range(n - 1):
+        cn = cn * c
+        sn = sn * s
+    x = cn * s * xp.sin(n * alpha - beta)
+    y = c * sn * xp.cos(alpha - n * beta)
+    p = cn * c * xp.sin((n + 1) * alpha)
+    q = sn * s * xp.cos((n + 1) * beta)
+    if n % 2 == 0:
+        return lam * (x * x + y * y) + (p * p + q * q)
+    home, lodge = (x + y, p - q) if n % 4 == 1 else (x - y, p + q)
+    return lam * (home * home) + lodge * lodge
 
 
 def payoff_three_param(n: int, lam: float, params: UnitaryParams) -> float:
@@ -264,15 +283,13 @@ def payoff_three_param(n: int, lam: float, params: UnitaryParams) -> float:
     return _three_param_value(n, lam, params.theta, params.alpha, params.beta)
 
 
-def payoff_three_param_fn(n: int, lam: float) -> Callable[[float, float, float], float]:
-    """Raw-angle objective for the optimizers (periodic in alpha and beta)."""
+def payoff_three_param_fn(n: int, lam: float) -> Callable:
+    """Raw-angle objective f(theta, alpha, beta) for the optimizers (periodic in
+    alpha and beta): a float for float angles, an array for angle arrays that
+    broadcast together, with the same value at every point either way."""
     if not isinstance(n, int) or n < 1:
         raise ValueError(f"n must be an integer >= 1, got {n}")
-
-    def objective(theta: float, alpha: float, beta: float) -> float:
-        return _three_param_value(n, lam, theta, alpha, beta)
-
-    return objective
+    return partial(_three_param_value, n, lam)
 
 
 def payoff_two_qubit_general(outcome_payoffs: Sequence[float], p1: UnitaryParams,

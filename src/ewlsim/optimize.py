@@ -12,12 +12,16 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
+import numpy as np
+
 TWO_PI = 2.0 * math.pi
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 GRID_1D = 257
 LINE_SAMPLES = 65
 MAX_CYCLES = 60
+# most points one grid^3 scan scores: maximize_3d's seed grid, `landscape`'s rows
+GRID_BUDGET = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -29,6 +33,8 @@ class OptResult:
 
 
 class _Counter:
+    """Calls f and counts the points it is evaluated at."""
+
     __slots__ = ("f", "count")
 
     def __init__(self, f):
@@ -37,6 +43,11 @@ class _Counter:
 
     def __call__(self, *args):
         self.count += 1
+        return self.f(*args)
+
+    def many(self, *args) -> np.ndarray:
+        """f at every point of the broadcast argument arrays, in one call."""
+        self.count += np.broadcast(*args).size
         return self.f(*args)
 
 
@@ -58,16 +69,19 @@ def _golden_max(f, a: float, b: float, tol: float) -> tuple[float, float]:
     return x, f(x)
 
 
-def _grid_then_golden(f, lo: float, hi: float, n: int, tol: float,
-                      periodic: bool = False) -> tuple[float, float, float]:
+def _grid_then_golden(f, lo: float, hi: float, n: int, tol: float, periodic: bool = False,
+                      score=None) -> tuple[float, float, float]:
     """Best of n points spanning [lo, hi] ([lo, hi) and wrapped by f if periodic),
-    then golden-section on its bracket: (argmax, value >= grid max, grid max)."""
+    then golden-section on its bracket: (argmax, value >= grid max, grid max).
+
+    ``score`` maps the array of grid points to their values in one call; without
+    it f is called at each point.
+    """
     step = (hi - lo) / (n if periodic else n - 1)
-    best_i, grid_best = 0, -math.inf
-    for i in range(n):
-        v = f(lo + i * step)
-        if v > grid_best:
-            best_i, grid_best = i, v
+    points = lo + np.arange(n) * step
+    values = score(points) if score is not None else [f(x) for x in points.tolist()]
+    best_i = int(np.argmax(values))
+    grid_best = float(values[best_i])
     center = lo + best_i * step
     if periodic:
         a, b = center - step, center + step
@@ -101,7 +115,7 @@ def wrap_phase(x: float) -> float:
     return 0.0 if w >= TWO_PI else w
 
 
-def _line_max(g, x: list[float], coord: int, tol: float) -> float:
+def _line_max(g: _Counter, x: list[float], coord: int, tol: float) -> float:
     """Argmax of g along one coordinate of x: theta on [0, pi], a phase on [0, 2pi)."""
     periodic = coord > 0
 
@@ -110,13 +124,18 @@ def _line_max(g, x: list[float], coord: int, tol: float) -> float:
         probe[coord] = wrap_phase(raw) if periodic else raw
         return g(*probe)
 
+    def score(points):  # grid points lie inside [0, hi], so need no wrap
+        probe = list(x)
+        probe[coord] = points
+        return g.many(*probe)
+
     hi = TWO_PI if periodic else math.pi
-    best = _grid_then_golden(slice_f, 0.0, hi, LINE_SAMPLES, tol, periodic)[0]
+    best = _grid_then_golden(slice_f, 0.0, hi, LINE_SAMPLES, tol, periodic, score)[0]
     return wrap_phase(best) if periodic else best
 
 
 def maximize_3d(
-    f: Callable[[float, float, float], float],
+    f: Callable,
     grid_per_dim: int = 33,
     starts: int = 8,
     tol: float = 1e-8,
@@ -126,30 +145,40 @@ def maximize_3d(
     A grid_per_dim^3 scan seeds `starts` cyclic coordinate-descent refinements
     (golden-section line searches; alpha and beta wrap around).  Results merge
     by value with the lexicographically smallest argmax breaking exact ties.
+
+    f must take floats, and also numpy arrays that broadcast together, for which
+    it returns the array of values at the broadcast points: the scan and the
+    samples of each line search are one array call each, the golden steps are
+    float calls.  `evaluations` counts points, not calls.  Scans over
+    GRID_BUDGET points are refused.
     """
     if grid_per_dim < 2:
         raise ValueError("grid_per_dim must be >= 2")
+    if grid_per_dim ** 3 > GRID_BUDGET:
+        raise ValueError(f"grid_per_dim={grid_per_dim} gives {grid_per_dim ** 3:,} grid points, "
+                         f"over the budget of {GRID_BUDGET:,} (GRID_BUDGET)")
     if starts < 1:
         raise ValueError("starts must be >= 1")
     if tol <= 0:
         raise ValueError("tol must be positive")
     g = _Counter(f)
 
-    thetas = [i * math.pi / (grid_per_dim - 1) for i in range(grid_per_dim)]
-    phases = [k * TWO_PI / grid_per_dim for k in range(grid_per_dim)]
-    scored: list[tuple[float, int, tuple[float, float, float]]] = []
-    flat = 0
-    for t in thetas:
-        for a in phases:
-            for b in phases:
-                scored.append((g(t, a, b), flat, (t, a, b)))
-                flat += 1
-    scored.sort(key=lambda item: (-item[0], item[1]))
-    grid_best = scored[0][0]
+    index = np.arange(grid_per_dim)
+    thetas = index * math.pi / (grid_per_dim - 1)
+    phases = index * TWO_PI / grid_per_dim
+    values = g.many(thetas[:, None, None], phases[None, :, None], phases[None, None, :]).ravel()
+    # a stable sort keeps the lowest flat index first among equal values
+    top = np.argsort(-values, kind="stable")[:starts].tolist()
+    grid_best = float(values[top[0]])
+
+    def grid_point(flat: int) -> tuple[float, float, float]:
+        i, rest = divmod(flat, grid_per_dim * grid_per_dim)
+        j, k = divmod(rest, grid_per_dim)
+        return float(thetas[i]), float(phases[j]), float(phases[k])
 
     candidates: list[tuple[float, tuple[float, float, float]]] = []
-    for _, _, start in scored[:starts]:
-        x = list(start)
+    for flat in top:
+        x = list(grid_point(flat))
         value = g(*x)
         for _ in range(MAX_CYCLES):
             for coord in range(3):
@@ -164,5 +193,5 @@ def maximize_3d(
     best_value = max(v for v, _ in candidates)
     best_arg = min(arg for v, arg in candidates if v == best_value)
     if best_value < grid_best:
-        best_value, best_arg = grid_best, scored[0][2]
+        best_value, best_arg = grid_best, grid_point(top[0])
     return OptResult(best_arg, best_value, g.count, grid_best)

@@ -3,8 +3,12 @@
 Everything here builds explicit 2^m x 2^m operators with np.kron, on purpose:
 the package applies gates and the entangler structurally and builds the final
 protocol state in closed form, so agreement with these oracles checks the fast
-paths against a genuinely different one.
+paths against a genuinely different one.  ``three_param_payoff`` is the
+driver payoff's closed form in complex arithmetic, the reference for the
+package's real-arithmetic kernel.
 """
+
+import math
 
 import numpy as np
 
@@ -51,3 +55,15 @@ def dense_final_state(gate_matrices):
 def random_state(m, rng):
     amps = rng.normal(size=2 ** m) + 1j * rng.normal(size=2 ** m)
     return amps / np.linalg.norm(amps)
+
+
+def three_param_payoff(n, lam, theta, alpha, beta):
+    """lam |<1..10|psi_f>|^2 + |<1..11|psi_f>|^2 under U(theta, alpha, beta) on
+    all n+1 qubits, from the complex amplitudes."""
+    c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
+    i_pow = (1 + 0j, 1j, -1 + 0j, -1j)
+    amp_home = (1j * (c ** n) * s * math.sin(n * alpha - beta)
+                + i_pow[n % 4] * c * (s ** n) * math.cos(alpha - n * beta))
+    amp_lodge = ((c ** (n + 1)) * math.sin((n + 1) * alpha)
+                 + i_pow[(n + 1) % 4] * (s ** (n + 1)) * math.cos((n + 1) * beta))
+    return lam * abs(amp_home) ** 2 + abs(amp_lodge) ** 2

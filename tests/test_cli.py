@@ -3,10 +3,12 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from ewlsim import cli
 from ewlsim.ewl import payoff_three_param_fn
+from oracles import three_param_payoff
 
 
 def run_cli(*argv, capsys=None):
@@ -101,6 +103,16 @@ def test_oversized_runs_exit_2_before_any_work(argv, capsys, monkeypatch):
     assert "41 qubits exceed the limit of MAX_QUBITS = 24" in capsys.readouterr().err
 
 
+def test_optimize_refuses_grids_over_budget(capsys, monkeypatch):
+    def refused(*args, **kwargs):
+        raise AssertionError("an oversized optimize run started its scan")
+
+    monkeypatch.setattr(cli.optimize, "maximize_3d", refused)
+    assert cli.main(["optimize", "--n", "1", "--mode", "quantum", "--grid", "101"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "over the budget of 1,000,000 (GRID_BUDGET)" in err
+
+
 # ----------------------------------------------------------------- optimize
 
 
@@ -130,6 +142,20 @@ def test_optimize_below_threshold(capsys):
     checks = {c["check"]: c for c in json.loads(out)["checks"]}
     assert checks["classical_optimum"]["actual"] == pytest.approx(1.0, abs=1e-6)
     assert checks["quantum_optimum"]["actual"] == pytest.approx(1.0, abs=1e-6)
+
+
+def test_optimize_reports_argmax_and_evaluations_as_fields(capsys):
+    code, out = run_cli("optimize", "--n", "3", "--lambda", "20", "--format", "json",
+                        capsys=capsys)
+    assert code == 0
+    checks = {c["check"]: c for c in json.loads(out)["checks"]}
+    classical, quantum = checks["classical_optimum"], checks["quantum_optimum"]
+    assert classical["argmax"] == [pytest.approx(2 * math.acos(math.sqrt(4 / 19)), abs=1e-6)]
+    assert classical["evaluations"] == 291
+    assert classical["note"] == f"p*={4 / 19:.9f}"
+    assert len(quantum["argmax"]) == 3 and quantum["evaluations"] == 67772
+    assert "note" not in quantum
+    assert payoff_three_param_fn(3, 20.0)(*quantum["argmax"]) == quantum["actual"]
 
 
 def test_optimize_single_mode(capsys):
@@ -248,6 +274,33 @@ def test_landscape_reference_row_and_roundtrip(capsys):
             hit = True
             assert v == pytest.approx(2.0, abs=1e-9)
     assert hit
+
+
+def test_landscape_values_match_reference(capsys, monkeypatch):
+    calls = []
+
+    def recording_fn(n, lam):
+        f = payoff_three_param_fn(n, lam)
+
+        def objective(*angles):
+            values = f(*angles)
+            calls.append((angles, values))
+            return values
+
+        return objective
+
+    monkeypatch.setattr(cli.ewl, "payoff_three_param_fn", recording_fn)
+    code, out = run_cli("landscape", "--n", "3", "--lambda", "20", "--grid", "9", capsys=capsys)
+    assert code == 0
+    assert len(calls) == 1  # one array call for the whole grid
+    angles, values = calls[0]
+    points = zip(*(x.ravel().tolist() for x in np.broadcast_arrays(*angles)))
+    rows = out.strip().splitlines()[1:]
+    assert len(rows) == values.size == 9 ** 3
+    for row, (t, a, b), v in zip(rows, points, values.ravel().tolist()):
+        assert row == f"{t:.12g},{a:.12g},{b:.12g},{v:.12g}"
+        ref = three_param_payoff(3, 20.0, t, a, b)
+        assert abs(v - ref) <= 1e-12 * max(1.0, abs(ref))
 
 
 def test_landscape_unwritable_output(capsys):

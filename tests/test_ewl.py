@@ -26,7 +26,7 @@ from ewlsim.ewl import (
     two_stage_game,
 )
 from ewlsim.qstate import apply_entangler, apply_single_qubit_gate, basis_state
-from oracles import dense_final_state, dense_gate
+from oracles import dense_final_state, dense_gate, three_param_payoff
 
 TWO_PI = 2.0 * math.pi
 
@@ -304,6 +304,24 @@ def test_payoff_three_param_agrees_with_simulation(n, params):
 def test_three_param_fn_matches_method():
     f = payoff_three_param_fn(2, 9.0)
     assert f(1.0, 2.0, 3.0) == payoff_three_param(2, 9.0, UnitaryParams(1.0, 2.0, 3.0))
+
+
+@given(st.integers(1, 23), st.floats(0.0, 1e3), angles)
+@settings(max_examples=300, deadline=None)
+def test_three_param_kernel_matches_complex_reference(n, lam, params):
+    ref = three_param_payoff(n, lam, *params)
+    assert abs(payoff_three_param(n, lam, UnitaryParams(*params)) - ref) <= 1e-12 * max(1.0, abs(ref))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_three_param_scalar_calls_equal_one_array_call(n):
+    f = payoff_three_param_fn(n, 7.0)
+    thetas = np.arange(17) * math.pi / 16
+    phases = np.arange(17) * TWO_PI / 17
+    values = f(thetas[:, None, None], phases[None, :, None], phases[None, None, :])
+    assert values.shape == (17, 17, 17)
+    scalar = [f(t, a, b) for t in thetas.tolist() for a in phases.tolist() for b in phases.tolist()]
+    assert values.ravel().tolist() == scalar
 
 
 def test_two_qubit_product_form():

@@ -3,7 +3,7 @@ import math
 import pytest
 
 from ewlsim.ewl import payoff_one_param, payoff_three_param_fn
-from ewlsim.optimize import maximize_1d, maximize_3d
+from ewlsim.optimize import GRID_BUDGET, maximize_1d, maximize_3d
 
 # analytic optimum of the n=3, lam=20 classical payoff: exit probability 4/19
 THETA_STAR_N3 = 2.0 * math.acos(math.sqrt(4.0 / 19.0))
@@ -67,6 +67,22 @@ def test_3d_evaluation_counts_are_pinned():
     assert maximize_3d(payoff_three_param_fn(3, 20.0)).evaluations == 67772
     res = maximize_3d(payoff_three_param_fn(1, 10.0), grid_per_dim=17, starts=6, tol=1e-9)
     assert res.evaluations == 12371
+    assert maximize_3d(payoff_three_param_fn(6, 100.0)).evaluations == 131117
+
+
+REPRODUCE_SETTINGS = {"grid_per_dim": 17, "starts": 6, "tol": 1e-9}
+
+
+# the benchmark's optimization cases and the optima the scalar-loop search found
+@pytest.mark.parametrize("n,lam,settings,value", [
+    (1, 3.0, REPRODUCE_SETTINGS, 1.4999999999999998),
+    (1, 4.0, REPRODUCE_SETTINGS, 2.0),
+    (1, 10.0, REPRODUCE_SETTINGS, 5.0),
+    (3, 20.0, {}, 4.999999999999984),
+    (6, 100.0, {}, 6.017416251515939),
+])
+def test_3d_optima_are_pinned(n, lam, settings, value):
+    assert abs(maximize_3d(payoff_three_param_fn(n, lam), **settings).value - value) <= 1e-12
 
 
 def test_3d_beats_its_own_coarse_grid():
@@ -90,3 +106,12 @@ def test_3d_invalid_configuration():
         maximize_3d(f, starts=0)
     with pytest.raises(ValueError):
         maximize_3d(f, tol=-1.0)
+
+
+def test_3d_refuses_grids_over_budget():
+    def refused(*args):
+        raise AssertionError("an oversized scan was evaluated")
+
+    assert 100 ** 3 <= GRID_BUDGET < 101 ** 3
+    with pytest.raises(ValueError, match="GRID_BUDGET"):
+        maximize_3d(refused, grid_per_dim=101)
