@@ -48,6 +48,7 @@ from .ewl import (
     build_gate,
     driver_game,
     eta_symmetry_check,
+    ewl_game,
     expected_payoff,
     final_state,
     n_tuple_driver_game,
@@ -66,9 +67,7 @@ from .qstate import (
     apply_entangler,
     apply_single_qubit_gate,
     basis_state,
-    bit_complement,
     hamming_weight,
-    inner_product,
 )
 
 __version__ = "0.1.0"

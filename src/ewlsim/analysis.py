@@ -18,18 +18,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decision import BehavioralStrategy, expected_payoff_classical, has_imperfect_recall
-from .decision import DecisionProblem, n_tuple_driver, two_stage_problem
+from .decision import DecisionProblem, n_tuple_driver, n_tuple_outcomes, outcome_of
+from .decision import two_stage_problem
 from .ewl import (
     IDENTITY_PARAMS,
-    EwlGame,
     UnitaryParams,
     amplitude_one_param,
     build_gate,
     eta_symmetry_check,
+    ewl_game,
     expected_payoff,
     final_state,
     n_tuple_driver_game,
-    n_tuple_outcome_game,
     outcome_distribution_ewl,
     payoff_one_param,
     payoff_three_param,
@@ -117,10 +117,13 @@ def prop1_solve(p00: float, p01: float, p10: float, p11: float) -> Prop1Solution
     return Prop1Solution(UnitaryParams(theta, alpha, beta), "general")
 
 
+_TWO_STAGE_GAME = two_stage_game()
+
+
 def prop1_outcome(solution: Prop1Solution):
     """Outcome distribution of the solved unitary strategy, by simulation."""
     gates = [build_gate(solution.params1), build_gate(IDENTITY_PARAMS)]
-    return outcome_distribution_ewl(two_stage_game(), gates)
+    return outcome_distribution_ewl(_TWO_STAGE_GAME, gates)
 
 
 def _prop1_deviation(probs) -> float:
@@ -168,27 +171,28 @@ def prop1_verify(sample_count: int = 1000, seed: int = 7) -> dict:
 
 
 def prop2_verify(n_max: int = 5, theta_grid: int = 101) -> dict:
-    """Exhaustive closed-form vs simulation check over n <= n_max and a theta grid."""
+    """Simulation vs the closed-form amplitudes and vs the tree model's outcome
+    masses at exit probability cos^2(theta/2), over n <= n_max and a theta grid."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     check_qubit_count(n_max + 1)
     checks = []
     for n in range(1, n_max + 1):
         m = n + 1
-        game = n_tuple_outcome_game(n)
+        problem = n_tuple_outcomes(n)
+        game = ewl_game(problem)
         amp_dev = 0.0
         mass_dev = 0.0
         for theta in np.linspace(0.0, math.pi, theta_grid):
             theta = float(theta)
-            gate = build_gate(UnitaryParams(theta))
-            psi = final_state(EwlGame(m, {}), [gate] * m)
+            gates = [build_gate(UnitaryParams(theta))] * m
+            psi = final_state(gates)
             for y in range(1 << m):
                 amp_dev = max(amp_dev, abs(psi.amps[y] - amplitude_one_param(y, theta, m)))
             p = math.cos(theta / 2.0) ** 2
-            dist = outcome_distribution_ewl(game, [gate] * m)
-            for t in range(1, n + 2):
-                mass_dev = max(mass_dev, abs(dist[f"o{t}"] - (1.0 - p) ** (t - 1) * p))
-            mass_dev = max(mass_dev, abs(dist[f"o{n + 2}"] - (1.0 - p) ** (n + 1)))
+            dist = outcome_distribution_ewl(game, gates)
+            tree = outcome_of(problem, BehavioralStrategy(((p, 1.0 - p),)))
+            mass_dev = max(mass_dev, max(abs(dist[lab] - q) for lab, q in tree.probs.items()))
         checks.append(make_check(
             f"prop2_amplitudes_n{n}", {"n": n, "theta_grid": theta_grid},
             0.0, amp_dev, amp_dev, amp_dev <= AMP_TOL))

@@ -23,6 +23,9 @@ from . import analysis, decision, ewl, optimize
 from .optimize import GRID_BUDGET, TWO_PI, wrap_phase
 from .qstate import check_qubit_count
 
+# verify prop2 loops over 101 thetas x 2^(n+1) amplitudes in Python
+PROP2_MAX_N = 8
+
 _ANGLE_RE = re.compile(r"^([+-]?\d*\.?\d*)\*?pi(?:/(\d*\.?\d+))?$")
 
 
@@ -107,8 +110,8 @@ class RunConfig:
                                   f"over the budget of {GRID_BUDGET:,} (GRID_BUDGET)")
         if self.samples < 1:
             raise ValidationError(f"--samples must be >= 1, got {self.samples}")
-        if self.tol <= 0:
-            raise ValidationError(f"--tol must be positive, got {self.tol!r}")
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise ValidationError(f"--tol must be finite and positive, got {self.tol!r}")
 
     def unitary_params(self) -> ewl.UnitaryParams:
         return ewl.UnitaryParams(self.theta, wrap_phase(self.alpha), wrap_phase(self.beta))
@@ -183,7 +186,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
     m = n + 1
     gate = ewl.build_gate(params)
     game = ewl.n_tuple_driver_game(n, cfg.lam)
-    psi = ewl.final_state(game, [gate] * m)
+    psi = ewl.final_state([gate] * m)
     dist = ewl.outcome_distribution_ewl(ewl.n_tuple_outcome_game(n), [gate] * m)
     payoff = ewl.expected_payoff(game, [gate] * m)
 
@@ -275,7 +278,11 @@ def cmd_verify(cfg: RunConfig, target: str, problem_path: str | None) -> int:
     if target == "prop1":
         report = analysis.prop1_verify(cfg.samples, cfg.seed)
     elif target == "prop2":
-        report = analysis.prop2_verify(n_max=min(cfg.n_value(5), 8), theta_grid=101)
+        n_max = cfg.n_value(5)
+        if n_max > PROP2_MAX_N:
+            raise ValidationError(f"verify prop2 checks every basis amplitude in Python, so --n "
+                                  f"is capped at {PROP2_MAX_N}, got {n_max}")
+        report = analysis.prop2_verify(n_max=n_max, theta_grid=101)
     elif target == "prop3":
         n_values = tuple(range(2, max(cfg.n_value(6), 2) + 1))
         report = analysis.prop3_sweep(n_values=n_values)

@@ -10,11 +10,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, partial
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .decision import OutcomeDistribution
+from .decision import (
+    DecisionProblem,
+    OutcomeDistribution,
+    n_tuple_driver,
+    n_tuple_outcomes,
+    two_stage_problem,
+)
 from .optimize import TWO_PI
 from .qstate import (
     Gate,
@@ -72,25 +78,20 @@ IDENTITY_PARAMS = UnitaryParams(0.0, 0.0, 0.0)
 
 @dataclass(frozen=True)
 class EwlGame:
-    """Basis-indexed payoffs (or outcome labels) for an m-qubit protocol run.
-
-    Given as a mapping or a full-length array, stored as one read-only numpy
-    vector.  Numeric maps may omit entries, which default to payoff 0; label
-    maps must cover every basis state.
-    """
+    """Basis-indexed payoffs (or outcome labels) for an m-qubit protocol run,
+    given as a full-length number or str array and stored as one read-only
+    numpy vector."""
 
     m: int
-    payoff_map: Mapping[int, float] | Mapping[int, str] | np.ndarray
+    payoff_map: np.ndarray
 
     def __post_init__(self):
         check_qubit_count(self.m)
         dim = 1 << self.m
         table = self.payoff_map
-        if isinstance(table, Mapping):
-            table = _vector_from_map(table, dim)
         if not (isinstance(table, np.ndarray) and table.dtype.kind in "iufU"
                 and table.shape == (dim,)):
-            raise ValueError(f"payoffs must be a mapping or a number or str array of length {dim}")
+            raise ValueError(f"payoffs must be a number or str array of length {dim}")
         table = table.astype(str if table.dtype.kind == "U" else float)
         if table.dtype.kind == "f" and not np.all(np.isfinite(table)):
             raise ValueError("payoffs must be finite")
@@ -111,26 +112,36 @@ class EwlGame:
         return labels[starts].tolist(), starts
 
 
-def _vector_from_map(payoff_map: Mapping, dim: int) -> np.ndarray:
-    if any(not isinstance(y, int) or not 0 <= y < dim for y in payoff_map):
-        raise ValueError("payoff map keys must be basis indices")
-    values = list(payoff_map.values())
-    if all(isinstance(v, str) for v in values) and len(values) == dim:
-        return np.array([payoff_map[y] for y in range(dim)])
-    if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in values):
-        raise ValueError("payoff values must be all numbers, or labels on every basis state")
-    table = np.zeros(dim)
-    table[list(payoff_map)] = values
-    return table
+def ewl_game(problem: DecisionProblem) -> EwlGame:
+    """The EWL game of a decision problem with binary actions and one
+    information set per depth.
+
+    Qubit d carries the action taken at depth d (action 0 is bit 0), so the
+    gate of qubit d is the gate of depth d's information set, and a basis state
+    is the path its leading bits spell.  The terminal z ending that path covers
+    the 2^(m-|z|) basis states with prefix z, a contiguous block, so the game
+    is one repeat over the terminals in lexicographic order: of their labels,
+    or of their labels' payoffs when the problem has payoffs.
+    """
+    terminals = sorted(problem.terminal_labels)
+    m = max(map(len, terminals))
+    check_qubit_count(m)
+    depth_sets: dict[int, int] = {}
+    for h, acts in problem._children.items():
+        if acts != (0, 1):
+            raise ValueError(f"the protocol needs the actions (0, 1) at every nonterminal; "
+                             f"history {h} has {acts}")
+        if depth_sets.setdefault(len(h), problem._set_index[h]) != problem._set_index[h]:
+            raise ValueError(f"the protocol needs one information set per depth; "
+                             f"depth {len(h)} holds several")
+    labels = [problem.terminal_labels[z] for z in terminals]
+    values = labels if problem.payoffs is None else [problem.payoffs[lab] for lab in labels]
+    return EwlGame(m, np.repeat(values, [1 << (m - len(z)) for z in terminals]))
 
 
 def n_tuple_driver_game(n: int, lam: float) -> EwlGame:
     """Driver payoffs on n+1 qubits: lam on |1..10>, 1 on |1..11>, 0 elsewhere."""
-    if not isinstance(n, int) or n < 1:
-        raise ValueError(f"n must be an integer >= 1, got {n}")
-    check_qubit_count(n + 1)
-    dim = 1 << (n + 1)
-    return EwlGame(n + 1, {dim - 2: float(lam), dim - 1: 1.0})
+    return ewl_game(n_tuple_driver(n, lam))
 
 
 def driver_game(lam: float) -> EwlGame:
@@ -139,24 +150,16 @@ def driver_game(lam: float) -> EwlGame:
 
 def two_stage_game(labels: Sequence[str] = ("o00", "o01", "o10", "o11")) -> EwlGame:
     """Two-qubit game whose four basis states carry the four outcome labels."""
-    if len(labels) != 4 or len(set(labels)) != 4:
-        raise ValueError("need four distinct labels")
-    return EwlGame(2, {y: str(labels[y]) for y in range(4)})
+    if len(labels) != 4:
+        raise ValueError(f"need four labels, got {len(labels)}")
+    return ewl_game(two_stage_problem(*labels))
 
 
 def n_tuple_outcome_game(n: int) -> EwlGame:
-    """Label-valued driver game, grouping basis states by first-exit position.
-
-    A basis state starting with t ones and a zero, i.e. one in
-    [2^m - 2^(m-t), 2^m - 2^(m-t-1)), means the driver exited at intersection
-    t+1, so it carries label o{t+1}; the all-ones state carries o{n+2}.
-    """
-    if not isinstance(n, int) or n < 1:
-        raise ValueError(f"n must be an integer >= 1, got {n}")
-    m = n + 1
-    check_qubit_count(m)
-    counts = [1 << (m - t - 1) for t in range(m)] + [1]
-    return EwlGame(m, np.repeat([f"o{t + 1}" for t in range(m + 1)], counts))
+    """Label-valued driver game: basis states starting with t ones and a zero
+    carry label o{t+1} (the driver exits at intersection t+1), and the all-ones
+    state carries o{n+2}."""
+    return ewl_game(n_tuple_outcomes(n))
 
 
 # --------------------------------------------------------------------------
@@ -176,8 +179,8 @@ def _column_products(gates: Sequence[Gate]) -> np.ndarray:
     return np.concatenate((cols, cols[:, ::-1]))
 
 
-def final_state(game: EwlGame, gates: Sequence[Gate]) -> StateVector:
-    """J^dag (U_1 x ... x U_m) J |0...0>, built in closed form.
+def final_state(gates: Sequence[Gate]) -> StateVector:
+    """J^dag (U_1 x ... x U_m) J |0...0> on m = len(gates) qubits, built in closed form.
 
     J|0...0> = (|0...0> + i|1...1>)/sqrt2, so with P_j the Kronecker product of
     column j of every gate, psi = (P_0 + i P_1 - i rev(P_0) + rev(P_1)) / 2,
@@ -185,25 +188,31 @@ def final_state(game: EwlGame, gates: Sequence[Gate]) -> StateVector:
     qubit h = m // 2, P_j = A_j x B_j and rev(P_j) = rev(A_j) x rev(B_j), so
     the 2^h x 2^(m-h) amplitude matrix is one rank-4 product.
     """
+    m = len(gates)
+    check_qubit_count(m)
+    h = m // 2
+    amps = _column_products(gates[:h]).T @ (_column_products(gates[h:]) * _FINAL_WEIGHTS)
+    return fresh_state(m, amps.reshape(-1))
+
+
+def _probabilities(game: EwlGame, gates: Sequence[Gate]) -> np.ndarray:
     if len(gates) != game.m:
         raise ValueError(f"need exactly {game.m} gates, got {len(gates)}")
-    h = game.m // 2
-    amps = _column_products(gates[:h]).T @ (_column_products(gates[h:]) * _FINAL_WEIGHTS)
-    return fresh_state(game.m, amps.reshape(-1))
+    return final_state(gates).probabilities
 
 
 def expected_payoff(game: EwlGame, gates: Sequence[Gate]) -> float:
     """Sum of payoff(y) * |<psi_f|y>|^2 over the basis."""
     if game.has_labels:
         raise TypeError("label-valued game: use outcome_distribution_ewl")
-    return float(game.payoff_map @ final_state(game, gates).probabilities)
+    return float(game.payoff_map @ _probabilities(game, gates))
 
 
 def outcome_distribution_ewl(game: EwlGame, gates: Sequence[Gate]) -> OutcomeDistribution:
     """Distribution over outcome labels induced by measuring the final state."""
     if not game.has_labels:
         raise TypeError("numeric game: use expected_payoff")
-    probs = final_state(game, gates).probabilities
+    probs = _probabilities(game, gates)
     labels, starts = game._label_runs
     # reduceat sums each run pairwise; a sequential sum misses the 1e-12 check at m=20
     acc: dict[str, float] = {}
@@ -305,5 +314,5 @@ def payoff_two_qubit_general(outcome_payoffs: Sequence[float], p1: UnitaryParams
 def eta_symmetry_check(params: UnitaryParams) -> float:
     """|<01|psi_f> - <10|psi_f>| for the same gate on both qubits."""
     gate = build_gate(params)
-    psi = final_state(EwlGame(2, {}), [gate, gate])
+    psi = final_state([gate, gate])
     return float(abs(psi.amps[1] - psi.amps[2]))

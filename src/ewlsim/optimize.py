@@ -52,11 +52,13 @@ class _Counter:
 
 
 def _golden_max(f, a: float, b: float, tol: float) -> tuple[float, float]:
-    """Golden-section maximization of f on [a, b] down to interval width tol."""
+    """Golden-section maximization of f on [a, b] down to interval width tol, or
+    until float resolution stops a step from narrowing the bracket."""
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
     fc, fd = f(c), f(d)
-    while (b - a) > tol:
+    width = b - a
+    while width > tol:
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - _INVPHI * (b - a)
@@ -65,8 +67,16 @@ def _golden_max(f, a: float, b: float, tol: float) -> tuple[float, float]:
             a, c, fc = c, d, fd
             d = a + _INVPHI * (b - a)
             fd = f(d)
+        if b - a >= width:
+            break
+        width = b - a
     x = 0.5 * (a + b)
     return x, f(x)
+
+
+def _check_tol(tol: float) -> None:
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
 
 
 def _grid_then_golden(f, lo: float, hi: float, n: int, tol: float, periodic: bool = False,
@@ -102,8 +112,7 @@ def maximize_1d(f: Callable[[float], float], lo: float, hi: float, tol: float = 
     """
     if not (math.isfinite(lo) and math.isfinite(hi)) or hi <= lo:
         raise ValueError(f"invalid interval [{lo}, {hi}]")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    _check_tol(tol)
     g = _Counter(f)
     x, v, grid_best = _grid_then_golden(g, lo, hi, GRID_1D, tol)
     return OptResult((x,), v, g.count, grid_best)
@@ -159,8 +168,7 @@ def maximize_3d(
                          f"over the budget of {GRID_BUDGET:,} (GRID_BUDGET)")
     if starts < 1:
         raise ValueError("starts must be >= 1")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    _check_tol(tol)
     g = _Counter(f)
 
     index = np.arange(grid_per_dim)

@@ -159,20 +159,8 @@ def apply_entangler(state: StateVector, dagger: bool = False) -> StateVector:
     return _unchecked_state(state.m, new)
 
 
-def inner_product(a: StateVector, b: StateVector) -> complex:
-    """<a|b> with conjugation on the first argument."""
-    if a.m != b.m:
-        raise ValueError(f"qubit count mismatch: {a.m} vs {b.m}")
-    return complex(np.vdot(a.amps, b.amps))
-
-
 def hamming_weight(y: int, m: int) -> int:
     """Number of 1-bits in the m-bit representation of y."""
     _check_basis_index(y, m)
     return y.bit_count()
 
-
-def bit_complement(y: int, m: int) -> int:
-    """y with all m bits flipped."""
-    _check_basis_index(y, m)
-    return ((1 << m) - 1) ^ y

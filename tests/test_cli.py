@@ -113,6 +113,36 @@ def test_optimize_refuses_grids_over_budget(capsys, monkeypatch):
     assert out == "" and "over the budget of 1,000,000 (GRID_BUDGET)" in err
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0"])
+def test_optimize_refuses_tolerances_that_are_not_finite_and_positive(tol, capsys, monkeypatch):
+    def refused(*args, **kwargs):
+        raise AssertionError("a run with an invalid tolerance started its search")
+
+    monkeypatch.setattr(cli.optimize, "maximize_1d", refused)
+    monkeypatch.setattr(cli.optimize, "maximize_3d", refused)
+    assert cli.main(["optimize", "--n", "2", "--lambda", "5", f"--tol={tol}"]) == 2
+    assert "--tol must be finite and positive" in capsys.readouterr().err
+
+
+def test_optimize_finishes_at_a_tolerance_below_float_resolution(capsys):
+    # the golden-section bracket cannot narrow to 1e-300; the search stops when it stalls
+    code, out = run_cli("optimize", "--n", "2", "--lambda", "5", "--mode", "both", "--grid", "9",
+                        "--tol", "1e-300", "--format", "json", capsys=capsys)
+    assert code == 0
+    values = {c["check"]: c["actual"] for c in json.loads(out)["checks"]}
+    assert values["classical_optimum"] == pytest.approx(125.0 / 108.0, abs=1e-12)
+
+
+def test_verify_prop2_refuses_n_over_its_cap(capsys, monkeypatch):
+    def refused(*args, **kwargs):
+        raise AssertionError("verify prop2 ran past its cap")
+
+    monkeypatch.setattr(cli.analysis, "prop2_verify", refused)
+    assert cli.main(["verify", "prop2", "--n", "20"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "capped at 8, got 20" in err
+
+
 # ----------------------------------------------------------------- optimize
 
 

@@ -6,7 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ewlsim.decision import BehavioralStrategy, expected_payoff_classical, n_tuple_driver
+from ewlsim.analysis import perfect_recall_control
+from ewlsim.decision import (
+    BehavioralStrategy,
+    DecisionProblem,
+    expected_payoff_classical,
+    n_tuple_driver,
+    outcome_of,
+)
 from ewlsim.ewl import (
     EwlGame,
     UnitaryParams,
@@ -14,6 +21,7 @@ from ewlsim.ewl import (
     build_gate,
     driver_game,
     eta_symmetry_check,
+    ewl_game,
     expected_payoff,
     final_state,
     n_tuple_driver_game,
@@ -77,8 +85,7 @@ def test_params_range_validation():
 
 
 def test_identity_gates_give_initial_state():
-    game = n_tuple_driver_game(2, 4.0)
-    psi = final_state(game, [build_gate(UnitaryParams(0.0))] * 3)
+    psi = final_state([build_gate(UnitaryParams(0.0))] * 3)
     expected = np.zeros(8, dtype=complex)
     expected[0] = 1.0
     np.testing.assert_allclose(psi.amps, expected, atol=1e-12)
@@ -86,14 +93,14 @@ def test_identity_gates_give_initial_state():
 
 def test_double_isx_concentrates_on_last_basis_state():
     gate = build_gate(UnitaryParams(math.pi))
-    psi = final_state(driver_game(4.0), [gate, gate])
+    psi = final_state([gate, gate])
     assert psi.probability(3) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_cos4_amplitude_on_00():
     for theta in np.linspace(0.0, math.pi, 17):
         gate = build_gate(UnitaryParams(float(theta)))
-        psi = final_state(driver_game(1.0), [gate, gate])
+        psi = final_state([gate, gate])
         assert psi.probability(0) == pytest.approx(math.cos(theta / 2.0) ** 4, abs=1e-12)
 
 
@@ -103,7 +110,7 @@ def test_final_state_matches_dense_oracle():
         mats = [dense_gate(*rng.uniform(0, 3, size=3)) for _ in range(m)]
         from ewlsim.qstate import Gate
 
-        psi = final_state(EwlGame(m, {}), [Gate(mat) for mat in mats])
+        psi = final_state([Gate(mat) for mat in mats])
         np.testing.assert_allclose(psi.amps, dense_final_state(mats), atol=1e-12)
 
 
@@ -120,18 +127,17 @@ def test_final_state_matches_gate_by_gate_reference(m):
     for qubit, gate in enumerate(gates, start=1):
         state = apply_single_qubit_gate(state, qubit, gate)
     expected = apply_entangler(state, dagger=True).amps
-    np.testing.assert_allclose(final_state(EwlGame(m, {}), gates).amps, expected, atol=1e-12)
+    np.testing.assert_allclose(final_state(gates).amps, expected, atol=1e-12)
 
 
 def test_final_state_peak_allocation():
     # the 2^m output plus one squared-magnitude array for the norm check
     m = 18
-    game = EwlGame(m, {})
     gates = [_random_gate(np.random.default_rng(m))] * m
-    final_state(game, gates)
+    final_state(gates)
     tracemalloc.start()
     try:
-        final_state(game, gates)
+        final_state(gates)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -139,8 +145,13 @@ def test_final_state_peak_allocation():
 
 
 def test_gate_count_mismatch():
-    with pytest.raises(ValueError):
-        final_state(driver_game(4.0), [build_gate(UnitaryParams(0.0))])
+    gates = [build_gate(UnitaryParams(0.0))]
+    with pytest.raises(ValueError, match="need exactly 2 gates"):
+        expected_payoff(driver_game(4.0), gates)
+    with pytest.raises(ValueError, match="need exactly 2 gates"):
+        outcome_distribution_ewl(two_stage_game(), gates)
+    with pytest.raises(ValueError, match="MAX_QUBITS = 24"):
+        final_state(gates * 40)
 
 
 # ------------------------------------------------------------------ payoffs
@@ -181,10 +192,10 @@ def test_twenty_qubit_runs_pass_their_sum_checks(angles):
 def test_outcome_distribution_matches_per_basis_sum_for_scattered_labels():
     # parity labels recur in many separate runs of the basis
     rng = np.random.default_rng(5)
-    game = EwlGame(4, {y: ("even", "odd")[bin(y).count("1") % 2] for y in range(16)})
+    game = EwlGame(4, np.array([("even", "odd")[bin(y).count("1") % 2] for y in range(16)]))
     gates = [build_gate(UnitaryParams(rng.uniform(0, math.pi), *rng.uniform(0, TWO_PI, 2)))
              for _ in range(4)]
-    probs = final_state(game, gates).probabilities
+    probs = final_state(gates).probabilities
     dist = outcome_distribution_ewl(game, gates)
     for label in ("even", "odd"):
         expected = sum(probs[y] for y in range(16) if game.payoff_map[y] == label)
@@ -231,19 +242,18 @@ def test_amplitude_one_param_extremes():
 
 
 def test_amplitude_one_param_matches_simulation():
-    from ewlsim.qstate import bit_complement, hamming_weight
+    from ewlsim.qstate import hamming_weight
 
     for m in (2, 3, 4, 5):
         for theta in np.linspace(0.0, math.pi, 21):
             theta = float(theta)
             gate = build_gate(UnitaryParams(theta))
-            psi = final_state(EwlGame(m, {}), [gate] * m)
+            psi = final_state([gate] * m)
             p = math.cos(theta / 2.0) ** 2
             for y in range(1 << m):
                 assert abs(psi.amps[y] - amplitude_one_param(y, theta, m)) <= 1e-12
                 r = hamming_weight(y, m)
-                rbar = hamming_weight(bit_complement(y, m), m)
-                assert psi.probability(y) == pytest.approx(p ** rbar * (1 - p) ** r,
+                assert psi.probability(y) == pytest.approx(p ** (m - r) * (1 - p) ** r,
                                                            abs=1e-12)
 
 
@@ -375,11 +385,11 @@ def test_eta_symmetry_everywhere(params):
 
 def test_game_validation():
     with pytest.raises(ValueError):
-        EwlGame(2, {5: 1.0})
+        EwlGame(2, {0: 0.0, 1: 0.0, 2: 4.0, 3: 1.0})  # a mapping is not an array
     with pytest.raises(ValueError):
-        EwlGame(2, {0: "a", 1: "b"})  # label games must cover the basis
+        EwlGame(2, np.array(["a", "b"]))  # label games must cover the basis
     with pytest.raises(ValueError):
-        EwlGame(2, {0: "a", 1: 1.0, 2: "b", 3: "c"})
+        EwlGame(2, np.array(["a", 1.0, "b", "c"], dtype=object))
     with pytest.raises(ValueError):
         n_tuple_driver_game(0, 4.0)
     with pytest.raises(ValueError):
@@ -388,7 +398,7 @@ def test_game_validation():
 
 def test_oversized_games_are_refused_before_allocating():
     # far past the limit, so a missing check fails fast instead of allocating
-    for build in (lambda: EwlGame(40, {}), lambda: n_tuple_driver_game(39, 4.0),
+    for build in (lambda: EwlGame(40, np.zeros(2)), lambda: n_tuple_driver_game(39, 4.0),
                   lambda: n_tuple_outcome_game(39)):
         with pytest.raises(ValueError, match="MAX_QUBITS = 24"):
             build()
@@ -396,18 +406,17 @@ def test_oversized_games_are_refused_before_allocating():
 
 def test_game_rejects_non_finite_payoffs():
     with pytest.raises(ValueError):
-        EwlGame(1, {0: math.nan, 1: math.inf})
+        EwlGame(1, np.array([math.nan, math.inf]))
     with pytest.raises(ValueError):
         EwlGame(1, np.array([0.0, -np.inf]))
 
 
-def test_game_from_array_matches_map():
-    values = np.array([0.0, 2.0, 0.0, 5.0])
+def test_game_keeps_a_read_only_copy_of_its_array():
+    values = np.array([0, 0, 2, 1])  # integers are stored as floats
     game = EwlGame(2, values)
-    assert np.array_equal(game.payoff_map, EwlGame(2, {1: 2.0, 3: 5.0}).payoff_map)
-    values[1] = 9.0  # the game keeps its own read-only copy
-    assert game.payoff_map[1] == 2.0 and not game.payoff_map.flags.writeable
-    assert game == EwlGame(2, {1: 2.0, 3: 5.0}) != EwlGame(2, {1: 2.0})
+    values[1] = 9  # the game keeps its own read-only copy
+    assert game.payoff_map[1] == 0.0 and not game.payoff_map.flags.writeable
+    assert game == n_tuple_driver_game(1, 2.0) != EwlGame(2, np.array([0.0, 0.0, 2.0, 0.0]))
     assert two_stage_game() == two_stage_game() != n_tuple_outcome_game(1)
 
 
@@ -416,3 +425,76 @@ def test_driver_game_payoff_layout():
     assert game.payoff_map[6] == 7.0  # |110>
     assert game.payoff_map[7] == 1.0  # |111>
     assert all(game.payoff_map[y] == 0.0 for y in range(6))
+
+
+# ---------------------------------------------------------- game compiler
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 9, 19])
+def test_compiled_games_equal_the_hand_layouts(n):
+    dim = 1 << (n + 1)
+    for lam in (0.0, 4.0, 20.0):
+        layout = np.zeros(dim)
+        layout[dim - 2:] = lam, 1.0  # home is |1..10>, lodge is |1..11>
+        assert n_tuple_driver_game(n, lam) == EwlGame(n + 1, layout)
+    # label o{t+1} on [2^m - 2^(m-t), 2^m - 2^(m-t-1)), o{n+2} on the all-ones state
+    exits = [f"o{t + 1}" for t in range(n + 1) for _ in range(1 << (n - t))] + [f"o{n + 2}"]
+    assert n_tuple_outcome_game(n) == EwlGame(n + 1, np.array(exits))
+
+
+def test_compiled_two_stage_games_keep_the_label_order():
+    assert two_stage_game() == EwlGame(2, np.array(["o00", "o01", "o10", "o11"]))
+    custom = ("LL", "LR", "RL", "RR")
+    assert two_stage_game(custom) == EwlGame(2, np.array(custom))
+    with pytest.raises(ValueError, match="need four labels"):
+        two_stage_game(custom[:3])
+
+
+def _random_binary_tree(rng, max_depth=5):
+    """Random tree with actions (0, 1) everywhere and one information set per
+    depth; some depths share a set, and labels recur across terminals."""
+    depth_set = rng.integers(0, 3, size=max_depth).tolist()
+    histories, frontier, cells = [()], [()], {}
+    for depth in range(max_depth):
+        nxt = []
+        for h in frontier:
+            if depth > 0 and rng.uniform() < 0.35:
+                continue  # leave h terminal
+            cells.setdefault(depth_set[depth], []).append(h)
+            nxt += [h + (0,), h + (1,)]
+        histories += nxt
+        frontier = nxt
+    terminals = set(histories) - {h for cell in cells.values() for h in cell}
+    labels = {z: f"z{rng.integers(0, 4)}" for z in terminals}
+    return DecisionProblem(histories=tuple(histories), terminal_labels=labels,
+                           info_partition=tuple(tuple(cell) for cell in cells.values()))
+
+
+@given(st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=80, deadline=None)
+def test_compiled_game_reproduces_behavioral_outcomes(seed):
+    # J commutes with every U(theta, 0, 0), so the final state is the product of
+    # U|0> over the qubits: qubit d takes action 0 with p = cos^2(theta/2) of its set
+    rng = np.random.default_rng(seed)
+    problem = _random_binary_tree(rng)
+    thetas = rng.uniform(0.0, math.pi, size=len(problem.info_partition))
+    depth_set = {len(h): i for i, cell in enumerate(problem.info_partition) for h in cell}
+    gates = [build_gate(UnitaryParams(float(thetas[depth_set[d]]))) for d in range(len(depth_set))]
+    dist = outcome_distribution_ewl(ewl_game(problem), gates)
+    p = np.cos(thetas / 2.0) ** 2
+    tree = outcome_of(problem, BehavioralStrategy(tuple((q, 1.0 - q) for q in p.tolist())))
+    assert dist.probs.keys() == tree.probs.keys()
+    assert max(abs(dist[lab] - tree[lab]) for lab in tree.probs) <= 1e-12
+
+
+def test_compiler_refuses_problems_the_protocol_cannot_encode():
+    ternary = DecisionProblem(histories=((), (0,), (1,), (2,)),
+                              terminal_labels={(0,): "a", (1,): "b", (2,): "c"},
+                              info_partition=(((),),))
+    with pytest.raises(ValueError, match=r"actions \(0, 1\)"):
+        ewl_game(ternary)
+    with pytest.raises(ValueError, match="one information set per depth"):
+        ewl_game(perfect_recall_control())  # two sets at depth 1
+    # 40 qubits: refused before a 2^40 array is requested
+    with pytest.raises(ValueError, match="MAX_QUBITS = 24"):
+        ewl_game(n_tuple_driver(39, 4.0))

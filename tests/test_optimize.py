@@ -115,3 +115,28 @@ def test_3d_refuses_grids_over_budget():
     assert 100 ** 3 <= GRID_BUDGET < 101 ** 3
     with pytest.raises(ValueError, match="GRID_BUDGET"):
         maximize_3d(refused, grid_per_dim=101)
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf])
+def test_maximizers_refuse_tolerances_that_are_not_finite(tol):
+    f = payoff_three_param_fn(1, 4.0)
+    with pytest.raises(ValueError, match="tol must be finite and positive"):
+        maximize_1d(lambda t: f(t, 0.0, 0.0), 0.0, math.pi, tol=tol)
+    with pytest.raises(ValueError, match="tol must be finite and positive"):
+        maximize_3d(f, tol=tol)
+
+
+def test_golden_search_stops_at_float_resolution():
+    calls = 0
+
+    def payoff(t):
+        nonlocal calls
+        calls += 1
+        if calls > 10_000:
+            raise AssertionError("the golden-section search did not stop")
+        return payoff_one_param(2, 5.0, t)
+
+    for tol in (1e-16, 1e-300):
+        calls = 0
+        res = maximize_1d(payoff, 0.0, math.pi, tol=tol)
+        assert res.value == pytest.approx(125.0 / 108.0, abs=1e-15)

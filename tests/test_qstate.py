@@ -12,10 +12,8 @@ from ewlsim.qstate import (
     apply_entangler,
     apply_single_qubit_gate,
     basis_state,
-    bit_complement,
     check_qubit_count,
     hamming_weight,
-    inner_product,
 )
 from oracles import PAULI_X, dense_entangler, dense_gate, dense_lift, random_state
 
@@ -98,26 +96,9 @@ def test_norm_preserved_by_all_operations(m, seed):
         assert abs(np.linalg.norm(out.amps) - 1.0) <= 1e-12
 
 
-def test_inner_product_values():
-    bell = apply_entangler(basis_state(2, 0))
-    assert inner_product(bell, bell) == pytest.approx(1.0, abs=1e-12)
-    assert inner_product(basis_state(2, 0), bell) == pytest.approx(SQRT2_INV, abs=1e-12)
-    assert inner_product(basis_state(2, 3), bell) == pytest.approx(1j * SQRT2_INV, abs=1e-12)
-
-
-def test_inner_product_dimension_mismatch():
-    with pytest.raises(ValueError):
-        inner_product(basis_state(1), basis_state(2))
-
-
 @pytest.mark.parametrize("y,m,expected", [(0, 4, 0), (15, 4, 4), (5, 4, 2), (2 ** 12 - 1, 12, 12)])
 def test_hamming_weight(y, m, expected):
     assert hamming_weight(y, m) == expected
-
-
-@pytest.mark.parametrize("y,m,expected", [(0, 3, 7), (5, 4, 10), (2 ** 5 - 1, 5, 0)])
-def test_bit_complement(y, m, expected):
-    assert bit_complement(y, m) == expected
 
 
 @pytest.mark.parametrize("m", range(1, 13))
@@ -125,15 +106,14 @@ def test_weight_plus_complement_weight_is_m(m):
     ys = range(1 << m) if m <= 8 else np.random.default_rng(m).integers(0, 1 << m, 200)
     for y in ys:
         y = int(y)
-        assert hamming_weight(y, m) + hamming_weight(bit_complement(y, m), m) == m
-        assert bit_complement(bit_complement(y, m), m) == y
+        assert hamming_weight(y, m) + hamming_weight(((1 << m) - 1) ^ y, m) == m
 
 
 def test_rejects_out_of_range_indices():
     with pytest.raises(ValueError):
         hamming_weight(8, 3)
     with pytest.raises(ValueError):
-        bit_complement(-1, 3)
+        hamming_weight(-1, 3)
     with pytest.raises(ValueError):
         apply_single_qubit_gate(basis_state(2), 3, ISX)
 
