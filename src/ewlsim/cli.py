@@ -58,35 +58,35 @@ class RunConfig:
     """Validated numeric configuration shared by the subcommands."""
 
     command: str
-    n: int | None = None
-    lam: float = 4.0
-    theta: float | None = None
-    alpha: float = 0.0
-    beta: float = 0.0
-    grid: int = 33
-    mode: str | None = None
-    samples: int = 1000
-    seed: int = 7
-    tol: float = 1e-8
-    fmt: str = "text"
-    output: str | None = None
+    n: int | None
+    lam: float
+    theta: float | None
+    alpha: float
+    beta: float
+    grid: int
+    mode: str | None
+    samples: int
+    seed: int
+    tol: float
+    fmt: str
+    output: str | None
 
     @classmethod
     def from_args(cls, args: argparse.Namespace) -> "RunConfig":
         cfg = cls(
             command=args.command,
-            n=getattr(args, "n", None),
-            lam=getattr(args, "lam", 4.0),
+            n=args.n,
+            lam=args.lam,
             theta=getattr(args, "theta", None),
             alpha=getattr(args, "alpha", 0.0) or 0.0,
             beta=getattr(args, "beta", 0.0) or 0.0,
-            grid=getattr(args, "grid", 33),
+            grid=args.grid,
             mode=getattr(args, "mode", None),
-            samples=getattr(args, "samples", 1000),
-            seed=getattr(args, "seed", 7),
-            tol=getattr(args, "tol", 1e-8),
-            fmt=getattr(args, "format", "text"),
-            output=getattr(args, "output", None),
+            samples=args.samples,
+            seed=args.seed,
+            tol=args.tol,
+            fmt=args.format,
+            output=args.output,
         )
         cfg.validate()
         return cfg
@@ -321,6 +321,12 @@ def cmd_landscape(cfg: RunConfig) -> int:
 
 
 def cmd_reproduce(cfg: RunConfig, lambda_sweep: str | None) -> int:
+    try:
+        lams = [float(x) for x in (lambda_sweep or "").split(",") if x.strip()]
+    except ValueError:
+        raise ValidationError(f"cannot parse --lambda-sweep {lambda_sweep!r}") from None
+    if not all(math.isfinite(lam) for lam in lams):
+        raise ValidationError(f"--lambda-sweep entries must be finite, got {lambda_sweep!r}")
     checks = []
 
     res1 = optimize.maximize_1d(lambda t: ewl.payoff_one_param(1, 4.0, t), 0.0, math.pi,
@@ -357,20 +363,14 @@ def cmd_reproduce(cfg: RunConfig, lambda_sweep: str | None) -> int:
                                    "params": ["pi/2", "9pi/16", "3pi/16"]},
         5.0, sim3, abs(sim3 - 5.0), abs(sim3 - 5.0) <= 1e-9))
 
-    if lambda_sweep:
-        try:
-            lams = [float(x) for x in lambda_sweep.split(",") if x.strip()]
-        except ValueError:
-            print(f"error: cannot parse --lambda-sweep {lambda_sweep!r}", file=sys.stderr)
-            return 2
-        for lam in lams:
-            res = optimize.maximize_3d(ewl.payoff_three_param_fn(1, lam),
-                                       grid_per_dim=17, starts=6, tol=1e-9)
-            expected = max(1.0, lam / 2.0)
-            checks.append(_search_fields(analysis.make_check(
-                f"driver_quantum_optimum_lambda{lam:g}", {"n": 1, "lambda": lam},
-                expected, res.value, abs(res.value - expected),
-                abs(res.value - expected) <= 1e-6), res))
+    for lam in lams:
+        res = optimize.maximize_3d(ewl.payoff_three_param_fn(1, lam),
+                                   grid_per_dim=17, starts=6, tol=1e-9)
+        expected = max(1.0, lam / 2.0)
+        checks.append(_search_fields(analysis.make_check(
+            f"driver_quantum_optimum_lambda{lam:g}", {"n": 1, "lambda": lam},
+            expected, res.value, abs(res.value - expected),
+            abs(res.value - expected) <= 1e-6), res))
 
     report = analysis.make_report(checks)
     code = _emit_report(report, cfg)

@@ -10,16 +10,17 @@ terminal labels are the common currency for every equivalence check.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
-from typing import Mapping, Sequence, Union
+from typing import Mapping, Union
+
+import numpy as np
 
 from . import optimize
 
 PROB_TOL = 1e-12
-# grid points behavioral_gap may evaluate: about 5 s at ~2.3 us per point
-GAP_GRID_BUDGET = 2_000_000
 
 History = tuple[int, ...]
 
@@ -382,67 +383,50 @@ def behavioral_gap(problem: DecisionProblem, target: OutcomeDistribution,
                    grid_points: int = 201) -> float:
     """Smallest max-norm distance from any behavioral outcome to the target.
 
-    Dense grid over the behavioral parameter box followed by cyclic
-    golden-section refinement.  Information sets must be binary (every
-    problem built in this module is); cost grows as grid_points**k for k
-    binary sets, and a grid larger than GAP_GRID_BUDGET points is refused.
+    The distance is minimized with optimize.maximize_box, the search of
+    maximize_3d: a grid_points**k scan of the box [0, 1]**k of first-action
+    probabilities of the k information sets, then cyclic golden-section
+    refinement from the best grid point.  Information sets must be binary
+    (every problem built in this module is); a grid over GRID_BUDGET points
+    is refused.
     """
     if set(target.probs) != set(problem.terminal_labels.values()):
         raise ValueError("target distribution is not over the problem's labels")
     for cell in problem.info_partition:
         if len(problem.actions(cell[0])) != 2:
             raise ValueError("behavioral_gap supports binary action sets only")
-    k = len(problem.info_partition)
-    if grid_points ** k > GAP_GRID_BUDGET:
-        raise ValueError(f"behavioral_gap grid of {grid_points}**{k} points exceeds the budget "
-                         f"of {GAP_GRID_BUDGET:,} (GAP_GRID_BUDGET)")
-    labels = sorted(set(problem.terminal_labels.values()))
-    target_vec = [target.probs[lab] for lab in labels]
+    axes = ((1.0, False),) * len(problem.info_partition)
+    return -optimize.maximize_box(_neg_distance_fn(problem, target), axes, grid_points, 1,
+                                  1e-10).value
 
-    # per terminal: indices of the (set, side) factors making up its probability
-    compiled: list[tuple[int, list[tuple[int, int]]]] = []
+
+def _neg_distance_fn(problem: DecisionProblem, target: OutcomeDistribution):
+    """Minus the max-norm distance from the behavioral outcome to the target, as
+    f(p_1, ..., p_k) with p_i the probability of set i's first action.
+
+    f takes Python floats, through builtins, or numpy arrays that broadcast
+    together, through numpy; a float call and an array call run the same
+    operations.  Labels are scored one at a time, so an array call keeps only
+    a few arrays of the broadcast shape alive.
+    """
+    # per label, per terminal: the (set, side) factors making up its probability
+    by_label: dict[str, list[list[tuple[int, int]]]] = {lab: [] for lab in problem.labels}
     for z in problem.terminals:
-        factors = []
-        for depth, a in enumerate(z):
-            h = z[:depth]
-            idx = problem.info_set_index(h)
-            side = problem.actions(h).index(a)
-            factors.append((idx, side))
-        compiled.append((labels.index(problem.terminal_labels[z]), factors))
+        by_label[problem.terminal_labels[z]].append(
+            [(problem._set_index[z[:d]], problem._children[z[:d]].index(a))
+             for d, a in enumerate(z)])
+    terms = [(target.probs[lab], terminals) for lab, terminals in by_label.items()]
 
-    def distance(params: Sequence[float]) -> float:
-        acc = [0.0] * len(labels)
-        for lab_i, factors in compiled:
-            prob = 1.0
-            for idx, side in factors:
-                prob *= params[idx] if side == 0 else 1.0 - params[idx]
-            acc[lab_i] += prob
-        return max(abs(a - t) for a, t in zip(acc, target_vec))
+    def neg_distance(*params):
+        peak = max if all(type(p) is float for p in params) else np.maximum
+        sides = [(p, 1.0 - p) for p in params]
+        worst = 0.0
+        for goal, terminals in terms:
+            mass = sum(math.prod(sides[i][side] for i, side in factors) for factors in terminals)
+            worst = peak(worst, abs(mass - goal))
+        return -worst
 
-    best_v = float("inf")
-    best: list[float] = [0.0] * k
-    axis = [i / (grid_points - 1) for i in range(grid_points)]
-    for point in product(axis, repeat=k):
-        v = distance(point)
-        if v < best_v:
-            best_v, best = v, list(point)
-
-    for _ in range(40):
-        improved = False
-        for coord in range(k):
-            def slice_neg(x, coord=coord):
-                probe = list(best)
-                probe[coord] = x
-                return -distance(probe)
-
-            res = optimize.maximize_1d(slice_neg, 0.0, 1.0, tol=1e-10)
-            if -res.value < best_v - 1e-14:
-                best_v = -res.value
-                best[coord] = res.argmax[0]
-                improved = True
-        if not improved:
-            break
-    return best_v
+    return neg_distance
 
 
 # --------------------------------------------------------------------------

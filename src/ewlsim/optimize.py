@@ -1,9 +1,10 @@
-"""Deterministic bounded maximizers for smooth trigonometric payoff surfaces.
+"""Deterministic bounded maximizers for payoff surfaces and distances.
 
-Two entry points: a 1D maximizer over an interval, and a 3D maximizer over
-the gate-parameter box [0, pi] x [0, 2pi) x [0, 2pi) with the two phase axes
-treated as periodic.  No randomness anywhere: identical inputs give
-bit-identical results.
+A 1D maximizer over an interval, and a maximizer over a box of intervals and
+periodic phase axes.  The 3D maximizer over the gate-parameter box
+[0, pi] x [0, 2pi) x [0, 2pi) and decision.behavioral_gap both run on the box
+maximizer.  No randomness anywhere: identical inputs give bit-identical
+results.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 GRID_1D = 257
 LINE_SAMPLES = 65
 MAX_CYCLES = 60
-# most points one grid^3 scan scores: maximize_3d's seed grid, `landscape`'s rows
+# most points one grid scan scores: maximize_box's seed grid (maximize_3d,
+# behavioral_gap), `landscape`'s rows
 GRID_BUDGET = 1_000_000
 
 
@@ -124,9 +126,9 @@ def wrap_phase(x: float) -> float:
     return 0.0 if w >= TWO_PI else w
 
 
-def _line_max(g: _Counter, x: list[float], coord: int, tol: float) -> float:
-    """Argmax of g along one coordinate of x: theta on [0, pi], a phase on [0, 2pi)."""
-    periodic = coord > 0
+def _line_max(g: _Counter, x: list[float], coord: int, hi: float, periodic: bool,
+              tol: float) -> float:
+    """Argmax of g along one coordinate of x: on [0, hi], or on a phase's [0, 2pi)."""
 
     def slice_f(raw):
         probe = list(x)
@@ -138,22 +140,19 @@ def _line_max(g: _Counter, x: list[float], coord: int, tol: float) -> float:
         probe[coord] = points
         return g.many(*probe)
 
-    hi = TWO_PI if periodic else math.pi
     best = _grid_then_golden(slice_f, 0.0, hi, LINE_SAMPLES, tol, periodic, score)[0]
     return wrap_phase(best) if periodic else best
 
 
-def maximize_3d(
-    f: Callable,
-    grid_per_dim: int = 33,
-    starts: int = 8,
-    tol: float = 1e-8,
-) -> OptResult:
-    """Maximize f(theta, alpha, beta) over [0, pi] x [0, 2pi)^2.
+def maximize_box(f: Callable, axes: tuple[tuple[float, bool], ...], grid_per_dim: int,
+                 starts: int, tol: float) -> OptResult:
+    """Maximize f(x_1, ..., x_k) over a box with one (hi, periodic) axis per argument.
 
-    A grid_per_dim^3 scan seeds `starts` cyclic coordinate-descent refinements
-    (golden-section line searches; alpha and beta wrap around).  Results merge
-    by value with the lexicographically smallest argmax breaking exact ties.
+    An axis spans [0, hi]; a periodic one is a phase, hi = 2pi, and wraps
+    around on [0, 2pi).  A grid_per_dim**k scan seeds `starts` cyclic
+    coordinate-descent refinements (golden-section line searches).  Results
+    merge by value with the lexicographically smallest argmax breaking exact
+    ties.
 
     f must take floats, and also numpy arrays that broadcast together, for which
     it returns the array of values at the broadcast points: the scan and the
@@ -161,10 +160,11 @@ def maximize_3d(
     float calls.  `evaluations` counts points, not calls.  Scans over
     GRID_BUDGET points are refused.
     """
+    k = len(axes)
     if grid_per_dim < 2:
         raise ValueError("grid_per_dim must be >= 2")
-    if grid_per_dim ** 3 > GRID_BUDGET:
-        raise ValueError(f"grid_per_dim={grid_per_dim} gives {grid_per_dim ** 3:,} grid points, "
+    if grid_per_dim ** k > GRID_BUDGET:
+        raise ValueError(f"grid_per_dim={grid_per_dim} gives {grid_per_dim ** k:,} grid points, "
                          f"over the budget of {GRID_BUDGET:,} (GRID_BUDGET)")
     if starts < 1:
         raise ValueError("starts must be >= 1")
@@ -172,25 +172,23 @@ def maximize_3d(
     g = _Counter(f)
 
     index = np.arange(grid_per_dim)
-    thetas = index * math.pi / (grid_per_dim - 1)
-    phases = index * TWO_PI / grid_per_dim
-    values = g.many(thetas[:, None, None], phases[None, :, None], phases[None, None, :]).ravel()
+    grids = [index * hi / (grid_per_dim if periodic else grid_per_dim - 1) for hi, periodic in axes]
+    values = g.many(*np.ix_(*grids)).ravel()
     # a stable sort keeps the lowest flat index first among equal values
     top = np.argsort(-values, kind="stable")[:starts].tolist()
     grid_best = float(values[top[0]])
 
-    def grid_point(flat: int) -> tuple[float, float, float]:
-        i, rest = divmod(flat, grid_per_dim * grid_per_dim)
-        j, k = divmod(rest, grid_per_dim)
-        return float(thetas[i]), float(phases[j]), float(phases[k])
+    def grid_point(flat: int) -> tuple[float, ...]:
+        indices = np.unravel_index(flat, (grid_per_dim,) * k)
+        return tuple(float(grid[i]) for grid, i in zip(grids, indices))
 
-    candidates: list[tuple[float, tuple[float, float, float]]] = []
+    candidates: list[tuple[float, tuple[float, ...]]] = []
     for flat in top:
         x = list(grid_point(flat))
         value = g(*x)
         for _ in range(MAX_CYCLES):
-            for coord in range(3):
-                x[coord] = _line_max(g, x, coord, tol)
+            for coord, (hi, periodic) in enumerate(axes):
+                x[coord] = _line_max(g, x, coord, hi, periodic, tol)
             new_value = g(*x)
             if new_value - value <= 1e-13 * (1.0 + abs(value)):
                 value = max(value, new_value)
@@ -203,3 +201,15 @@ def maximize_3d(
     if best_value < grid_best:
         best_value, best_arg = grid_best, grid_point(top[0])
     return OptResult(best_arg, best_value, g.count, grid_best)
+
+
+def maximize_3d(
+    f: Callable,
+    grid_per_dim: int = 33,
+    starts: int = 8,
+    tol: float = 1e-8,
+) -> OptResult:
+    """Maximize f(theta, alpha, beta) over [0, pi] x [0, 2pi)^2 with maximize_box:
+    the two phase axes alpha and beta wrap around."""
+    return maximize_box(f, ((math.pi, False), (TWO_PI, True), (TWO_PI, True)),
+                        grid_per_dim, starts, tol)

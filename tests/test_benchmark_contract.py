@@ -1,21 +1,31 @@
-"""The benchmark's tracer looks ewlsim functions up by name; every one must resolve.
+"""The benchmark's tracer looks ewlsim functions up by name; every one must resolve,
+and the benchmark's tasks must pass their own answer checks.
 
-``perfbench/tracing.py`` is imported as it is, from its file, so a deletion or
-rename in ``src/`` that would break ``perfbench/run.py --trace 1`` fails here.
+``perfbench/tracing.py`` and ``perfbench/workloads.py`` are imported as they
+are, from their files, so a deletion, rename or wrong answer in ``src/`` that
+would break ``perfbench/run.py`` fails here.
 """
 
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+import pytest
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _load(name: str):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module
 
 
 def _tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return _load("tracing")
 
 
 def test_every_traced_target_resolves():
@@ -38,3 +48,13 @@ def test_tracer_installs_and_restores_every_target():
         tracer.uninstall()
     for (mod, attr), fn in originals.items():
         assert getattr(importlib.import_module(mod), attr) is fn
+
+
+@pytest.mark.parametrize("name", ["tree_classical", "opt_search"])
+def test_one_workload_pass_passes_its_checks(name):
+    workloads = _load("workloads")
+    workload = workloads.WORKLOADS[name]
+    tasks = workload.tasks(workload.setup(1), True)
+    assert tasks
+    for task in tasks:
+        task.check(workloads.complete(task.run()))

@@ -376,6 +376,18 @@ def test_reproduce_lambda_sweep(capsys):
         assert cell["actual"] == pytest.approx(lam / 2.0, abs=1e-6)
 
 
+@pytest.mark.parametrize("sweep", ["nan", "inf", "3,inf"])
+def test_reproduce_refuses_lambda_sweeps_that_are_not_finite(sweep, capsys, monkeypatch):
+    def refused(*args, **kwargs):
+        raise AssertionError("a sweep with a non-finite lambda started its checks")
+
+    monkeypatch.setattr(cli.optimize, "maximize_1d", refused)
+    monkeypatch.setattr(cli.optimize, "maximize_3d", refused)
+    assert cli.main(["reproduce", "--lambda-sweep", sweep]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "--lambda-sweep entries must be finite" in err
+
+
 # ----------------------------------------------------------- determinism etc
 
 

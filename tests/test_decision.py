@@ -12,6 +12,7 @@ from ewlsim.decision import (
     PureStrategy,
     absentminded_driver,
     behavioral_from_mixed,
+    _neg_distance_fn,
     behavioral_gap,
     expected_payoff_classical,
     has_imperfect_recall,
@@ -380,13 +381,55 @@ def test_gap_for_half_half_diagonal_target():
 def test_gap_refuses_grids_over_budget():
     prob = perfect_recall_control()  # three binary sets: 201**3 = 8.1e6 points
     target = outcome_of(prob, BehavioralStrategy(((0.5, 0.5),) * 3))
-    with pytest.raises(ValueError, match="GAP_GRID_BUDGET"):
+    with pytest.raises(ValueError, match="GRID_BUDGET"):
         behavioral_gap(prob, target)
 
 
 def test_gap_rejects_foreign_labels():
     with pytest.raises(ValueError):
         behavioral_gap(two_stage_problem(), OutcomeDistribution({"x": 1.0}))
+
+
+@pytest.mark.parametrize("grid_points", [1, 0, -3])
+def test_gap_refuses_grids_without_two_points_per_axis(grid_points):
+    with pytest.raises(ValueError, match="grid_per_dim must be >= 2"):
+        behavioral_gap(two_stage_problem(), HALF_HALF, grid_points=grid_points)
+
+
+def test_gap_with_one_information_set():
+    # outcome (p, (1-p)p, (1-p)^2): the distance to (1/2, 0, 1/2) is least at
+    # p = 1 - 1/sqrt(2), where (1-p)^2 = 1/2 and |p - 1/2| = (1-p)p = (sqrt(2)-1)/2
+    target = OutcomeDistribution({"o1": 0.5, "o2": 0.0, "o3": 0.5})
+    assert abs(behavioral_gap(n_tuple_outcomes(1), target) - (math.sqrt(2.0) - 1.0) / 2.0) <= 1e-9
+
+
+def test_gap_with_three_information_sets_obeys_kuhn():
+    # perfect recall: the mixed target that no two-stage behavioral strategy
+    # reaches within TWO_STAGE_GAP is reached here, by (1/2, 1, 0)
+    prob = perfect_recall_control()
+    mixed = MixedStrategy({PureStrategy((0, 0, 0)): 0.5, PureStrategy((1, 1, 1)): 0.5})
+    target = outcome_of(prob, mixed)
+    assert outcome_equivalent(target, HALF_HALF, 0.0)
+    assert behavioral_gap(prob, target, grid_points=21) <= 1e-6
+
+
+@pytest.mark.parametrize("prob", [n_tuple_outcomes(2), two_stage_problem(),
+                                  perfect_recall_control()],
+                         ids=["one_set", "two_sets", "three_sets"])
+def test_gap_objective_float_and_array_calls_agree_with_outcome_of(prob):
+    k = len(prob.info_partition)
+    target = outcome_of(prob, BehavioralStrategy(((0.3, 0.7),) * k))
+    f = _neg_distance_fn(prob, target)
+    axis = np.linspace(0.0, 1.0, 7)
+    values = f(*np.ix_(*[axis] * k))
+    assert values.shape == (7,) * k
+    for idx in np.ndindex(values.shape):
+        point = [float(axis[i]) for i in idx]
+        value = f(*point)
+        assert type(value) is float and value == values[idx]
+        reached = outcome_of(prob, BehavioralStrategy(tuple((p, 1.0 - p) for p in point)))
+        distance = max(abs(reached[lab] - target[lab]) for lab in prob.labels)
+        assert value == pytest.approx(-distance, abs=1e-15)
 
 
 # -------------------------------------------------------------------- JSON
