@@ -45,15 +45,20 @@ from .ewl import (
     EwlGame,
     UnitaryParams,
     amplitude_one_param,
+    amplitudes_one_param,
     build_gate,
     driver_game,
     eta_symmetry_check,
     ewl_game,
     expected_payoff,
+    expected_payoffs,
     final_state,
+    final_states,
+    gate_stack,
     n_tuple_driver_game,
     n_tuple_outcome_game,
     outcome_distribution_ewl,
+    outcome_masses,
     payoff_one_param,
     payoff_three_param,
     payoff_three_param_fn,

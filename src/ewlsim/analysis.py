@@ -22,22 +22,24 @@ from .decision import DecisionProblem, n_tuple_driver, n_tuple_outcomes, outcome
 from .decision import two_stage_problem
 from .ewl import (
     IDENTITY_PARAMS,
+    EwlGame,
     UnitaryParams,
-    amplitude_one_param,
+    amplitudes_one_param,
     build_gate,
-    eta_symmetry_check,
     ewl_game,
     expected_payoff,
-    final_state,
+    expected_payoffs,
+    final_states,
+    gate_stack,
     n_tuple_driver_game,
     outcome_distribution_ewl,
+    outcome_masses,
     payoff_one_param,
-    payoff_three_param,
-    payoff_two_qubit_general,
+    payoff_three_param_fn,
     two_stage_game,
 )
 from .optimize import TWO_PI, maximize_1d, wrap_phase
-from .qstate import check_qubit_count
+from .qstate import born_probabilities, check_qubit_count
 
 AMP_TOL = 1e-12
 MASS_TOL = 1e-9
@@ -126,11 +128,26 @@ def prop1_outcome(solution: Prop1Solution):
     return outcome_distribution_ewl(_TWO_STAGE_GAME, gates)
 
 
-def _prop1_deviation(probs) -> float:
-    sol = prop1_solve(*probs)
-    dist = prop1_outcome(sol)
-    expected = dict(zip(("o00", "o01", "o10", "o11"), probs))
-    return max(abs(dist[k] - expected[k]) for k in expected)
+def _on_every_qubit(gates: np.ndarray, m: int) -> np.ndarray:
+    """A (k, m, 2, 2) stack that applies row i of a (k, 2, 2) gate stack to all m qubits."""
+    return np.broadcast_to(gates[:, None], (len(gates), m, 2, 2))
+
+
+def _identity_gates(k: int) -> np.ndarray:
+    identity = gate_stack(IDENTITY_PARAMS.theta, IDENTITY_PARAMS.alpha, IDENTITY_PARAMS.beta)
+    return np.broadcast_to(identity, (k, 2, 2))
+
+
+def _prop1_deviation(mixtures) -> float:
+    """Largest outcome error of prop1_solve's unitary strategies over the rows
+    of a (k, 4) array of mixtures, all simulated in one stacked call."""
+    mixtures = np.asarray(mixtures, dtype=float)
+    params = [prop1_solve(*probs).params1 for probs in mixtures.tolist()]
+    first = gate_stack(*np.array([(p.theta, p.alpha, p.beta) for p in params]).T)
+    masses = outcome_masses(_TWO_STAGE_GAME,
+                            np.stack((first, _identity_gates(len(first))), axis=1))
+    order = [_TWO_STAGE_GAME.labels.index(lab) for lab in ("o00", "o01", "o10", "o11")]
+    return float(np.abs(masses[:, order] - mixtures).max())
 
 
 def prop1_verify(sample_count: int = 1000, seed: int = 7) -> dict:
@@ -140,26 +157,22 @@ def prop1_verify(sample_count: int = 1000, seed: int = 7) -> dict:
     rng = np.random.default_rng(seed)
     checks = []
 
-    dev = max(_prop1_deviation(rng.dirichlet((1.0,) * 4)) for _ in range(sample_count))
+    # one draw of k Dirichlet rows is the same stream as k draws of one row
+    dev = _prop1_deviation(rng.dirichlet((1.0,) * 4, size=sample_count))
     checks.append(make_check(
         "prop1_random_mixtures", {"samples": sample_count, "seed": seed},
         0.0, dev, dev, dev <= PROB1_TOL))
 
-    units = [tuple(1.0 if i == j else 0.0 for j in range(4)) for i in range(4)]
-    dev = max(_prop1_deviation(u) for u in units)
+    dev = _prop1_deviation(np.eye(4))
     checks.append(make_check(
         "prop1_unit_vectors", {}, 0.0, dev, dev, dev <= PROB1_TOL))
 
-    boundary = []
-    for hole in range(4):
-        for _ in range(5):
-            w = rng.dirichlet((1.0,) * 3)
-            vec = list(w[:hole]) + [0.0] + list(w[hole:])
-            boundary.append(tuple(vec))
+    faces = rng.dirichlet((1.0,) * 3, size=(4, 5))
+    boundary = [np.insert(faces[hole], hole, 0.0, axis=1) for hole in range(4)]
     for a in (0.3, 0.5, 0.9):
-        boundary.append((a, 0.0, 0.0, 1.0 - a))
-        boundary.append((0.0, a, 1.0 - a, 0.0))
-    dev = max(_prop1_deviation(b) for b in boundary)
+        boundary.append([(a, 0.0, 0.0, 1.0 - a), (0.0, a, 1.0 - a, 0.0)])
+    boundary = np.concatenate(boundary)
+    dev = _prop1_deviation(boundary)
     checks.append(make_check(
         "prop1_boundary_mixtures", {"cases": len(boundary), "seed": seed},
         0.0, dev, dev, dev <= PROB1_TOL))
@@ -176,23 +189,26 @@ def prop2_verify(n_max: int = 5, theta_grid: int = 101) -> dict:
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     check_qubit_count(n_max + 1)
+    thetas = np.linspace(0.0, math.pi, theta_grid)
+    gates = gate_stack(thetas)
     checks = []
     for n in range(1, n_max + 1):
         m = n + 1
         problem = n_tuple_outcomes(n)
         game = ewl_game(problem)
-        amp_dev = 0.0
-        mass_dev = 0.0
-        for theta in np.linspace(0.0, math.pi, theta_grid):
-            theta = float(theta)
-            gates = [build_gate(UnitaryParams(theta))] * m
-            psi = final_state(gates)
-            for y in range(1 << m):
-                amp_dev = max(amp_dev, abs(psi.amps[y] - amplitude_one_param(y, theta, m)))
-            p = math.cos(theta / 2.0) ** 2
-            dist = outcome_distribution_ewl(game, gates)
-            tree = outcome_of(problem, BehavioralStrategy(((p, 1.0 - p),)))
-            mass_dev = max(mass_dev, max(abs(dist[lab] - q) for lab, q in tree.probs.items()))
+
+        def deviations(amps, rows, game=game, m=m):
+            """Per run: the largest amplitude error, then the label masses."""
+            masses = game.label_masses(born_probabilities(amps))
+            amps -= amplitudes_one_param(thetas[rows], m)
+            return np.column_stack((np.abs(amps).max(axis=1), masses))
+
+        sim = final_states(_on_every_qubit(gates, m), deviations)
+        tree = [outcome_of(problem, BehavioralStrategy(((p, 1.0 - p),)))
+                for p in (math.cos(theta / 2.0) ** 2 for theta in thetas.tolist())]
+        amp_dev = float(sim[:, 0].max())
+        mass_dev = float(np.abs(sim[:, 1:] - [[dist[lab] for lab in game.labels]
+                                              for dist in tree]).max())
         checks.append(make_check(
             f"prop2_amplitudes_n{n}", {"n": n, "theta_grid": theta_grid},
             0.0, amp_dev, amp_dev, amp_dev <= AMP_TOL))
@@ -313,31 +329,45 @@ def prop3_sweep(n_values=(2, 3, 4, 5, 6), deltas=(1.1, 1.5, 3.0)) -> dict:
 # printed-formula cross-check ledger
 
 
-def _two_param_sine_variant(lam: float, theta: float, alpha: float) -> float:
+def _two_param_sine_variant(lam: float, theta, alpha):
     # Linear-sine variant of the two-parameter payoff; deviates from
     # simulation and is kept only so the ledger can document the deviation.
-    return (0.25 * lam * (math.sin(2.0 * alpha) + 1.0) * math.sin(theta)
-            + (math.sin(2.0 * alpha) * math.cos(theta / 2.0) ** 2
-               - math.sin(theta / 2.0) ** 2) ** 2)
+    return (0.25 * lam * (np.sin(2.0 * alpha) + 1.0) * np.sin(theta)
+            + (np.sin(2.0 * alpha) * np.cos(theta / 2.0) ** 2
+               - np.sin(theta / 2.0) ** 2) ** 2)
+
+
+def _max_dev(a, b) -> float:
+    return float(np.abs(np.subtract(a, b)).max())
 
 
 def formulas_verify(n_max: int = 5, samples: int = 500, seed: int = 11) -> dict:
-    """Cross-check every closed-form payoff against direct simulation."""
+    """Cross-check every closed-form payoff against direct simulation.
+
+    Each section simulates its runs in one stacked call per qubit count.
+    """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     check_qubit_count(n_max + 1)
     rng = np.random.default_rng(seed)
     checks = []
 
+    # draws interleave per sample: n, lambda, theta, alpha, beta
+    draws = np.array([(rng.integers(1, n_max + 1), rng.uniform(0.0, 20.0),
+                       rng.uniform(0.0, math.pi), rng.uniform(0.0, TWO_PI),
+                       rng.uniform(0.0, TWO_PI)) for _ in range(samples)]).reshape(samples, 5)
+    ns, lams, angles = draws[:, 0].astype(int), draws[:, 1], draws[:, 2:]
+    gates = gate_stack(*angles.T)
     dev = 0.0
-    for _ in range(samples):
-        n = int(rng.integers(1, n_max + 1))
-        lam = float(rng.uniform(0.0, 20.0))
-        params = UnitaryParams(float(rng.uniform(0.0, math.pi)),
-                               float(rng.uniform(0.0, TWO_PI)),
-                               float(rng.uniform(0.0, TWO_PI)))
-        sim = expected_payoff(n_tuple_driver_game(n, lam), [build_gate(params)] * (n + 1))
-        dev = max(dev, abs(sim - payoff_three_param(n, lam, params)))
+    for n in sorted(set(ns.tolist())):
+        rows = ns == n
+        # driver payoffs are affine in lambda: simulate the lambda = 0 and 1
+        # games, built once per n, and combine them per sample
+        maps = np.column_stack([n_tuple_driver_game(n, lam).payoff_map for lam in (0.0, 1.0)])
+        at0, at1 = final_states(_on_every_qubit(gates[rows], n + 1),
+                                lambda amps, _: born_probabilities(amps) @ maps).T
+        sim = at0 + lams[rows] * (at1 - at0)
+        dev = max(dev, _max_dev(sim, payoff_three_param_fn(n, lams[rows])(*angles[rows].T)))
     checks.append(make_check(
         "three_param_closed_form_vs_simulation",
         {"samples": samples, "seed": seed, "n_max": n_max},
@@ -346,17 +376,16 @@ def formulas_verify(n_max: int = 5, samples: int = 500, seed: int = 11) -> dict:
     dev_sim = 0.0
     dev_tree = 0.0
     lam = 4.0
+    thetas = np.linspace(0.0, math.pi, 101)
+    exits = [math.cos(theta / 2.0) ** 2 for theta in thetas.tolist()]
     for n in range(1, max(n_max, 6) + 1):
         problem = n_tuple_driver(n, lam)
-        game = n_tuple_driver_game(n, lam)
-        for theta in np.linspace(0.0, math.pi, 101):
-            theta = float(theta)
-            closed = payoff_one_param(n, lam, theta)
-            gate = build_gate(UnitaryParams(theta))
-            dev_sim = max(dev_sim, abs(closed - expected_payoff(game, [gate] * (n + 1))))
-            p = math.cos(theta / 2.0) ** 2
-            tree = expected_payoff_classical(problem, BehavioralStrategy(((p, 1.0 - p),)))
-            dev_tree = max(dev_tree, abs(closed - tree))
+        closed = [payoff_one_param(n, lam, theta) for theta in thetas.tolist()]
+        sim = expected_payoffs(ewl_game(problem), _on_every_qubit(gate_stack(thetas), n + 1))
+        tree = [expected_payoff_classical(problem, BehavioralStrategy(((p, 1.0 - p),)))
+                for p in exits]
+        dev_sim = max(dev_sim, _max_dev(closed, sim))
+        dev_tree = max(dev_tree, _max_dev(closed, tree))
     checks.append(make_check(
         "one_param_closed_form_vs_simulation", {"n_max": max(n_max, 6), "lam": lam},
         0.0, dev_sim, dev_sim, dev_sim <= 1e-9))
@@ -365,56 +394,50 @@ def formulas_verify(n_max: int = 5, samples: int = 500, seed: int = 11) -> dict:
         0.0, dev_tree, dev_tree, dev_tree <= 1e-9))
 
     payoffs = (3.0, -1.0, 2.0, 0.5)
-    dev = 0.0
-    for theta1 in np.linspace(0.0, math.pi, 21):
-        for theta2 in np.linspace(0.0, math.pi, 21):
-            theta1, theta2 = float(theta1), float(theta2)
-            sim = payoff_two_qubit_general(payoffs, UnitaryParams(theta1), UnitaryParams(theta2))
-            form = sum(payoffs[2 * k + l]
-                       * math.cos((theta1 - k * math.pi) / 2.0) ** 2
-                       * math.cos((theta2 - l * math.pi) / 2.0) ** 2
-                       for k in (0, 1) for l in (0, 1))
-            dev = max(dev, abs(sim - form))
+    two_qubit_game = EwlGame(2, np.array(payoffs))
+    theta1, theta2 = (t.ravel() for t in np.meshgrid(np.linspace(0.0, math.pi, 21),
+                                                     np.linspace(0.0, math.pi, 21),
+                                                     indexing="ij"))
+    sim = expected_payoffs(two_qubit_game, np.stack((gate_stack(theta1), gate_stack(theta2)),
+                                                    axis=1))
+    form = sum(payoffs[2 * k + l]
+               * np.cos((theta1 - k * math.pi) / 2.0) ** 2
+               * np.cos((theta2 - l * math.pi) / 2.0) ** 2
+               for k in (0, 1) for l in (0, 1))
+    dev = _max_dev(sim, form)
     checks.append(make_check(
         "two_qubit_product_form_vs_simulation", {"grid": 21, "payoffs": list(payoffs)},
         0.0, dev, dev, dev <= 1e-9))
 
-    dev = 0.0
-    for _ in range(100):
-        theta1 = float(rng.uniform(0.0, math.pi))
-        alpha1 = float(rng.uniform(0.0, TWO_PI))
-        beta1 = float(rng.uniform(0.0, TWO_PI))
-        c2 = math.cos(theta1 / 2.0) ** 2
-        s2 = math.sin(theta1 / 2.0) ** 2
-        form = ((payoffs[0] * math.cos(alpha1) ** 2 + payoffs[3] * math.sin(alpha1) ** 2) * c2
-                + (payoffs[1] * math.sin(beta1) ** 2 + payoffs[2] * math.cos(beta1) ** 2) * s2)
-        sim = payoff_two_qubit_general(payoffs, UnitaryParams(theta1, alpha1, beta1),
-                                       IDENTITY_PARAMS)
-        dev = max(dev, abs(sim - form))
+    # one draw of (100, 3) uniforms is the same stream as 100 draws of three
+    theta1, alpha1, beta1 = rng.uniform(0.0, (math.pi, TWO_PI, TWO_PI), size=(100, 3)).T
+    c2 = np.cos(theta1 / 2.0) ** 2
+    s2 = np.sin(theta1 / 2.0) ** 2
+    form = ((payoffs[0] * np.cos(alpha1) ** 2 + payoffs[3] * np.sin(alpha1) ** 2) * c2
+            + (payoffs[1] * np.sin(beta1) ** 2 + payoffs[2] * np.cos(beta1) ** 2) * s2)
+    first = gate_stack(theta1, alpha1, beta1)
+    sim = expected_payoffs(two_qubit_game,
+                           np.stack((first, _identity_gates(len(first))), axis=1))
+    dev = _max_dev(sim, form)
     checks.append(make_check(
         "first_qubit_only_form_vs_simulation", {"samples": 100, "seed": seed},
         0.0, dev, dev, dev <= 1e-9))
 
-    dev = 0.0
-    for _ in range(100):
-        params = UnitaryParams(float(rng.uniform(0.0, math.pi)),
-                               float(rng.uniform(0.0, TWO_PI)),
-                               float(rng.uniform(0.0, TWO_PI)))
-        dev = max(dev, eta_symmetry_check(params))
+    # <01|psi_f> = <10|psi_f> for the same gate on both qubits
+    same = gate_stack(*rng.uniform(0.0, (math.pi, TWO_PI, TWO_PI), size=(100, 3)).T)
+    gaps = final_states(_on_every_qubit(same, 2), lambda amps, _: np.abs(amps[:, 1] - amps[:, 2]))
+    dev = float(gaps.max())
     checks.append(make_check(
         "eta_symmetry", {"samples": 100, "seed": seed}, 0.0, dev, dev, dev <= 1e-12))
 
     lam = 4.0
-    dev_linear = 0.0
-    dev_beta0 = 0.0
-    game = n_tuple_driver_game(1, lam)
-    for theta in np.linspace(0.0, math.pi, 41):
-        for alpha in np.linspace(0.0, TWO_PI, 41):
-            theta, alpha = float(theta), float(alpha)
-            params = UnitaryParams(theta, wrap_phase(alpha), 0.0)
-            sim = expected_payoff(game, [build_gate(params)] * 2)
-            dev_linear = max(dev_linear, abs(sim - _two_param_sine_variant(lam, theta, alpha)))
-            dev_beta0 = max(dev_beta0, abs(sim - payoff_three_param(1, lam, params)))
+    theta, alpha = (t.ravel() for t in np.meshgrid(np.linspace(0.0, math.pi, 41),
+                                                   np.linspace(0.0, TWO_PI, 41), indexing="ij"))
+    wrapped = np.array([wrap_phase(a) for a in alpha.tolist()])
+    sim = expected_payoffs(n_tuple_driver_game(1, lam),
+                           _on_every_qubit(gate_stack(theta, wrapped, 0.0), 2))
+    dev_linear = _max_dev(sim, _two_param_sine_variant(lam, theta, alpha))
+    dev_beta0 = _max_dev(sim, payoff_three_param_fn(1, lam)(theta, wrapped, np.zeros_like(theta)))
     checks.append(make_check(
         "two_param_form_known_discrepancy", {"lam": lam, "grid": 41},
         {"beta0_reduction_deviation": 0.0, "sine_linear_variant": "documented deviation"},

@@ -23,8 +23,10 @@ from . import analysis, decision, ewl, optimize
 from .optimize import GRID_BUDGET, TWO_PI, wrap_phase
 from .qstate import check_qubit_count
 
-# verify prop2 loops over 101 thetas x 2^(n+1) amplitudes in Python
-PROP2_MAX_N = 8
+# verify prop2 simulates 101 states of 2^(n+1) amplitudes for every n up to --n,
+# so each step up doubles its time: --n 16 took 1.3 s in process on a 2-vCPU
+# host (one CPU, two BLAS threads) and --n 17 took 2.6 s
+PROP2_MAX_N = 16
 
 _ANGLE_RE = re.compile(r"^([+-]?\d*\.?\d*)\*?pi(?:/(\d*\.?\d+))?$")
 
@@ -184,13 +186,13 @@ def cmd_simulate(cfg: RunConfig) -> int:
     params = cfg.unitary_params()
     n = cfg.n_value()
     m = n + 1
-    gate = ewl.build_gate(params)
     game = ewl.n_tuple_driver_game(n, cfg.lam)
-    psi = ewl.final_state([gate] * m)
-    dist = ewl.outcome_distribution_ewl(ewl.n_tuple_outcome_game(n), [gate] * m)
-    payoff = ewl.expected_payoff(game, [gate] * m)
+    outcomes = ewl.n_tuple_outcome_game(n)
+    probs = ewl.final_state([ewl.build_gate(params)] * m).probabilities
+    payoff = float(game.payoff(probs))
+    dist = outcomes.distribution(probs)
 
-    basis = {format(y, f"0{m}b"): float(psi.probabilities[y]) for y in range(1 << m)}
+    basis = {format(y, f"0{m}b"): float(probs[y]) for y in range(1 << m)}
     doc = {
         "n": n,
         "lambda": cfg.lam,
@@ -280,8 +282,9 @@ def cmd_verify(cfg: RunConfig, target: str, problem_path: str | None) -> int:
     elif target == "prop2":
         n_max = cfg.n_value(5)
         if n_max > PROP2_MAX_N:
-            raise ValidationError(f"verify prop2 checks every basis amplitude in Python, so --n "
-                                  f"is capped at {PROP2_MAX_N}, got {n_max}")
+            raise ValidationError(f"verify prop2 simulates 101 states of 2^(n+1) amplitudes for "
+                                  f"every n up to --n, so --n is capped at {PROP2_MAX_N}, "
+                                  f"got {n_max}")
         report = analysis.prop2_verify(n_max=n_max, theta_grid=101)
     elif target == "prop3":
         n_values = tuple(range(2, max(cfg.n_value(6), 2) + 1))

@@ -23,15 +23,22 @@ from .decision import (
 )
 from .optimize import TWO_PI
 from .qstate import (
+    MAX_QUBITS,
     Gate,
     StateVector,
+    _unchecked_state,
+    born_probabilities,
     check_qubit_count,
+    check_state_rows,
+    check_unitary,
     eq_by_value,
-    fresh_state,
     hamming_weight,
 )
 
-_I_POW = (1 + 0j, 1j, -1 + 0j, -1j)  # i**k for k mod 4
+_I_POW = np.array([1, 1j, -1, -1j])  # i**k for k mod 4
+# no array of a stack of protocol runs holds more complex entries than this,
+# which is what one state at the qubit limit holds; larger stacks run in chunks
+STACK_BUDGET = 1 << MAX_QUBITS
 
 
 @dataclass(frozen=True)
@@ -57,20 +64,39 @@ class UnitaryParams:
         object.__setattr__(self, "beta", beta)
 
 
-def build_gate(params: UnitaryParams) -> Gate:
-    """The SU(2) gate with columns
+def gate_stack(theta, alpha=0.0, beta=0.0) -> np.ndarray:
+    """The SU(2) gates of angle arrays that broadcast together, as one complex
+    array of shape (broadcast shape, 2, 2).  Each gate has the columns
 
     U|0> = cos(theta/2) e^{i alpha} |0> + sin(theta/2) e^{i(pi/2 - beta)} |1>
     U|1> = sin(theta/2) e^{i(pi/2 + beta)} |0> + cos(theta/2) e^{-i alpha} |1>
+
+    UnitaryParams' range checks and Gate's unitarity check run once over the
+    stack; an angle out of range raises UnitaryParams' own error for the first
+    gate that has one.
     """
-    c = math.cos(params.theta / 2.0)
-    s = math.sin(params.theta / 2.0)
-    ea = complex(math.cos(params.alpha), math.sin(params.alpha))
-    eb = complex(math.cos(params.beta), math.sin(params.beta))
-    return Gate(np.array([
-        [c * ea, 1j * s * eb],
-        [1j * s * eb.conjugate(), c * ea.conjugate()],
-    ]))
+    theta, alpha, beta = np.broadcast_arrays(*(np.asarray(x, dtype=float)
+                                               for x in (theta, alpha, beta)))
+    in_range = ((0.0 <= theta) & (theta <= math.pi) & (0.0 <= alpha) & (alpha < TWO_PI)
+                & (0.0 <= beta) & (beta < TWO_PI))  # False for nan and inf too
+    if not in_range.all():
+        first = np.unravel_index(np.argmin(in_range), in_range.shape)
+        UnitaryParams(*(float(x[first]) for x in (theta, alpha, beta)))  # raises
+    c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
+    ca, sa, cb, sb = np.cos(alpha), np.sin(alpha), np.cos(beta), np.sin(beta)
+    mats = np.empty(theta.shape + (2, 2), dtype=complex)
+    parts = mats.view(np.float64).reshape(theta.shape + (2, 2, 2))  # last axis: re, im
+    parts[..., 0, 0, 0], parts[..., 0, 0, 1] = c * ca, c * sa
+    parts[..., 0, 1, 0], parts[..., 0, 1, 1] = -(s * sb), s * cb
+    parts[..., 1, 0, 0], parts[..., 1, 0, 1] = s * sb, s * cb
+    parts[..., 1, 1, 0], parts[..., 1, 1, 1] = c * ca, -(c * sa)
+    check_unitary(mats)
+    return mats
+
+
+def build_gate(params: UnitaryParams) -> Gate:
+    """The SU(2) gate of gate_stack at one setting of the angles."""
+    return Gate(gate_stack(params.theta, params.alpha, params.beta))
 
 
 IDENTITY_PARAMS = UnitaryParams(0.0, 0.0, 0.0)
@@ -105,11 +131,52 @@ class EwlGame:
         return self.payoff_map.dtype.kind == "U"
 
     @cached_property
-    def _label_runs(self) -> tuple[list[str], np.ndarray]:
-        """The label and the start index of each run of equal labels, in basis order."""
-        labels = self.payoff_map
-        starts = np.flatnonzero(np.concatenate(([True], labels[1:] != labels[:-1])))
-        return labels[starts].tolist(), starts
+    def _label_runs(self) -> tuple[tuple[str, ...], np.ndarray, np.ndarray | None]:
+        """The distinct labels in order of first appearance, the start index of
+        each run of equal labels in basis order, and the index of each run's
+        label, or None when every label is one run."""
+        table = self.payoff_map
+        starts = np.flatnonzero(np.concatenate(([True], table[1:] != table[:-1])))
+        run_labels = table[starts].tolist()
+        index = {label: i for i, label in enumerate(dict.fromkeys(run_labels))}
+        owner = None if len(index) == len(starts) else np.array([index[x] for x in run_labels])
+        return tuple(index), starts, owner
+
+    @property
+    def labels(self) -> tuple[str, ...]:
+        """The outcome labels of a label-valued game, in order of first appearance."""
+        self._require(labels=True)
+        return self._label_runs[0]
+
+    def _require(self, labels: bool) -> None:
+        if labels and not self.has_labels:
+            raise TypeError("numeric game: use expected_payoff")
+        if not labels and self.has_labels:
+            raise TypeError("label-valued game: use outcome_distribution_ewl")
+
+    def payoff(self, probs: np.ndarray) -> np.ndarray:
+        """Expected payoffs of basis probabilities: probs @ payoff_map, for one
+        state's probabilities (a 0-d result) or a (k, 2^m) stack of them."""
+        self._require(labels=False)
+        return probs @ self.payoff_map
+
+    def label_masses(self, probs: np.ndarray) -> np.ndarray:
+        """The mass of each of ``labels`` under basis probabilities of shape
+        (..., 2^m), as an array of shape (..., len(labels))."""
+        self._require(labels=True)
+        labels, starts, owner = self._label_runs
+        # reduceat sums each run pairwise; a sequential sum misses the 1e-12 check at m=20
+        runs = np.add.reduceat(probs, starts, axis=-1)
+        if owner is None:
+            return runs
+        masses = np.zeros(runs.shape[:-1] + (len(labels),))
+        np.add.at(masses.T, owner, runs.T)  # adds a label's runs in basis order
+        return masses
+
+    def distribution(self, probs: np.ndarray) -> OutcomeDistribution:
+        """The outcome distribution of one state's basis probabilities."""
+        masses = self.label_masses(probs)
+        return OutcomeDistribution(dict(zip(self._label_runs[0], masses.tolist())))
 
 
 def ewl_game(problem: DecisionProblem) -> EwlGame:
@@ -166,33 +233,91 @@ def n_tuple_outcome_game(n: int) -> EwlGame:
 # protocol simulation
 
 
-# weights of P_0, P_1, rev(P_0), rev(P_1) in the final state (see final_state)
+# weights of P_0, P_1, rev(P_0), rev(P_1) in the final state (see final_states)
 _FINAL_WEIGHTS = np.array([[0.5], [0.5j], [-0.5j], [0.5]])
 
 
-def _column_products(gates: Sequence[Gate]) -> np.ndarray:
-    """Rows: the Kronecker products of column 0 and of column 1 of every gate, in
-    order, then the same two reversed."""
-    cols = np.ones((2, 1), dtype=complex)
-    for gate in gates:
-        cols = (cols[:, :, None] * gate.matrix.T[:, None, :]).reshape(2, -1)
-    return np.concatenate((cols, cols[:, ::-1]))
+def _column_products(mats: np.ndarray) -> np.ndarray:
+    """For a (k, q, 2, 2) stack of gate matrices, a (k, 4, 2^q) array whose rows
+    are the Kronecker products of column 0 and of column 1 of each row's gates,
+    in order, then the same two reversed."""
+    k = len(mats)
+    columns = mats.swapaxes(2, 3)[:, :, :, None, :]  # [:, q, j] is column j of gate q
+    cols = np.ones((k, 2, 1, 1), dtype=complex)
+    for q in range(mats.shape[1]):
+        cols = (cols * columns[:, q]).reshape(k, 2, -1, 1)
+    cols = cols.reshape(k, 2, -1)
+    return np.concatenate((cols, cols[:, :, ::-1]), axis=1)
 
 
-def final_state(gates: Sequence[Gate]) -> StateVector:
-    """J^dag (U_1 x ... x U_m) J |0...0> on m = len(gates) qubits, built in closed form.
+def _final_amplitudes(mats: np.ndarray) -> np.ndarray:
+    """The (k, 2^m) final amplitudes of a (k, m, 2, 2) gate stack, every row
+    checked like a StateVector (finite, norm 1 within NORM_TOL)."""
+    h = mats.shape[1] // 2
+    amps = (_column_products(mats[:, :h]).swapaxes(1, 2)
+            @ (_column_products(mats[:, h:]) * _FINAL_WEIGHTS)).reshape(len(mats), -1)
+    check_state_rows(amps)
+    return amps
 
+
+def final_states(mats: np.ndarray, reduce: Callable[[np.ndarray, slice], np.ndarray]) -> np.ndarray:
+    """Run the protocol once per row of a (k, m, 2, 2) stack of gate matrices
+    (row i holds the gates of qubits 1..m of run i, as gate_stack makes them)
+    and reduce the final states: ``reduce(amps, rows)`` gets the checked (r, 2^m)
+    amplitudes of the runs ``rows`` of the stack, which it may overwrite, and
+    returns r results; the results of every chunk are concatenated.
+
+    Each state is J^dag (U_1 x ... x U_m) J |0...0>, built in closed form.
     J|0...0> = (|0...0> + i|1...1>)/sqrt2, so with P_j the Kronecker product of
     column j of every gate, psi = (P_0 + i P_1 - i rev(P_0) + rev(P_1)) / 2,
     because J^dag = (I - i X^m)/sqrt2 and X^m reverses the basis.  Split at
     qubit h = m // 2, P_j = A_j x B_j and rev(P_j) = rev(A_j) x rev(B_j), so
-    the 2^h x 2^(m-h) amplitude matrix is one rank-4 product.
+    the 2^h x 2^(m-h) amplitude matrices of a chunk are one batched rank-4
+    product.  A chunk holds as many runs as keep its widest array, the 2^m
+    amplitudes or the 4 * 2^(m-h) column products of each run, within
+    STACK_BUDGET entries; every row is checked like a StateVector (finite,
+    norm 1 within NORM_TOL) before ``reduce`` sees it.  final_state is the
+    one-row case.
     """
+    if mats.ndim != 4 or mats.shape[2:] != (2, 2):
+        raise ValueError(f"need a (k, m, 2, 2) stack of gate matrices, got shape {mats.shape}")
+    m = mats.shape[1]
+    check_qubit_count(m)
+    step = max(1, STACK_BUDGET // max(1 << m, 4 << (m - m // 2)))
+    results = []
+    for start in range(0, max(len(mats), 1), step):
+        rows = slice(start, start + step)
+        amps = _final_amplitudes(mats[rows])
+        results.append(reduce(amps, rows))
+        del amps  # the next chunk's amplitudes replace this chunk's, not add to them
+    return results[0] if len(results) == 1 else np.concatenate(results)
+
+
+def final_state(gates: Sequence[Gate]) -> StateVector:
+    """J^dag (U_1 x ... x U_m) J |0...0> on m = len(gates) qubits: the one-row
+    case of final_states."""
     m = len(gates)
     check_qubit_count(m)
-    h = m // 2
-    amps = _column_products(gates[:h]).T @ (_column_products(gates[h:]) * _FINAL_WEIGHTS)
-    return fresh_state(m, amps.reshape(-1))
+    amps = _final_amplitudes(np.array([[gate.matrix for gate in gates]]))
+    return _unchecked_state(m, amps.reshape(-1))
+
+
+def expected_payoffs(game: EwlGame, mats: np.ndarray) -> np.ndarray:
+    """expected_payoff of every row of a (k, m, 2, 2) gate stack, as k floats."""
+    _check_stack(game, mats)
+    return final_states(mats, lambda amps, _: game.payoff(born_probabilities(amps)))
+
+
+def outcome_masses(game: EwlGame, mats: np.ndarray) -> np.ndarray:
+    """The masses of ``game.labels`` for every row of a (k, m, 2, 2) gate stack,
+    as a (k, len(labels)) array."""
+    _check_stack(game, mats)
+    return final_states(mats, lambda amps, _: game.label_masses(born_probabilities(amps)))
+
+
+def _check_stack(game: EwlGame, mats: np.ndarray) -> None:
+    if mats.ndim != 4 or mats.shape[1] != game.m:
+        raise ValueError(f"need a stack of {game.m} gates per run, got shape {mats.shape}")
 
 
 def _probabilities(game: EwlGame, gates: Sequence[Gate]) -> np.ndarray:
@@ -203,26 +328,24 @@ def _probabilities(game: EwlGame, gates: Sequence[Gate]) -> np.ndarray:
 
 def expected_payoff(game: EwlGame, gates: Sequence[Gate]) -> float:
     """Sum of payoff(y) * |<psi_f|y>|^2 over the basis."""
-    if game.has_labels:
-        raise TypeError("label-valued game: use outcome_distribution_ewl")
-    return float(game.payoff_map @ _probabilities(game, gates))
+    game._require(labels=False)  # before the state is built
+    return float(game.payoff(_probabilities(game, gates)))
 
 
 def outcome_distribution_ewl(game: EwlGame, gates: Sequence[Gate]) -> OutcomeDistribution:
     """Distribution over outcome labels induced by measuring the final state."""
-    if not game.has_labels:
-        raise TypeError("numeric game: use expected_payoff")
-    probs = _probabilities(game, gates)
-    labels, starts = game._label_runs
-    # reduceat sums each run pairwise; a sequential sum misses the 1e-12 check at m=20
-    acc: dict[str, float] = {}
-    for lab, mass in zip(labels, np.add.reduceat(probs, starts).tolist()):
-        acc[lab] = acc.get(lab, 0.0) + mass
-    return OutcomeDistribution(acc)
+    game._require(labels=True)  # before the state is built
+    return game.distribution(_probabilities(game, gates))
 
 
 # --------------------------------------------------------------------------
 # closed forms (validated against the simulation above)
+
+
+def _amplitude_by_weight(r, theta, m: int):
+    """i^r cos^(m-r)(theta/2) sin^r(theta/2) for Hamming weights and angles that
+    broadcast together."""
+    return _I_POW[r % 4] * np.cos(theta / 2.0) ** (m - r) * np.sin(theta / 2.0) ** r
 
 
 def amplitude_one_param(y: int, theta: float, m: int) -> complex:
@@ -231,10 +354,19 @@ def amplitude_one_param(y: int, theta: float, m: int) -> complex:
     i^r(y) * cos^r(ybar)(theta/2) * sin^r(y)(theta/2),
     with r the Hamming weight and ybar the bit complement.
     """
-    r = hamming_weight(y, m)
-    c = math.cos(theta / 2.0)
-    s = math.sin(theta / 2.0)
-    return _I_POW[r % 4] * (c ** (m - r)) * (s ** r)
+    return complex(_amplitude_by_weight(hamming_weight(y, m), theta, m))
+
+
+def amplitudes_one_param(thetas: np.ndarray, m: int) -> np.ndarray:
+    """amplitude_one_param for every basis state and every angle of a 1-D array:
+    a (len(thetas), 2^m) array, one value per Hamming weight and angle indexed by
+    each basis state's popcount."""
+    check_qubit_count(m)
+    weights = np.zeros(1, dtype=np.intp)
+    for _ in range(m):  # basis states 2^j..2^(j+1)-1 add a leading 1 to 0..2^j-1
+        weights = np.concatenate((weights, weights + 1))
+    by_weight = _amplitude_by_weight(np.arange(m + 1), np.asarray(thetas, dtype=float)[:, None], m)
+    return by_weight[:, weights]
 
 
 def payoff_one_param(n: int, lam: float, theta: float) -> float:
@@ -295,7 +427,8 @@ def payoff_three_param(n: int, lam: float, params: UnitaryParams) -> float:
 def payoff_three_param_fn(n: int, lam: float) -> Callable:
     """Raw-angle objective f(theta, alpha, beta) for the optimizers (periodic in
     alpha and beta): a float for float angles, an array for angle arrays that
-    broadcast together, with the same value at every point either way."""
+    broadcast together, with the same value at every point either way.  lam may
+    also be an array that broadcasts with the angles."""
     if not isinstance(n, int) or n < 1:
         raise ValueError(f"n must be an integer >= 1, got {n}")
     return partial(_three_param_value, n, lam)

@@ -2,8 +2,9 @@
 
 Basis indices read qubit 1 as the most significant bit, so the label
 y = (j1, j2, ..., jm) in binary addresses amplitude ``amps[y]``.  All values
-are immutable; the StateVector constructor validates a copy, ``fresh_state``
-validates a new array in place, the gate kernels do not validate.
+are immutable; the StateVector constructor validates a copy,
+``check_state_rows`` validates freshly computed states row by row, and the
+gate kernels do not validate.
 """
 
 from __future__ import annotations
@@ -38,6 +39,16 @@ def eq_by_value(self, other) -> bool:
     return all(np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
 
 
+def check_unitary(mats: np.ndarray) -> None:
+    """Refuse a 2x2 complex matrix, or a (..., 2, 2) stack of them, with an entry
+    that is not finite or a matrix that is not unitary within UNITARY_TOL."""
+    if not np.all(np.isfinite(mats)):
+        raise ValueError("gate entries must be finite")
+    defect = np.max(np.abs(mats @ mats.conj().swapaxes(-1, -2) - np.eye(2)), initial=0.0)
+    if defect > UNITARY_TOL:
+        raise ValueError(f"gate is not unitary (defect {defect:.3e})")
+
+
 def _frozen(arr: np.ndarray) -> np.ndarray:
     out = np.array(arr, dtype=complex, copy=True)
     out.flags.writeable = False
@@ -54,11 +65,7 @@ class Gate:
         mat = np.asarray(self.matrix, dtype=complex)
         if mat.shape != (2, 2):
             raise ValueError(f"gate must be 2x2, got shape {mat.shape}")
-        if not np.all(np.isfinite(mat.view(np.float64))):
-            raise ValueError("gate entries must be finite")
-        defect = np.max(np.abs(mat @ mat.conj().T - np.eye(2)))
-        if defect > UNITARY_TOL:
-            raise ValueError(f"gate is not unitary (defect {defect:.3e})")
+        check_unitary(mat)
         object.__setattr__(self, "matrix", _frozen(mat))
 
     __eq__ = eq_by_value
@@ -82,7 +89,7 @@ class StateVector:
 
     @cached_property
     def probabilities(self) -> np.ndarray:
-        probs = np.abs(self.amps) ** 2
+        probs = born_probabilities(self.amps)
         probs.flags.writeable = False
         return probs
 
@@ -112,13 +119,28 @@ def _check_amplitudes(m: int, amps: np.ndarray) -> None:
     dim = 1 << m
     if amps.shape != (dim,):
         raise ValueError(f"expected {dim} amplitudes, got shape {amps.shape}")
+    check_state_rows(amps[None])
+
+
+def check_state_rows(amps: np.ndarray) -> None:
+    """Refuse a C-contiguous (k, 2^m) complex stack of states unless every row is
+    finite and has norm 1 within NORM_TOL; the message names the first bad row's norm."""
     parts = amps.view(np.float64)
-    if not np.all(np.isfinite(parts)):
-        raise ValueError("amplitudes must be finite")
-    # numpy's pairwise sum; BLAS nrm2 was off by 1.2e-12 on a 2^20-amplitude state
-    norm = math.sqrt(float(np.sum(np.square(parts))))
-    if abs(norm - 1.0) > NORM_TOL:
+    # numpy's pairwise sum along each row; BLAS nrm2 was off by 1.2e-12 on a 2^20-amplitude state
+    norms = np.sqrt(np.sum(np.square(parts), axis=1))
+    # a nan or infinite part makes its row's norm nan or infinite, so only a
+    # stack that fails the norm check needs the pass over every part
+    if not np.abs(norms - 1.0).max(initial=0.0) <= NORM_TOL:
+        if not np.all(np.isfinite(parts)):
+            raise ValueError("amplitudes must be finite")
+        norm = float(norms[np.argmax(~(np.abs(norms - 1.0) <= NORM_TOL))])
         raise ValueError(f"state norm {norm!r} is not 1 within {NORM_TOL}")
+
+
+def born_probabilities(amps: np.ndarray) -> np.ndarray:
+    """|amps|^2 elementwise, as a new float array of the same shape."""
+    probs = np.abs(amps)
+    return np.square(probs, out=probs)
 
 
 def _unchecked_state(m: int, amps: np.ndarray) -> StateVector:
@@ -127,14 +149,6 @@ def _unchecked_state(m: int, amps: np.ndarray) -> StateVector:
     state = object.__new__(StateVector)
     state.__dict__.update(m=m, amps=amps)
     return state
-
-
-def fresh_state(m: int, amps: np.ndarray) -> StateVector:
-    """Validate a freshly computed complex amplitude array as the constructor does,
-    then freeze it in place instead of copying it."""
-    check_qubit_count(m)
-    _check_amplitudes(m, amps)
-    return _unchecked_state(m, amps)
 
 
 def apply_single_qubit_gate(state: StateVector, qubit_index: int, gate: Gate) -> StateVector:

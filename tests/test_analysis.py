@@ -17,6 +17,7 @@ from ewlsim.analysis import (
     prop3_verify,
     recall_verify,
 )
+from ewlsim import ewl
 from ewlsim.ewl import payoff_one_param
 from ewlsim.optimize import maximize_1d
 
@@ -108,6 +109,15 @@ def test_prop2_sweep_small():
     mass_devs = [c["deviation"] for c in report["checks"] if "masses" in c["check"]]
     assert max(amp_devs) <= 1e-12
     assert max(mass_devs) <= 1e-9
+
+
+@pytest.mark.parametrize("sweep", [lambda: prop1_verify(60, 3), lambda: prop2_verify(3, 51),
+                                   lambda: formulas_verify(3, 80, 5)],
+                         ids=["prop1", "prop2", "formulas"])
+def test_sweeps_report_the_same_in_small_chunks(sweep, monkeypatch):
+    whole = sweep()
+    monkeypatch.setattr(ewl, "STACK_BUDGET", 64)  # a few runs per chunk
+    assert sweep() == whole and whole["pass"]
 
 
 # ------------------------------------------------------------------- prop3

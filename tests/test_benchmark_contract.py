@@ -50,11 +50,14 @@ def test_tracer_installs_and_restores_every_target():
         assert getattr(importlib.import_module(mod), attr) is fn
 
 
-@pytest.mark.parametrize("name", ["tree_classical", "opt_search"])
+@pytest.mark.parametrize("name", ["tree_classical", "opt_search", "cli_session", "sim_state"])
 def test_one_workload_pass_passes_its_checks(name):
     workloads = _load("workloads")
     workload = workloads.WORKLOADS[name]
-    tasks = workload.tasks(workload.setup(1), True)
+    # sim_state's own pass builds 2^20-amplitude states; this one runs the same
+    # tasks on 5 and 9 qubits. cli_session runs its README commands in process.
+    inputs = workloads.sim_setup(1, {5: 2, 9: 2}) if name == "sim_state" else workload.setup(1)
+    tasks = workload.tasks(inputs, True)
     assert tasks
     for task in tasks:
         task.check(workloads.complete(task.run()))

@@ -72,6 +72,25 @@ def test_simulate_example_n3(capsys):
     assert json.loads(out)["expected_payoff"] == pytest.approx(5.0, abs=1e-9)
 
 
+def test_simulate_builds_the_state_once(capsys, monkeypatch):
+    calls = []
+    original = cli.ewl.final_state
+
+    def counted(gates):
+        calls.append(len(gates))
+        return original(gates)
+
+    monkeypatch.setattr(cli.ewl, "final_state", counted)
+    code, out = run_cli("simulate", "--n", "3", "--lambda", "20", "--theta", "pi/2",
+                        "--alpha", "9pi/16", "--beta", "3pi/16", "--format", "json",
+                        capsys=capsys)
+    assert code == 0 and calls == [4]
+    doc = json.loads(out)
+    dist = doc["outcome_distribution"]
+    assert doc["expected_payoff"] == pytest.approx(20.0 * dist["o4"] + dist["o5"], abs=1e-12)
+    assert sum(doc["basis_probabilities"].values()) == pytest.approx(1.0, abs=1e-12)
+
+
 def test_simulate_requires_theta(capsys):
     code, _ = run_cli("simulate", "--n", "1", "--lambda", "4", capsys=capsys)
     assert code == 2
@@ -89,6 +108,7 @@ def test_simulate_validates_ranges(capsys):
 @pytest.mark.parametrize("argv", [
     ("simulate", "--n", "40", "--theta", "pi/2"),
     ("verify", "prop3", "--n", "40"),
+    ("verify", "formulas", "--n", "40"),
     ("optimize", "--n", "40"),
 ])
 def test_oversized_runs_exit_2_before_any_work(argv, capsys, monkeypatch):
@@ -96,6 +116,8 @@ def test_oversized_runs_exit_2_before_any_work(argv, capsys, monkeypatch):
         raise AssertionError("an oversized run started its work")
 
     monkeypatch.setattr(cli.ewl, "final_state", refused)
+    monkeypatch.setattr(cli.ewl, "final_states", refused)
+    monkeypatch.setattr(cli.analysis, "final_states", refused)
     monkeypatch.setattr(cli.analysis, "prop3_verify", refused)
     monkeypatch.setattr(cli.optimize, "maximize_1d", refused)
     monkeypatch.setattr(cli.optimize, "maximize_3d", refused)
@@ -138,9 +160,9 @@ def test_verify_prop2_refuses_n_over_its_cap(capsys, monkeypatch):
         raise AssertionError("verify prop2 ran past its cap")
 
     monkeypatch.setattr(cli.analysis, "prop2_verify", refused)
-    assert cli.main(["verify", "prop2", "--n", "20"]) == 2
+    assert cli.main(["verify", "prop2", "--n", "17"]) == 2
     out, err = capsys.readouterr()
-    assert out == "" and "capped at 8, got 20" in err
+    assert out == "" and "capped at 16, got 17" in err
 
 
 # ----------------------------------------------------------------- optimize

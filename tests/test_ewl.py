@@ -14,26 +14,32 @@ from ewlsim.decision import (
     n_tuple_driver,
     outcome_of,
 )
+from ewlsim import ewl
 from ewlsim.ewl import (
     EwlGame,
     UnitaryParams,
     amplitude_one_param,
+    amplitudes_one_param,
     build_gate,
     driver_game,
     eta_symmetry_check,
     ewl_game,
     expected_payoff,
+    expected_payoffs,
     final_state,
+    final_states,
+    gate_stack,
     n_tuple_driver_game,
     n_tuple_outcome_game,
     outcome_distribution_ewl,
+    outcome_masses,
     payoff_one_param,
     payoff_three_param,
     payoff_three_param_fn,
     payoff_two_qubit_general,
     two_stage_game,
 )
-from ewlsim.qstate import apply_entangler, apply_single_qubit_gate, basis_state
+from ewlsim.qstate import Gate, apply_entangler, apply_single_qubit_gate, basis_state
 from oracles import dense_final_state, dense_gate, three_param_payoff
 
 TWO_PI = 2.0 * math.pi
@@ -79,6 +85,33 @@ def test_params_range_validation():
     for bad in ((-0.1, 0, 0), (math.pi + 0.1, 0, 0), (1, -1, 0), (1, 0, TWO_PI)):
         with pytest.raises(ValueError):
             UnitaryParams(*bad)
+
+
+@pytest.mark.parametrize("bad", [(-0.1, 0.0, 0.0), (math.pi + 0.1, 0.0, 0.0), (1.0, -1.0, 0.0),
+                                 (1.0, TWO_PI, 0.0), (1.0, 0.0, TWO_PI), (1.0, 0.0, -1e-300),
+                                 (math.nan, 0.0, 0.0), (1.0, math.inf, 0.0), (1.0, 0.0, -math.inf)])
+def test_gate_stack_refuses_angles_as_unitary_params_does(bad):
+    with pytest.raises(ValueError) as expected:
+        UnitaryParams(*bad)
+    # the bad angles sit in the middle of a stack of good ones
+    angles = np.full((3, 4, 3), 0.5)
+    angles[1, 2] = bad
+    with pytest.raises(ValueError) as got:
+        gate_stack(*np.moveaxis(angles, -1, 0))
+    assert str(got.value) == str(expected.value)
+
+
+def test_gate_stack_matches_build_gate_and_broadcasts():
+    rng = np.random.default_rng(12)
+    theta = rng.uniform(0, math.pi, size=(4, 1))
+    alpha = rng.uniform(0, TWO_PI, size=(1, 3))
+    mats = gate_stack(theta, alpha, 0.25)
+    assert mats.shape == (4, 3, 2, 2)
+    for i in range(4):
+        for j in range(3):
+            gate = build_gate(UnitaryParams(float(theta[i, 0]), float(alpha[0, j]), 0.25))
+            assert np.array_equal(mats[i, j], gate.matrix)
+    assert gate_stack(1.0).shape == (2, 2)
 
 
 # -------------------------------------------------------------- final state
@@ -142,6 +175,94 @@ def test_final_state_peak_allocation():
     finally:
         tracemalloc.stop()
     assert peak / (16 * 2 ** m) < 2.05
+
+
+def _random_stack(rng, k, m):
+    """A (k, m, 2, 2) stack of distinct random gates, one per run and qubit."""
+    return gate_stack(rng.uniform(0, math.pi, size=(k, m)), rng.uniform(0, TWO_PI, size=(k, m)),
+                      rng.uniform(0, TWO_PI, size=(k, m)))
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_final_states_rows_match_dense_oracle(m):
+    rng = np.random.default_rng(40 + m)
+    for k in range(1, 6):
+        mats = _random_stack(rng, k, m)
+        amps = final_states(mats, lambda amps, _: amps.copy())
+        assert amps.shape == (k, 2 ** m)
+        for row, gates in zip(amps, mats):
+            np.testing.assert_allclose(row, dense_final_state(list(gates)), rtol=0, atol=1e-12)
+
+
+def test_final_state_is_row_zero_of_the_one_row_stack():
+    rng = np.random.default_rng(9)
+    for m in (1, 2, 5, 12):
+        mats = _random_stack(rng, 1, m)
+        row = final_states(mats, lambda amps, _: amps.copy())[0]
+        assert np.array_equal(final_state([Gate(mat) for mat in mats[0]]).amps, row)
+
+
+def test_final_states_chunks_give_the_unchunked_results(monkeypatch):
+    rng = np.random.default_rng(10)
+    mats = _random_stack(rng, 11, 6)
+    game = n_tuple_outcome_game(5)
+    whole_amps = final_states(mats, lambda amps, _: amps.copy())
+    whole_masses = outcome_masses(game, mats)
+    seen = []
+
+    def amps_and_rows(amps, rows):
+        seen.append((rows.start, len(amps)))
+        return amps.copy()
+
+    monkeypatch.setattr(ewl, "STACK_BUDGET", 4 * 2 ** 6)  # four runs per chunk
+    assert np.array_equal(final_states(mats, amps_and_rows), whole_amps)
+    assert seen == [(0, 4), (4, 4), (8, 3)]
+    assert np.array_equal(outcome_masses(game, mats), whole_masses)
+
+
+def test_final_states_checks_every_row():
+    mats = _random_stack(np.random.default_rng(11), 3, 2).copy()
+    mats[2, 1] *= 1.001  # no longer unitary: the last run's norm is off
+    with pytest.raises(ValueError, match="state norm .* is not 1"):
+        final_states(mats, lambda amps, _: amps[:, 0])
+    mats[1, 0, 0, 0] = math.nan
+    with pytest.raises(ValueError, match="amplitudes must be finite"):
+        final_states(mats, lambda amps, _: amps[:, 0])
+
+
+def test_stacked_payoffs_and_masses_match_per_run_calls():
+    rng = np.random.default_rng(13)
+    # parity labels recur in separate runs of the basis, so masses add runs
+    parity = EwlGame(4, np.array([("even", "odd")[bin(y).count("1") % 2] for y in range(16)]))
+    for game in (n_tuple_driver_game(3, 7.0), n_tuple_outcome_game(3), parity):
+        mats = _random_stack(rng, 6, 4)
+        runs = [[Gate(mat) for mat in row] for row in mats]
+        if game.has_labels:
+            got = outcome_masses(game, mats)
+            expected = [[outcome_distribution_ewl(game, gates)[lab] for lab in game.labels]
+                        for gates in runs]
+        else:
+            got = expected_payoffs(game, mats)
+            expected = [expected_payoff(game, gates) for gates in runs]
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-15)
+    with pytest.raises(ValueError, match="stack of 4 gates per run"):
+        expected_payoffs(n_tuple_driver_game(3, 7.0), _random_stack(rng, 2, 3))
+
+
+def test_stacked_peak_allocation_stays_within_one_chunk(monkeypatch):
+    # the chunk's amplitudes plus one squared-magnitude array for the norm check
+    m, per_chunk = 12, 4
+    monkeypatch.setattr(ewl, "STACK_BUDGET", per_chunk * 2 ** m)
+    mats = _random_stack(np.random.default_rng(14), 3 * per_chunk + 1, m)
+    game = n_tuple_driver_game(m - 1, 3.0)
+    expected_payoffs(game, mats)
+    tracemalloc.start()
+    try:
+        expected_payoffs(game, mats)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (16 * per_chunk * 2 ** m) < 2.05
 
 
 def test_gate_count_mismatch():
@@ -255,6 +376,16 @@ def test_amplitude_one_param_matches_simulation():
                 r = hamming_weight(y, m)
                 assert psi.probability(y) == pytest.approx(p ** (m - r) * (1 - p) ** r,
                                                            abs=1e-12)
+
+
+def test_amplitudes_one_param_index_the_closed_form_by_popcount():
+    thetas = np.linspace(0.0, math.pi, 7)
+    for m in (1, 2, 5, 8):
+        table = amplitudes_one_param(thetas, m)
+        assert table.shape == (7, 2 ** m)
+        for i, theta in enumerate(thetas.tolist()):
+            expected = [amplitude_one_param(y, theta, m) for y in range(2 ** m)]
+            np.testing.assert_allclose(table[i], expected, rtol=1e-14, atol=0)
 
 
 def test_amplitude_m2_y2_is_i_cos_sin():
