@@ -46,6 +46,7 @@ from .ewl import (
     UnitaryParams,
     amplitude_one_param,
     amplitudes_one_param,
+    block_masses,
     build_gate,
     driver_game,
     eta_symmetry_check,

@@ -32,6 +32,7 @@ from .ewl import (
     final_states,
     gate_stack,
     n_tuple_driver_game,
+    n_tuple_outcome_game,
     outcome_distribution_ewl,
     outcome_masses,
     payoff_one_param,
@@ -39,7 +40,7 @@ from .ewl import (
     two_stage_game,
 )
 from .optimize import TWO_PI, maximize_1d, wrap_phase
-from .qstate import born_probabilities, check_qubit_count
+from .qstate import check_qubit_count
 
 AMP_TOL = 1e-12
 MASS_TOL = 1e-9
@@ -191,24 +192,26 @@ def prop2_verify(n_max: int = 5, theta_grid: int = 101) -> dict:
     check_qubit_count(n_max + 1)
     thetas = np.linspace(0.0, math.pi, theta_grid)
     gates = gate_stack(thetas)
+    # one exit probability cos^2(theta/2) per angle, the same strategy at every n
+    strategies = [BehavioralStrategy(((p, 1.0 - p),))
+                  for p in (math.cos(theta / 2.0) ** 2 for theta in thetas.tolist())]
     checks = []
     for n in range(1, n_max + 1):
         m = n + 1
         problem = n_tuple_outcomes(n)
         game = ewl_game(problem)
 
-        def deviations(amps, rows, game=game, m=m):
-            """Per run: the largest amplitude error, then the label masses."""
-            masses = game.label_masses(born_probabilities(amps))
+        def amp_errors(amps, rows, m=m):
+            """The largest amplitude error of each run."""
             amps -= amplitudes_one_param(thetas[rows], m)
-            return np.column_stack((np.abs(amps).max(axis=1), masses))
+            return np.abs(amps).max(axis=1)
 
-        sim = final_states(_on_every_qubit(gates, m), deviations)
-        tree = [outcome_of(problem, BehavioralStrategy(((p, 1.0 - p),)))
-                for p in (math.cos(theta / 2.0) ** 2 for theta in thetas.tolist())]
-        amp_dev = float(sim[:, 0].max())
-        mass_dev = float(np.abs(sim[:, 1:] - [[dist[lab] for lab in game.labels]
-                                              for dist in tree]).max())
+        stack = _on_every_qubit(gates, m)
+        amp_dev = float(final_states(stack, amp_errors).max())
+        masses = outcome_masses(game, stack)
+        tree = [outcome_of(problem, strategy) for strategy in strategies]
+        mass_dev = float(np.abs(masses - [[dist[lab] for lab in game.labels]
+                                          for dist in tree]).max())
         checks.append(make_check(
             f"prop2_amplitudes_n{n}", {"n": n, "theta_grid": theta_grid},
             0.0, amp_dev, amp_dev, amp_dev <= AMP_TOL))
@@ -228,7 +231,8 @@ def classical_max_closed_form(n: int, lam: float) -> tuple[float, float]:
         raise ValueError(f"n must be an integer >= 1, got {n}")
     lam = float(lam)
     if lam > 1.0:
-        p_star = (lam - 1.0 - n) / ((lam - 1.0) * (n + 1))
+        # divide before multiplying: (lam - 1) * (n + 1) overflows for lam near the largest float
+        p_star = (lam - 1.0 - n) / (lam - 1.0) / (n + 1)
         p_star = min(max(p_star, 0.0), 1.0)
     else:
         p_star = 0.0
@@ -344,7 +348,9 @@ def _max_dev(a, b) -> float:
 def formulas_verify(n_max: int = 5, samples: int = 500, seed: int = 11) -> dict:
     """Cross-check every closed-form payoff against direct simulation.
 
-    Each section simulates its runs in one stacked call per qubit count.
+    Each section simulates its runs in one stacked call per qubit count:
+    payoffs and masses through block_masses, the eta symmetry through the
+    amplitudes of final_states.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
@@ -361,12 +367,12 @@ def formulas_verify(n_max: int = 5, samples: int = 500, seed: int = 11) -> dict:
     dev = 0.0
     for n in sorted(set(ns.tolist())):
         rows = ns == n
-        # driver payoffs are affine in lambda: simulate the lambda = 0 and 1
-        # games, built once per n, and combine them per sample
-        maps = np.column_stack([n_tuple_driver_game(n, lam).payoff_map for lam in (0.0, 1.0)])
-        at0, at1 = final_states(_on_every_qubit(gates[rows], n + 1),
-                                lambda amps, _: born_probabilities(amps) @ maps).T
-        sim = at0 + lams[rows] * (at1 - at0)
+        # driver payoffs are affine in lambda: lambda P(home) + P(lodge), with
+        # home and lodge the labels o{n+1} and o{n+2} of the outcome game
+        game = n_tuple_outcome_game(n)
+        masses = outcome_masses(game, _on_every_qubit(gates[rows], n + 1))
+        home, lodge = (game.labels.index(f"o{t}") for t in (n + 1, n + 2))
+        sim = lams[rows] * masses[:, home] + masses[:, lodge]
         dev = max(dev, _max_dev(sim, payoff_three_param_fn(n, lams[rows])(*angles[rows].T)))
     checks.append(make_check(
         "three_param_closed_form_vs_simulation",
@@ -377,13 +383,13 @@ def formulas_verify(n_max: int = 5, samples: int = 500, seed: int = 11) -> dict:
     dev_tree = 0.0
     lam = 4.0
     thetas = np.linspace(0.0, math.pi, 101)
-    exits = [math.cos(theta / 2.0) ** 2 for theta in thetas.tolist()]
+    strategies = [BehavioralStrategy(((p, 1.0 - p),))
+                  for p in (math.cos(theta / 2.0) ** 2 for theta in thetas.tolist())]
     for n in range(1, max(n_max, 6) + 1):
         problem = n_tuple_driver(n, lam)
         closed = [payoff_one_param(n, lam, theta) for theta in thetas.tolist()]
         sim = expected_payoffs(ewl_game(problem), _on_every_qubit(gate_stack(thetas), n + 1))
-        tree = [expected_payoff_classical(problem, BehavioralStrategy(((p, 1.0 - p),)))
-                for p in exits]
+        tree = [expected_payoff_classical(problem, strategy) for strategy in strategies]
         dev_sim = max(dev_sim, _max_dev(closed, sim))
         dev_tree = max(dev_tree, _max_dev(closed, tree))
     checks.append(make_check(

@@ -188,9 +188,10 @@ def cmd_simulate(cfg: RunConfig) -> int:
     m = n + 1
     game = ewl.n_tuple_driver_game(n, cfg.lam)
     outcomes = ewl.n_tuple_outcome_game(n)
-    probs = ewl.final_state([ewl.build_gate(params)] * m).probabilities
-    payoff = float(game.payoff(probs))
-    dist = outcomes.distribution(probs)
+    gates = [ewl.build_gate(params)] * m
+    probs = ewl.final_state(gates).probabilities  # only the basis table needs the 2^m amplitudes
+    payoff = ewl.expected_payoff(game, gates)
+    dist = ewl.outcome_distribution_ewl(outcomes, gates)
 
     basis = {format(y, f"0{m}b"): float(probs[y]) for y in range(1 << m)}
     doc = {
@@ -370,10 +371,12 @@ def cmd_reproduce(cfg: RunConfig, lambda_sweep: str | None) -> int:
         res = optimize.maximize_3d(ewl.payoff_three_param_fn(1, lam),
                                    grid_per_dim=17, starts=6, tol=1e-9)
         expected = max(1.0, lam / 2.0)
+        # 1e-6 up to |expected| ~ 7e7, then a few ulps of expected
+        tol = max(1e-6, 64.0 * sys.float_info.epsilon * abs(expected))
         checks.append(_search_fields(analysis.make_check(
             f"driver_quantum_optimum_lambda{lam:g}", {"n": 1, "lambda": lam},
             expected, res.value, abs(res.value - expected),
-            abs(res.value - expected) <= 1e-6), res))
+            abs(res.value - expected) <= tol), res))
 
     report = analysis.make_report(checks)
     code = _emit_report(report, cfg)

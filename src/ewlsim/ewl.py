@@ -1,8 +1,13 @@
 """The quantization protocol: entangle, apply local SU(2) gates, disentangle.
 
-All payoff formulas printed here are re-derived closed forms; the direct
-state-vector simulation in ``final_state``/``expected_payoff`` is the ground
-truth they are tested against.
+A game holds its payoffs or labels as aligned blocks of basis states, and
+payoffs and outcome masses come from ``block_masses``, which sums each block's
+mass from the four product states of the final state with no 2^m array.  Only
+``final_states``/``final_state`` build the 2^m amplitudes, for callers whose
+output is amplitudes: ``simulate``'s basis table, ``verify prop2``'s amplitude
+check, the eta symmetry, and the tests, where they (and the dense oracle) are
+the ground truth that ``block_masses`` is checked against.  All payoff
+formulas printed here are re-derived closed forms, tested against both.
 """
 
 from __future__ import annotations
@@ -27,11 +32,10 @@ from .qstate import (
     Gate,
     StateVector,
     _unchecked_state,
-    born_probabilities,
+    check_norms,
     check_qubit_count,
     check_state_rows,
     check_unitary,
-    eq_by_value,
     hamming_weight,
 )
 
@@ -39,6 +43,11 @@ _I_POW = np.array([1, 1j, -1, -1j])  # i**k for k mod 4
 # no array of a stack of protocol runs holds more complex entries than this,
 # which is what one state at the qubit limit holds; larger stacks run in chunks
 STACK_BUDGET = 1 << MAX_QUBITS
+# block_masses works on chunks whose widest array holds at most this many
+# entries (128 KiB): on a 2-vCPU host, prop1's 1000 two-qubit runs took
+# 0.59 ms in chunks of 2^13 entries and 1.2 ms in chunks of 2^14 or 2^15
+# when other work ran between the calls, as it does in the sweeps
+MASS_CHUNK = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -102,81 +111,138 @@ def build_gate(params: UnitaryParams) -> Gate:
 IDENTITY_PARAMS = UnitaryParams(0.0, 0.0, 0.0)
 
 
-@dataclass(frozen=True)
+def _value_table(values) -> np.ndarray:
+    """A read-only float or str copy of a number or str array of payoffs or labels."""
+    if not (isinstance(values, np.ndarray) and values.dtype.kind in "iufU"):
+        raise ValueError("payoffs must be a number or str array")
+    table = values.astype(str if values.dtype.kind == "U" else float)
+    if table.dtype.kind == "f" and not np.all(np.isfinite(table)):
+        raise ValueError("payoffs must be finite")
+    table.flags.writeable = False
+    return table
+
+
+def _aligned_blocks(m: int, bounds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Split the runs bounds[i]..bounds[i+1]-1 of the 2^m basis states into the
+    fewest aligned blocks; returns each block's start and run, in basis order.
+
+    A greedy walk takes blocks of growing size for the low bits of a run's
+    start, then blocks of shrinking size for the bits of what is left: at
+    most 2m blocks per run, one pass per size for all runs at once.
+    """
+    start, end = bounds[:-1].astype(np.int64), bounds[1:]
+    run = np.arange(len(start))
+    starts, owners = [], []
+    sizes = [1 << t for t in range(m + 1)]
+    for size, low_bits in [(s, True) for s in sizes] + [(s, False) for s in sizes[::-1]]:
+        fits = (start + size <= end) & ((start & size != 0) | (not low_bits))
+        starts.append(start[fits])
+        owners.append(run[fits])
+        start[fits] += size
+    starts, owners = np.concatenate(starts), np.concatenate(owners)
+    order = np.argsort(starts)
+    return starts[order], owners[order]
+
+
+@dataclass(frozen=True, init=False)
 class EwlGame:
-    """Basis-indexed payoffs (or outcome labels) for an m-qubit protocol run,
-    given as a full-length number or str array and stored as one read-only
-    numpy vector."""
+    """Payoffs (or outcome labels) of an m-qubit protocol run, held as aligned
+    blocks of the basis: block i covers the basis states from starts[i] up to
+    the next block's start (2^m for the last), a power-of-two count 2^(m-d) of
+    states that share their d leading bits, and carries values[i].
+
+    ``EwlGame(m, payoff_map)`` takes the values as a full-length number or str
+    array and splits each run of equal values into the fewest aligned blocks
+    (at most 2m); ``ewl_game`` takes a tree's terminals as the blocks, with no
+    such array.  Games compare by their values on the basis, that is by their
+    runs of equal values, however the runs are split into blocks.
+    """
 
     m: int
-    payoff_map: np.ndarray
+    starts: np.ndarray
+    values: np.ndarray
 
-    def __post_init__(self):
-        check_qubit_count(self.m)
-        dim = 1 << self.m
-        table = self.payoff_map
-        if not (isinstance(table, np.ndarray) and table.dtype.kind in "iufU"
-                and table.shape == (dim,)):
+    def __init__(self, m: int, payoff_map: np.ndarray):
+        check_qubit_count(m)
+        dim = 1 << m
+        if not (isinstance(payoff_map, np.ndarray) and payoff_map.shape == (dim,)):
             raise ValueError(f"payoffs must be a number or str array of length {dim}")
-        table = table.astype(str if table.dtype.kind == "U" else float)
-        if table.dtype.kind == "f" and not np.all(np.isfinite(table)):
-            raise ValueError("payoffs must be finite")
-        table.flags.writeable = False
-        object.__setattr__(self, "payoff_map", table)
+        table = _value_table(payoff_map)
+        run_starts = np.flatnonzero(np.concatenate(([True], table[1:] != table[:-1])))
+        starts, owners = _aligned_blocks(m, np.append(run_starts, dim))
+        self._set_blocks(m, starts, table[run_starts][owners])
 
-    __eq__ = eq_by_value
+    @classmethod
+    def _from_blocks(cls, m: int, starts: np.ndarray, values: np.ndarray) -> "EwlGame":
+        """The game of the given aligned blocks, in basis order."""
+        game = object.__new__(cls)
+        game._set_blocks(m, starts, values)
+        return game
+
+    def _set_blocks(self, m: int, starts: np.ndarray, values: np.ndarray) -> None:
+        starts.flags.writeable = values.flags.writeable = False
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "starts", starts)
+        object.__setattr__(self, "values", values)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.m == other.m and all(np.array_equal(mine, theirs)
+                                         for mine, theirs in zip(self._runs, other._runs))
+
+    @cached_property
+    def _runs(self) -> tuple[np.ndarray, np.ndarray]:
+        """The start and the value of every run of equal values, in basis order."""
+        first = np.flatnonzero(np.concatenate(([True], self.values[1:] != self.values[:-1])))
+        return self.starts[first], self.values[first]
 
     @property
     def has_labels(self) -> bool:
-        return self.payoff_map.dtype.kind == "U"
+        return self.values.dtype.kind == "U"
 
     @cached_property
-    def _label_runs(self) -> tuple[tuple[str, ...], np.ndarray, np.ndarray | None]:
-        """The distinct labels in order of first appearance, the start index of
-        each run of equal labels in basis order, and the index of each run's
-        label, or None when every label is one run."""
-        table = self.payoff_map
-        starts = np.flatnonzero(np.concatenate(([True], table[1:] != table[:-1])))
-        run_labels = table[starts].tolist()
-        index = {label: i for i, label in enumerate(dict.fromkeys(run_labels))}
-        owner = None if len(index) == len(starts) else np.array([index[x] for x in run_labels])
-        return tuple(index), starts, owner
+    def payoff_map(self) -> np.ndarray:
+        """The full-length basis-indexed array of values, built on first use;
+        payoffs and masses never need it."""
+        sizes = np.diff(self.starts, append=1 << self.m)
+        table = np.repeat(self.values, sizes)
+        table.flags.writeable = False
+        return table
+
+    @cached_property
+    def _factor_rows(self) -> np.ndarray:
+        """For block_masses: an (m, blocks) index into a table of 3m rows,
+        3q + bit q of the block's prefix for the qubits q before its depth d,
+        and 3q + 2 for the qubits from d on."""
+        m = self.m
+        depths = m - np.log2(np.diff(self.starts, append=1 << m)).astype(np.int64)
+        qubits = np.arange(m)[:, None]
+        bits = (self.starts >> (m - 1 - qubits)) & 1
+        flat = 3 * qubits + np.where(qubits < depths, bits, 2)
+        return flat.astype(np.min_scalar_type(3 * m))  # m bytes per block up to 85 qubits
+
+    @cached_property
+    def _label_blocks(self) -> tuple[tuple[str, ...], np.ndarray | None]:
+        """The distinct labels in order of first appearance and the index of
+        each block's label, or None when every block has its own label."""
+        block_labels = self.values.tolist()
+        index = {label: i for i, label in enumerate(dict.fromkeys(block_labels))}
+        if len(index) == len(block_labels):
+            return tuple(index), None
+        return tuple(index), np.array([index[x] for x in block_labels])
 
     @property
     def labels(self) -> tuple[str, ...]:
         """The outcome labels of a label-valued game, in order of first appearance."""
         self._require(labels=True)
-        return self._label_runs[0]
+        return self._label_blocks[0]
 
     def _require(self, labels: bool) -> None:
         if labels and not self.has_labels:
             raise TypeError("numeric game: use expected_payoff")
         if not labels and self.has_labels:
             raise TypeError("label-valued game: use outcome_distribution_ewl")
-
-    def payoff(self, probs: np.ndarray) -> np.ndarray:
-        """Expected payoffs of basis probabilities: probs @ payoff_map, for one
-        state's probabilities (a 0-d result) or a (k, 2^m) stack of them."""
-        self._require(labels=False)
-        return probs @ self.payoff_map
-
-    def label_masses(self, probs: np.ndarray) -> np.ndarray:
-        """The mass of each of ``labels`` under basis probabilities of shape
-        (..., 2^m), as an array of shape (..., len(labels))."""
-        self._require(labels=True)
-        labels, starts, owner = self._label_runs
-        # reduceat sums each run pairwise; a sequential sum misses the 1e-12 check at m=20
-        runs = np.add.reduceat(probs, starts, axis=-1)
-        if owner is None:
-            return runs
-        masses = np.zeros(runs.shape[:-1] + (len(labels),))
-        np.add.at(masses.T, owner, runs.T)  # adds a label's runs in basis order
-        return masses
-
-    def distribution(self, probs: np.ndarray) -> OutcomeDistribution:
-        """The outcome distribution of one state's basis probabilities."""
-        masses = self.label_masses(probs)
-        return OutcomeDistribution(dict(zip(self._label_runs[0], masses.tolist())))
 
 
 def ewl_game(problem: DecisionProblem) -> EwlGame:
@@ -186,9 +252,9 @@ def ewl_game(problem: DecisionProblem) -> EwlGame:
     Qubit d carries the action taken at depth d (action 0 is bit 0), so the
     gate of qubit d is the gate of depth d's information set, and a basis state
     is the path its leading bits spell.  The terminal z ending that path covers
-    the 2^(m-|z|) basis states with prefix z, a contiguous block, so the game
-    is one repeat over the terminals in lexicographic order: of their labels,
-    or of their labels' payoffs when the problem has payoffs.
+    the 2^(m-|z|) basis states with prefix z, an aligned block, so the
+    terminals in lexicographic order are the game's blocks, with their labels,
+    or their labels' payoffs when the problem has payoffs, as values.
     """
     terminals = sorted(problem.terminal_labels)
     m = max(map(len, terminals))
@@ -203,7 +269,8 @@ def ewl_game(problem: DecisionProblem) -> EwlGame:
                              f"depth {len(h)} holds several")
     labels = [problem.terminal_labels[z] for z in terminals]
     values = labels if problem.payoffs is None else [problem.payoffs[lab] for lab in labels]
-    return EwlGame(m, np.repeat(values, [1 << (m - len(z)) for z in terminals]))
+    starts = [int("".join(map(str, z)), 2) << (m - len(z)) for z in terminals]
+    return EwlGame._from_blocks(m, np.array(starts, dtype=np.int64), _value_table(np.array(values)))
 
 
 def n_tuple_driver_game(n: int, lam: float) -> EwlGame:
@@ -278,6 +345,11 @@ def final_states(mats: np.ndarray, reduce: Callable[[np.ndarray, slice], np.ndar
     STACK_BUDGET entries; every row is checked like a StateVector (finite,
     norm 1 within NORM_TOL) before ``reduce`` sees it.  final_state is the
     one-row case.
+
+    Payoffs and masses do not come from here but from block_masses; this
+    kernel serves the callers that need the amplitudes themselves (simulate's
+    basis table, prop2's amplitude check, the eta symmetry) and the tests,
+    which check block_masses against it.
     """
     if mats.ndim != 4 or mats.shape[2:] != (2, 2):
         raise ValueError(f"need a (k, m, 2, 2) stack of gate matrices, got shape {mats.shape}")
@@ -302,40 +374,125 @@ def final_state(gates: Sequence[Gate]) -> StateVector:
     return _unchecked_state(m, amps.reshape(-1))
 
 
+# the pairs (j, l), j <= l, of the terms of the final state (see block_masses),
+# and the weight of pair (j, l) in a mass: |w_j|^2, or 2 conj(w_j) w_l for j < l
+_LEFT = np.array([0, 0, 0, 0, 1, 1, 1, 2, 2, 3])
+_RIGHT = np.array([0, 1, 2, 3, 1, 2, 3, 2, 3, 3])
+_FIRST_PAIR = tuple(_LEFT.tolist().index(j) for j in range(4))  # where the pairs (j, ...) start
+_PAIR_WEIGHTS = (np.where(_LEFT == _RIGHT, 1.0, 2.0) * _FINAL_WEIGHTS[_LEFT, 0].conj()
+                 * _FINAL_WEIGHTS[_RIGHT, 0])[:, None]
+
+
+def block_masses(game: EwlGame, mats: np.ndarray) -> np.ndarray:
+    """The mass of each block of ``game`` in the final state of every row of a
+    (k, m, 2, 2) gate stack, as a (k, blocks) array, with no array of 2^m
+    amplitudes.
+
+    The final state is sum_j w_j F_j with w = (1/2, i/2, -i/2, 1/2) and F_j the
+    product state of f_j^q over the qubits q, where f_0, f_1 are the columns of
+    gate q and f_2, f_3 the same columns flipped by X (see final_states).  So
+    a block with prefix z of depth d has the mass
+
+        sum_jl conj(w_j) w_l prod_{q<d} conj(f_j^q[z_q]) f_l^q[z_q]
+                             prod_{q>=d} <f_j^q, f_l^q>,
+
+    a product over the qubits of one factor per qubit and pair (j, l): the
+    qubit's bit term, or its Gram entry (the sum of its two bit terms) past
+    the prefix.  The pairs with j > l are the conjugates of those with j < l,
+    so ten pairs give the mass: one gather of factors and one product over
+    the qubits, O(10 m) per block and run.  The Gram is computed, not assumed
+    to be the identity, so the masses are exact for any finite gates; every
+    run's masses must add up to a norm of 1 within NORM_TOL, which refuses a
+    run whose gates are not unitary or not finite.  A chunk holds as many
+    runs and blocks as keep its widest array, 10m entries per block and run
+    (at least 30m per run, the factors), within MASS_CHUNK entries; the
+    factors of a chunk of runs serve all its chunks of blocks.
+    """
+    _check_stack(game, mats)
+    flat = game._factor_rows
+    k, m = mats.shape[:2]
+    blocks = flat.shape[1]
+    cap = max(1, MASS_CHUNK // (10 * m))  # blocks times runs per chunk
+    width = min(blocks, cap)
+    step = max(1, cap // max(width, 3))
+    masses = np.empty((k, blocks))
+    for start in range(0, k, step):
+        rows = slice(start, start + step)
+        factors = _pair_factors(mats[rows])
+        for first in range(0, blocks, width):
+            cols = slice(first, first + width)
+            masses[rows, cols] = _summed_terms(factors, flat[:, cols]).T
+    check_norms(np.sqrt(masses.sum(axis=1)), mats, "gate entries")
+    return masses
+
+
+def _pair_factors(mats: np.ndarray) -> np.ndarray:
+    """The (3m, 10, k) factors of a (k, m, 2, 2) chunk, with the runs on the
+    last axis: row 3q + b holds qubit q's bit term on bit b for each pair,
+    row 3q + 2 its Gram entry; qubit 0's rows carry the pair weights."""
+    k, m = mats.shape[:2]
+    amps = np.empty((m, 2, 4, k), dtype=complex)  # amps[q, z, j] = f_j^q[z]
+    amps[:, :, :2] = mats.transpose(1, 2, 3, 0)
+    amps[:, :, 2:] = amps[:, ::-1, :2]
+    factors = np.empty((m, 3, 10, k), dtype=complex)
+    conj = amps.conj()
+    for j, first in enumerate(_FIRST_PAIR):  # the pairs (j, j), ..., (j, 3) for each j
+        np.multiply(conj[:, :, j:j + 1], amps[:, :, j:], out=factors[:, :2, first:first + 4 - j])
+    np.add(factors[:, 0], factors[:, 1], out=factors[:, 2])  # the qubit's Gram entries
+    factors[0] *= _PAIR_WEIGHTS  # every block takes one factor of qubit 0
+    return factors.reshape(3 * m, 10, k)
+
+
+def _summed_terms(factors: np.ndarray, flat: np.ndarray) -> np.ndarray:
+    """The (blocks, k) masses of the blocks whose factor rows are ``flat``.
+    The products run over the first axis and the ten pair terms are added
+    with cumsum, so every run's masses take the same steps in a chunk of any
+    size: numpy reduces a contiguous axis in another order."""
+    terms = np.take(factors, flat, axis=0).prod(axis=0)
+    return np.cumsum(terms.real, axis=1)[:, -1]
+
+
 def expected_payoffs(game: EwlGame, mats: np.ndarray) -> np.ndarray:
     """expected_payoff of every row of a (k, m, 2, 2) gate stack, as k floats."""
-    _check_stack(game, mats)
-    return final_states(mats, lambda amps, _: game.payoff(born_probabilities(amps)))
+    game._require(labels=False)
+    return (block_masses(game, mats) * game.values).sum(axis=1)
 
 
 def outcome_masses(game: EwlGame, mats: np.ndarray) -> np.ndarray:
     """The masses of ``game.labels`` for every row of a (k, m, 2, 2) gate stack,
     as a (k, len(labels)) array."""
-    _check_stack(game, mats)
-    return final_states(mats, lambda amps, _: game.label_masses(born_probabilities(amps)))
+    game._require(labels=True)
+    masses = block_masses(game, mats)
+    labels, owner = game._label_blocks
+    if owner is None:
+        return masses
+    by_label = np.zeros((len(masses), len(labels)))
+    np.add.at(by_label.T, owner, masses.T)  # adds a label's blocks in basis order
+    return by_label
 
 
 def _check_stack(game: EwlGame, mats: np.ndarray) -> None:
-    if mats.ndim != 4 or mats.shape[1] != game.m:
+    if mats.ndim != 4 or mats.shape[1:] != (game.m, 2, 2):
         raise ValueError(f"need a stack of {game.m} gates per run, got shape {mats.shape}")
 
 
-def _probabilities(game: EwlGame, gates: Sequence[Gate]) -> np.ndarray:
+def _one_run(game: EwlGame, gates: Sequence[Gate]) -> np.ndarray:
     if len(gates) != game.m:
         raise ValueError(f"need exactly {game.m} gates, got {len(gates)}")
-    return final_state(gates).probabilities
+    return np.array([[gate.matrix for gate in gates]])
 
 
 def expected_payoff(game: EwlGame, gates: Sequence[Gate]) -> float:
-    """Sum of payoff(y) * |<psi_f|y>|^2 over the basis."""
-    game._require(labels=False)  # before the state is built
-    return float(game.payoff(_probabilities(game, gates)))
+    """Sum of payoff(y) * |<psi_f|y>|^2 over the basis: the one-row case of
+    expected_payoffs."""
+    return float(expected_payoffs(game, _one_run(game, gates))[0])
 
 
 def outcome_distribution_ewl(game: EwlGame, gates: Sequence[Gate]) -> OutcomeDistribution:
-    """Distribution over outcome labels induced by measuring the final state."""
-    game._require(labels=True)  # before the state is built
-    return game.distribution(_probabilities(game, gates))
+    """Distribution over outcome labels induced by measuring the final state:
+    the one-row case of outcome_masses."""
+    masses = outcome_masses(game, _one_run(game, gates))[0]
+    return OutcomeDistribution(dict(zip(game.labels, masses.tolist())))
 
 
 # --------------------------------------------------------------------------

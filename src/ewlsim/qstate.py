@@ -127,13 +127,19 @@ def check_state_rows(amps: np.ndarray) -> None:
     finite and has norm 1 within NORM_TOL; the message names the first bad row's norm."""
     parts = amps.view(np.float64)
     # numpy's pairwise sum along each row; BLAS nrm2 was off by 1.2e-12 on a 2^20-amplitude state
-    norms = np.sqrt(np.sum(np.square(parts), axis=1))
-    # a nan or infinite part makes its row's norm nan or infinite, so only a
-    # stack that fails the norm check needs the pass over every part
-    if not np.abs(norms - 1.0).max(initial=0.0) <= NORM_TOL:
-        if not np.all(np.isfinite(parts)):
-            raise ValueError("amplitudes must be finite")
-        norm = float(norms[np.argmax(~(np.abs(norms - 1.0) <= NORM_TOL))])
+    check_norms(np.sqrt(np.sum(np.square(parts), axis=1)), parts, "amplitudes")
+
+
+def check_norms(norms: np.ndarray, entries: np.ndarray, what: str) -> None:
+    """Refuse state norms that are not 1 within NORM_TOL, naming the first bad
+    one, or ``what`` as not finite when ``entries``, the numbers the norms were
+    computed from, are not all finite.  A nan or infinite entry makes a norm
+    nan or infinite, so only norms that fail need the pass over the entries."""
+    off = np.abs(norms - 1.0)
+    if not off.max(initial=0.0) <= NORM_TOL:
+        if not np.all(np.isfinite(entries)):
+            raise ValueError(f"{what} must be finite")
+        norm = float(norms[np.argmax(~(off <= NORM_TOL))])
         raise ValueError(f"state norm {norm!r} is not 1 within {NORM_TOL}")
 
 

@@ -117,6 +117,7 @@ def test_prop2_sweep_small():
 def test_sweeps_report_the_same_in_small_chunks(sweep, monkeypatch):
     whole = sweep()
     monkeypatch.setattr(ewl, "STACK_BUDGET", 64)  # a few runs per chunk
+    monkeypatch.setattr(ewl, "MASS_CHUNK", 64)
     assert sweep() == whole and whole["pass"]
 
 
@@ -212,6 +213,15 @@ def test_classical_closed_form_values(n, lam, p_star, value):
     got_p, got_v = classical_max_closed_form(n, lam)
     assert got_p == pytest.approx(p_star, abs=1e-12)
     assert got_v == pytest.approx(value, abs=1e-12)
+
+
+def test_closed_form_stays_finite_at_the_largest_lambdas():
+    # (lam - 1) * (n + 1) overflows at lam = 1e308, so the closed form divides first
+    p_star, value = classical_max_closed_form(1, 1e308)
+    assert p_star == 0.5 and value == pytest.approx(2.5e307, rel=1e-12)
+    p_star, value = classical_max_closed_form(3, 1e308)
+    assert p_star == pytest.approx(0.25, rel=1e-12)
+    assert value == pytest.approx(0.75 ** 3 * 0.25e308, rel=1e-12)
 
 
 def test_closed_form_n1_equals_quadratic_formula():

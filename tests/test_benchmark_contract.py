@@ -54,10 +54,12 @@ def test_tracer_installs_and_restores_every_target():
 def test_one_workload_pass_passes_its_checks(name):
     workloads = _load("workloads")
     workload = workloads.WORKLOADS[name]
-    # sim_state's own pass builds 2^20-amplitude states; this one runs the same
-    # tasks on 5 and 9 qubits. cli_session runs its README commands in process.
-    inputs = workloads.sim_setup(1, {5: 2, 9: 2}) if name == "sim_state" else workload.setup(1)
-    tasks = workload.tasks(inputs, True)
-    assert tasks
-    for task in tasks:
-        task.check(workloads.complete(task.run()))
+    # sim_state runs the same tasks on 5 and 9 qubits, then on 16 and 20 qubits,
+    # where its own pass sets the tail. cli_session runs its README commands in process.
+    setups = ([workloads.sim_setup(1, {5: 2, 9: 2}), workloads.sim_setup(1, {16: 1, 20: 2})]
+              if name == "sim_state" else [workload.setup(1)])
+    for inputs in setups:
+        tasks = workload.tasks(inputs, True)
+        assert tasks
+        for task in tasks:
+            task.check(workloads.complete(task.run()))

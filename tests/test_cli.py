@@ -117,6 +117,7 @@ def test_oversized_runs_exit_2_before_any_work(argv, capsys, monkeypatch):
 
     monkeypatch.setattr(cli.ewl, "final_state", refused)
     monkeypatch.setattr(cli.ewl, "final_states", refused)
+    monkeypatch.setattr(cli.ewl, "block_masses", refused)
     monkeypatch.setattr(cli.analysis, "final_states", refused)
     monkeypatch.setattr(cli.analysis, "prop3_verify", refused)
     monkeypatch.setattr(cli.optimize, "maximize_1d", refused)
@@ -396,6 +397,21 @@ def test_reproduce_lambda_sweep(capsys):
     for lam in (3.0, 4.0, 10.0):
         cell = sweep[f"driver_quantum_optimum_lambda{lam:g}"]
         assert cell["actual"] == pytest.approx(lam / 2.0, abs=1e-6)
+
+
+def test_optimize_and_reproduce_pass_at_the_largest_lambdas(capsys):
+    code, out = run_cli("optimize", "--n", "1", "--lambda", "1e308", "--grid", "17",
+                        "--format", "json", capsys=capsys)
+    assert code == 0
+    checks = {c["check"]: c for c in json.loads(out)["checks"]}
+    assert checks["classical_optimum"]["actual"] == pytest.approx(2.5e307, rel=1e-9)
+    assert checks["quantum_optimum"]["actual"] == pytest.approx(5e307, rel=1e-9)
+    # the quantum optimum misses 5e307 by about one ulp, far above an absolute 1e-6
+    code, out = run_cli("reproduce", "--lambda-sweep", "1e308", "--format", "json",
+                        capsys=capsys)
+    assert code == 0
+    cell = {c["check"]: c for c in json.loads(out)["checks"]}["driver_quantum_optimum_lambda1e+308"]
+    assert cell["pass"] and cell["deviation"] > 1e-6
 
 
 @pytest.mark.parametrize("sweep", ["nan", "inf", "3,inf"])

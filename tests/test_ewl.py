@@ -12,7 +12,9 @@ from ewlsim.decision import (
     DecisionProblem,
     expected_payoff_classical,
     n_tuple_driver,
+    n_tuple_outcomes,
     outcome_of,
+    two_stage_problem,
 )
 from ewlsim import ewl
 from ewlsim.ewl import (
@@ -20,6 +22,7 @@ from ewlsim.ewl import (
     UnitaryParams,
     amplitude_one_param,
     amplitudes_one_param,
+    block_masses,
     build_gate,
     driver_game,
     eta_symmetry_check,
@@ -215,6 +218,7 @@ def test_final_states_chunks_give_the_unchunked_results(monkeypatch):
         return amps.copy()
 
     monkeypatch.setattr(ewl, "STACK_BUDGET", 4 * 2 ** 6)  # four runs per chunk
+    monkeypatch.setattr(ewl, "MASS_CHUNK", 4 * 10 * 6 * len(game.starts))  # four runs per mass chunk
     assert np.array_equal(final_states(mats, amps_and_rows), whole_amps)
     assert seen == [(0, 4), (4, 4), (8, 3)]
     assert np.array_equal(outcome_masses(game, mats), whole_masses)
@@ -254,7 +258,24 @@ def test_stacked_peak_allocation_stays_within_one_chunk(monkeypatch):
     m, per_chunk = 12, 4
     monkeypatch.setattr(ewl, "STACK_BUDGET", per_chunk * 2 ** m)
     mats = _random_stack(np.random.default_rng(14), 3 * per_chunk + 1, m)
+    final_states(mats, lambda amps, _: amps[:, 0].copy())  # a view would keep each chunk alive
+    tracemalloc.start()
+    try:
+        final_states(mats, lambda amps, _: amps[:, 0].copy())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (16 * per_chunk * 2 ** m) < 2.05
+
+
+def test_stacked_block_masses_peak_within_one_chunk(monkeypatch):
+    # a chunk's widest array holds 10m entries per block and run; an unchunked
+    # call on this stack would peak above 3x the patched chunk size
+    m, per_chunk = 12, 4
     game = n_tuple_driver_game(m - 1, 3.0)
+    chunk = per_chunk * 10 * m * len(game.starts)
+    monkeypatch.setattr(ewl, "MASS_CHUNK", chunk)
+    mats = _random_stack(np.random.default_rng(14), 3 * per_chunk + 1, m)
     expected_payoffs(game, mats)
     tracemalloc.start()
     try:
@@ -262,7 +283,111 @@ def test_stacked_peak_allocation_stays_within_one_chunk(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / (16 * per_chunk * 2 ** m) < 2.05
+    assert peak / (16 * chunk) < 2.05
+
+
+def test_one_run_with_many_blocks_is_chunked_by_blocks(monkeypatch):
+    # parity on 10 qubits has 1024 blocks, 100 entries each per run; the patched
+    # chunk holds 40 of them, and an unsplit run would peak at ~25x the chunk
+    game = EwlGame(10, np.arange(1024) % 2)
+    mats = _random_stack(np.random.default_rng(18), 1, 10)
+    whole = block_masses(game, mats)
+    chunk = 40 * 10 * 10
+    monkeypatch.setattr(ewl, "MASS_CHUNK", chunk)
+    tracemalloc.start()
+    try:
+        chunked = block_masses(game, mats)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(chunked, whole)
+    assert peak / (16 * chunk) < 2.05
+
+
+def _oracle_block_masses(game, mats):
+    """Each block's mass from the dense oracle's 2^m amplitudes, per run."""
+    probs = np.abs([dense_final_state(list(gates)) for gates in mats]) ** 2
+    return np.add.reduceat(probs, game.starts, axis=1)
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_block_masses_match_dense_oracle(m):
+    rng = np.random.default_rng(60 + m)
+    for k in range(1, 6):
+        mats = _random_stack(rng, k, m)
+        # sorted random integers: runs of every length, most not aligned to blocks
+        game = EwlGame(m, np.sort(rng.integers(0, 5, size=2 ** m)))
+        expected = _oracle_block_masses(game, mats)
+        np.testing.assert_allclose(block_masses(game, mats), expected, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(expected_payoffs(game, mats), expected @ game.values,
+                                   rtol=0, atol=1e-12)
+
+
+def test_array_games_split_runs_into_aligned_blocks():
+    # a run that starts inside a block, and parity labels (one block per state)
+    values = np.array([0.0] * 3 + [1.0] * 10 + [2.0] * 3)
+    game = EwlGame(4, values)
+    assert game.starts.tolist() == [0, 2, 3, 4, 8, 12, 13, 14]
+    assert game.values.tolist() == [0.0, 0.0, 1.0, 1.0, 1.0, 1.0, 2.0, 2.0]
+    assert np.array_equal(game.payoff_map, values)
+    parity = EwlGame(4, np.array([("even", "odd")[bin(y).count("1") % 2] for y in range(16)]))
+    assert parity.starts.tolist() == list(range(16)) and parity.labels == ("even", "odd")
+    mats = _random_stack(np.random.default_rng(15), 3, 4)
+    for g in (game, parity):
+        np.testing.assert_allclose(block_masses(g, mats), _oracle_block_masses(g, mats),
+                                   rtol=0, atol=1e-12)
+
+
+@given(st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_compiled_game_masses_match_dense_oracle(seed):
+    # distinct three-parameter gates on every qubit: no closed form, only the oracle
+    rng = np.random.default_rng(seed)
+    game = ewl_game(_random_binary_tree(rng))
+    mats = _random_stack(rng, 2, game.m)
+    probs = np.abs([dense_final_state(list(gates)) for gates in mats]) ** 2
+    expected = [[row[game.payoff_map == label].sum() for label in game.labels] for row in probs]
+    np.testing.assert_allclose(outcome_masses(game, mats), expected, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("m", [12, 16, 20])
+def test_block_masses_agree_with_final_states(m):
+    rng = np.random.default_rng(70 + m)
+    mats = _random_stack(rng, 1, m)
+    gates = [Gate(mat) for mat in mats[0]]
+    probs = final_state(gates).probabilities
+    outcomes = n_tuple_outcome_game(m - 1)
+    np.testing.assert_allclose(block_masses(outcomes, mats)[0],
+                               np.add.reduceat(probs, outcomes.starts), rtol=0, atol=1e-12)
+    driver = n_tuple_driver_game(m - 1, 20.0)
+    assert abs(expected_payoff(driver, gates) - probs @ driver.payoff_map) <= 20.0 * 1e-12
+
+
+def test_block_masses_refuse_rows_that_are_not_finite_or_unitary():
+    game = n_tuple_outcome_game(3)
+    mats = _random_stack(np.random.default_rng(16), 3, 4).copy()
+    mats[2, 1] *= 1.001  # no longer unitary: the last run's norm is off
+    with pytest.raises(ValueError, match="state norm .* is not 1"):
+        outcome_masses(game, mats)
+    mats[1, 0, 0, 0] = math.nan
+    for masses in (block_masses, outcome_masses):
+        with pytest.raises(ValueError, match="gate entries must be finite"):
+            masses(game, mats)
+
+
+def test_payoffs_and_masses_allocate_no_state():
+    # one 20-qubit state is 16 MiB; the games, payoff and masses stay under 1 MiB
+    gates = [_random_gate(np.random.default_rng(17))] * 20
+    expected_payoff(n_tuple_driver_game(3, 2.0), gates[:4])  # warm the caches of the kernel path
+    tracemalloc.start()
+    try:
+        payoff = expected_payoff(ewl_game(n_tuple_driver(19, 20.0)), gates)
+        dist = outcome_distribution_ewl(ewl_game(n_tuple_outcomes(19)), gates)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert abs(payoff - (20.0 * dist["o20"] + dist["o21"])) <= 1e-12
 
 
 def test_gate_count_mismatch():
@@ -579,6 +704,21 @@ def test_compiled_two_stage_games_keep_the_label_order():
     assert two_stage_game(custom) == EwlGame(2, np.array(custom))
     with pytest.raises(ValueError, match="need four labels"):
         two_stage_game(custom[:3])
+
+
+def test_games_compare_by_values_not_by_blocks():
+    # the tree keeps its four terminals as blocks, the array merges each run into one
+    problem = two_stage_problem()
+    problem = DecisionProblem(histories=problem.histories, terminal_labels=problem.terminal_labels,
+                              info_partition=problem.info_partition,
+                              payoffs={"o00": 1.0, "o01": 1.0, "o10": 2.0, "o11": 2.0})
+    tree, array = ewl_game(problem), EwlGame(2, np.array([1.0, 1.0, 2.0, 2.0]))
+    assert tree.starts.tolist() == [0, 1, 2, 3] and array.starts.tolist() == [0, 2]
+    assert tree == array and tree != EwlGame(2, np.array([1.0, 2.0, 2.0, 2.0]))
+    assert tree != EwlGame(3, np.array([1.0] * 4 + [2.0] * 4))
+    mats = _random_stack(np.random.default_rng(19), 3, 2)
+    np.testing.assert_allclose(expected_payoffs(tree, mats), expected_payoffs(array, mats),
+                               rtol=0, atol=1e-15)
 
 
 def _random_binary_tree(rng, max_depth=5):
