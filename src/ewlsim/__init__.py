@@ -30,6 +30,7 @@ from .decision import (
     absentminded_driver,
     behavioral_from_mixed,
     behavioral_gap,
+    behavioral_masses,
     expected_payoff_classical,
     has_imperfect_recall,
     mixed_from_behavioral,

@@ -17,9 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decision import BehavioralStrategy, expected_payoff_classical, has_imperfect_recall
-from .decision import DecisionProblem, n_tuple_driver, n_tuple_outcomes, outcome_of
-from .decision import two_stage_problem
+from .decision import DecisionProblem, behavioral_masses, has_imperfect_recall
+from .decision import n_tuple_driver, n_tuple_outcomes, two_stage_problem
 from .ewl import (
     IDENTITY_PARAMS,
     EwlGame,
@@ -184,6 +183,13 @@ def prop1_verify(sample_count: int = 1000, seed: int = 7) -> dict:
 # claim 2: one-parameter gates implement the label-valued n-tuple problem
 
 
+def _exit_rows(thetas: np.ndarray) -> tuple:
+    """Behavioral rows of the one-set driver trees: exit with probability
+    cos^2(theta/2) at every angle, as one array per action."""
+    p = np.cos(thetas / 2.0) ** 2
+    return ((p, 1.0 - p),)
+
+
 def prop2_verify(n_max: int = 5, theta_grid: int = 101) -> dict:
     """Simulation vs the closed-form amplitudes and vs the tree model's outcome
     masses at exit probability cos^2(theta/2), over n <= n_max and a theta grid."""
@@ -192,9 +198,7 @@ def prop2_verify(n_max: int = 5, theta_grid: int = 101) -> dict:
     check_qubit_count(n_max + 1)
     thetas = np.linspace(0.0, math.pi, theta_grid)
     gates = gate_stack(thetas)
-    # one exit probability cos^2(theta/2) per angle, the same strategy at every n
-    strategies = [BehavioralStrategy(((p, 1.0 - p),))
-                  for p in (math.cos(theta / 2.0) ** 2 for theta in thetas.tolist())]
+    exits = _exit_rows(thetas)
     checks = []
     for n in range(1, n_max + 1):
         m = n + 1
@@ -209,9 +213,8 @@ def prop2_verify(n_max: int = 5, theta_grid: int = 101) -> dict:
         stack = _on_every_qubit(gates, m)
         amp_dev = float(final_states(stack, amp_errors).max())
         masses = outcome_masses(game, stack)
-        tree = [outcome_of(problem, strategy) for strategy in strategies]
-        mass_dev = float(np.abs(masses - [[dist[lab] for lab in game.labels]
-                                          for dist in tree]).max())
+        tree = dict(behavioral_masses(problem, exits))
+        mass_dev = float(np.abs(masses - np.stack([tree[lab] for lab in game.labels], 1)).max())
         checks.append(make_check(
             f"prop2_amplitudes_n{n}", {"n": n, "theta_grid": theta_grid},
             0.0, amp_dev, amp_dev, amp_dev <= AMP_TOL))
@@ -383,13 +386,12 @@ def formulas_verify(n_max: int = 5, samples: int = 500, seed: int = 11) -> dict:
     dev_tree = 0.0
     lam = 4.0
     thetas = np.linspace(0.0, math.pi, 101)
-    strategies = [BehavioralStrategy(((p, 1.0 - p),))
-                  for p in (math.cos(theta / 2.0) ** 2 for theta in thetas.tolist())]
+    exits = _exit_rows(thetas)
     for n in range(1, max(n_max, 6) + 1):
         problem = n_tuple_driver(n, lam)
         closed = [payoff_one_param(n, lam, theta) for theta in thetas.tolist()]
         sim = expected_payoffs(ewl_game(problem), _on_every_qubit(gate_stack(thetas), n + 1))
-        tree = [expected_payoff_classical(problem, strategy) for strategy in strategies]
+        tree = sum(problem.payoffs[lab] * mass for lab, mass in behavioral_masses(problem, exits))
         dev_sim = max(dev_sim, _max_dev(closed, sim))
         dev_tree = max(dev_tree, _max_dev(closed, tree))
     checks.append(make_check(

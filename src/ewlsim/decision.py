@@ -5,16 +5,21 @@ partition over the nonterminal histories, outcome labels on the terminal
 histories and (optionally) real payoffs per label.  Strategies come in the
 three classical flavors: pure, mixed, behavioral.  Outcome distributions over
 terminal labels are the common currency for every equivalence check.
+
+A behavioral strategy's outcome is one top-down pass over the tree,
+behavioral_masses, which takes rows of floats or of numpy arrays (one
+strategy per element).  outcome_of, behavioral_gap's objective and the tree
+references of the analysis sweeps all run on it.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
-from typing import Mapping, Union
+from operator import contains
+from typing import Iterator, Mapping, Union
 
 import numpy as np
 
@@ -85,6 +90,16 @@ class DecisionProblem:
     @cached_property
     def labels(self) -> tuple[str, ...]:
         return tuple(sorted(set(self.terminal_labels.values())))
+
+    @cached_property
+    def _set_actions(self) -> tuple[tuple[int, ...], ...]:
+        """Each information set's sorted action indices, in partition order."""
+        return tuple(self._children[cell[0]] for cell in self.info_partition)
+
+    @cached_property
+    def _label_closers(self) -> frozenset[History]:
+        """The last terminal of each label, in the top-down order of histories."""
+        return frozenset({self.terminal_labels[z]: z for z in self.terminals}.values())
 
     def actions(self, h: History) -> tuple[int, ...]:
         """Sorted action indices available after nonterminal history h."""
@@ -258,39 +273,76 @@ def n_tuple_outcomes(n: int) -> DecisionProblem:
 
 def outcome_of(problem: DecisionProblem, strategy: Strategy) -> OutcomeDistribution:
     """Exact outcome distribution of a pure, mixed or behavioral strategy."""
-    probs = {lab: 0.0 for lab in set(problem.terminal_labels.values())}
+    probs = dict.fromkeys(problem.labels, 0.0)
     if isinstance(strategy, PureStrategy):
         probs[problem.terminal_labels[_pure_walk(problem, strategy)]] = 1.0
     elif isinstance(strategy, MixedStrategy):
         for pure, w in strategy.weights.items():
             probs[problem.terminal_labels[_pure_walk(problem, pure)]] += w
     elif isinstance(strategy, BehavioralStrategy):
-        if len(strategy.local) != len(problem.info_partition):
-            raise ValueError("behavioral strategy does not cover every information set")
-        reach = {(): 1.0}
-        for h, acts in problem._children.items():
-            idx = problem._set_index[h]
-            row = strategy.local[idx]
-            if len(row) != len(acts):
-                raise ValueError(f"behavioral row {idx} has {len(row)} entries for {len(acts)} actions")
-            for a, p in zip(acts, row):
-                reach[h + (a,)] = reach[h] * p
-        for z in problem.terminals:
-            probs[problem.terminal_labels[z]] += reach[z]
+        _check_behavioral(problem, strategy)
+        probs.update(behavioral_masses(problem, strategy.local))
     else:
         raise TypeError(f"unsupported strategy type {type(strategy).__name__}")
     return OutcomeDistribution(probs)
 
 
-def _pure_walk(problem: DecisionProblem, strategy: PureStrategy) -> History:
+def behavioral_masses(problem: DecisionProblem,
+                      local) -> Iterator[tuple[str, float | np.ndarray]]:
+    """Yield (label, mass) for every label under the behavioral rows local.
+
+    local[i][a] is information set i's probability of its a-th action.  The
+    entries are Python floats, through builtins, or numpy arrays that broadcast
+    together, through the same * and +, so a float call and an array call agree
+    bit for bit.  One top-down pass multiplies each history's reach into its
+    children and then drops it; a label is yielded as soon as its last terminal
+    is reached, so an array call keeps only a few arrays of the broadcast shape
+    alive.  The rows are not checked.
+    """
+    labels, sets, closers = problem.terminal_labels, problem._set_index, problem._label_closers
+    if () in labels:  # a tree without moves
+        yield labels[()], 1.0
+    partial = {}
+    reach = {(): 1.0}
+    for h, acts in problem._children.items():
+        here = reach.pop(h)
+        for a, p in zip(acts, local[sets[h]]):
+            child = h + (a,)
+            label = labels.get(child)
+            if label is None:
+                reach[child] = here * p
+                continue
+            mass = here * p
+            if label in partial:
+                mass = partial.pop(label) + mass
+            if child in closers:
+                yield label, mass
+            else:
+                partial[label] = mass
+
+
+def _check_behavioral(problem: DecisionProblem, strategy: BehavioralStrategy) -> None:
+    if len(strategy.local) != len(problem.info_partition):
+        raise ValueError("behavioral strategy does not cover every information set")
+    for idx, (row, acts) in enumerate(zip(strategy.local, problem._set_actions)):
+        if len(row) != len(acts):
+            raise ValueError(f"behavioral row {idx} has {len(row)} entries for {len(acts)} actions")
+
+
+def _check_pure(problem: DecisionProblem, strategy: PureStrategy) -> None:
     if len(strategy.choices) != len(problem.info_partition):
         raise ValueError("pure strategy does not cover every information set")
+    if not all(map(contains, problem._set_actions, strategy.choices)):
+        for a, acts, cell in zip(strategy.choices, problem._set_actions, problem.info_partition):
+            if a not in acts:
+                raise ValueError(f"action {a} unavailable after history {cell[0]}")
+
+
+def _pure_walk(problem: DecisionProblem, strategy: PureStrategy) -> History:
+    _check_pure(problem, strategy)
     h: History = ()
     while h not in problem.terminal_labels:
-        a = strategy.choices[problem.info_set_index(h)]
-        if a not in problem.actions(h):
-            raise ValueError(f"action {a} unavailable after history {h}")
-        h = h + (a,)
+        h = h + (strategy.choices[problem._set_index[h]],)
     return h
 
 
@@ -335,12 +387,12 @@ def mixed_from_behavioral(problem: DecisionProblem, strategy: BehavioralStrategy
     Outcome-equivalent whenever no history passes through the same
     information set twice (which fails, deliberately, for the driver).
     """
+    _check_behavioral(problem, strategy)
     weights: dict[PureStrategy, float] = {}
     for pure in problem.pure_strategies():
         w = 1.0
-        for idx, cell in enumerate(problem.info_partition):
-            acts = problem.actions(cell[0])
-            w *= strategy.local[idx][acts.index(pure.choices[idx])]
+        for row, acts, a in zip(strategy.local, problem._set_actions, pure.choices):
+            w *= row[acts.index(a)]
         if w > 0.0:
             weights[pure] = w
     return MixedStrategy(weights)
@@ -351,9 +403,10 @@ def behavioral_from_mixed(problem: DecisionProblem, strategy: MixedStrategy) -> 
 
     Outcome-equivalent to the mixed strategy on perfect-recall problems.
     """
+    for pure in strategy.weights:
+        _check_pure(problem, pure)
     rows = []
-    for idx, cell in enumerate(problem.info_partition):
-        acts = problem.actions(cell[0])
+    for idx, (cell, acts) in enumerate(zip(problem.info_partition, problem._set_actions)):
         mass = {a: 0.0 for a in acts}
         reach_total = 0.0
         for pure, w in strategy.weights.items():
@@ -370,7 +423,7 @@ def behavioral_from_mixed(problem: DecisionProblem, strategy: MixedStrategy) -> 
 
 def _reaches(problem: DecisionProblem, pure: PureStrategy, h: History) -> bool:
     for depth, a in enumerate(h):
-        if pure.choices[problem.info_set_index(h[:depth])] != a:
+        if pure.choices[problem._set_index[h[:depth]]] != a:
             return False
     return True
 
@@ -386,9 +439,10 @@ def behavioral_gap(problem: DecisionProblem, target: OutcomeDistribution,
     The distance is minimized with optimize.maximize_box, the search of
     maximize_3d: a grid_points**k scan of the box [0, 1]**k of first-action
     probabilities of the k information sets, then cyclic golden-section
-    refinement from the best grid point.  Information sets must be binary
-    (every problem built in this module is); a grid over GRID_BUDGET points
-    is refused.
+    refinement from the best grid point.  The distance comes from
+    behavioral_masses, so the scan is one array call.  Information sets must
+    be binary (every problem built in this module is); a grid over
+    GRID_BUDGET points is refused.
     """
     if set(target.probs) != set(problem.terminal_labels.values()):
         raise ValueError("target distribution is not over the problem's labels")
@@ -404,26 +458,15 @@ def _neg_distance_fn(problem: DecisionProblem, target: OutcomeDistribution):
     """Minus the max-norm distance from the behavioral outcome to the target, as
     f(p_1, ..., p_k) with p_i the probability of set i's first action.
 
-    f takes Python floats, through builtins, or numpy arrays that broadcast
-    together, through numpy; a float call and an array call run the same
-    operations.  Labels are scored one at a time, so an array call keeps only
-    a few arrays of the broadcast shape alive.
+    f takes Python floats or numpy arrays that broadcast together; both run
+    through behavioral_masses, so a float call and an array call agree bit for
+    bit, and an array call keeps only a few arrays of the broadcast shape alive.
     """
-    # per label, per terminal: the (set, side) factors making up its probability
-    by_label: dict[str, list[list[tuple[int, int]]]] = {lab: [] for lab in problem.labels}
-    for z in problem.terminals:
-        by_label[problem.terminal_labels[z]].append(
-            [(problem._set_index[z[:d]], problem._children[z[:d]].index(a))
-             for d, a in enumerate(z)])
-    terms = [(target.probs[lab], terminals) for lab, terminals in by_label.items()]
-
     def neg_distance(*params):
         peak = max if all(type(p) is float for p in params) else np.maximum
-        sides = [(p, 1.0 - p) for p in params]
         worst = 0.0
-        for goal, terminals in terms:
-            mass = sum(math.prod(sides[i][side] for i, side in factors) for factors in terminals)
-            worst = peak(worst, abs(mass - goal))
+        for label, mass in behavioral_masses(problem, [(p, 1.0 - p) for p in params]):
+            worst = peak(worst, abs(mass - target.probs[label]))
         return -worst
 
     return neg_distance

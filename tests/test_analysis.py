@@ -17,7 +17,7 @@ from ewlsim.analysis import (
     prop3_verify,
     recall_verify,
 )
-from ewlsim import ewl
+from ewlsim import analysis, decision, ewl
 from ewlsim.ewl import payoff_one_param
 from ewlsim.optimize import maximize_1d
 
@@ -119,6 +119,19 @@ def test_sweeps_report_the_same_in_small_chunks(sweep, monkeypatch):
     monkeypatch.setattr(ewl, "STACK_BUDGET", 64)  # a few runs per chunk
     monkeypatch.setattr(ewl, "MASS_CHUNK", 64)
     assert sweep() == whole and whole["pass"]
+
+
+def test_tree_references_take_one_array_call_per_tree(monkeypatch):
+    # the behavioral outcomes at all angles come from one behavioral_masses call,
+    # not from a strategy object and an outcome or payoff call per angle
+    def refuse(*args, **kwargs):
+        raise AssertionError("per-angle tree reference")
+
+    for name in ("outcome_of", "expected_payoff_classical", "BehavioralStrategy"):
+        monkeypatch.setattr(analysis, name, refuse, raising=False)
+        monkeypatch.setattr(decision, name, refuse)
+    assert prop2_verify()["pass"]
+    assert formulas_verify()["pass"]
 
 
 # ------------------------------------------------------------------- prop3

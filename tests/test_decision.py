@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +18,7 @@ from ewlsim.decision import (
     behavioral_from_mixed,
     _neg_distance_fn,
     behavioral_gap,
+    behavioral_masses,
     expected_payoff_classical,
     has_imperfect_recall,
     mixed_from_behavioral,
@@ -218,6 +223,50 @@ def test_strategy_problem_mismatch():
         outcome_of(prob, PureStrategy((0, 1)))
 
 
+_HASH_PROBE = """
+import numpy as np
+from ewlsim.decision import (BehavioralStrategy, DecisionProblem, expected_payoff_classical,
+                             n_tuple_driver)
+base = n_tuple_driver(30, 3.0)
+pay = np.random.default_rng(0).uniform(-5.0, 5.0, size=len(base.labels))
+prob = DecisionProblem(base.histories, base.terminal_labels, base.info_partition,
+                       dict(zip(base.labels, pay.tolist())))
+print(repr(expected_payoff_classical(prob, BehavioralStrategy(((0.1, 0.9),)))))
+"""
+
+
+def test_classical_payoff_does_not_depend_on_the_hash_seed():
+    outputs = set()
+    for seed in ("1", "2"):
+        env = {**os.environ, "PYTHONHASHSEED": seed,
+               "PYTHONPATH": os.pathsep.join(p for p in sys.path if p)}
+        out = subprocess.run([sys.executable, "-c", _HASH_PROBE], env=env, capture_output=True,
+                             text=True, timeout=60, check=True)
+        outputs.add(out.stdout)
+    assert len(outputs) == 1
+
+
+@pytest.mark.parametrize("translate, strategy, message", [
+    (mixed_from_behavioral, BehavioralStrategy(((0.5, 0.5),)),
+     "does not cover every information set"),
+    (mixed_from_behavioral, BehavioralStrategy(((1.0,), (0.5, 0.5))),
+     "row 0 has 1 entries for 2 actions"),
+    (mixed_from_behavioral, BehavioralStrategy(((0.5, 0.5), (0.5, 0.25, 0.25))),
+     "row 1 has 3 entries for 2 actions"),
+    (behavioral_from_mixed, MixedStrategy({PureStrategy((0,)): 1.0}),
+     "does not cover every information set"),
+    (behavioral_from_mixed, MixedStrategy({PureStrategy((0, 5)): 1.0}),
+     "action 5 unavailable"),
+], ids=["short_behavioral", "one_entry_row", "three_entry_row", "short_pure",
+        "unavailable_action"])
+def test_translations_refuse_malformed_strategies_like_outcome_of(translate, strategy, message):
+    prob = two_stage_problem()
+    with pytest.raises(ValueError, match=message):
+        outcome_of(prob, strategy)
+    with pytest.raises(ValueError, match=message):
+        translate(prob, strategy)
+
+
 def test_payoff_requires_payoffs():
     with pytest.raises(ValueError):
         expected_payoff_classical(n_tuple_outcomes(1), BehavioralStrategy(((0.5, 0.5),)))
@@ -277,8 +326,9 @@ def test_perfect_recall_two_stage_variant():
 # ------------------------------------------- mixed <-> behavioral relations
 
 
-def _random_tree(rng, max_depth=3):
-    """Random perfect-recall tree with singleton information sets."""
+def _random_tree(rng, max_depth=3, label_count=None):
+    """Random perfect-recall tree with singleton information sets; with a
+    label_count, the terminals share that many labels round robin."""
     histories = [()]
     frontier = [()]
     for depth in range(max_depth):
@@ -293,7 +343,8 @@ def _random_tree(rng, max_depth=3):
         frontier = nxt
     hset = set(histories)
     terminals = [h for h in hset if not any(g[:-1] == h for g in hset if g)]
-    labels = {h: f"z{i}" for i, h in enumerate(sorted(terminals))}
+    label_count = label_count or len(terminals)
+    labels = {h: f"z{i % label_count}" for i, h in enumerate(sorted(terminals))}
     partition = tuple((h,) for h in sorted(hset - set(terminals), key=lambda x: (len(x), x)))
     return DecisionProblem(histories=tuple(histories), terminal_labels=labels,
                            info_partition=partition)
@@ -313,7 +364,9 @@ def _path_product_outcome(problem, strategy):
 
 def test_behavioral_outcome_equals_path_products():
     rng = np.random.default_rng(17)
-    problems = [_random_tree(rng) for _ in range(10)] + [n_tuple_driver(n, 3.0) for n in (1, 5, 30)]
+    problems = ([_random_tree(rng) for _ in range(10)]
+                + [n_tuple_driver(n, 3.0) for n in (1, 5, 30)]
+                + [_random_tree(rng, label_count=c) for c in (1, 2, 3, 3)])
     for prob in problems:
         for _ in range(3):
             rows = []
@@ -322,6 +375,25 @@ def test_behavioral_outcome_equals_path_products():
                 rows.append(tuple(raw / raw.sum()))
             beh = BehavioralStrategy(tuple(rows))
             assert outcome_of(prob, beh).probs == _path_product_outcome(prob, beh)
+
+            # five points at once: one array per action, one element per point
+            points = []
+            for cell in prob.info_partition:
+                raw = rng.uniform(size=(5, len(prob.actions(cell[0]))))
+                points.append(raw / raw.sum(axis=1, keepdims=True))
+            masses = dict(behavioral_masses(prob, [tuple(pt.T) for pt in points]))
+            assert set(masses) == set(prob.labels)
+            for j in range(5):
+                local = tuple(tuple(pt[j].tolist()) for pt in points)
+                at_j = {lab: float(mass[j]) for lab, mass in masses.items()}
+                assert at_j == _path_product_outcome(prob, BehavioralStrategy(local))
+                assert at_j == dict(behavioral_masses(prob, local))
+
+
+def test_tree_without_moves_has_one_certain_outcome():
+    prob = DecisionProblem(histories=((),), terminal_labels={(): "z"}, info_partition=())
+    assert outcome_of(prob, BehavioralStrategy(())).probs == {"z": 1.0}
+    assert outcome_of(prob, PureStrategy(())).probs == {"z": 1.0}
 
 
 def test_n200_classical_payoff_matches_closed_form():
@@ -416,7 +488,7 @@ def test_gap_with_three_information_sets_obeys_kuhn():
 @pytest.mark.parametrize("prob", [n_tuple_outcomes(2), two_stage_problem(),
                                   perfect_recall_control()],
                          ids=["one_set", "two_sets", "three_sets"])
-def test_gap_objective_float_and_array_calls_agree_with_outcome_of(prob):
+def test_gap_objective_float_and_array_calls_agree_with_path_products(prob):
     k = len(prob.info_partition)
     target = outcome_of(prob, BehavioralStrategy(((0.3, 0.7),) * k))
     f = _neg_distance_fn(prob, target)
@@ -427,9 +499,25 @@ def test_gap_objective_float_and_array_calls_agree_with_outcome_of(prob):
         point = [float(axis[i]) for i in idx]
         value = f(*point)
         assert type(value) is float and value == values[idx]
-        reached = outcome_of(prob, BehavioralStrategy(tuple((p, 1.0 - p) for p in point)))
+        beh = BehavioralStrategy(tuple((p, 1.0 - p) for p in point))
+        reached = _path_product_outcome(prob, beh)
         distance = max(abs(reached[lab] - target[lab]) for lab in prob.labels)
         assert value == pytest.approx(-distance, abs=1e-15)
+
+
+def test_gap_objective_array_call_keeps_few_arrays_alive():
+    # 32 labels of 100,000 points each would be 24.4 MiB if all were held at once
+    prob = n_tuple_outcomes(30)
+    f = _neg_distance_fn(prob, outcome_of(prob, BehavioralStrategy(((0.3, 0.7),))))
+    points = np.linspace(0.0, 1.0, 100_000)
+    f(points)
+    tracemalloc.start()
+    try:
+        f(points)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2**20
 
 
 # -------------------------------------------------------------------- JSON
