@@ -6,7 +6,11 @@ histories and (optionally) real payoffs per label.  Strategies come in the
 three classical flavors: pure, mixed, behavioral.  Outcome distributions over
 terminal labels are the common currency for every equivalence check.
 
-A behavioral strategy's outcome is one top-down pass over the tree,
+Each problem numbers its histories once, in (length, lexicographic) order, so
+a parent's id is below its children's; every walk over the tree (outcomes,
+pure paths, the recall flag, the protocol compiler in ewl) runs on those ids
+and costs O(1) per history, where a history tuple would cost O(depth) per
+hash.  A behavioral strategy's outcome is one top-down pass over the ids,
 behavioral_masses, which takes rows of floats or of numpy arrays (one
 strategy per element).  outcome_of, behavioral_gap's objective and the tree
 references of the analysis sweeps all run on it.
@@ -17,7 +21,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
+from itertools import chain, product
 from operator import contains
 from typing import Iterator, Mapping, Union
 
@@ -32,7 +36,13 @@ History = tuple[int, ...]
 
 @dataclass(frozen=True)
 class DecisionProblem:
-    """Finite history tree with an information partition and terminal labels."""
+    """Finite history tree with an information partition and terminal labels.
+
+    The history tuples are for input, output and messages; the constructor
+    also keeps the integer plan the walks read: _ids (history -> id), and per
+    id _kids (child ids in action order), _set (information set id, None at
+    terminals) and _label (label, None at nonterminals), plus _set_actions.
+    """
 
     histories: tuple[History, ...]
     terminal_labels: Mapping[History, str]
@@ -40,41 +50,66 @@ class DecisionProblem:
     payoffs: Mapping[str, float] | None = None
 
     def __post_init__(self):
-        hist = tuple(sorted(set(tuple(h) for h in self.histories), key=lambda h: (len(h), h)))
+        ids: dict[History, int] = {}  # sorted, so ids[h] is h's position
+        for h in sorted(map(tuple, self.histories), key=lambda h: (len(h), h)):
+            ids.setdefault(h, len(ids))
+        hist = tuple(ids)
         object.__setattr__(self, "histories", hist)
-        hset = set(hist)
-        if () not in hset:
+        if not hist or hist[0] != ():
             raise ValueError("the empty history must be present")
-        # parents sort before their children, so one pass fills the map top-down
-        # (outcome_of relies on that order) with every action tuple already sorted
-        children: dict[History, tuple[int, ...]] = {}
-        for h in hist[1:]:
-            if h[:-1] not in hset:
+        kids: list[tuple[int, ...]] = [()] * len(hist)
+        for i, h in enumerate(hist[1:], 1):
+            parent = ids.get(h[:-1])
+            if parent is None:
                 raise ValueError(f"history {h} lacks its prefix {h[:-1]}")
-            children[h[:-1]] = children.get(h[:-1], ()) + (h[-1],)
-        object.__setattr__(self, "_children", children)
+            kids[parent] += (i,)
 
-        labels = {tuple(h): str(lab) for h, lab in self.terminal_labels.items()}
-        if set(labels) != hset - children.keys():
+        label: list[str | None] = [None] * len(hist)
+        labels = {}
+        for h, lab in self.terminal_labels.items():
+            h = tuple(h)
+            i = ids.get(h)
+            if i is None or kids[i]:
+                raise ValueError("terminal labels must cover exactly the terminal histories")
+            label[i] = labels[h] = str(lab)
+        if len(labels) != kids.count(()):
             raise ValueError("terminal labels must cover exactly the terminal histories")
         object.__setattr__(self, "terminal_labels", labels)
 
-        cells = tuple(tuple(sorted(set(tuple(h) for h in cell), key=lambda h: (len(h), h)))
-                      for cell in self.info_partition)
-        set_index: dict[History, int] = {}
-        for i, cell in enumerate(cells):
-            if not cell:
+        sets: list[int | None] = [None] * len(hist)
+        cells = []
+        covered = True
+        for s, cell in enumerate(self.info_partition):
+            members = {ids.get(tuple(h)) for h in cell}
+            if not members:
                 raise ValueError("information sets must be nonempty")
-            if set_index.keys() & set(cell):
-                raise ValueError("information sets must be disjoint")
-            set_index.update((h, i) for h in cell)
-        if set_index.keys() != children.keys():
+            if None in members:  # a history outside the tree
+                covered = False
+                members.discard(None)
+            for i in members:
+                if not kids[i]:
+                    covered = False
+                elif sets[i] is not None:
+                    raise ValueError("information sets must be disjoint")
+                else:
+                    sets[i] = s
+            cells.append(sorted(members))
+        if not covered or sets.count(None) != len(labels):
             raise ValueError("information partition must cover exactly the nonterminal histories")
-        object.__setattr__(self, "info_partition", cells)
-        object.__setattr__(self, "_set_index", set_index)
-        for cell in cells:
-            if any(children[h] != children[cell[0]] for h in cell[1:]):
-                raise ValueError(f"histories in one information set need equal action sets: {cell}")
+        set_actions = []
+        for members in cells:
+            acts = [tuple(hist[k][-1] for k in kids[i]) for i in members]
+            if acts.count(acts[0]) != len(acts):
+                raise ValueError("histories in one information set need equal action sets: "
+                                 f"{tuple(hist[i] for i in members)}")
+            set_actions.append(acts[0])
+        object.__setattr__(self, "info_partition",
+                           tuple(tuple(hist[i] for i in members) for members in cells))
+        object.__setattr__(self, "_ids", ids)
+        object.__setattr__(self, "_kids", tuple(kids))
+        object.__setattr__(self, "_set", tuple(sets))
+        object.__setattr__(self, "_label", tuple(label))
+        object.__setattr__(self, "_set_actions", tuple(set_actions))
 
         if self.payoffs is not None:
             pay = {str(k): float(v) for k, v in self.payoffs.items()}
@@ -85,37 +120,33 @@ class DecisionProblem:
 
     @cached_property
     def terminals(self) -> tuple[History, ...]:
-        return tuple(h for h in self.histories if h in self.terminal_labels)
+        return tuple(h for h, lab in zip(self.histories, self._label) if lab is not None)
 
     @cached_property
     def labels(self) -> tuple[str, ...]:
         return tuple(sorted(set(self.terminal_labels.values())))
 
     @cached_property
-    def _set_actions(self) -> tuple[tuple[int, ...], ...]:
-        """Each information set's sorted action indices, in partition order."""
-        return tuple(self._children[cell[0]] for cell in self.info_partition)
+    def _label_closers(self) -> frozenset[int]:
+        """The id of the last terminal of each label, in the top-down order of histories."""
+        return frozenset({lab: i for i, lab in enumerate(self._label) if lab is not None}.values())
 
-    @cached_property
-    def _label_closers(self) -> frozenset[History]:
-        """The last terminal of each label, in the top-down order of histories."""
-        return frozenset({self.terminal_labels[z]: z for z in self.terminals}.values())
+    def _nonterminal_id(self, h: History) -> int:
+        i = self._ids.get(h)
+        if i is None or self._set[i] is None:
+            raise ValueError(f"{h} is not a nonterminal history")
+        return i
 
     def actions(self, h: History) -> tuple[int, ...]:
         """Sorted action indices available after nonterminal history h."""
-        if h not in self._children:
-            raise ValueError(f"{h} is not a nonterminal history")
-        return self._children[h]
+        return self._set_actions[self._set[self._nonterminal_id(h)]]
 
     def info_set_index(self, h: History) -> int:
-        if h not in self._set_index:
-            raise ValueError(f"{h} is not a nonterminal history")
-        return self._set_index[h]
+        return self._set[self._nonterminal_id(h)]
 
     def pure_strategies(self) -> list["PureStrategy"]:
         """All pure strategies, in lexicographic order over the partition."""
-        action_sets = [self.actions(cell[0]) for cell in self.info_partition]
-        return [PureStrategy(choice) for choice in product(*action_sets)]
+        return [PureStrategy(choice) for choice in product(*self._set_actions)]
 
 
 @dataclass(frozen=True)
@@ -179,6 +210,14 @@ class OutcomeDistribution:
         if abs(total - 1.0) > PROB_TOL:
             raise ValueError(f"outcome probabilities sum to {total!r}, not 1")
         object.__setattr__(self, "probs", {k: max(v, 0.0) for k, v in p.items()})
+
+    @classmethod
+    def _trusted(cls, probs: dict[str, float]) -> "OutcomeDistribution":
+        """A distribution over probs as they are, unchecked: for masses that are
+        sums of products of weights or rows that were checked already."""
+        dist = object.__new__(cls)
+        object.__setattr__(dist, "probs", probs)
+        return dist
 
     def __getitem__(self, label: str) -> float:
         return self.probs.get(label, 0.0)
@@ -275,16 +314,16 @@ def outcome_of(problem: DecisionProblem, strategy: Strategy) -> OutcomeDistribut
     """Exact outcome distribution of a pure, mixed or behavioral strategy."""
     probs = dict.fromkeys(problem.labels, 0.0)
     if isinstance(strategy, PureStrategy):
-        probs[problem.terminal_labels[_pure_walk(problem, strategy)]] = 1.0
+        probs[problem._label[_pure_walk(problem, strategy)[-1]]] = 1.0
     elif isinstance(strategy, MixedStrategy):
         for pure, w in strategy.weights.items():
-            probs[problem.terminal_labels[_pure_walk(problem, pure)]] += w
+            probs[problem._label[_pure_walk(problem, pure)[-1]]] += w
     elif isinstance(strategy, BehavioralStrategy):
         _check_behavioral(problem, strategy)
         probs.update(behavioral_masses(problem, strategy.local))
     else:
         raise TypeError(f"unsupported strategy type {type(strategy).__name__}")
-    return OutcomeDistribution(probs)
+    return OutcomeDistribution._trusted(probs)
 
 
 def behavioral_masses(problem: DecisionProblem,
@@ -299,16 +338,17 @@ def behavioral_masses(problem: DecisionProblem,
     is reached, so an array call keeps only a few arrays of the broadcast shape
     alive.  The rows are not checked.
     """
-    labels, sets, closers = problem.terminal_labels, problem._set_index, problem._label_closers
-    if () in labels:  # a tree without moves
-        yield labels[()], 1.0
+    labels, kids, closers = problem._label, problem._kids, problem._label_closers
+    if labels[0] is not None:  # a tree without moves
+        yield labels[0], 1.0
     partial = {}
-    reach = {(): 1.0}
-    for h, acts in problem._children.items():
+    reach = {0: 1.0}
+    for h, s in enumerate(problem._set):
+        if s is None:
+            continue
         here = reach.pop(h)
-        for a, p in zip(acts, local[sets[h]]):
-            child = h + (a,)
-            label = labels.get(child)
+        for child, p in zip(kids[h], local[s]):
+            label = labels[child]
             if label is None:
                 reach[child] = here * p
                 continue
@@ -338,12 +378,15 @@ def _check_pure(problem: DecisionProblem, strategy: PureStrategy) -> None:
                 raise ValueError(f"action {a} unavailable after history {cell[0]}")
 
 
-def _pure_walk(problem: DecisionProblem, strategy: PureStrategy) -> History:
+def _pure_walk(problem: DecisionProblem, strategy: PureStrategy) -> list[int]:
+    """Ids of the histories the pure strategy passes, from the root to its terminal."""
     _check_pure(problem, strategy)
-    h: History = ()
-    while h not in problem.terminal_labels:
-        h = h + (strategy.choices[problem._set_index[h]],)
-    return h
+    steps = [acts.index(a) for acts, a in zip(problem._set_actions, strategy.choices)]
+    sets, kids = problem._set, problem._kids
+    path = [0]
+    while sets[path[-1]] is not None:
+        path.append(kids[path[-1]][steps[sets[path[-1]]]])
+    return path
 
 
 def expected_payoff_classical(problem: DecisionProblem, strategy: Strategy) -> float:
@@ -358,22 +401,28 @@ def expected_payoff_classical(problem: DecisionProblem, strategy: Strategy) -> f
 # recall structure
 
 
-def _experience(problem: DecisionProblem, h: History) -> tuple:
-    """Alternating information sets and actions along h, ending at h's own set."""
-    seq: list[int] = []
-    for depth, a in enumerate(h):
-        seq.append(problem.info_set_index(h[:depth]))
-        seq.append(a)
-    seq.append(problem.info_set_index(h))
-    return tuple(seq)
-
-
 def has_imperfect_recall(problem: DecisionProblem) -> bool:
-    """True iff some information set holds histories with different experiences."""
-    for cell in problem.info_partition:
-        experiences = {_experience(problem, h) for h in cell}
-        if len(experiences) > 1:
+    """True iff some information set holds histories with different experiences.
+
+    A history's experience is the alternating sequence of information sets and
+    actions along it, ending at its own set.  Each nonterminal's experience is
+    interned top-down as (its parent's experience id, its last action, its own
+    set), so two histories share an id exactly when their experiences are equal.
+    """
+    sets, kids, hist = problem._set, problem._kids, problem.histories
+    interned: dict[tuple[int, int, int], int] = {}
+    experience = {0: -1}  # the root's experience is the only one of length 1
+    first: dict[int, int] = {}  # set id -> experience id of its first history
+    for h, s in enumerate(sets):
+        if s is None:
+            continue
+        e = experience.pop(h)
+        if first.setdefault(s, e) != e:
             return True
+        for child in kids[h]:
+            if sets[child] is not None:
+                experience[child] = interned.setdefault((e, hist[child][-1], sets[child]),
+                                                        len(interned))
     return False
 
 
@@ -403,29 +452,21 @@ def behavioral_from_mixed(problem: DecisionProblem, strategy: MixedStrategy) -> 
 
     Outcome-equivalent to the mixed strategy on perfect-recall problems.
     """
-    for pure in strategy.weights:
-        _check_pure(problem, pure)
+    masses = [dict.fromkeys(acts, 0.0) for acts in problem._set_actions]
+    reach_totals = [0.0] * len(masses)
+    for pure, w in strategy.weights.items():
+        # a pure strategy reaches exactly the histories on its path
+        for h in _pure_walk(problem, pure)[:-1]:
+            s = problem._set[h]
+            reach_totals[s] += w
+            masses[s][pure.choices[s]] += w
     rows = []
-    for idx, (cell, acts) in enumerate(zip(problem.info_partition, problem._set_actions)):
-        mass = {a: 0.0 for a in acts}
-        reach_total = 0.0
-        for pure, w in strategy.weights.items():
-            for h in cell:
-                if _reaches(problem, pure, h):
-                    reach_total += w
-                    mass[pure.choices[idx]] += w
+    for mass, reach_total in zip(masses, reach_totals):
         if reach_total > 0.0:
-            rows.append(tuple(mass[a] / reach_total for a in acts))
+            rows.append(tuple(m / reach_total for m in mass.values()))
         else:
-            rows.append(tuple(1.0 / len(acts) for _ in acts))
+            rows.append(tuple(1.0 / len(mass) for _ in mass))
     return BehavioralStrategy(tuple(rows))
-
-
-def _reaches(problem: DecisionProblem, pure: PureStrategy, h: History) -> bool:
-    for depth, a in enumerate(h):
-        if pure.choices[problem._set_index[h[:depth]]] != a:
-            return False
-    return True
 
 
 # --------------------------------------------------------------------------
@@ -478,17 +519,16 @@ def _neg_distance_fn(problem: DecisionProblem, target: OutcomeDistribution):
 
 
 def problem_to_json_dict(problem: DecisionProblem) -> dict:
-    index = {h: i for i, h in enumerate(problem.histories)}
     return {
         "histories": [list(h) for h in problem.histories],
-        "partition": [[index[h] for h in cell] for cell in problem.info_partition],
-        "labels": {str(index[h]): lab for h, lab in sorted(problem.terminal_labels.items())},
+        "partition": [[problem._ids[h] for h in cell] for cell in problem.info_partition],
+        "labels": {str(i): lab for i, lab in enumerate(problem._label) if lab is not None},
         "payoffs": dict(problem.payoffs) if problem.payoffs is not None else None,
     }
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+def _is_int_type(t: type) -> bool:
+    return issubclass(t, int) and not issubclass(t, bool)
 
 
 def problem_from_json_dict(doc: Mapping) -> DecisionProblem:
@@ -496,7 +536,7 @@ def problem_from_json_dict(doc: Mapping) -> DecisionProblem:
     if not (isinstance(doc, Mapping) and isinstance(doc.get("histories"), list)
             and isinstance(doc.get("partition"), list) and isinstance(doc.get("labels"), Mapping)
             and all(isinstance(x, list) for x in doc["histories"] + doc["partition"])
-            and all(_is_int(a) for h in doc["histories"] for a in h)
+            and all(map(_is_int_type, set(map(type, chain.from_iterable(doc["histories"])))))
             and (doc.get("payoffs") is None or isinstance(doc["payoffs"], Mapping)
                  and all(isinstance(v, (int, float)) for v in doc["payoffs"].values()))):
         raise ValueError("a problem is a JSON object: 'histories' lists of integer actions, "
@@ -505,7 +545,7 @@ def problem_from_json_dict(doc: Mapping) -> DecisionProblem:
 
     def history(i) -> History:
         i = int(i) if isinstance(i, str) and i.isdecimal() else i  # label keys are strings
-        if not (_is_int(i) and 0 <= i < len(histories)):
+        if not (_is_int_type(type(i)) and 0 <= i < len(histories)):
             raise ValueError(f"history index {i!r} is not an integer in 0..{len(histories) - 1}")
         return histories[i]
 
@@ -517,7 +557,8 @@ def problem_from_json_dict(doc: Mapping) -> DecisionProblem:
     )
 
 
-def problem_to_json(problem: DecisionProblem, indent: int | None = 2) -> str:
+def problem_to_json(problem: DecisionProblem, indent: int | None = None) -> str:
+    """The problem as compact JSON; indent=2 gives the readable, one-number-per-line form."""
     return json.dumps(problem_to_json_dict(problem), indent=indent)
 
 

@@ -260,11 +260,13 @@ def ewl_game(problem: DecisionProblem) -> EwlGame:
     m = max(map(len, terminals))
     check_qubit_count(m)
     depth_sets: dict[int, int] = {}
-    for h, acts in problem._children.items():
-        if acts != (0, 1):
+    for h, s in zip(problem.histories, problem._set):
+        if s is None:
+            continue
+        if problem._set_actions[s] != (0, 1):
             raise ValueError(f"the protocol needs the actions (0, 1) at every nonterminal; "
-                             f"history {h} has {acts}")
-        if depth_sets.setdefault(len(h), problem._set_index[h]) != problem._set_index[h]:
+                             f"history {h} has {problem._set_actions[s]}")
+        if depth_sets.setdefault(len(h), s) != s:
             raise ValueError(f"the protocol needs one information set per depth; "
                              f"depth {len(h)} holds several")
     labels = [problem.terminal_labels[z] for z in terminals]

@@ -44,7 +44,12 @@ def check_unitary(mats: np.ndarray) -> None:
     that is not finite or a matrix that is not unitary within UNITARY_TOL."""
     if not np.all(np.isfinite(mats)):
         raise ValueError("gate entries must be finite")
-    defect = np.max(np.abs(mats @ mats.conj().swapaxes(-1, -2) - np.eye(2)), initial=0.0)
+    # U U^† - I entry by entry: each row's squared norm less 1 on the diagonal,
+    # the rows' inner product and its conjugate off it
+    squares = mats.real ** 2 + mats.imag ** 2
+    norms = squares[..., 0] + squares[..., 1] - 1.0
+    inner = mats[..., 0, 0] * mats[..., 1, 0].conj() + mats[..., 0, 1] * mats[..., 1, 1].conj()
+    defect = max(abs(norms).max(initial=0.0), abs(inner).max(initial=0.0))
     if defect > UNITARY_TOL:
         raise ValueError(f"gate is not unitary (defect {defect:.3e})")
 

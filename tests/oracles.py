@@ -5,7 +5,9 @@ the package applies gates and the entangler structurally and builds the final
 protocol state in closed form, so agreement with these oracles checks the fast
 paths against a genuinely different one.  ``three_param_payoff`` is the
 driver payoff's closed form in complex arithmetic, the reference for the
-package's real-arithmetic kernel.
+package's real-arithmetic kernel.  ``tuple_walk_masses`` and
+``tuple_walk_recall`` walk decision trees on history tuples through the public
+lookups, the references for the package's walks over integer history ids.
 """
 
 import math
@@ -67,3 +69,49 @@ def three_param_payoff(n, lam, theta, alpha, beta):
     amp_lodge = ((c ** (n + 1)) * math.sin((n + 1) * alpha)
                  + i_pow[(n + 1) % 4] * (s ** (n + 1)) * math.cos((n + 1) * beta))
     return lam * abs(amp_home) ** 2 + abs(amp_lodge) ** 2
+
+
+def tuple_walk_masses(problem, local):
+    """(label, mass) pairs of a behavioral strategy, in the order the package
+    yields them: one top-down pass over the nonterminal history tuples that
+    multiplies each reach into its children, yielding a label at its last
+    terminal."""
+    labels = problem.terminal_labels
+    closers = frozenset({labels[z]: z for z in problem.terminals}.values())
+    if () in labels:
+        yield labels[()], 1.0
+    partial = {}
+    reach = {(): 1.0}
+    for h in problem.histories:
+        if h in labels:
+            continue
+        here = reach.pop(h)
+        for a, p in zip(problem.actions(h), local[problem.info_set_index(h)]):
+            child = h + (a,)
+            label = labels.get(child)
+            if label is None:
+                reach[child] = here * p
+                continue
+            mass = here * p
+            if label in partial:
+                mass = partial.pop(label) + mass
+            if child in closers:
+                yield label, mass
+            else:
+                partial[label] = mass
+
+
+def experience(problem, h):
+    """Alternating information sets and actions along h, ending at h's own set."""
+    seq = []
+    for depth, a in enumerate(h):
+        seq.append(problem.info_set_index(h[:depth]))
+        seq.append(a)
+    seq.append(problem.info_set_index(h))
+    return tuple(seq)
+
+
+def tuple_walk_recall(problem):
+    """True iff some information set holds histories with different experiences."""
+    return any(len({experience(problem, h) for h in cell}) > 1
+               for cell in problem.info_partition)

@@ -274,6 +274,10 @@ def test_verify_recall_with_problem_file(tmp_path, capsys):
     [1, 2],
     {"histories": [[]], "partition": [[5]], "labels": {}},
     {"histories": [[], [0], [1]], "partition": [[0]], "labels": {"-2": "a", "2": "b"}},
+    {"histories": [[], [0], [True]], "partition": [[0]], "labels": {"1": "a", "2": "b"}},
+    {"histories": [[], [0], [1.0]], "partition": [[0]], "labels": {"1": "a", "2": "b"}},
+    {"histories": [[], [0], ["1"]], "partition": [[0]], "labels": {"1": "a", "2": "b"}},
+    {"histories": [[], [0], 1], "partition": [[0]], "labels": {"1": "a", "2": "b"}},
 ])
 def test_verify_recall_rejects_malformed_problem(doc, tmp_path, capsys):
     path = tmp_path / "problem.json"

@@ -1,11 +1,15 @@
+import json
 import math
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ewlsim.analysis import perfect_recall_control
 from ewlsim.decision import (
@@ -31,6 +35,7 @@ from ewlsim.decision import (
     two_stage_problem,
 )
 from ewlsim.ewl import payoff_one_param
+from oracles import tuple_walk_masses, tuple_walk_recall
 
 # frozen from an independent 2001^2 grid + pattern-search minimization of
 # max(|pq-1/2|, p(1-q), (1-p)q, |(1-p)(1-q)-1/2|): minimum 0.25 at p=q=1/2
@@ -323,6 +328,53 @@ def test_perfect_recall_two_stage_variant():
     assert not has_imperfect_recall(prob)
 
 
+def test_recall_flag_is_linear_in_depth():
+    # the driver's one set, and the same chain with one set per intersection,
+    # which has perfect recall, so every history is visited
+    driver = n_tuple_driver(800, 3.0)
+    chain = DecisionProblem(driver.histories, driver.terminal_labels,
+                            tuple((h,) for h in driver.info_partition[0]))
+    start = time.perf_counter()
+    assert has_imperfect_recall(driver)
+    assert not has_imperfect_recall(chain)
+    assert time.perf_counter() - start < 0.5
+
+
+@st.composite
+def _partitioned_trees(draw):
+    """Trees of depth <= 4 with 2-3 actions per nonterminal, a random partition
+    of the nonterminals into cells with equal action sets, and labels shared at
+    random among the terminals."""
+    histories, frontier, width = [()], [()], {}
+    for depth in range(4):
+        nxt = []
+        for h in frontier:
+            if depth > 0 and draw(st.booleans()):
+                continue  # leave h terminal
+            width[h] = draw(st.integers(2, 3))
+            nxt += [h + (a,) for a in range(width[h])]
+        histories += nxt
+        frontier = nxt
+    cells = {}
+    for h, k in width.items():
+        cells.setdefault((k, draw(st.integers(0, 2))), []).append(h)
+    labels = {h: draw(st.sampled_from("abcd")) for h in histories if h not in width}
+    return DecisionProblem(tuple(histories), labels, tuple(map(tuple, cells.values())))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_partitioned_trees(), st.integers(0, 2**32 - 1))
+def test_id_walks_match_the_tuple_walks(prob, seed):
+    assert has_imperfect_recall(prob) == tuple_walk_recall(prob)
+    rng = np.random.default_rng(seed)
+    raw = [rng.uniform(size=(len(prob.actions(cell[0])), 5)) for cell in prob.info_partition]
+    arrays = [tuple(r / r.sum(axis=0)) for r in raw]
+    floats = [tuple(float(x[0]) for x in row) for row in arrays]
+    for local, bits in ((floats, float.hex), (arrays, np.ndarray.tobytes)):
+        got, want = list(behavioral_masses(prob, local)), list(tuple_walk_masses(prob, local))
+        assert [(lab, bits(m)) for lab, m in got] == [(lab, bits(m)) for lab, m in want]
+
+
 # ------------------------------------------- mixed <-> behavioral relations
 
 
@@ -530,10 +582,37 @@ def test_json_roundtrip():
 
 
 def test_json_document_shape():
-    import json
-
     doc = json.loads(problem_to_json(absentminded_driver(4.0)))
     assert set(doc) == {"histories", "partition", "labels", "payoffs"}
     assert [] in doc["histories"]
     assert doc["payoffs"]["home"] == 4.0
     assert all(isinstance(i, int) for cell in doc["partition"] for i in cell)
+
+
+_TWO_STAGE_DOC = {"histories": [[], [0], [1], [0, 0], [0, 1], [1, 0], [1, 1]],
+                  "partition": [[0], [1, 2]],
+                  "labels": {"3": "o00", "4": "o01", "5": "o10", "6": "o11"}, "payoffs": None}
+
+
+@pytest.mark.parametrize("prob, doc", [
+    (absentminded_driver(4.0),
+     {"histories": [[], [0], [1], [1, 0], [1, 1]], "partition": [[0, 2]],
+      "labels": {"1": "exit1", "3": "home", "4": "lodge"},
+      "payoffs": {"exit1": 0.0, "home": 4.0, "lodge": 1.0}}),
+    (two_stage_problem(), _TWO_STAGE_DOC),
+    (perfect_recall_control(), {**_TWO_STAGE_DOC, "partition": [[0], [1], [2]]}),
+], ids=["driver", "two_stage", "perfect_recall_control"])
+def test_json_documents_keep_their_value_compact_and_indented(prob, doc):
+    compact = problem_to_json(prob)
+    assert "\n" not in compact and json.loads(compact) == doc
+    assert json.loads(problem_to_json(prob, indent=2)) == doc
+
+
+@pytest.mark.parametrize("histories", [
+    [[], [0], [True]], [[], [0], [1.0]], [[], [0], ["1"]], [[], [0], 1], {"0": []},
+], ids=["bool_action", "float_action", "string_action", "int_history", "object_histories"])
+def test_json_refuses_actions_that_are_not_integers(histories):
+    doc = {"histories": [[], [0], [1]], "partition": [[0]], "labels": {"1": "a", "2": "b"}}
+    assert problem_from_json(json.dumps(doc)).terminal_labels == {(0,): "a", (1,): "b"}
+    with pytest.raises(ValueError, match="integer actions"):
+        problem_from_json(json.dumps({**doc, "histories": histories}))

@@ -13,6 +13,7 @@ from ewlsim.qstate import (
     apply_single_qubit_gate,
     basis_state,
     check_qubit_count,
+    check_unitary,
     hamming_weight,
 )
 from oracles import PAULI_X, dense_entangler, dense_gate, dense_lift, random_state
@@ -123,6 +124,20 @@ def test_rejects_non_unitary_gate():
         Gate(np.array([[1.0, 0.0], [0.0, 2.0]]))
     with pytest.raises(ValueError):
         Gate(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
+
+def test_unitary_check_refuses_a_bad_gate_in_a_stack():
+    rng = np.random.default_rng(8)
+    stack = np.array([dense_gate(*angles) for angles in rng.uniform(0.0, math.pi, (50, 3))])
+    check_unitary(stack.reshape(5, 10, 2, 2))
+    bent = stack.copy()
+    bent[17, 1, 0] += 1e-9  # defect ~1e-9 in both the norm of row 1 and the inner product
+    with pytest.raises(ValueError, match="not unitary"):
+        check_unitary(bent)
+    broken = stack.copy()
+    broken[3, 0, 1] = complex(0.0, np.inf)
+    with pytest.raises(ValueError, match="entries must be finite"):
+        check_unitary(broken)
 
 
 def test_rejects_bad_states():
