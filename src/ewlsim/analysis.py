@@ -13,7 +13,7 @@ Every sweep returns a structured report: a list of checks with stable keys
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -21,7 +21,6 @@ from .decision import DecisionProblem, behavioral_masses, has_imperfect_recall
 from .decision import n_tuple_driver, n_tuple_outcomes, two_stage_problem
 from .ewl import (
     IDENTITY_PARAMS,
-    EwlGame,
     UnitaryParams,
     amplitudes_one_param,
     build_gate,
@@ -402,7 +401,8 @@ def formulas_verify(n_max: int = 5, samples: int = 500, seed: int = 11) -> dict:
         0.0, dev_tree, dev_tree, dev_tree <= 1e-9))
 
     payoffs = (3.0, -1.0, 2.0, 0.5)
-    two_qubit_game = EwlGame(2, np.array(payoffs))
+    problem = two_stage_problem()
+    two_qubit_game = ewl_game(replace(problem, payoffs=dict(zip(problem.labels, payoffs))))
     theta1, theta2 = (t.ravel() for t in np.meshgrid(np.linspace(0.0, math.pi, 21),
                                                      np.linspace(0.0, math.pi, 21),
                                                      indexing="ij"))

@@ -1,8 +1,9 @@
 """The quantization protocol: entangle, apply local SU(2) gates, disentangle.
 
-A game holds its payoffs or labels as aligned blocks of basis states, and
-payoffs and outcome masses come from ``block_masses``, which sums each block's
-mass from the four product states of the final state with no 2^m array.  Only
+Every game is a decision tree compiled by ``ewl_game``: each terminal's path
+is an aligned block of basis states carrying its label or payoff, and payoffs
+and outcome masses come from ``block_masses``, which sums each block's mass
+from the four product states of the final state with no 2^m array.  Only
 ``final_states``/``final_state`` build the 2^m amplitudes, for callers whose
 output is amplitudes: ``simulate``'s basis table, ``verify prop2``'s amplitude
 check, the eta symmetry, and the tests, where they (and the dense oracle) are
@@ -13,7 +14,7 @@ formulas printed here are re-derived closed forms, tested against both.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property, partial
 from typing import Callable, Sequence
 
@@ -35,7 +36,7 @@ from .qstate import (
     check_norms,
     check_qubit_count,
     check_state_rows,
-    check_unitary,
+    eq_by_value,
     hamming_weight,
 )
 
@@ -80,9 +81,11 @@ def gate_stack(theta, alpha=0.0, beta=0.0) -> np.ndarray:
     U|0> = cos(theta/2) e^{i alpha} |0> + sin(theta/2) e^{i(pi/2 - beta)} |1>
     U|1> = sin(theta/2) e^{i(pi/2 + beta)} |0> + cos(theta/2) e^{-i alpha} |1>
 
-    UnitaryParams' range checks and Gate's unitarity check run once over the
-    stack; an angle out of range raises UnitaryParams' own error for the first
-    gate that has one.
+    UnitaryParams' range checks run once over the stack; an angle out of range
+    raises UnitaryParams' own error for the first gate that has one.  Finite
+    angles give unitary matrices by construction, so the stack gets no
+    unitarity check of its own: Gate checks each matrix it wraps, and
+    block_masses and final_states check every run's norm.
     """
     theta, alpha, beta = np.broadcast_arrays(*(np.asarray(x, dtype=float)
                                                for x in (theta, alpha, beta)))
@@ -99,7 +102,6 @@ def gate_stack(theta, alpha=0.0, beta=0.0) -> np.ndarray:
     parts[..., 0, 1, 0], parts[..., 0, 1, 1] = -(s * sb), s * cb
     parts[..., 1, 0, 0], parts[..., 1, 0, 1] = s * sb, s * cb
     parts[..., 1, 1, 0], parts[..., 1, 1, 1] = c * ca, -(c * sa)
-    check_unitary(mats)
     return mats
 
 
@@ -111,116 +113,28 @@ def build_gate(params: UnitaryParams) -> Gate:
 IDENTITY_PARAMS = UnitaryParams(0.0, 0.0, 0.0)
 
 
-def _value_table(values) -> np.ndarray:
-    """A read-only float or str copy of a number or str array of payoffs or labels."""
-    if not (isinstance(values, np.ndarray) and values.dtype.kind in "iufU"):
-        raise ValueError("payoffs must be a number or str array")
-    table = values.astype(str if values.dtype.kind == "U" else float)
-    if table.dtype.kind == "f" and not np.all(np.isfinite(table)):
-        raise ValueError("payoffs must be finite")
-    table.flags.writeable = False
-    return table
-
-
-def _aligned_blocks(m: int, bounds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Split the runs bounds[i]..bounds[i+1]-1 of the 2^m basis states into the
-    fewest aligned blocks; returns each block's start and run, in basis order.
-
-    A greedy walk takes blocks of growing size for the low bits of a run's
-    start, then blocks of shrinking size for the bits of what is left: at
-    most 2m blocks per run, one pass per size for all runs at once.
-    """
-    start, end = bounds[:-1].astype(np.int64), bounds[1:]
-    run = np.arange(len(start))
-    starts, owners = [], []
-    sizes = [1 << t for t in range(m + 1)]
-    for size, low_bits in [(s, True) for s in sizes] + [(s, False) for s in sizes[::-1]]:
-        fits = (start + size <= end) & ((start & size != 0) | (not low_bits))
-        starts.append(start[fits])
-        owners.append(run[fits])
-        start[fits] += size
-    starts, owners = np.concatenate(starts), np.concatenate(owners)
-    order = np.argsort(starts)
-    return starts[order], owners[order]
-
-
 @dataclass(frozen=True, init=False)
 class EwlGame:
-    """Payoffs (or outcome labels) of an m-qubit protocol run, held as aligned
-    blocks of the basis: block i covers the basis states from starts[i] up to
-    the next block's start (2^m for the last), a power-of-two count 2^(m-d) of
-    states that share their d leading bits, and carries values[i].
+    """Payoffs (or outcome labels) of an m-qubit protocol run, one per block of
+    the basis, as ``ewl_game`` compiles them from a decision tree; it is the
+    only way to build one.
 
-    ``EwlGame(m, payoff_map)`` takes the values as a full-length number or str
-    array and splits each run of equal values into the fewest aligned blocks
-    (at most 2m); ``ewl_game`` takes a tree's terminals as the blocks, with no
-    such array.  Games compare by their values on the basis, that is by their
-    runs of equal values, however the runs are split into blocks.
+    Block i is the i-th terminal z of the tree in lexicographic order: the
+    2^(m-|z|) basis states whose leading bits spell z, carrying values[i].
+    Column i of ``rows`` spells z for block_masses: 3q + z[q] for each qubit
+    q on the path and 3q + 2 for each qubit past it.  Games compare by value,
+    field by field.
     """
 
     m: int
-    starts: np.ndarray
+    rows: np.ndarray
     values: np.ndarray
 
-    def __init__(self, m: int, payoff_map: np.ndarray):
-        check_qubit_count(m)
-        dim = 1 << m
-        if not (isinstance(payoff_map, np.ndarray) and payoff_map.shape == (dim,)):
-            raise ValueError(f"payoffs must be a number or str array of length {dim}")
-        table = _value_table(payoff_map)
-        run_starts = np.flatnonzero(np.concatenate(([True], table[1:] != table[:-1])))
-        starts, owners = _aligned_blocks(m, np.append(run_starts, dim))
-        self._set_blocks(m, starts, table[run_starts][owners])
-
-    @classmethod
-    def _from_blocks(cls, m: int, starts: np.ndarray, values: np.ndarray) -> "EwlGame":
-        """The game of the given aligned blocks, in basis order."""
-        game = object.__new__(cls)
-        game._set_blocks(m, starts, values)
-        return game
-
-    def _set_blocks(self, m: int, starts: np.ndarray, values: np.ndarray) -> None:
-        starts.flags.writeable = values.flags.writeable = False
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "starts", starts)
-        object.__setattr__(self, "values", values)
-
-    def __eq__(self, other) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        return self.m == other.m and all(np.array_equal(mine, theirs)
-                                         for mine, theirs in zip(self._runs, other._runs))
-
-    @cached_property
-    def _runs(self) -> tuple[np.ndarray, np.ndarray]:
-        """The start and the value of every run of equal values, in basis order."""
-        first = np.flatnonzero(np.concatenate(([True], self.values[1:] != self.values[:-1])))
-        return self.starts[first], self.values[first]
+    __eq__ = eq_by_value
 
     @property
     def has_labels(self) -> bool:
         return self.values.dtype.kind == "U"
-
-    @cached_property
-    def payoff_map(self) -> np.ndarray:
-        """The full-length basis-indexed array of values, built on first use;
-        payoffs and masses never need it."""
-        sizes = np.diff(self.starts, append=1 << self.m)
-        table = np.repeat(self.values, sizes)
-        table.flags.writeable = False
-        return table
-
-    @cached_property
-    def _factor_rows(self) -> np.ndarray:
-        """For block_masses: an (m, blocks) index into a table of 3m rows,
-        3q + bit q of the block's prefix for the qubits q before its depth d,
-        and 3q + 2 for the qubits from d on."""
-        m = self.m
-        depths = m - np.log2(np.diff(self.starts, append=1 << m)).astype(np.int64)
-        qubits = np.arange(m)[:, None]
-        bits = (self.starts >> (m - 1 - qubits)) & 1
-        flat = 3 * qubits + np.where(qubits < depths, bits, 2)
-        return flat.astype(np.min_scalar_type(3 * m))  # m bytes per block up to 85 qubits
 
     @cached_property
     def _label_blocks(self) -> tuple[tuple[str, ...], np.ndarray | None]:
@@ -270,9 +184,18 @@ def ewl_game(problem: DecisionProblem) -> EwlGame:
             raise ValueError(f"the protocol needs one information set per depth; "
                              f"depth {len(h)} holds several")
     labels = [problem.terminal_labels[z] for z in terminals]
-    values = labels if problem.payoffs is None else [problem.payoffs[lab] for lab in labels]
-    starts = [int("".join(map(str, z)), 2) << (m - len(z)) for z in terminals]
-    return EwlGame._from_blocks(m, np.array(starts, dtype=np.int64), _value_table(np.array(values)))
+    if problem.payoffs is None:
+        values = np.array(labels)
+    else:
+        values = np.array([problem.payoffs[lab] for lab in labels])
+        if not np.all(np.isfinite(values)):
+            raise ValueError("payoffs must be finite")
+    paths = np.array([z + (2,) * (m - len(z)) for z in terminals]).T  # 2 past the path
+    rows = (3 * np.arange(m)[:, None] + paths).astype(np.min_scalar_type(3 * m))  # m bytes per block
+    rows.flags.writeable = values.flags.writeable = False
+    game = object.__new__(EwlGame)
+    game.__dict__.update(m=m, rows=rows, values=values)
+    return game
 
 
 def n_tuple_driver_game(n: int, lam: float) -> EwlGame:
@@ -411,7 +334,7 @@ def block_masses(game: EwlGame, mats: np.ndarray) -> np.ndarray:
     factors of a chunk of runs serve all its chunks of blocks.
     """
     _check_stack(game, mats)
-    flat = game._factor_rows
+    flat = game.rows
     k, m = mats.shape[:2]
     blocks = flat.shape[1]
     cap = max(1, MASS_CHUNK // (10 * m))  # blocks times runs per chunk
@@ -599,7 +522,10 @@ def payoff_two_qubit_general(outcome_payoffs: Sequence[float], p1: UnitaryParams
 
     ``outcome_payoffs`` orders the basis as (o00, o01, o10, o11).
     """
-    game = EwlGame(2, np.asarray(outcome_payoffs, dtype=float))
+    if len(outcome_payoffs) != 4:
+        raise ValueError(f"need four payoffs, got {len(outcome_payoffs)}")
+    problem = two_stage_problem()
+    game = ewl_game(replace(problem, payoffs=dict(zip(problem.labels, outcome_payoffs))))
     return expected_payoff(game, [build_gate(p1), build_gate(p2)])
 
 

@@ -8,6 +8,8 @@ driver payoff's closed form in complex arithmetic, the reference for the
 package's real-arithmetic kernel.  ``tuple_walk_masses`` and
 ``tuple_walk_recall`` walk decision trees on history tuples through the public
 lookups, the references for the package's walks over integer history ids.
+``tree_walk_values`` walks a tree once per basis state, the reference for the
+blocks that ``ewl_game`` compiles.
 """
 
 import math
@@ -115,3 +117,21 @@ def tuple_walk_recall(problem):
     """True iff some information set holds histories with different experiences."""
     return any(len({experience(problem, h) for h in cell}) > 1
                for cell in problem.info_partition)
+
+
+def tree_walk_values(problem):
+    """The label, or the payoff when the problem has payoffs, of every basis
+    state of the problem's protocol game, in basis order: basis state y takes
+    bit q of y (qubit 1 the most significant) as the action at depth q, from
+    the root until its history is a key of ``problem.terminal_labels``."""
+    labels = problem.terminal_labels
+    m = max(map(len, labels))
+    walked = []
+    for y in range(1 << m):
+        h = ()
+        while h not in labels:
+            h += ((y >> (m - 1 - len(h))) & 1,)
+        walked.append(labels[h])
+    if problem.payoffs is None:
+        return np.array(walked)
+    return np.array([problem.payoffs[label] for label in walked])

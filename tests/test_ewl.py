@@ -1,5 +1,7 @@
 import math
 import tracemalloc
+from dataclasses import replace
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -43,7 +45,7 @@ from ewlsim.ewl import (
     two_stage_game,
 )
 from ewlsim.qstate import Gate, apply_entangler, apply_single_qubit_gate, basis_state
-from oracles import dense_final_state, dense_gate, three_param_payoff
+from oracles import dense_final_state, dense_gate, three_param_payoff, tree_walk_values
 
 TWO_PI = 2.0 * math.pi
 
@@ -218,7 +220,7 @@ def test_final_states_chunks_give_the_unchunked_results(monkeypatch):
         return amps.copy()
 
     monkeypatch.setattr(ewl, "STACK_BUDGET", 4 * 2 ** 6)  # four runs per chunk
-    monkeypatch.setattr(ewl, "MASS_CHUNK", 4 * 10 * 6 * len(game.starts))  # four runs per mass chunk
+    monkeypatch.setattr(ewl, "MASS_CHUNK", 4 * 10 * 6 * len(game.values))  # four runs per mass chunk
     assert np.array_equal(final_states(mats, amps_and_rows), whole_amps)
     assert seen == [(0, 4), (4, 4), (8, 3)]
     assert np.array_equal(outcome_masses(game, mats), whole_masses)
@@ -236,8 +238,8 @@ def test_final_states_checks_every_row():
 
 def test_stacked_payoffs_and_masses_match_per_run_calls():
     rng = np.random.default_rng(13)
-    # parity labels recur in separate runs of the basis, so masses add runs
-    parity = EwlGame(4, np.array([("even", "odd")[bin(y).count("1") % 2] for y in range(16)]))
+    # parity labels recur in separate blocks, so masses add blocks
+    parity = ewl_game(_parity_tree(4))
     for game in (n_tuple_driver_game(3, 7.0), n_tuple_outcome_game(3), parity):
         mats = _random_stack(rng, 6, 4)
         runs = [[Gate(mat) for mat in row] for row in mats]
@@ -273,7 +275,7 @@ def test_stacked_block_masses_peak_within_one_chunk(monkeypatch):
     # call on this stack would peak above 3x the patched chunk size
     m, per_chunk = 12, 4
     game = n_tuple_driver_game(m - 1, 3.0)
-    chunk = per_chunk * 10 * m * len(game.starts)
+    chunk = per_chunk * 10 * m * len(game.values)
     monkeypatch.setattr(ewl, "MASS_CHUNK", chunk)
     mats = _random_stack(np.random.default_rng(14), 3 * per_chunk + 1, m)
     expected_payoffs(game, mats)
@@ -289,7 +291,7 @@ def test_stacked_block_masses_peak_within_one_chunk(monkeypatch):
 def test_one_run_with_many_blocks_is_chunked_by_blocks(monkeypatch):
     # parity on 10 qubits has 1024 blocks, 100 entries each per run; the patched
     # chunk holds 40 of them, and an unsplit run would peak at ~25x the chunk
-    game = EwlGame(10, np.arange(1024) % 2)
+    game = ewl_game(_parity_tree(10))
     mats = _random_stack(np.random.default_rng(18), 1, 10)
     whole = block_masses(game, mats)
     chunk = 40 * 10 * 10
@@ -304,38 +306,33 @@ def test_one_run_with_many_blocks_is_chunked_by_blocks(monkeypatch):
     assert peak / (16 * chunk) < 2.05
 
 
-def _oracle_block_masses(game, mats):
-    """Each block's mass from the dense oracle's 2^m amplitudes, per run."""
-    probs = np.abs([dense_final_state(list(gates)) for gates in mats]) ** 2
-    return np.add.reduceat(probs, game.starts, axis=1)
+def _oracle_probs(mats):
+    """The basis-state probabilities of the dense oracle's final state of every run."""
+    return np.abs([dense_final_state(list(gates)) for gates in mats]) ** 2
 
 
-@pytest.mark.parametrize("m", range(1, 9))
-def test_block_masses_match_dense_oracle(m):
-    rng = np.random.default_rng(60 + m)
+def _oracle_masses(problem, labels, probs):
+    """Each label's mass in every row of ``probs``, over the basis states that
+    the tree walk of a label-valued problem gives that label."""
+    walked = tree_walk_values(problem)
+    return np.array([[row[walked == label].sum() for label in labels] for row in probs])
+
+
+@pytest.mark.parametrize("depth", range(1, 9))
+def test_block_masses_match_dense_oracle(depth):
+    rng = np.random.default_rng(60 + depth)
     for k in range(1, 6):
-        mats = _random_stack(rng, k, m)
-        # sorted random integers: runs of every length, most not aligned to blocks
-        game = EwlGame(m, np.sort(rng.integers(0, 5, size=2 ** m)))
-        expected = _oracle_block_masses(game, mats)
-        np.testing.assert_allclose(block_masses(game, mats), expected, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(expected_payoffs(game, mats), expected @ game.values,
+        # each terminal labelled by its own path, so the labels are the blocks
+        tree = _random_binary_tree(rng, max_depth=depth)
+        tree = replace(tree, terminal_labels={z: str(z) for z in tree.terminal_labels})
+        paid = replace(tree, payoffs={label: rng.normal() for label in tree.labels})
+        game = ewl_game(tree)
+        mats = _random_stack(rng, k, game.m)
+        probs = _oracle_probs(mats)
+        np.testing.assert_allclose(block_masses(game, mats), _oracle_masses(tree, game.values, probs),
                                    rtol=0, atol=1e-12)
-
-
-def test_array_games_split_runs_into_aligned_blocks():
-    # a run that starts inside a block, and parity labels (one block per state)
-    values = np.array([0.0] * 3 + [1.0] * 10 + [2.0] * 3)
-    game = EwlGame(4, values)
-    assert game.starts.tolist() == [0, 2, 3, 4, 8, 12, 13, 14]
-    assert game.values.tolist() == [0.0, 0.0, 1.0, 1.0, 1.0, 1.0, 2.0, 2.0]
-    assert np.array_equal(game.payoff_map, values)
-    parity = EwlGame(4, np.array([("even", "odd")[bin(y).count("1") % 2] for y in range(16)]))
-    assert parity.starts.tolist() == list(range(16)) and parity.labels == ("even", "odd")
-    mats = _random_stack(np.random.default_rng(15), 3, 4)
-    for g in (game, parity):
-        np.testing.assert_allclose(block_masses(g, mats), _oracle_block_masses(g, mats),
-                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(expected_payoffs(ewl_game(paid), mats),
+                                   probs @ tree_walk_values(paid), rtol=0, atol=1e-12)
 
 
 @given(st.integers(0, 2 ** 32 - 1))
@@ -343,10 +340,11 @@ def test_array_games_split_runs_into_aligned_blocks():
 def test_compiled_game_masses_match_dense_oracle(seed):
     # distinct three-parameter gates on every qubit: no closed form, only the oracle
     rng = np.random.default_rng(seed)
-    game = ewl_game(_random_binary_tree(rng))
+    problem = _random_binary_tree(rng)
+    game = ewl_game(problem)
+    assert np.array_equal(_basis_values(game), tree_walk_values(problem))
     mats = _random_stack(rng, 2, game.m)
-    probs = np.abs([dense_final_state(list(gates)) for gates in mats]) ** 2
-    expected = [[row[game.payoff_map == label].sum() for label in game.labels] for row in probs]
+    expected = _oracle_masses(problem, game.labels, _oracle_probs(mats))
     np.testing.assert_allclose(outcome_masses(game, mats), expected, rtol=0, atol=1e-12)
 
 
@@ -357,10 +355,13 @@ def test_block_masses_agree_with_final_states(m):
     gates = [Gate(mat) for mat in mats[0]]
     probs = final_state(gates).probabilities
     outcomes = n_tuple_outcome_game(m - 1)
+    walked = tree_walk_values(n_tuple_outcomes(m - 1))
     np.testing.assert_allclose(block_masses(outcomes, mats)[0],
-                               np.add.reduceat(probs, outcomes.starts), rtol=0, atol=1e-12)
+                               [probs[walked == label].sum() for label in outcomes.values],
+                               rtol=0, atol=1e-12)
     driver = n_tuple_driver_game(m - 1, 20.0)
-    assert abs(expected_payoff(driver, gates) - probs @ driver.payoff_map) <= 20.0 * 1e-12
+    payoffs = tree_walk_values(n_tuple_driver(m - 1, 20.0))
+    assert abs(expected_payoff(driver, gates) - probs @ payoffs) <= 20.0 * 1e-12
 
 
 def test_block_masses_refuse_rows_that_are_not_finite_or_unitary():
@@ -436,22 +437,25 @@ def test_twenty_qubit_runs_pass_their_sum_checks(angles):
 
 
 def test_outcome_distribution_matches_per_basis_sum_for_scattered_labels():
-    # parity labels recur in many separate runs of the basis
+    # parity labels recur in many separate blocks of the basis
     rng = np.random.default_rng(5)
-    game = EwlGame(4, np.array([("even", "odd")[bin(y).count("1") % 2] for y in range(16)]))
+    problem = _parity_tree(4)
+    game = ewl_game(problem)
+    walked = tree_walk_values(problem)
     gates = [build_gate(UnitaryParams(rng.uniform(0, math.pi), *rng.uniform(0, TWO_PI, 2)))
              for _ in range(4)]
     probs = final_state(gates).probabilities
     dist = outcome_distribution_ewl(game, gates)
     for label in ("even", "odd"):
-        expected = sum(probs[y] for y in range(16) if game.payoff_map[y] == label)
+        expected = sum(probs[y] for y in range(16) if walked[y] == label)
         assert dist[label] == pytest.approx(expected, abs=1e-15)
 
 
 @pytest.mark.parametrize("n", range(1, 10))
 def test_outcome_game_labels_are_first_exits(n):
     m = n + 1
-    labels = n_tuple_outcome_game(n).payoff_map
+    labels = _basis_values(n_tuple_outcome_game(n))
+    assert np.array_equal(labels, tree_walk_values(n_tuple_outcomes(n)))
     for y in range(1 << m):
         bits = format(y, f"0{m}b")
         t = len(bits) - len(bits.lstrip("1"))
@@ -640,50 +644,75 @@ def test_eta_symmetry_everywhere(params):
 
 
 def test_game_validation():
-    with pytest.raises(ValueError):
-        EwlGame(2, {0: 0.0, 1: 0.0, 2: 4.0, 3: 1.0})  # a mapping is not an array
-    with pytest.raises(ValueError):
-        EwlGame(2, np.array(["a", "b"]))  # label games must cover the basis
-    with pytest.raises(ValueError):
-        EwlGame(2, np.array(["a", 1.0, "b", "c"], dtype=object))
+    with pytest.raises(TypeError):
+        EwlGame(2, np.zeros(4))  # ewl_game is the only constructor
     with pytest.raises(ValueError):
         n_tuple_driver_game(0, 4.0)
-    with pytest.raises(ValueError):
-        EwlGame(2, np.zeros(3))  # arrays must cover the basis
 
 
 def test_oversized_games_are_refused_before_allocating():
     # far past the limit, so a missing check fails fast instead of allocating
-    for build in (lambda: EwlGame(40, np.zeros(2)), lambda: n_tuple_driver_game(39, 4.0),
-                  lambda: n_tuple_outcome_game(39)):
+    for build in (lambda: n_tuple_driver_game(39, 4.0), lambda: n_tuple_outcome_game(39)):
         with pytest.raises(ValueError, match="MAX_QUBITS = 24"):
             build()
 
 
 def test_game_rejects_non_finite_payoffs():
-    with pytest.raises(ValueError):
-        EwlGame(1, np.array([math.nan, math.inf]))
-    with pytest.raises(ValueError):
-        EwlGame(1, np.array([0.0, -np.inf]))
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="payoffs must be finite"):
+            ewl_game(n_tuple_driver(1, bad))
 
 
-def test_game_keeps_a_read_only_copy_of_its_array():
-    values = np.array([0, 0, 2, 1])  # integers are stored as floats
-    game = EwlGame(2, values)
-    values[1] = 9  # the game keeps its own read-only copy
-    assert game.payoff_map[1] == 0.0 and not game.payoff_map.flags.writeable
-    assert game == n_tuple_driver_game(1, 2.0) != EwlGame(2, np.array([0.0, 0.0, 2.0, 0.0]))
+@pytest.mark.parametrize("payoffs", [(1.0, 2.0, 3.0), (1.0, 2.0, 3.0, 4.0, 5.0),
+                                     (1.0, math.nan, 3.0, 4.0)])
+def test_two_qubit_payoff_refuses_bad_payoffs(payoffs):
+    with pytest.raises(ValueError):
+        payoff_two_qubit_general(payoffs, UnitaryParams(0.0), UnitaryParams(0.0))
+
+
+def test_games_are_read_only_and_compare_by_value():
+    game = n_tuple_driver_game(1, 2.0)
+    assert not game.rows.flags.writeable and not game.values.flags.writeable
+    assert game == n_tuple_driver_game(1, 2.0) != n_tuple_driver_game(1, 3.0)
+    assert game != n_tuple_driver_game(2, 2.0)
     assert two_stage_game() == two_stage_game() != n_tuple_outcome_game(1)
 
 
 def test_driver_game_payoff_layout():
-    game = n_tuple_driver_game(2, 7.0)
-    assert game.payoff_map[6] == 7.0  # |110>
-    assert game.payoff_map[7] == 1.0  # |111>
-    assert all(game.payoff_map[y] == 0.0 for y in range(6))
+    values = _basis_values(n_tuple_driver_game(2, 7.0))
+    assert values[6] == 7.0  # |110>
+    assert values[7] == 1.0  # |111>
+    assert all(values[y] == 0.0 for y in range(6))
 
 
 # ---------------------------------------------------------- game compiler
+
+
+def _basis_values(game):
+    """The game's value on every basis state, read off its blocks: column i of
+    game.rows spells block i's path, a prefix of bits and then 2s, and the
+    blocks, each covering the 2^(m - depth) states of its prefix, must tile
+    the basis in order."""
+    m = game.m
+    bits = game.rows - 3 * np.arange(m)[:, None]
+    depths = np.count_nonzero(bits != 2, axis=0)
+    assert np.array_equal(bits != 2, np.arange(m)[:, None] < depths)
+    starts = (np.where(bits == 1, 1, 0) << (m - 1 - np.arange(m))[:, None]).sum(axis=0)
+    sizes = 1 << (m - depths)
+    assert np.array_equal(starts, np.cumsum(sizes) - sizes) and sizes.sum() == 1 << m
+    return np.repeat(game.values, sizes)
+
+
+def _parity_tree(depth):
+    """The complete binary tree of the given depth with one information set per
+    depth, whose terminals carry the parity of their paths' ones: both labels
+    recur all over the basis."""
+    levels = [[()]]
+    for _ in range(depth):
+        levels.append([h + (a,) for h in levels[-1] for a in (0, 1)])
+    return DecisionProblem(histories=tuple(chain.from_iterable(levels)),
+                           terminal_labels={z: ("even", "odd")[sum(z) % 2] for z in levels[-1]},
+                           info_partition=tuple(map(tuple, levels[:-1])))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 9, 19])
@@ -692,33 +721,29 @@ def test_compiled_games_equal_the_hand_layouts(n):
     for lam in (0.0, 4.0, 20.0):
         layout = np.zeros(dim)
         layout[dim - 2:] = lam, 1.0  # home is |1..10>, lodge is |1..11>
-        assert n_tuple_driver_game(n, lam) == EwlGame(n + 1, layout)
+        assert np.array_equal(_basis_values(n_tuple_driver_game(n, lam)), layout)
+    assert np.array_equal(layout, tree_walk_values(n_tuple_driver(n, 20.0)))
     # label o{t+1} on [2^m - 2^(m-t), 2^m - 2^(m-t-1)), o{n+2} on the all-ones state
     exits = [f"o{t + 1}" for t in range(n + 1) for _ in range(1 << (n - t))] + [f"o{n + 2}"]
-    assert n_tuple_outcome_game(n) == EwlGame(n + 1, np.array(exits))
+    assert _basis_values(n_tuple_outcome_game(n)).tolist() == exits
+    assert tree_walk_values(n_tuple_outcomes(n)).tolist() == exits
 
 
 def test_compiled_two_stage_games_keep_the_label_order():
-    assert two_stage_game() == EwlGame(2, np.array(["o00", "o01", "o10", "o11"]))
+    assert _basis_values(two_stage_game()).tolist() == ["o00", "o01", "o10", "o11"]
     custom = ("LL", "LR", "RL", "RR")
-    assert two_stage_game(custom) == EwlGame(2, np.array(custom))
+    assert _basis_values(two_stage_game(custom)).tolist() == list(custom)
+    assert tree_walk_values(two_stage_problem(*custom)).tolist() == list(custom)
     with pytest.raises(ValueError, match="need four labels"):
         two_stage_game(custom[:3])
 
 
-def test_games_compare_by_values_not_by_blocks():
-    # the tree keeps its four terminals as blocks, the array merges each run into one
-    problem = two_stage_problem()
-    problem = DecisionProblem(histories=problem.histories, terminal_labels=problem.terminal_labels,
-                              info_partition=problem.info_partition,
-                              payoffs={"o00": 1.0, "o01": 1.0, "o10": 2.0, "o11": 2.0})
-    tree, array = ewl_game(problem), EwlGame(2, np.array([1.0, 1.0, 2.0, 2.0]))
-    assert tree.starts.tolist() == [0, 1, 2, 3] and array.starts.tolist() == [0, 2]
-    assert tree == array and tree != EwlGame(2, np.array([1.0, 2.0, 2.0, 2.0]))
-    assert tree != EwlGame(3, np.array([1.0] * 4 + [2.0] * 4))
-    mats = _random_stack(np.random.default_rng(19), 3, 2)
-    np.testing.assert_allclose(expected_payoffs(tree, mats), expected_payoffs(array, mats),
-                               rtol=0, atol=1e-15)
+def test_parity_trees_compile_to_one_block_per_state():
+    for depth in (4, 10):
+        problem = _parity_tree(depth)
+        game = ewl_game(problem)
+        assert len(game.values) == 1 << depth and game.labels == ("even", "odd")
+        assert np.array_equal(_basis_values(game), tree_walk_values(problem))
 
 
 def _random_binary_tree(rng, max_depth=5):

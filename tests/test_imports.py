@@ -1,4 +1,5 @@
-"""Every module of the package uses each name it imports."""
+"""Every module of the package uses each name it imports, and every private
+module-level name it defines is read somewhere in the package."""
 
 import ast
 from pathlib import Path
@@ -31,3 +32,46 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("module", MODULES)
 def test_module_has_no_unused_imports(module):
     assert unused_imports((PACKAGE / module).read_text()) == []
+
+
+def private_definitions(source: str) -> list[str]:
+    """The private names (one leading underscore) that the module's top-level
+    functions, classes and assignments define, and its classes' methods."""
+    defined = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined.append(node.name)
+        if isinstance(node, ast.ClassDef):
+            defined += [f.name for f in node.body if isinstance(f, ast.FunctionDef)]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined += [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return [name for name in defined if name.startswith("_") and not name.startswith("__")]
+
+
+def names_read(source: str) -> set[str]:
+    """The names the module reads: as a name, as an attribute or as an import."""
+    read = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(alias.name for alias in node.names)
+    return read
+
+
+def test_dead_private_names_are_found():
+    source = ("_USED = 1\n_DEAD, x = 2, 3\ndef _helper(): return _USED\n"
+              "class _Gone:\n    def _make(self): pass\n    def __init__(self): self._used()\n"
+              "    def _used(self): pass\n")
+    assert [name for name in private_definitions(source)
+            if name not in names_read(source)] == ["_DEAD", "_helper", "_Gone", "_make"]
+
+
+def test_every_private_name_is_read_in_the_package():
+    sources = [path.read_text() for path in sorted(PACKAGE.glob("*.py"))]
+    read = set().union(*map(names_read, sources))
+    assert [name for source in sources for name in private_definitions(source)
+            if name not in read] == []
