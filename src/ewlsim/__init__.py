@@ -8,6 +8,7 @@ deterministic optimizers over the gate parameters.
 """
 
 from .analysis import (
+    CrossCheckError,
     Prop1Solution,
     Prop3Certificate,
     classical_max_closed_form,

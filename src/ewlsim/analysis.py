@@ -45,6 +45,11 @@ MASS_TOL = 1e-9
 PROB1_TOL = 1e-9
 
 
+class CrossCheckError(ArithmeticError):
+    """Two independent computations of one value disagree: an internal fault,
+    not a failed check of a claim."""
+
+
 def _jsonable(value):
     if isinstance(value, (np.floating, np.integer)):
         return value.item()
@@ -288,7 +293,7 @@ def prop3_verify(n: int, delta: float = 1.5, lam: float | None = None) -> Prop3C
 
     The payoff is lam if given, else delta * lambda0(n).  The quantum side is
     a direct simulation; the classical side is a 1D maximization verified
-    against the closed form (disagreement raises, as an internal failure).
+    against the closed form (disagreement raises CrossCheckError).
     """
     if not isinstance(n, int) or n < 1:
         raise ValueError(f"n must be an integer >= 1, got {n}")
@@ -306,7 +311,7 @@ def prop3_verify(n: int, delta: float = 1.5, lam: float | None = None) -> Prop3C
     res = maximize_1d(lambda t: payoff_one_param(n, lam_eff, t), 0.0, math.pi, tol=1e-10)
     _, closed = classical_max_closed_form(n, lam_eff)
     if abs(res.value - closed) > 1e-9 * max(1.0, abs(closed)):
-        raise ArithmeticError(
+        raise CrossCheckError(
             f"classical optimum mismatch: numeric {res.value!r} vs closed form {closed!r}")
     classical = res.value
     margin = quantum - classical

@@ -1,8 +1,12 @@
 """Command-line front end: reproducible experiments with text/CSV/JSON output.
 
-Subcommands: simulate | optimize | verify | landscape | reproduce.
+Subcommands: simulate | optimize | verify {prop1,prop2,prop3,recall,formulas} |
+landscape | reproduce.  Each one declares only the options it reads, so any
+other option is a usage error; the verify options follow the target.  Every
+command takes --format and --output; landscape always writes CSV.
+
 Exit codes: 0 success, 1 failed check, 2 usage/validation error, 3 internal
-cross-check failure.
+cross-check failure (analysis.CrossCheckError).
 """
 
 from __future__ import annotations
@@ -14,7 +18,6 @@ import json
 import math
 import re
 import sys
-from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
@@ -51,72 +54,29 @@ def parse_angle(text: str) -> float:
         raise argparse.ArgumentTypeError(f"cannot parse angle {text!r}") from None
 
 
-class ValidationError(Exception):
-    pass
-
-
-@dataclass
-class RunConfig:
-    """Validated numeric configuration shared by the subcommands."""
-
-    command: str
-    n: int | None
-    lam: float
-    theta: float | None
-    alpha: float
-    beta: float
-    grid: int
-    mode: str | None
-    samples: int
-    seed: int
-    tol: float
-    fmt: str
-    output: str | None
-
-    @classmethod
-    def from_args(cls, args: argparse.Namespace) -> "RunConfig":
-        cfg = cls(
-            command=args.command,
-            n=args.n,
-            lam=args.lam,
-            theta=getattr(args, "theta", None),
-            alpha=getattr(args, "alpha", 0.0) or 0.0,
-            beta=getattr(args, "beta", 0.0) or 0.0,
-            grid=args.grid,
-            mode=getattr(args, "mode", None),
-            samples=args.samples,
-            seed=args.seed,
-            tol=args.tol,
-            fmt=args.format,
-            output=args.output,
-        )
-        cfg.validate()
-        return cfg
-
-    def n_value(self, default: int = 1) -> int:
-        return default if self.n is None else self.n
-
-    def validate(self) -> None:
-        if self.n is not None and self.n < 1:
-            raise ValidationError(f"--n must be >= 1, got {self.n}")
-        if not math.isfinite(self.lam):
-            raise ValidationError("--lambda must be finite")
-        if self.theta is not None and not 0.0 <= self.theta <= math.pi:
-            raise ValidationError(f"--theta must lie in [0, pi], got {self.theta!r}")
-        if self.grid < 2:
-            raise ValidationError(f"--grid must be >= 2, got {self.grid}")
-        scans_grid = self.command == "landscape" or (self.command == "optimize"
-                                                     and self.mode != "classical")
-        if scans_grid and self.grid ** 3 > GRID_BUDGET:
-            raise ValidationError(f"--grid {self.grid} gives {self.grid ** 3:,} grid points, "
-                                  f"over the budget of {GRID_BUDGET:,} (GRID_BUDGET)")
-        if self.samples < 1:
-            raise ValidationError(f"--samples must be >= 1, got {self.samples}")
-        if not (math.isfinite(self.tol) and self.tol > 0):
-            raise ValidationError(f"--tol must be finite and positive, got {self.tol!r}")
-
-    def unitary_params(self) -> ewl.UnitaryParams:
-        return ewl.UnitaryParams(self.theta, wrap_phase(self.alpha), wrap_phase(self.beta))
+def check_options(args: argparse.Namespace) -> None:
+    """Refuse bad values of the options the command declares, before any work."""
+    opts = vars(args)
+    if opts.get("n", 1) < 1:
+        raise ValueError(f"--n must be >= 1, got {args.n}")
+    if not math.isfinite(opts.get("lam", 0.0)):
+        raise ValueError("--lambda must be finite")
+    if "theta" in opts:
+        if args.theta is None:
+            raise ValueError("simulate requires --theta")
+        if not 0.0 <= args.theta <= math.pi:
+            raise ValueError(f"--theta must lie in [0, pi], got {args.theta!r}")
+    if "grid" in opts:
+        if args.grid < 2:
+            raise ValueError(f"--grid must be >= 2, got {args.grid}")
+        # landscape always scans the grid; optimize does unless it is classical only
+        if opts.get("mode") != "classical" and args.grid ** 3 > GRID_BUDGET:
+            raise ValueError(f"--grid {args.grid} gives {args.grid ** 3:,} grid points, "
+                             f"over the budget of {GRID_BUDGET:,} (GRID_BUDGET)")
+    if opts.get("samples", 1) < 1:
+        raise ValueError(f"--samples must be >= 1, got {args.samples}")
+    if "tol" in opts and not (math.isfinite(args.tol) and args.tol > 0):
+        raise ValueError(f"--tol must be finite and positive, got {args.tol!r}")
 
 
 # --------------------------------------------------------------------------
@@ -165,28 +125,22 @@ def _checks_csv(report: dict) -> str:
     return buf.getvalue().rstrip("\n")
 
 
-def _emit_report(report: dict, cfg: RunConfig) -> int:
-    if cfg.fmt == "json":
-        text = json.dumps(report, indent=2)
-    elif cfg.fmt == "csv":
-        text = _checks_csv(report)
-    else:
-        text = _checks_text(report)
-    return _emit(text, cfg.output)
+def _report_text(report: dict, fmt: str) -> str:
+    if fmt == "json":
+        return json.dumps(report, indent=2)
+    if fmt == "csv":
+        return _checks_csv(report)
+    return _checks_text(report)
 
 
 # --------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns its output text, or a report of checks
 
 
-def cmd_simulate(cfg: RunConfig) -> int:
-    if cfg.theta is None:
-        print("error: simulate requires --theta", file=sys.stderr)
-        return 2
-    params = cfg.unitary_params()
-    n = cfg.n_value()
-    m = n + 1
-    game = ewl.n_tuple_driver_game(n, cfg.lam)
+def cmd_simulate(args: argparse.Namespace) -> str:
+    params = ewl.UnitaryParams(args.theta, wrap_phase(args.alpha), wrap_phase(args.beta))
+    n, m = args.n, args.n + 1
+    game = ewl.n_tuple_driver_game(n, args.lam)
     outcomes = ewl.n_tuple_outcome_game(n)
     gates = [ewl.build_gate(params)] * m
     probs = ewl.final_state(gates).probabilities  # only the basis table needs the 2^m amplitudes
@@ -196,7 +150,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
     basis = {format(y, f"0{m}b"): float(probs[y]) for y in range(1 << m)}
     doc = {
         "n": n,
-        "lambda": cfg.lam,
+        "lambda": args.lam,
         "theta": params.theta,
         "alpha": params.alpha,
         "beta": params.beta,
@@ -204,21 +158,21 @@ def cmd_simulate(cfg: RunConfig) -> int:
         "outcome_distribution": dict(sorted(dist.probs.items())),
         "expected_payoff": payoff,
     }
-    if cfg.fmt == "json":
-        return _emit(json.dumps(doc, indent=2), cfg.output)
-    if cfg.fmt == "csv":
+    if args.format == "json":
+        return json.dumps(doc, indent=2)
+    if args.format == "csv":
         rows = ["field,key,value"]
         rows += [f"basis,{k},{v:.12g}" for k, v in basis.items()]
         rows += [f"outcome,{k},{v:.12g}" for k, v in sorted(dist.probs.items())]
         rows.append(f"payoff,,{payoff:.12g}")
-        return _emit("\n".join(rows), cfg.output)
-    lines = [f"final state probabilities (n={n}, lambda={cfg.lam:g}, "
+        return "\n".join(rows)
+    lines = [f"final state probabilities (n={n}, lambda={args.lam:g}, "
              f"theta={params.theta:.6f}, alpha={params.alpha:.6f}, beta={params.beta:.6f})"]
     lines += [f"  |{k}>  {v:.12f}" for k, v in basis.items()]
     lines.append("outcome distribution")
     lines += [f"  {k}  {v:.12f}" for k, v in sorted(dist.probs.items())]
     lines.append(f"expected payoff  {payoff:.12f}")
-    return _emit("\n".join(lines), cfg.output)
+    return "\n".join(lines)
 
 
 def _search_fields(check: dict, res: optimize.OptResult) -> dict:
@@ -226,111 +180,101 @@ def _search_fields(check: dict, res: optimize.OptResult) -> dict:
     return {**check, "argmax": list(res.argmax), "evaluations": res.evaluations}
 
 
-def cmd_optimize(cfg: RunConfig, starts: int) -> int:
+def cmd_optimize(args: argparse.Namespace) -> dict:
     report_checks = []
     classical_value = quantum_value = None
-    n = cfg.n_value()
-    if cfg.mode != "classical":
+    n, lam = args.n, args.lam
+    if args.mode != "classical":
         check_qubit_count(n + 1)  # the quantum argmax is cross-checked by simulation
 
-    if cfg.mode in ("classical", "both"):
+    if args.mode in ("classical", "both"):
         res = optimize.maximize_1d(
-            lambda t: ewl.payoff_one_param(n, cfg.lam, t), 0.0, math.pi, tol=cfg.tol)
-        p_star, closed = analysis.classical_max_closed_form(n, cfg.lam)
+            lambda t: ewl.payoff_one_param(n, lam, t), 0.0, math.pi, tol=args.tol)
+        p_star, closed = analysis.classical_max_closed_form(n, lam)
         dev = abs(res.value - closed)
         if dev > 1e-6 * max(1.0, abs(closed)):
-            print(f"error: classical optimizer {res.value!r} disagrees with "
-                  f"closed form {closed!r}", file=sys.stderr)
-            return 3
+            raise analysis.CrossCheckError(f"classical optimizer {res.value!r} disagrees with "
+                                           f"closed form {closed!r}")
         classical_value = res.value
         report_checks.append(_search_fields(analysis.make_check(
-            "classical_optimum", {"n": n, "lambda": cfg.lam},
+            "classical_optimum", {"n": n, "lambda": lam},
             closed, res.value, dev, True, note=f"p*={p_star:.9f}"), res))
 
-    if cfg.mode in ("quantum", "both"):
+    if args.mode in ("quantum", "both"):
         res = optimize.maximize_3d(
-            ewl.payoff_three_param_fn(n, cfg.lam),
-            grid_per_dim=cfg.grid, starts=starts, tol=cfg.tol)
+            ewl.payoff_three_param_fn(n, lam),
+            grid_per_dim=args.grid, starts=args.starts, tol=args.tol)
         theta, alpha, beta = res.argmax
         params = ewl.UnitaryParams(min(max(theta, 0.0), math.pi),
                                    wrap_phase(alpha), wrap_phase(beta))
         gate = ewl.build_gate(params)
-        sim = ewl.expected_payoff(ewl.n_tuple_driver_game(n, cfg.lam),
-                                  [gate] * (n + 1))
+        sim = ewl.expected_payoff(ewl.n_tuple_driver_game(n, lam), [gate] * (n + 1))
         dev = abs(sim - res.value)
         if dev > 1e-9 * max(1.0, abs(sim)):
-            print(f"error: quantum optimum {res.value!r} disagrees with "
-                  f"simulation {sim!r} at the argmax", file=sys.stderr)
-            return 3
+            raise analysis.CrossCheckError(f"quantum optimum {res.value!r} disagrees with "
+                                           f"simulation {sim!r} at the argmax")
         quantum_value = res.value
         report_checks.append(_search_fields(analysis.make_check(
-            "quantum_optimum", {"n": n, "lambda": cfg.lam, "grid": cfg.grid},
+            "quantum_optimum", {"n": n, "lambda": lam, "grid": args.grid},
             sim, res.value, dev, True), res))
 
     if classical_value is not None and quantum_value is not None:
         ratio = quantum_value / classical_value if classical_value else math.inf
         report_checks.append(analysis.make_check(
-            "quantum_classical_ratio", {"n": n, "lambda": cfg.lam},
+            "quantum_classical_ratio", {"n": n, "lambda": lam},
             None, ratio, 0.0, True))
-    report = analysis.make_report(report_checks)
-    code = _emit_report(report, cfg)
-    return code
+    return analysis.make_report(report_checks)
 
 
-def cmd_verify(cfg: RunConfig, target: str, problem_path: str | None) -> int:
-    if target == "prop1":
-        report = analysis.prop1_verify(cfg.samples, cfg.seed)
-    elif target == "prop2":
-        n_max = cfg.n_value(5)
-        if n_max > PROP2_MAX_N:
-            raise ValidationError(f"verify prop2 simulates 101 states of 2^(n+1) amplitudes for "
-                                  f"every n up to --n, so --n is capped at {PROP2_MAX_N}, "
-                                  f"got {n_max}")
-        report = analysis.prop2_verify(n_max=n_max, theta_grid=101)
-    elif target == "prop3":
-        n_values = tuple(range(2, max(cfg.n_value(6), 2) + 1))
-        report = analysis.prop3_sweep(n_values=n_values)
-    elif target == "recall":
-        problem = None
-        if problem_path is not None:
-            try:
-                with open(problem_path) as fh:
-                    problem = decision.problem_from_json(fh.read())
-            except (OSError, ValueError, KeyError) as exc:
-                print(f"error: cannot load problem {problem_path}: {exc}", file=sys.stderr)
-                return 2
-        report = analysis.recall_verify(problem)
-    elif target == "formulas":
-        report = analysis.formulas_verify(n_max=cfg.n_value(5), samples=cfg.samples,
-                                          seed=cfg.seed)
-    else:
-        print(f"error: unknown verify target {target!r}", file=sys.stderr)
-        return 2
-    code = _emit_report(report, cfg)
-    if code != 0:
-        return code
-    return 0 if report["pass"] else 1
+def verify_prop1(args: argparse.Namespace) -> dict:
+    return analysis.prop1_verify(args.samples, args.seed)
 
 
-def cmd_landscape(cfg: RunConfig) -> int:
-    index = np.arange(cfg.grid)
-    thetas = index * math.pi / (cfg.grid - 1)
-    phases = index * TWO_PI / (cfg.grid - 1)
-    f = ewl.payoff_three_param_fn(cfg.n_value(), cfg.lam)
+def verify_prop2(args: argparse.Namespace) -> dict:
+    if args.n > PROP2_MAX_N:
+        raise ValueError(f"verify prop2 simulates 101 states of 2^(n+1) amplitudes for "
+                         f"every n up to --n, so --n is capped at {PROP2_MAX_N}, got {args.n}")
+    return analysis.prop2_verify(n_max=args.n, theta_grid=101)
+
+
+def verify_prop3(args: argparse.Namespace) -> dict:
+    return analysis.prop3_sweep(n_values=tuple(range(2, max(args.n, 2) + 1)))
+
+
+def verify_recall(args: argparse.Namespace) -> dict:
+    problem = None
+    if args.problem is not None:
+        try:
+            with open(args.problem) as fh:
+                problem = decision.problem_from_json(fh.read())
+        except (OSError, ValueError, KeyError) as exc:
+            raise ValueError(f"cannot load problem {args.problem}: {exc}") from None
+    return analysis.recall_verify(problem)
+
+
+def verify_formulas(args: argparse.Namespace) -> dict:
+    return analysis.formulas_verify(n_max=args.n, samples=args.samples, seed=args.seed)
+
+
+def cmd_landscape(args: argparse.Namespace) -> str:
+    index = np.arange(args.grid)
+    thetas = index * math.pi / (args.grid - 1)
+    phases = index * TWO_PI / (args.grid - 1)
+    f = ewl.payoff_three_param_fn(args.n, args.lam)
     values = f(thetas[:, None, None], phases[None, :, None], phases[None, None, :])
     rows = ["theta,alpha,beta,payoff"]
     rows += [f"{t:.12g},{a:.12g},{b:.12g},{v:.12g}" for (t, a, b), v in
              zip(product(thetas.tolist(), phases.tolist(), phases.tolist()), values.ravel().tolist())]
-    return _emit("\n".join(rows), cfg.output)
+    return "\n".join(rows)
 
 
-def cmd_reproduce(cfg: RunConfig, lambda_sweep: str | None) -> int:
+def cmd_reproduce(args: argparse.Namespace) -> dict:
     try:
-        lams = [float(x) for x in (lambda_sweep or "").split(",") if x.strip()]
+        lams = [float(x) for x in (args.lambda_sweep or "").split(",") if x.strip()]
     except ValueError:
-        raise ValidationError(f"cannot parse --lambda-sweep {lambda_sweep!r}") from None
+        raise ValueError(f"cannot parse --lambda-sweep {args.lambda_sweep!r}") from None
     if not all(math.isfinite(lam) for lam in lams):
-        raise ValidationError(f"--lambda-sweep entries must be finite, got {lambda_sweep!r}")
+        raise ValueError(f"--lambda-sweep entries must be finite, got {args.lambda_sweep!r}")
     checks = []
 
     res1 = optimize.maximize_1d(lambda t: ewl.payoff_one_param(1, 4.0, t), 0.0, math.pi,
@@ -378,11 +322,7 @@ def cmd_reproduce(cfg: RunConfig, lambda_sweep: str | None) -> int:
             expected, res.value, abs(res.value - expected),
             abs(res.value - expected) <= tol), res))
 
-    report = analysis.make_report(checks)
-    code = _emit_report(report, cfg)
-    if code != 0:
-        return code
-    return 0 if report["pass"] else 1
+    return analysis.make_report(checks)
 
 
 # --------------------------------------------------------------------------
@@ -396,71 +336,81 @@ def build_parser() -> argparse.ArgumentParser:
                     "simulate, optimize and verify.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, theta=False):
-        p.add_argument("--n", type=int, default=None,
-                       help="number of treacherous intersections (command-specific default)")
+    def leaf(parent, name, run, summary, fmt_help="report encoding"):
+        p = parent.add_parser(name, help=summary)
+        p.set_defaults(run=run)
+        out = p.add_argument_group("output")
+        out.add_argument("--format", choices=("text", "csv", "json"), default="text", help=fmt_help)
+        out.add_argument("--output", default=None, help="write output to this path")
+        return p
+
+    def n_option(p, default):
+        p.add_argument("--n", type=int, default=default,
+                       help=f"number of treacherous intersections (default {default})")
+
+    def lambda_option(p):
         p.add_argument("--lambda", dest="lam", type=float, default=4.0,
                        help="payoff for exiting at the last intersection")
-        if theta:
-            p.add_argument("--theta", type=parse_angle, default=None,
-                           help="polar angle in [0, pi]; accepts pi-literals like pi/2")
-            p.add_argument("--alpha", type=parse_angle, default=0.0)
-            p.add_argument("--beta", type=parse_angle, default=0.0)
-        p.add_argument("--grid", type=int, default=33, help="grid points per dimension")
+
+    def sampling_options(p):
         p.add_argument("--samples", type=int, default=1000)
         p.add_argument("--seed", type=int, default=7)
-        p.add_argument("--tol", type=float, default=1e-8)
-        p.add_argument("--format", choices=("text", "csv", "json"), default="text")
-        p.add_argument("--output", default=None, help="write output to this path")
 
-    p_sim = sub.add_parser("simulate", help="final state, outcomes and payoff for fixed gates")
-    common(p_sim, theta=True)
+    p_sim = leaf(sub, "simulate", cmd_simulate,
+                 "final state, outcomes and payoff for fixed gates")
+    n_option(p_sim, 1)
+    lambda_option(p_sim)
+    p_sim.add_argument("--theta", type=parse_angle, default=None,
+                       help="polar angle in [0, pi]; accepts pi-literals like pi/2")
+    p_sim.add_argument("--alpha", type=parse_angle, default=0.0)
+    p_sim.add_argument("--beta", type=parse_angle, default=0.0)
 
-    p_opt = sub.add_parser("optimize", help="classical and quantum payoff maximization")
-    common(p_opt)
+    p_opt = leaf(sub, "optimize", cmd_optimize, "classical and quantum payoff maximization")
+    n_option(p_opt, 1)
+    lambda_option(p_opt)
+    p_opt.add_argument("--grid", type=int, default=33, help="grid points per dimension")
+    p_opt.add_argument("--tol", type=float, default=1e-8)
     p_opt.add_argument("--mode", choices=("classical", "quantum", "both"), default="both")
     p_opt.add_argument("--starts", type=int, default=8)
 
-    p_ver = sub.add_parser("verify", help="run a verification sweep")
-    p_ver.add_argument("target", choices=("prop1", "prop2", "prop3", "recall", "formulas"))
-    common(p_ver)
-    p_ver.add_argument("--problem", default=None,
-                       help="JSON decision problem for the recall target")
+    targets = sub.add_parser("verify", help="run a verification sweep").add_subparsers(
+        dest="target", required=True)
+    sampling_options(leaf(targets, "prop1", verify_prop1, "mixed-strategy reachability sweep"))
+    n_option(leaf(targets, "prop2", verify_prop2, "closed-form amplitude and mass sweep"), 5)
+    n_option(leaf(targets, "prop3", verify_prop3, "dominance certificates for n = 2..--n"), 6)
+    leaf(targets, "recall", verify_recall, "imperfect-recall flags").add_argument(
+        "--problem", default=None, help="JSON decision problem to check as well")
+    p_form = leaf(targets, "formulas", verify_formulas, "closed forms against simulation")
+    n_option(p_form, 5)
+    sampling_options(p_form)
 
-    p_land = sub.add_parser("landscape", help="CSV payoff surface over the parameter box")
-    common(p_land)
+    p_land = leaf(sub, "landscape", cmd_landscape,
+                  "CSV payoff surface over the parameter box",
+                  fmt_help="ignored: landscape always writes CSV")
+    n_option(p_land, 1)
+    lambda_option(p_land)
+    p_land.add_argument("--grid", type=int, default=33, help="grid points per dimension")
 
-    p_rep = sub.add_parser("reproduce", help="reference-value reproduction table")
-    common(p_rep)
-    p_rep.add_argument("--lambda-sweep", default=None,
-                       help="comma-separated payoffs for the n=1 quantum optimum column")
+    leaf(sub, "reproduce", cmd_reproduce, "reference-value reproduction table").add_argument(
+        "--lambda-sweep", default=None,
+        help="comma-separated payoffs for the n=1 quantum optimum column")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        cfg = RunConfig.from_args(args)
-    except (ValidationError, ValueError) as exc:
+        check_options(args)
+        result = args.run(args)
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-    try:
-        if args.command == "simulate":
-            return cmd_simulate(cfg)
-        if args.command == "optimize":
-            return cmd_optimize(cfg, args.starts)
-        if args.command == "verify":
-            return cmd_verify(cfg, args.target, args.problem)
-        if args.command == "landscape":
-            return cmd_landscape(cfg)
-        if args.command == "reproduce":
-            return cmd_reproduce(cfg, args.lambda_sweep)
-    except (ValidationError, ValueError) as exc:
+    except analysis.CrossCheckError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    raise AssertionError(f"unhandled command {args.command!r}")
+        return 3
+    if isinstance(result, str):
+        return _emit(result, args.output)
+    return _emit(_report_text(result, args.format), args.output) or (0 if result["pass"] else 1)
 
 
 if __name__ == "__main__":

@@ -2,9 +2,9 @@
 
 A problem is a prefix-closed tree of action-index sequences, an information
 partition over the nonterminal histories, outcome labels on the terminal
-histories and (optionally) real payoffs per label.  Strategies come in the
-three classical flavors: pure, mixed, behavioral.  Outcome distributions over
-terminal labels are the common currency for every equivalence check.
+histories and (optionally) finite real payoffs per label.  Strategies come in
+the three classical flavors: pure, mixed, behavioral.  Outcome distributions
+over terminal labels are the common currency for every equivalence check.
 
 Each problem numbers its histories once, in (length, lexicographic) order, so
 a parent's id is below its children's; every walk over the tree (outcomes,
@@ -19,6 +19,7 @@ references of the analysis sweeps all run on it.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, product
@@ -113,6 +114,8 @@ class DecisionProblem:
 
         if self.payoffs is not None:
             pay = {str(k): float(v) for k, v in self.payoffs.items()}
+            if not all(map(math.isfinite, pay.values())):
+                raise ValueError("payoffs must be finite")
             missing = set(labels.values()) - set(pay)
             if missing:
                 raise ValueError(f"payoffs missing for labels {sorted(missing)}")

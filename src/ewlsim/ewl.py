@@ -188,8 +188,6 @@ def ewl_game(problem: DecisionProblem) -> EwlGame:
         values = np.array(labels)
     else:
         values = np.array([problem.payoffs[lab] for lab in labels])
-        if not np.all(np.isfinite(values)):
-            raise ValueError("payoffs must be finite")
     paths = np.array([z + (2,) * (m - len(z)) for z in terminals]).T  # 2 past the path
     rows = (3 * np.arange(m)[:, None] + paths).astype(np.min_scalar_type(3 * m))  # m bytes per block
     rows.flags.writeable = values.flags.writeable = False

@@ -287,6 +287,16 @@ def test_verify_recall_rejects_malformed_problem(doc, tmp_path, capsys):
     assert "cannot load problem" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
+def test_verify_recall_refuses_non_finite_payoffs(bad, tmp_path, capsys):
+    path = tmp_path / "problem.json"
+    path.write_text('{"histories": [[], [0], [1]], "partition": [[0]], '
+                    f'"labels": {{"1": "a", "2": "b"}}, "payoffs": {{"a": 1.0, "b": {bad}}}}}')
+    assert cli.main(["verify", "recall", "--problem", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "payoffs must be finite" in err
+
+
 def test_verify_recall_missing_problem_file(capsys):
     code, _ = run_cli("verify", "recall", "--problem", "/nonexistent/problem.json",
                       capsys=capsys)
@@ -454,6 +464,23 @@ def test_verify_exits_1_on_failed_check(capsys, monkeypatch):
     assert code == 1
 
 
+def test_verify_prop3_exits_3_on_cross_check_failure(capsys, monkeypatch):
+    monkeypatch.setattr(cli.analysis, "payoff_one_param", lambda n, lam, t: 0.0)
+    assert cli.main(["verify", "prop3", "--n", "2"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: classical optimum mismatch")
+    assert "Traceback" not in err
+
+
+def test_other_arithmetic_errors_are_not_cross_check_failures(monkeypatch):
+    def crash(*args, **kwargs):
+        raise ZeroDivisionError("a stray crash")
+
+    monkeypatch.setattr(cli.analysis, "prop3_sweep", crash)
+    with pytest.raises(ZeroDivisionError):
+        cli.main(["verify", "prop3"])
+
+
 def test_optimize_exits_3_on_cross_check_failure(capsys, monkeypatch):
     monkeypatch.setattr(cli.ewl, "payoff_one_param", lambda n, lam, t: 0.0)
     code, _ = run_cli("optimize", "--n", "1", "--lambda", "4", "--mode", "classical",
@@ -494,3 +521,42 @@ def test_usage_error_exits_2():
     proc = subprocess.run([sys.executable, "-m", "ewlsim", "bogus-subcommand"],
                           capture_output=True, text=True)
     assert proc.returncode == 2
+
+
+# ------------------------------------------------------------ option sets
+
+
+@pytest.mark.parametrize("argv", [
+    ("reproduce", "--n", "3"),
+    ("reproduce", "--tol", "0"),
+    ("simulate", "--theta", "0", "--grid", "5"),
+    ("optimize", "--samples", "5"),
+    ("verify", "prop3", "--lambda", "7"),
+    ("verify", "prop1", "--problem", "x.json"),
+    ("verify", "recall", "--seed", "3"),
+    ("verify", "--samples", "5", "prop1"),
+    ("landscape", "--tol", "1e-3"),
+], ids=" ".join)
+def test_options_a_command_does_not_read_are_refused(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(list(argv))
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "error:" in err
+
+
+@pytest.mark.parametrize("target,call", [
+    ("prop1", lambda a: a.prop1_verify(1000, 7)),
+    ("prop2", lambda a: a.prop2_verify(n_max=5, theta_grid=101)),
+    ("prop3", lambda a: a.prop3_sweep(n_values=(2, 3, 4, 5, 6))),
+    ("recall", lambda a: a.recall_verify(None)),
+    # formulas_verify's own defaults (500 samples, seed 11) are not the CLI's
+    ("formulas", lambda a: a.formulas_verify(n_max=5, samples=1000, seed=7)),
+], ids=["prop1", "prop2", "prop3", "recall", "formulas"])
+def test_verify_defaults_stay_pinned(target, call, capsys):
+    from ewlsim import analysis
+
+    code, out = run_cli("verify", target, "--format", "json", capsys=capsys)
+    assert code == 0
+    assert out == json.dumps(call(analysis), indent=2) + "\n"
+

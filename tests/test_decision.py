@@ -92,6 +92,18 @@ def test_n_tuple_rejects_bad_n():
         n_tuple_outcomes(0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_trees_refuse_non_finite_payoffs(bad):
+    with pytest.raises(ValueError, match="payoffs must be finite"):
+        n_tuple_driver(1, bad)
+    with pytest.raises(ValueError, match="payoffs must be finite"):
+        DecisionProblem(histories=((), (0,), (1,)), terminal_labels={(0,): "a", (1,): "b"},
+                        info_partition=(((),),), payoffs={"a": 1.0, "b": bad})
+    doc = json.loads(problem_to_json(absentminded_driver(4.0)))
+    with pytest.raises(ValueError, match="payoffs must be finite"):
+        problem_from_json(json.dumps({**doc, "payoffs": {**doc["payoffs"], "home": bad}}))
+
+
 def test_n_tuple_outcomes_labels():
     prob = n_tuple_outcomes(2)
     assert sorted(set(prob.terminal_labels.values())) == ["o1", "o2", "o3", "o4"]
