@@ -446,7 +446,7 @@ def formulas_verify(n_max: int = 5, samples: int = 500, seed: int = 11) -> dict:
     lam = 4.0
     theta, alpha = (t.ravel() for t in np.meshgrid(np.linspace(0.0, math.pi, 41),
                                                    np.linspace(0.0, TWO_PI, 41), indexing="ij"))
-    wrapped = np.array([wrap_phase(a) for a in alpha.tolist()])
+    wrapped = wrap_phase(alpha)
     sim = expected_payoffs(n_tuple_driver_game(1, lam),
                            _on_every_qubit(gate_stack(theta, wrapped, 0.0), 2))
     dev_linear = _max_dev(sim, _two_param_sine_variant(lam, theta, alpha))

@@ -73,8 +73,12 @@ def check_options(args: argparse.Namespace) -> None:
         if opts.get("mode") != "classical" and args.grid ** 3 > GRID_BUDGET:
             raise ValueError(f"--grid {args.grid} gives {args.grid ** 3:,} grid points, "
                              f"over the budget of {GRID_BUDGET:,} (GRID_BUDGET)")
-    if opts.get("samples", 1) < 1:
-        raise ValueError(f"--samples must be >= 1, got {args.samples}")
+    if "samples" in opts:
+        if args.samples < 1:
+            raise ValueError(f"--samples must be >= 1, got {args.samples}")
+        if args.samples > GRID_BUDGET:
+            raise ValueError(f"--samples {args.samples:,} is over the budget of "
+                             f"{GRID_BUDGET:,} (GRID_BUDGET)")
     if "tol" in opts and not (math.isfinite(args.tol) and args.tol > 0):
         raise ValueError(f"--tol must be finite and positive, got {args.tol!r}")
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property, partial
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -27,7 +27,7 @@ from .decision import (
     n_tuple_outcomes,
     two_stage_problem,
 )
-from .optimize import TWO_PI
+from .optimize import TWO_PI, wrap_phase
 from .qstate import (
     MAX_QUBITS,
     Gate,
@@ -464,33 +464,104 @@ def payoff_one_param(n: int, lam: float, theta: float) -> float:
     return lam * c2 * s2 ** n + s2 ** (n + 1)
 
 
-def _three_param_value(n: int, lam: float, theta, alpha, beta):
-    """The payoff of ``payoff_three_param`` in real arithmetic, on Python floats
-    (through ``math``) or on numpy arrays that broadcast together (through numpy).
-
-    With x = c^n s sin(n a - b), y = c s^n cos(a - n b), p = c^(n+1) sin((n+1) a)
-    and q = s^(n+1) cos((n+1) b), the two amplitudes are i x + i^n y and
-    p + i^(n+1) q, so by n mod 4 their squared moduli are x^2 + y^2 and
-    p^2 + q^2 (n even), (x + y)^2 and (p - q)^2 (n = 1 mod 4), or (x - y)^2
-    and (p + q)^2 (n = 3 mod 4).  Powers are repeated products, not pow, so a
-    float call and an array call run the same operations; they give equal
-    values wherever numpy's sin and cos round as math's do (the tests check it).
-    """
-    xp = math if type(theta) is type(alpha) is type(beta) is float else np
+def _half_angle_powers(xp, n: int, theta):
+    """cos(theta/2), sin(theta/2) and their n-th powers, as repeated products."""
     half = theta / 2.0
     c, s = xp.cos(half), xp.sin(half)
     cn, sn = c, s
     for _ in range(n - 1):
         cn = cn * c
         sn = sn * s
-    x = cn * s * xp.sin(n * alpha - beta)
-    y = c * sn * xp.cos(alpha - n * beta)
-    p = cn * c * xp.sin((n + 1) * alpha)
-    q = sn * s * xp.cos((n + 1) * beta)
+    return c, s, cn, sn
+
+
+def _combine(n: int, lam, x, y, p, q):
+    """lam * |i x + i^n y|^2 + |p + i^(n+1) q|^2 in real arithmetic: by n mod 4,
+    lam (x^2 + y^2) + (p^2 + q^2) (n even), lam (x + y)^2 + (p - q)^2
+    (n = 1 mod 4), or lam (x - y)^2 + (p + q)^2 (n = 3 mod 4)."""
     if n % 2 == 0:
         return lam * (x * x + y * y) + (p * p + q * q)
     home, lodge = (x + y, p - q) if n % 4 == 1 else (x - y, p + q)
     return lam * (home * home) + lodge * lodge
+
+
+class ThreeParamPayoff:
+    """The payoff of ``payoff_three_param`` as f(theta, alpha, beta), in real
+    arithmetic, with ``line`` for its restrictions to one coordinate.
+
+    With c = cos(theta/2), s = sin(theta/2), x = c^n s sin(n a - b),
+    y = c s^n cos(a - n b), p = c^(n+1) sin((n+1) a) and
+    q = s^(n+1) cos((n+1) b), the two amplitudes are i x + i^n y and
+    p + i^(n+1) q, and ``_combine`` takes their squared moduli.  Powers are
+    repeated products, not pow, so a float call (through ``math``) and an
+    array call (through numpy) run the same operations; they give equal
+    values wherever numpy's sin and cos round as math's do (the tests check it).
+    """
+
+    __slots__ = ("n", "lam")
+
+    def __init__(self, n: int, lam):
+        if not isinstance(n, int) or n < 1:
+            raise ValueError(f"n must be an integer >= 1, got {n}")
+        self.n = n
+        self.lam = lam
+
+    def __call__(self, theta, alpha, beta):
+        """The payoff at Python floats, or at numpy arrays (lam included) that
+        broadcast together, for which it is the array of values."""
+        n = self.n
+        xp = math if type(theta) is type(alpha) is type(beta) is float else np
+        c, s, cn, sn = _half_angle_powers(xp, n, theta)
+        return _combine(n, self.lam, cn * s * xp.sin(n * alpha - beta),
+                        c * sn * xp.cos(alpha - n * beta), cn * c * xp.sin((n + 1) * alpha),
+                        sn * s * xp.cos((n + 1) * beta))
+
+    def line(self, coord: int, point: Sequence[float]) -> Callable:
+        """h(t): the payoff along coordinate ``coord`` (0 theta, 1 alpha, 2 beta)
+        with the other two held at the floats of ``point``.
+
+        The factors that do not depend on t are computed once, here: on a theta
+        line the four phase terms, on a phase line the powers of c and s and
+        the phase term of the held phase.  h takes a float or an array; a phase
+        t is first reduced to [0, 2pi) by ``wrap_phase``.  h(t) equals the full
+        call at that point bit for bit: it runs the same products in the same
+        order.
+        """
+        n, lam = self.n, self.lam
+        theta, alpha, beta = point
+        if coord == 0:
+            sin_x, cos_y = math.sin(n * alpha - beta), math.cos(alpha - n * beta)
+            sin_p, cos_q = math.sin((n + 1) * alpha), math.cos((n + 1) * beta)
+
+            def theta_line(t):
+                c, s, cn, sn = _half_angle_powers(math if type(t) is float else np, n, t)
+                return _combine(n, lam, cn * s * sin_x, c * sn * cos_y, cn * c * sin_p,
+                                sn * s * cos_q)
+
+            return theta_line
+        c, s, cn, sn = _half_angle_powers(math, n, theta)
+        cns, csn, cn1, sn1 = cn * s, c * sn, cn * c, sn * s
+        if coord == 1:
+            n_beta, q = n * beta, sn1 * math.cos((n + 1) * beta)
+
+            def alpha_line(t):
+                t = wrap_phase(t)
+                xp = math if type(t) is float else np
+                return _combine(n, lam, cns * xp.sin(n * t - beta), csn * xp.cos(t - n_beta),
+                                cn1 * xp.sin((n + 1) * t), q)
+
+            return alpha_line
+        if coord == 2:
+            n_alpha, p = n * alpha, cn1 * math.sin((n + 1) * alpha)
+
+            def beta_line(t):
+                t = wrap_phase(t)
+                xp = math if type(t) is float else np
+                return _combine(n, lam, cns * xp.sin(n_alpha - t), csn * xp.cos(alpha - n * t),
+                                p, sn1 * xp.cos((n + 1) * t))
+
+            return beta_line
+        raise ValueError(f"coord must be 0, 1 or 2, got {coord!r}")
 
 
 def payoff_three_param(n: int, lam: float, params: UnitaryParams) -> float:
@@ -499,19 +570,20 @@ def payoff_three_param(n: int, lam: float, params: UnitaryParams) -> float:
     lam * |i cos^n(t/2) sin(t/2) sin(n a - b) + i^n cos(t/2) sin^n(t/2) cos(a - n b)|^2
         + |cos^(n+1)(t/2) sin((n+1) a)      + i^(n+1) sin^(n+1)(t/2) cos((n+1) b)|^2
     """
-    if not isinstance(n, int) or n < 1:
-        raise ValueError(f"n must be an integer >= 1, got {n}")
-    return _three_param_value(n, lam, params.theta, params.alpha, params.beta)
+    return ThreeParamPayoff(n, lam)(params.theta, params.alpha, params.beta)
 
 
-def payoff_three_param_fn(n: int, lam: float) -> Callable:
+def payoff_three_param_fn(n: int, lam: float) -> ThreeParamPayoff:
     """Raw-angle objective f(theta, alpha, beta) for the optimizers (periodic in
     alpha and beta): a float for float angles, an array for angle arrays that
     broadcast together, with the same value at every point either way.  lam may
-    also be an array that broadcasts with the angles."""
-    if not isinstance(n, int) or n < 1:
-        raise ValueError(f"n must be an integer >= 1, got {n}")
-    return partial(_three_param_value, n, lam)
+    also be an array that broadcasts with the angles.
+
+    ``f.line(coord, point)`` is f along one coordinate with the other two held,
+    with its constant factors computed once; ``optimize.maximize_box`` runs each
+    line search on it.
+    """
+    return ThreeParamPayoff(n, lam)
 
 
 def payoff_two_qubit_general(outcome_payoffs: Sequence[float], p1: UnitaryParams,

@@ -21,8 +21,9 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 GRID_1D = 257
 LINE_SAMPLES = 65
 MAX_CYCLES = 60
-# most points one grid scan scores: maximize_box's seed grid (maximize_3d,
-# behavioral_gap), `landscape`'s rows
+# most points one grid scan or sweep scores: maximize_box's seed grid
+# (maximize_3d, behavioral_gap), `landscape`'s rows, and the samples of
+# `verify prop1` and `verify formulas`
 GRID_BUDGET = 1_000_000
 
 
@@ -34,33 +35,17 @@ class OptResult:
     grid_best: float
 
 
-class _Counter:
-    """Calls f and counts the points it is evaluated at."""
-
-    __slots__ = ("f", "count")
-
-    def __init__(self, f):
-        self.f = f
-        self.count = 0
-
-    def __call__(self, *args):
-        self.count += 1
-        return self.f(*args)
-
-    def many(self, *args) -> np.ndarray:
-        """f at every point of the broadcast argument arrays, in one call."""
-        self.count += np.broadcast(*args).size
-        return self.f(*args)
-
-
-def _golden_max(f, a: float, b: float, tol: float) -> tuple[float, float]:
+def _golden_max(f, a: float, b: float, tol: float) -> tuple[float, float, int]:
     """Golden-section maximization of f on [a, b] down to interval width tol, or
-    until float resolution stops a step from narrowing the bracket."""
+    until float resolution stops a step from narrowing the bracket:
+    (argmax, value, points evaluated)."""
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
     fc, fd = f(c), f(d)
+    evaluations = 3  # c, d and the final midpoint
     width = b - a
     while width > tol:
+        evaluations += 1
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - _INVPHI * (b - a)
@@ -73,7 +58,7 @@ def _golden_max(f, a: float, b: float, tol: float) -> tuple[float, float]:
             break
         width = b - a
     x = 0.5 * (a + b)
-    return x, f(x)
+    return x, f(x), evaluations
 
 
 def _check_tol(tol: float) -> None:
@@ -82,16 +67,17 @@ def _check_tol(tol: float) -> None:
 
 
 def _grid_then_golden(f, lo: float, hi: float, n: int, tol: float, periodic: bool = False,
-                      score=None) -> tuple[float, float, float]:
+                      vectorized: bool = False) -> tuple[float, float, float, int]:
     """Best of n points spanning [lo, hi] ([lo, hi) and wrapped by f if periodic),
-    then golden-section on its bracket: (argmax, value >= grid max, grid max).
+    then golden-section on its bracket: (argmax, value >= grid max, grid max,
+    points evaluated).
 
-    ``score`` maps the array of grid points to their values in one call; without
-    it f is called at each point.
+    A vectorized f scores the array of grid points in one call; otherwise f is
+    called at each point.
     """
     step = (hi - lo) / (n if periodic else n - 1)
     points = lo + np.arange(n) * step
-    values = score(points) if score is not None else [f(x) for x in points.tolist()]
+    values = f(points) if vectorized else [f(x) for x in points.tolist()]
     best_i = int(np.argmax(values))
     grid_best = float(values[best_i])
     center = lo + best_i * step
@@ -100,10 +86,10 @@ def _grid_then_golden(f, lo: float, hi: float, n: int, tol: float, periodic: boo
     else:
         a = lo + max(best_i - 1, 0) * step
         b = lo + min(best_i + 1, n - 1) * step
-    x, v = _golden_max(f, a, b, tol)
+    x, v, evaluations = _golden_max(f, a, b, tol)
     if v < grid_best:
-        return center, grid_best, grid_best
-    return x, v, grid_best
+        return center, grid_best, grid_best, n + evaluations
+    return x, v, grid_best, n + evaluations
 
 
 def maximize_1d(f: Callable[[float], float], lo: float, hi: float, tol: float = 1e-8) -> OptResult:
@@ -115,33 +101,39 @@ def maximize_1d(f: Callable[[float], float], lo: float, hi: float, tol: float = 
     if not (math.isfinite(lo) and math.isfinite(hi)) or hi <= lo:
         raise ValueError(f"invalid interval [{lo}, {hi}]")
     _check_tol(tol)
-    g = _Counter(f)
-    x, v, grid_best = _grid_then_golden(g, lo, hi, GRID_1D, tol)
-    return OptResult((x,), v, g.count, grid_best)
+    x, v, grid_best, evaluations = _grid_then_golden(f, lo, hi, GRID_1D, tol)
+    return OptResult((x,), v, evaluations, grid_best)
 
 
-def wrap_phase(x: float) -> float:
-    """x reduced to the phase interval [0, 2pi)."""
+def wrap_phase(x):
+    """x reduced to the phase interval [0, 2pi): a float, or an array elementwise."""
     w = x % TWO_PI
+    if isinstance(w, np.ndarray):
+        return np.where(w >= TWO_PI, 0.0, w)
     return 0.0 if w >= TWO_PI else w
 
 
-def _line_max(g: _Counter, x: list[float], coord: int, hi: float, periodic: bool,
-              tol: float) -> float:
-    """Argmax of g along one coordinate of x: on [0, hi], or on a phase's [0, 2pi)."""
+def _slice(f, x: list[float], coord: int, periodic: bool) -> Callable:
+    """f along one coordinate of x, with a phase first reduced to [0, 2pi)."""
+    head, tail = x[:coord], x[coord + 1:]
+    if periodic:
+        return lambda t: f(*head, wrap_phase(t), *tail)
+    return lambda t: f(*head, t, *tail)
 
-    def slice_f(raw):
-        probe = list(x)
-        probe[coord] = wrap_phase(raw) if periodic else raw
-        return g(*probe)
 
-    def score(points):  # grid points lie inside [0, hi], so need no wrap
-        probe = list(x)
-        probe[coord] = points
-        return g.many(*probe)
+def _line_max(f, x: list[float], coord: int, hi: float, periodic: bool,
+              tol: float) -> tuple[float, int]:
+    """Argmax of f along one coordinate of x, on [0, hi] or on a phase's [0, 2pi),
+    and the number of points evaluated.
 
-    best = _grid_then_golden(slice_f, 0.0, hi, LINE_SAMPLES, tol, periodic, score)[0]
-    return wrap_phase(best) if periodic else best
+    The 1-D function is built once per line: f.line(coord, x) when f has one,
+    else a slice of f.
+    """
+    line = getattr(f, "line", None)
+    h = line(coord, x) if line is not None else _slice(f, x, coord, periodic)
+    best, _, _, evaluations = _grid_then_golden(h, 0.0, hi, LINE_SAMPLES, tol, periodic,
+                                              vectorized=True)
+    return (wrap_phase(best) if periodic else best), evaluations
 
 
 def maximize_box(f: Callable, axes: tuple[tuple[float, bool], ...], grid_per_dim: int,
@@ -155,10 +147,13 @@ def maximize_box(f: Callable, axes: tuple[tuple[float, bool], ...], grid_per_dim
     ties.
 
     f must take floats, and also numpy arrays that broadcast together, for which
-    it returns the array of values at the broadcast points: the scan and the
-    samples of each line search are one array call each, the golden steps are
-    float calls.  `evaluations` counts points, not calls.  Scans over
-    GRID_BUDGET points are refused.
+    it returns the array of values at the broadcast points.  The scan is one
+    array call.  Each line search builds its 1-D function h once: f.line(coord,
+    x) when f has that method, which must return h with h(t) equal to f at x
+    with coordinate coord set to t (a phase t reduced to [0, 2pi) first), for
+    float and array t; otherwise a slice that calls f.  The line's samples are
+    one array call of h and its golden steps float calls of h.  `evaluations`
+    counts points, not calls.  Scans over GRID_BUDGET points are refused.
     """
     k = len(axes)
     if grid_per_dim < 2:
@@ -169,11 +164,11 @@ def maximize_box(f: Callable, axes: tuple[tuple[float, bool], ...], grid_per_dim
     if starts < 1:
         raise ValueError("starts must be >= 1")
     _check_tol(tol)
-    g = _Counter(f)
 
     index = np.arange(grid_per_dim)
     grids = [index * hi / (grid_per_dim if periodic else grid_per_dim - 1) for hi, periodic in axes]
-    values = g.many(*np.ix_(*grids)).ravel()
+    values = f(*np.ix_(*grids)).ravel()
+    evaluations = grid_per_dim ** k
     # a stable sort keeps the lowest flat index first among equal values
     top = np.argsort(-values, kind="stable")[:starts].tolist()
     grid_best = float(values[top[0]])
@@ -185,11 +180,14 @@ def maximize_box(f: Callable, axes: tuple[tuple[float, bool], ...], grid_per_dim
     candidates: list[tuple[float, tuple[float, ...]]] = []
     for flat in top:
         x = list(grid_point(flat))
-        value = g(*x)
+        value = f(*x)
+        evaluations += 1
         for _ in range(MAX_CYCLES):
             for coord, (hi, periodic) in enumerate(axes):
-                x[coord] = _line_max(g, x, coord, hi, periodic, tol)
-            new_value = g(*x)
+                x[coord], line_evaluations = _line_max(f, x, coord, hi, periodic, tol)
+                evaluations += line_evaluations
+            new_value = f(*x)
+            evaluations += 1
             if new_value - value <= 1e-13 * (1.0 + abs(value)):
                 value = max(value, new_value)
                 break
@@ -200,7 +198,7 @@ def maximize_box(f: Callable, axes: tuple[tuple[float, bool], ...], grid_per_dim
     best_arg = min(arg for v, arg in candidates if v == best_value)
     if best_value < grid_best:
         best_value, best_arg = grid_best, grid_point(top[0])
-    return OptResult(best_arg, best_value, g.count, grid_best)
+    return OptResult(best_arg, best_value, evaluations, grid_best)
 
 
 def maximize_3d(

@@ -325,6 +325,19 @@ def test_landscape_refuses_grids_over_budget(capsys, monkeypatch):
     assert out == "" and "over the budget of 1,000,000 (GRID_BUDGET)" in err
 
 
+@pytest.mark.parametrize("target,verify", [("prop1", "prop1_verify"),
+                                           ("formulas", "formulas_verify")])
+@pytest.mark.parametrize("samples", ["1000001", "1000000000"])
+def test_verify_refuses_sample_counts_over_budget(target, verify, samples, capsys, monkeypatch):
+    def refused(*args, **kwargs):
+        raise AssertionError("an oversized sweep started drawing its samples")
+
+    monkeypatch.setattr(cli.analysis, verify, refused)
+    assert cli.main(["verify", target, "--samples", samples]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "over the budget of 1,000,000 (GRID_BUDGET)" in err
+
+
 def test_landscape_reference_row_and_roundtrip(capsys):
     # grid 9 puts pi/2 on the theta axis and pi/4 on the alpha axis
     code, out = run_cli("landscape", "--n", "1", "--lambda", "4", "--grid", "9",

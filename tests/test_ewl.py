@@ -1,7 +1,7 @@
 import math
 import tracemalloc
 from dataclasses import replace
-from itertools import chain
+from itertools import chain, product
 
 import numpy as np
 import pytest
@@ -44,6 +44,7 @@ from ewlsim.ewl import (
     payoff_two_qubit_general,
     two_stage_game,
 )
+from ewlsim.optimize import wrap_phase
 from ewlsim.qstate import Gate, apply_entangler, apply_single_qubit_gate, basis_state
 from oracles import dense_final_state, dense_gate, three_param_payoff, tree_walk_values
 
@@ -592,6 +593,44 @@ def test_three_param_scalar_calls_equal_one_array_call(n):
     assert values.shape == (17, 17, 17)
     scalar = [f(t, a, b) for t in thetas.tolist() for a in phases.tolist() for b in phases.tolist()]
     assert values.ravel().tolist() == scalar
+
+
+LINE_THETAS = [0.0, 1e-9, 0.3, math.pi / 2, 2.5, math.pi]
+LINE_PHASES = [0.0, 1.1, 3.5, TWO_PI - 1e-9, math.nextafter(TWO_PI, 0.0)]
+# phases off [0, 2pi) that a periodic line search probes: h reduces them first,
+# and -1e-300 reduces to 2pi in floats, so to 0.0
+OFF_RANGE_PHASES = [-1e-3, -1e-300, TWO_PI, TWO_PI + 0.7]
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_three_param_lines_equal_the_full_call(n):
+    f = payoff_three_param_fn(n, 7.0)
+    for point in product(LINE_THETAS, LINE_PHASES, LINE_PHASES):
+        for coord, ts in ((0, LINE_THETAS), (1, LINE_PHASES + OFF_RANGE_PHASES),
+                          (2, LINE_PHASES + OFF_RANGE_PHASES)):
+            h = f.line(coord, point)
+            full = []
+            for t in ts:
+                probe = list(point)
+                probe[coord] = wrap_phase(t) if coord else t
+                full.append(f(*probe))
+            assert [h(t) for t in ts] == full
+            assert h(np.array(ts)).tolist() == full
+
+
+def test_three_param_line_refuses_other_coordinates():
+    with pytest.raises(ValueError, match="coord"):
+        payoff_three_param_fn(2, 7.0).line(3, (1.0, 2.0, 3.0))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_three_param_array_lambda_equals_float_calls(n):
+    lams = np.array([0.0, 0.5, 7.0, 20.0, 1e300])
+    angles = np.array([[0.3, 1.1, 5.0], [math.pi, 0.0, 2.0], [1.5, 6.0, 0.2],
+                       [0.0, 3.5, 3.5], [2.5, 0.7, 4.4]])
+    values = payoff_three_param_fn(n, lams)(*angles.T)
+    assert values.tolist() == [payoff_three_param_fn(n, lam)(*a)
+                               for lam, a in zip(lams.tolist(), angles.tolist())]
 
 
 def test_two_qubit_product_form():

@@ -1,9 +1,10 @@
 import math
 
+import numpy as np
 import pytest
 
 from ewlsim.ewl import payoff_one_param, payoff_three_param_fn
-from ewlsim.optimize import GRID_BUDGET, maximize_1d, maximize_3d
+from ewlsim.optimize import GRID_BUDGET, TWO_PI, maximize_1d, maximize_3d, wrap_phase
 
 # analytic optimum of the n=3, lam=20 classical payoff: exit probability 4/19
 THETA_STAR_N3 = 2.0 * math.acos(math.sqrt(4.0 / 19.0))
@@ -83,6 +84,23 @@ REPRODUCE_SETTINGS = {"grid_per_dim": 17, "starts": 6, "tol": 1e-9}
 ])
 def test_3d_optima_are_pinned(n, lam, settings, value):
     assert abs(maximize_3d(payoff_three_param_fn(n, lam), **settings).value - value) <= 1e-12
+
+
+@pytest.mark.parametrize("n,lam", [(1, 4.0), (2, 7.0), (3, 20.0), (5, 3.0)])
+def test_3d_line_and_slice_searches_agree(n, lam):
+    # a wrapper hides f.line, so maximize_box searches slices of the full call
+    f = payoff_three_param_fn(n, lam)
+    assert maximize_3d(f, grid_per_dim=9, starts=4) == maximize_3d(lambda *a: f(*a),
+                                                                   grid_per_dim=9, starts=4)
+
+
+def test_wrap_phase_reduces_floats_and_arrays_alike():
+    phases = [0.0, 1.0, math.nextafter(TWO_PI, 0.0), TWO_PI, TWO_PI + 1.0, -1.0, -1e-300, 1e300]
+    wrapped = [wrap_phase(x) for x in phases]
+    assert all(type(w) is float and 0.0 <= w < TWO_PI for w in wrapped)
+    assert wrapped[:4] == [0.0, 1.0, math.nextafter(TWO_PI, 0.0), 0.0]
+    assert wrapped[6] == 0.0  # -1e-300 % 2pi rounds to 2pi
+    assert wrap_phase(np.array(phases)).tolist() == wrapped
 
 
 def test_3d_beats_its_own_coarse_grid():
