@@ -18,12 +18,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .decision import DecisionProblem, behavioral_masses, has_imperfect_recall
-from .decision import n_tuple_driver, n_tuple_outcomes, two_stage_problem
+from .decision import checked_probabilities, n_tuple_driver, n_tuple_outcomes, two_stage_problem
 from .ewl import (
     IDENTITY_PARAMS,
     UnitaryParams,
     amplitudes_one_param,
     build_gate,
+    check_stack_size,
     ewl_game,
     expected_payoff,
     expected_payoffs,
@@ -104,12 +105,7 @@ def prop1_solve(p00: float, p01: float, p10: float, p11: float) -> Prop1Solution
     diagonal/antidiagonal segments; all angles take principal values in
     [0, pi/2], residual free angles are fixed to 0.
     """
-    probs = [float(p) for p in (p00, p01, p10, p11)]
-    if any(p < -1e-12 for p in probs):
-        raise ValueError("probabilities must be nonnegative")
-    if abs(sum(probs) - 1.0) > 1e-12:
-        raise ValueError(f"probabilities sum to {sum(probs)!r}, not 1")
-    p00, p01, p10, p11 = (max(p, 0.0) for p in probs)
+    p00, p01, p10, p11 = checked_probabilities((p00, p01, p10, p11), "probabilities")
 
     diag = p00 + p11
     anti = p01 + p10
@@ -199,7 +195,7 @@ def prop2_verify(n_max: int = 5, theta_grid: int = 101) -> dict:
     masses at exit probability cos^2(theta/2), over n <= n_max and a theta grid."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    check_qubit_count(n_max + 1)
+    check_stack_size(theta_grid, n_max + 1)  # the largest stack, before n = 1 runs
     thetas = np.linspace(0.0, math.pi, theta_grid)
     gates = gate_stack(thetas)
     exits = _exit_rows(thetas)
@@ -208,14 +204,11 @@ def prop2_verify(n_max: int = 5, theta_grid: int = 101) -> dict:
         m = n + 1
         problem = n_tuple_outcomes(n)
         game = ewl_game(problem)
-
-        def amp_errors(amps, rows, m=m):
-            """The largest amplitude error of each run."""
-            amps -= amplitudes_one_param(thetas[rows], m)
-            return np.abs(amps).max(axis=1)
-
         stack = _on_every_qubit(gates, m)
-        amp_dev = float(final_states(stack, amp_errors).max())
+        amps = final_states(stack)
+        amps -= amplitudes_one_param(thetas, m)
+        amp_dev = float(np.abs(amps).max())
+        del amps  # the next n's states replace these, not add to them
         masses = outcome_masses(game, stack)
         tree = dict(behavioral_masses(problem, exits))
         mass_dev = float(np.abs(masses - np.stack([tree[lab] for lab in game.labels], 1)).max())
@@ -438,8 +431,8 @@ def formulas_verify(n_max: int = 5, samples: int = 500, seed: int = 11) -> dict:
 
     # <01|psi_f> = <10|psi_f> for the same gate on both qubits
     same = gate_stack(*rng.uniform(0.0, (math.pi, TWO_PI, TWO_PI), size=(100, 3)).T)
-    gaps = final_states(_on_every_qubit(same, 2), lambda amps, _: np.abs(amps[:, 1] - amps[:, 2]))
-    dev = float(gaps.max())
+    amps = final_states(_on_every_qubit(same, 2))
+    dev = float(np.abs(amps[:, 1] - amps[:, 2]).max())
     checks.append(make_check(
         "eta_symmetry", {"samples": 100, "seed": seed}, 0.0, dev, dev, dev <= 1e-12))
 

@@ -79,6 +79,11 @@ def check_options(args: argparse.Namespace) -> None:
         if args.samples > GRID_BUDGET:
             raise ValueError(f"--samples {args.samples:,} is over the budget of "
                              f"{GRID_BUDGET:,} (GRID_BUDGET)")
+    if opts.get("seed", 0) < 0:
+        raise ValueError(f"--seed must be >= 0, got {args.seed}")
+    # only the quantum search reads --starts
+    if opts.get("mode") != "classical" and opts.get("starts", 1) < 1:
+        raise ValueError(f"--starts must be >= 1, got {args.starts}")
     if "tol" in opts and not (math.isfinite(args.tol) and args.tol > 0):
         raise ValueError(f"--tol must be finite and positive, got {args.tol!r}")
 

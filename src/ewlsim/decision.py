@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, product
 from operator import contains
-from typing import Iterator, Mapping, Union
+from typing import Iterable, Iterator, Mapping, Union
 
 import numpy as np
 
@@ -152,6 +152,20 @@ class DecisionProblem:
         return [PureStrategy(choice) for choice in product(*self._set_actions)]
 
 
+def checked_probabilities(values: Iterable, what: str) -> tuple[float, ...]:
+    """``values`` as floats, refused unless each is nonnegative within PROB_TOL
+    and they sum to 1 within PROB_TOL (a nan refuses the sum); entries within
+    PROB_TOL below 0 become 0.  ``what`` names the values in the messages."""
+    probs = tuple(map(float, values))
+    low = min(probs, default=0.0)
+    if low < -PROB_TOL:
+        raise ValueError(f"{what} must be nonnegative")
+    total = sum(probs)
+    if not abs(total - 1.0) <= PROB_TOL:
+        raise ValueError(f"{what} sum to {total!r}, not 1")
+    return tuple(max(p, 0.0) for p in probs) if low < 0.0 else probs
+
+
 @dataclass(frozen=True)
 class PureStrategy:
     """One action index per information set, in partition order."""
@@ -169,13 +183,8 @@ class MixedStrategy:
     weights: Mapping[PureStrategy, float]
 
     def __post_init__(self):
-        w = {s: float(p) for s, p in self.weights.items()}
-        if any(p < -PROB_TOL for p in w.values()):
-            raise ValueError("mixed weights must be nonnegative")
-        total = sum(w.values())
-        if abs(total - 1.0) > PROB_TOL:
-            raise ValueError(f"mixed weights sum to {total!r}, not 1")
-        object.__setattr__(self, "weights", {s: max(p, 0.0) for s, p in w.items()})
+        weights = checked_probabilities(self.weights.values(), "mixed weights")
+        object.__setattr__(self, "weights", dict(zip(self.weights, weights)))
 
 
 @dataclass(frozen=True)
@@ -185,15 +194,8 @@ class BehavioralStrategy:
     local: tuple[tuple[float, ...], ...]
 
     def __post_init__(self):
-        rows = []
-        for row in self.local:
-            row = tuple(float(p) for p in row)
-            if any(p < -PROB_TOL for p in row):
-                raise ValueError("local probabilities must be nonnegative")
-            if abs(sum(row) - 1.0) > PROB_TOL:
-                raise ValueError(f"local probabilities sum to {sum(row)!r}, not 1")
-            rows.append(tuple(max(p, 0.0) for p in row))
-        object.__setattr__(self, "local", tuple(rows))
+        object.__setattr__(self, "local", tuple(checked_probabilities(row, "local probabilities")
+                                                for row in self.local))
 
 
 Strategy = Union[PureStrategy, MixedStrategy, BehavioralStrategy]
@@ -206,13 +208,8 @@ class OutcomeDistribution:
     probs: Mapping[str, float]
 
     def __post_init__(self):
-        p = {str(k): float(v) for k, v in self.probs.items()}
-        if any(v < -PROB_TOL for v in p.values()):
-            raise ValueError("outcome probabilities must be nonnegative")
-        total = sum(p.values())
-        if abs(total - 1.0) > PROB_TOL:
-            raise ValueError(f"outcome probabilities sum to {total!r}, not 1")
-        object.__setattr__(self, "probs", {k: max(v, 0.0) for k, v in p.items()})
+        probs = checked_probabilities(self.probs.values(), "outcome probabilities")
+        object.__setattr__(self, "probs", dict(zip(map(str, self.probs), probs)))
 
     @classmethod
     def _trusted(cls, probs: dict[str, float]) -> "OutcomeDistribution":
@@ -541,9 +538,11 @@ def problem_from_json_dict(doc: Mapping) -> DecisionProblem:
             and all(isinstance(x, list) for x in doc["histories"] + doc["partition"])
             and all(map(_is_int_type, set(map(type, chain.from_iterable(doc["histories"])))))
             and (doc.get("payoffs") is None or isinstance(doc["payoffs"], Mapping)
-                 and all(isinstance(v, (int, float)) for v in doc["payoffs"].values()))):
+                 and all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                         for v in doc["payoffs"].values()))):
         raise ValueError("a problem is a JSON object: 'histories' lists of integer actions, "
-                         "'partition' lists of history indices, 'labels' and 'payoffs' objects")
+                         "'partition' lists of history indices, 'labels' and 'payoffs' objects "
+                         "(payoffs numbers)")
     histories = [tuple(h) for h in doc["histories"]]
 
     def history(i) -> History:
@@ -552,9 +551,12 @@ def problem_from_json_dict(doc: Mapping) -> DecisionProblem:
             raise ValueError(f"history index {i!r} is not an integer in 0..{len(histories) - 1}")
         return histories[i]
 
+    labels = {history(i): str(lab) for i, lab in doc["labels"].items()}
+    if len(labels) < len(doc["labels"]):
+        raise ValueError("two label keys name the same history (as \"1\" and \"01\" do)")
     return DecisionProblem(
         histories=tuple(histories),
-        terminal_labels={history(i): str(lab) for i, lab in doc["labels"].items()},
+        terminal_labels=labels,
         info_partition=tuple(tuple(history(i) for i in cell) for cell in doc["partition"]),
         payoffs=doc.get("payoffs"),
     )

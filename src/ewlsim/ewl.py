@@ -7,8 +7,9 @@ from the four product states of the final state with no 2^m array.  Only
 ``final_states``/``final_state`` build the 2^m amplitudes, for callers whose
 output is amplitudes: ``simulate``'s basis table, ``verify prop2``'s amplitude
 check, the eta symmetry, and the tests, where they (and the dense oracle) are
-the ground truth that ``block_masses`` is checked against.  All payoff
-formulas printed here are re-derived closed forms, tested against both.
+the ground truth that ``block_masses`` is checked against; a stack whose
+arrays would exceed STACK_BUDGET entries is refused before any work.  All
+payoff formulas printed here are re-derived closed forms, tested against both.
 """
 
 from __future__ import annotations
@@ -41,8 +42,8 @@ from .qstate import (
 )
 
 _I_POW = np.array([1, 1j, -1, -1j])  # i**k for k mod 4
-# no array of a stack of protocol runs holds more complex entries than this,
-# which is what one state at the qubit limit holds; larger stacks run in chunks
+# final_states refuses a stack whose widest array would hold more complex
+# entries than this, which is what one state at the qubit limit holds
 STACK_BUDGET = 1 << MAX_QUBITS
 # block_masses works on chunks whose widest array holds at most this many
 # entries (128 KiB): on a 2-vCPU host, prop1's 1000 two-qubit runs took
@@ -240,34 +241,32 @@ def _column_products(mats: np.ndarray) -> np.ndarray:
     return np.concatenate((cols, cols[:, :, ::-1]), axis=1)
 
 
-def _final_amplitudes(mats: np.ndarray) -> np.ndarray:
-    """The (k, 2^m) final amplitudes of a (k, m, 2, 2) gate stack, every row
-    checked like a StateVector (finite, norm 1 within NORM_TOL)."""
-    h = mats.shape[1] // 2
-    amps = (_column_products(mats[:, :h]).swapaxes(1, 2)
-            @ (_column_products(mats[:, h:]) * _FINAL_WEIGHTS)).reshape(len(mats), -1)
-    check_state_rows(amps)
-    return amps
+def check_stack_size(k: int, m: int) -> None:
+    """Refuse k protocol runs on m qubits before any of their arrays exist:
+    m must pass check_qubit_count, and the widest array of final_states on
+    such a stack, the 2^m amplitudes or the 4 * 2^(m - m//2) column products
+    of each run, must hold at most STACK_BUDGET entries."""
+    check_qubit_count(m)
+    entries = k * max(1 << m, 4 << (m - m // 2))
+    if entries > STACK_BUDGET:
+        raise ValueError(f"{k} runs on {m} qubits need an array of {entries:,} complex entries, "
+                         f"over the budget of {STACK_BUDGET:,} (STACK_BUDGET)")
 
 
-def final_states(mats: np.ndarray, reduce: Callable[[np.ndarray, slice], np.ndarray]) -> np.ndarray:
-    """Run the protocol once per row of a (k, m, 2, 2) stack of gate matrices
-    (row i holds the gates of qubits 1..m of run i, as gate_stack makes them)
-    and reduce the final states: ``reduce(amps, rows)`` gets the checked (r, 2^m)
-    amplitudes of the runs ``rows`` of the stack, which it may overwrite, and
-    returns r results; the results of every chunk are concatenated.
+def final_states(mats: np.ndarray) -> np.ndarray:
+    """The final states of the protocol run once per row of a (k, m, 2, 2)
+    stack of gate matrices (row i holds the gates of qubits 1..m of run i, as
+    gate_stack makes them), as a new, writeable (k, 2^m) array of amplitudes,
+    every row checked like a StateVector (finite, norm 1 within NORM_TOL).  A
+    stack check_stack_size refuses raises its ValueError before any work.
 
     Each state is J^dag (U_1 x ... x U_m) J |0...0>, built in closed form.
     J|0...0> = (|0...0> + i|1...1>)/sqrt2, so with P_j the Kronecker product of
     column j of every gate, psi = (P_0 + i P_1 - i rev(P_0) + rev(P_1)) / 2,
     because J^dag = (I - i X^m)/sqrt2 and X^m reverses the basis.  Split at
     qubit h = m // 2, P_j = A_j x B_j and rev(P_j) = rev(A_j) x rev(B_j), so
-    the 2^h x 2^(m-h) amplitude matrices of a chunk are one batched rank-4
-    product.  A chunk holds as many runs as keep its widest array, the 2^m
-    amplitudes or the 4 * 2^(m-h) column products of each run, within
-    STACK_BUDGET entries; every row is checked like a StateVector (finite,
-    norm 1 within NORM_TOL) before ``reduce`` sees it.  final_state is the
-    one-row case.
+    the 2^h x 2^(m-h) amplitude matrices of the stack are one batched rank-4
+    product.  final_state is the one-row case.
 
     Payoffs and masses do not come from here but from block_masses; this
     kernel serves the callers that need the amplitudes themselves (simulate's
@@ -276,25 +275,20 @@ def final_states(mats: np.ndarray, reduce: Callable[[np.ndarray, slice], np.ndar
     """
     if mats.ndim != 4 or mats.shape[2:] != (2, 2):
         raise ValueError(f"need a (k, m, 2, 2) stack of gate matrices, got shape {mats.shape}")
-    m = mats.shape[1]
-    check_qubit_count(m)
-    step = max(1, STACK_BUDGET // max(1 << m, 4 << (m - m // 2)))
-    results = []
-    for start in range(0, max(len(mats), 1), step):
-        rows = slice(start, start + step)
-        amps = _final_amplitudes(mats[rows])
-        results.append(reduce(amps, rows))
-        del amps  # the next chunk's amplitudes replace this chunk's, not add to them
-    return results[0] if len(results) == 1 else np.concatenate(results)
+    k, m = mats.shape[:2]
+    check_stack_size(k, m)
+    h = m // 2
+    amps = (_column_products(mats[:, :h]).swapaxes(1, 2)
+            @ (_column_products(mats[:, h:]) * _FINAL_WEIGHTS)).reshape(k, 1 << m)
+    check_state_rows(amps)
+    return amps
 
 
 def final_state(gates: Sequence[Gate]) -> StateVector:
     """J^dag (U_1 x ... x U_m) J |0...0> on m = len(gates) qubits: the one-row
     case of final_states."""
     m = len(gates)
-    check_qubit_count(m)
-    amps = _final_amplitudes(np.array([[gate.matrix for gate in gates]]))
-    return _unchecked_state(m, amps.reshape(-1))
+    return _unchecked_state(m, final_states(_one_run(gates, m)).reshape(-1))
 
 
 # the pairs (j, l), j <= l, of the terms of the final state (see block_masses),
@@ -399,22 +393,23 @@ def _check_stack(game: EwlGame, mats: np.ndarray) -> None:
         raise ValueError(f"need a stack of {game.m} gates per run, got shape {mats.shape}")
 
 
-def _one_run(game: EwlGame, gates: Sequence[Gate]) -> np.ndarray:
-    if len(gates) != game.m:
-        raise ValueError(f"need exactly {game.m} gates, got {len(gates)}")
+def _one_run(gates: Sequence[Gate], m: int) -> np.ndarray:
+    """The (1, m, 2, 2) stack of one run's gates, which must be m."""
+    if len(gates) != m:
+        raise ValueError(f"need exactly {m} gates, got {len(gates)}")
     return np.array([[gate.matrix for gate in gates]])
 
 
 def expected_payoff(game: EwlGame, gates: Sequence[Gate]) -> float:
     """Sum of payoff(y) * |<psi_f|y>|^2 over the basis: the one-row case of
     expected_payoffs."""
-    return float(expected_payoffs(game, _one_run(game, gates))[0])
+    return float(expected_payoffs(game, _one_run(gates, game.m))[0])
 
 
 def outcome_distribution_ewl(game: EwlGame, gates: Sequence[Gate]) -> OutcomeDistribution:
     """Distribution over outcome labels induced by measuring the final state:
     the one-row case of outcome_masses."""
-    masses = outcome_masses(game, _one_run(game, gates))[0]
+    masses = outcome_masses(game, _one_run(gates, game.m))[0]
     return OutcomeDistribution(dict(zip(game.labels, masses.tolist())))
 
 

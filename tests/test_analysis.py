@@ -116,9 +116,22 @@ def test_prop2_sweep_small():
                          ids=["prop1", "prop2", "formulas"])
 def test_sweeps_report_the_same_in_small_chunks(sweep, monkeypatch):
     whole = sweep()
-    monkeypatch.setattr(ewl, "STACK_BUDGET", 64)  # a few runs per chunk
     monkeypatch.setattr(ewl, "MASS_CHUNK", 64)
     assert sweep() == whole and whole["pass"]
+
+
+def test_prop2_refuses_its_largest_stack_before_n1_runs(monkeypatch):
+    # theta_grid runs on n_max + 1 qubits: 101 * 2^4 entries fit n_max = 3, not 4
+    monkeypatch.setattr(ewl, "STACK_BUDGET", 101 * 2 ** 4)
+    assert prop2_verify(3, 101)["pass"]
+
+    def refused(*args, **kwargs):
+        raise AssertionError("prop2_verify started a run")
+
+    monkeypatch.setattr(analysis, "final_states", refused)
+    monkeypatch.setattr(ewl, "block_masses", refused)
+    with pytest.raises(ValueError, match=r"101 runs on 5 qubits .* \(STACK_BUDGET\)"):
+        prop2_verify(4, 101)
 
 
 def test_tree_references_take_one_array_call_per_tree(monkeypatch):

@@ -147,6 +147,38 @@ def test_optimize_refuses_tolerances_that_are_not_finite_and_positive(tol, capsy
     assert "--tol must be finite and positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mode", ["quantum", "both"])
+def test_optimize_refuses_starts_below_one_before_any_search(mode, capsys, monkeypatch):
+    def refused(*args, **kwargs):
+        raise AssertionError("a run without starts started its search")
+
+    monkeypatch.setattr(cli.optimize, "maximize_1d", refused)
+    monkeypatch.setattr(cli.optimize, "maximize_3d", refused)
+    assert cli.main(["optimize", "--n", "1", "--mode", mode, "--starts", "0"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "--starts must be >= 1, got 0" in err
+
+
+def test_optimize_classical_ignores_starts(capsys):
+    code, _ = run_cli("optimize", "--n", "1", "--mode", "classical", "--starts", "0",
+                      capsys=capsys)
+    assert code == 0
+
+
+@pytest.mark.parametrize("argv, target", [
+    (("verify", "prop1", "--seed", "-1"), "prop1_verify"),
+    (("verify", "formulas", "--seed", "-3"), "formulas_verify"),
+], ids=["prop1", "formulas"])
+def test_negative_seeds_are_refused_by_name(argv, target, capsys, monkeypatch):
+    def refused(*args, **kwargs):
+        raise AssertionError("a run with a negative seed started its sweep")
+
+    monkeypatch.setattr(cli.analysis, target, refused)
+    assert cli.main(list(argv)) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and f"--seed must be >= 0, got {argv[-1]}" in err
+
+
 def test_optimize_finishes_at_a_tolerance_below_float_resolution(capsys):
     # the golden-section bracket cannot narrow to 1e-300; the search stops when it stalls
     code, out = run_cli("optimize", "--n", "2", "--lambda", "5", "--mode", "both", "--grid", "9",
@@ -278,6 +310,9 @@ def test_verify_recall_with_problem_file(tmp_path, capsys):
     {"histories": [[], [0], [1.0]], "partition": [[0]], "labels": {"1": "a", "2": "b"}},
     {"histories": [[], [0], ["1"]], "partition": [[0]], "labels": {"1": "a", "2": "b"}},
     {"histories": [[], [0], 1], "partition": [[0]], "labels": {"1": "a", "2": "b"}},
+    {"histories": [[], [0], [1]], "partition": [[0]], "labels": {"1": "a", "01": "b"}},
+    {"histories": [[], [0], [1]], "partition": [[0]], "labels": {"1": "a", "2": "b"},
+     "payoffs": {"a": True, "b": 0.0}},
 ])
 def test_verify_recall_rejects_malformed_problem(doc, tmp_path, capsys):
     path = tmp_path / "problem.json"

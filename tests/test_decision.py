@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ewlsim.analysis import perfect_recall_control
+from ewlsim.analysis import perfect_recall_control, prop1_solve
 from ewlsim.decision import (
     BehavioralStrategy,
     DecisionProblem,
@@ -323,6 +323,24 @@ def test_invalid_distributions_rejected():
         BehavioralStrategy(((0.5, 0.6),))
 
 
+@pytest.mark.parametrize("build, what", [
+    (lambda p: MixedStrategy({PureStrategy((0,)): p[0], PureStrategy((1,)): p[1]}),
+     "mixed weights"),
+    (lambda p: BehavioralStrategy(((0.5, 0.5), p)), "local probabilities"),
+    (lambda p: OutcomeDistribution({"a": p[0], "b": p[1]}), "outcome probabilities"),
+    (lambda p: prop1_solve(p[0], 0.0, 0.0, p[1]), "probabilities"),
+], ids=["mixed", "behavioral", "outcome", "prop1_solve"])
+@pytest.mark.parametrize("probs, message", [
+    ((-0.2, 1.2), "must be nonnegative"),
+    ((0.7, 0.7), r"sum to 1\.4, not 1"),
+    ((math.nan, 1.0), "sum to nan, not 1"),
+], ids=["negative", "sum", "nan"])
+def test_probability_vectors_are_refused_in_their_own_words(build, what, probs, message):
+    with pytest.raises(ValueError, match=f"^{what} {message}$"):
+        build(probs)
+    assert build((-1e-13, 1.0 + 1e-13)) is not None  # within PROB_TOL: clamped, not refused
+
+
 # ------------------------------------------------------------ recall checks
 
 
@@ -628,3 +646,15 @@ def test_json_refuses_actions_that_are_not_integers(histories):
     assert problem_from_json(json.dumps(doc)).terminal_labels == {(0,): "a", (1,): "b"}
     with pytest.raises(ValueError, match="integer actions"):
         problem_from_json(json.dumps({**doc, "histories": histories}))
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"labels": {"1": "a", "01": "b"}}, "two label keys name the same history"),
+    ({"payoffs": {"a": True, "b": 0.0}}, r"'payoffs' objects \(payoffs numbers\)"),
+], ids=["duplicate_label_key", "boolean_payoff"])
+def test_json_refuses_duplicate_label_keys_and_boolean_payoffs(change, message):
+    doc = {"histories": [[], [0], [1]], "partition": [[0]], "labels": {"1": "a", "2": "b"},
+           "payoffs": {"a": 1, "b": 0.0}}
+    assert problem_from_json(json.dumps(doc)).payoffs == {"a": 1.0, "b": 0.0}
+    with pytest.raises(ValueError, match=message):
+        problem_from_json(json.dumps({**doc, **change}))

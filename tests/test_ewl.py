@@ -194,7 +194,7 @@ def test_final_states_rows_match_dense_oracle(m):
     rng = np.random.default_rng(40 + m)
     for k in range(1, 6):
         mats = _random_stack(rng, k, m)
-        amps = final_states(mats, lambda amps, _: amps.copy())
+        amps = final_states(mats)
         assert amps.shape == (k, 2 ** m)
         for row, gates in zip(amps, mats):
             np.testing.assert_allclose(row, dense_final_state(list(gates)), rtol=0, atol=1e-12)
@@ -204,26 +204,16 @@ def test_final_state_is_row_zero_of_the_one_row_stack():
     rng = np.random.default_rng(9)
     for m in (1, 2, 5, 12):
         mats = _random_stack(rng, 1, m)
-        row = final_states(mats, lambda amps, _: amps.copy())[0]
+        row = final_states(mats)[0]
         assert np.array_equal(final_state([Gate(mat) for mat in mats[0]]).amps, row)
 
 
-def test_final_states_chunks_give_the_unchunked_results(monkeypatch):
+def test_mass_chunks_give_the_unchunked_results(monkeypatch):
     rng = np.random.default_rng(10)
     mats = _random_stack(rng, 11, 6)
     game = n_tuple_outcome_game(5)
-    whole_amps = final_states(mats, lambda amps, _: amps.copy())
     whole_masses = outcome_masses(game, mats)
-    seen = []
-
-    def amps_and_rows(amps, rows):
-        seen.append((rows.start, len(amps)))
-        return amps.copy()
-
-    monkeypatch.setattr(ewl, "STACK_BUDGET", 4 * 2 ** 6)  # four runs per chunk
     monkeypatch.setattr(ewl, "MASS_CHUNK", 4 * 10 * 6 * len(game.values))  # four runs per mass chunk
-    assert np.array_equal(final_states(mats, amps_and_rows), whole_amps)
-    assert seen == [(0, 4), (4, 4), (8, 3)]
     assert np.array_equal(outcome_masses(game, mats), whole_masses)
 
 
@@ -231,10 +221,10 @@ def test_final_states_checks_every_row():
     mats = _random_stack(np.random.default_rng(11), 3, 2).copy()
     mats[2, 1] *= 1.001  # no longer unitary: the last run's norm is off
     with pytest.raises(ValueError, match="state norm .* is not 1"):
-        final_states(mats, lambda amps, _: amps[:, 0])
+        final_states(mats)
     mats[1, 0, 0, 0] = math.nan
     with pytest.raises(ValueError, match="amplitudes must be finite"):
-        final_states(mats, lambda amps, _: amps[:, 0])
+        final_states(mats)
 
 
 def test_stacked_payoffs_and_masses_match_per_run_calls():
@@ -256,19 +246,36 @@ def test_stacked_payoffs_and_masses_match_per_run_calls():
         expected_payoffs(n_tuple_driver_game(3, 7.0), _random_stack(rng, 2, 3))
 
 
-def test_stacked_peak_allocation_stays_within_one_chunk(monkeypatch):
-    # the chunk's amplitudes plus one squared-magnitude array for the norm check
-    m, per_chunk = 12, 4
-    monkeypatch.setattr(ewl, "STACK_BUDGET", per_chunk * 2 ** m)
-    mats = _random_stack(np.random.default_rng(14), 3 * per_chunk + 1, m)
-    final_states(mats, lambda amps, _: amps[:, 0].copy())  # a view would keep each chunk alive
+def test_final_states_peak_allocation():
+    # the (k, 2^m) result plus one squared-magnitude array for the norm check
+    m, k = 12, 13
+    mats = _random_stack(np.random.default_rng(14), k, m)
+    final_states(mats)
     tracemalloc.start()
     try:
-        final_states(mats, lambda amps, _: amps[:, 0].copy())
+        amps = final_states(mats)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / (16 * per_chunk * 2 ** m) < 2.05
+    assert amps.shape == (k, 2 ** m) and amps.flags.writeable
+    assert peak / (16 * k * 2 ** m) < 2.05
+
+
+def test_final_states_refuses_stacks_over_budget_before_any_work(monkeypatch):
+    m = 16
+    mats = _random_stack(np.random.default_rng(15), 4, m)
+    monkeypatch.setattr(ewl, "STACK_BUDGET", 3 * 2 ** m)
+    final_states(mats[:3])  # three runs fit
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"4 runs on 16 qubits need an array of 262,144 "
+                                             r"complex entries, over the budget of 196,608 "
+                                             r"\(STACK_BUDGET\)"):
+            final_states(mats)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** m  # one state is 16 * 2^m bytes
 
 
 def test_stacked_block_masses_peak_within_one_chunk(monkeypatch):
