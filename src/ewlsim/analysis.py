@@ -354,6 +354,8 @@ def formulas_verify(n_max: int = 5, samples: int = 500, seed: int = 11) -> dict:
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
     check_qubit_count(n_max + 1)
     rng = np.random.default_rng(seed)
     checks = []

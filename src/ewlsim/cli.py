@@ -26,11 +26,6 @@ from . import analysis, decision, ewl, optimize
 from .optimize import GRID_BUDGET, TWO_PI, wrap_phase
 from .qstate import check_qubit_count
 
-# verify prop2 simulates 101 states of 2^(n+1) amplitudes for every n up to --n,
-# so each step up doubles its time: --n 16 took 1.3 s in process on a 2-vCPU
-# host (one CPU, two BLAS threads) and --n 17 took 2.6 s
-PROP2_MAX_N = 16
-
 _ANGLE_RE = re.compile(r"^([+-]?\d*\.?\d*)\*?pi(?:/(\d*\.?\d+))?$")
 
 
@@ -240,9 +235,6 @@ def verify_prop1(args: argparse.Namespace) -> dict:
 
 
 def verify_prop2(args: argparse.Namespace) -> dict:
-    if args.n > PROP2_MAX_N:
-        raise ValueError(f"verify prop2 simulates 101 states of 2^(n+1) amplitudes for "
-                         f"every n up to --n, so --n is capped at {PROP2_MAX_N}, got {args.n}")
     return analysis.prop2_verify(n_max=args.n, theta_grid=101)
 
 

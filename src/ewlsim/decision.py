@@ -567,5 +567,16 @@ def problem_to_json(problem: DecisionProblem, indent: int | None = None) -> str:
     return json.dumps(problem_to_json_dict(problem), indent=indent)
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """json's object_pairs_hook: an object, refused when it names a key twice."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ValueError(f"a JSON object names the key {key!r} twice")
+        doc[key] = value
+    return doc
+
+
 def problem_from_json(text: str) -> DecisionProblem:
-    return problem_from_json_dict(json.loads(text))
+    """problem_from_json_dict of a JSON document in which no object repeats a key."""
+    return problem_from_json_dict(json.loads(text, object_pairs_hook=_unique_keys))

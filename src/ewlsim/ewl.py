@@ -1,22 +1,22 @@
 """The quantization protocol: entangle, apply local SU(2) gates, disentangle.
 
 Every game is a decision tree compiled by ``ewl_game``: each terminal's path
-is an aligned block of basis states carrying its label or payoff, and payoffs
-and outcome masses come from ``block_masses``, which sums each block's mass
-from the four product states of the final state with no 2^m array.  Only
-``final_states``/``final_state`` build the 2^m amplitudes, for callers whose
-output is amplitudes: ``simulate``'s basis table, ``verify prop2``'s amplitude
-check, the eta symmetry, and the tests, where they (and the dense oracle) are
-the ground truth that ``block_masses`` is checked against; a stack whose
-arrays would exceed STACK_BUDGET entries is refused before any work.  All
-payoff formulas printed here are re-derived closed forms, tested against both.
+is an aligned block of basis states carrying its label, and the game keeps the
+tree's payoffs of its labels when it has any.  Payoffs and outcome masses come
+from ``block_masses``, which sums each block's mass from the four product
+states of the final state with no 2^m array.  Only ``final_states``/
+``final_state`` build the 2^m amplitudes, for callers whose output is
+amplitudes: ``simulate``'s basis table, ``verify prop2``'s amplitude check,
+the eta symmetry, and the tests, where they (and the dense oracle) are the
+ground truth that ``block_masses`` is checked against; a stack whose arrays
+would exceed STACK_BUDGET entries is refused before any work.  All payoff
+formulas printed here are re-derived closed forms, tested against both.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -116,48 +116,26 @@ IDENTITY_PARAMS = UnitaryParams(0.0, 0.0, 0.0)
 
 @dataclass(frozen=True, init=False)
 class EwlGame:
-    """Payoffs (or outcome labels) of an m-qubit protocol run, one per block of
-    the basis, as ``ewl_game`` compiles them from a decision tree; it is the
-    only way to build one.
+    """A decision tree compiled by ``ewl_game`` for an m-qubit protocol run: its
+    outcome labels, and its payoffs when the tree has them, with the blocks of
+    the basis that carry each label.  ``ewl_game`` is the only way to build one.
 
     Block i is the i-th terminal z of the tree in lexicographic order: the
-    2^(m-|z|) basis states whose leading bits spell z, carrying values[i].
-    Column i of ``rows`` spells z for block_masses: 3q + z[q] for each qubit
-    q on the path and 3q + 2 for each qubit past it.  Games compare by value,
-    field by field.
+    2^(m-|z|) basis states whose leading bits spell z, labelled
+    labels[label_index[i]].  ``labels`` lists the distinct labels in order of
+    first appearance over the blocks, and ``payoffs`` holds each label's
+    payoff, or is None for a tree with outcome labels only.  Column i of
+    ``rows`` spells z for block_masses: 3q + z[q] for each qubit q on the path
+    and 3q + 2 for each qubit past it.  Games compare by value, field by field.
     """
 
     m: int
     rows: np.ndarray
-    values: np.ndarray
+    labels: tuple[str, ...]
+    label_index: np.ndarray
+    payoffs: np.ndarray | None
 
     __eq__ = eq_by_value
-
-    @property
-    def has_labels(self) -> bool:
-        return self.values.dtype.kind == "U"
-
-    @cached_property
-    def _label_blocks(self) -> tuple[tuple[str, ...], np.ndarray | None]:
-        """The distinct labels in order of first appearance and the index of
-        each block's label, or None when every block has its own label."""
-        block_labels = self.values.tolist()
-        index = {label: i for i, label in enumerate(dict.fromkeys(block_labels))}
-        if len(index) == len(block_labels):
-            return tuple(index), None
-        return tuple(index), np.array([index[x] for x in block_labels])
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        """The outcome labels of a label-valued game, in order of first appearance."""
-        self._require(labels=True)
-        return self._label_blocks[0]
-
-    def _require(self, labels: bool) -> None:
-        if labels and not self.has_labels:
-            raise TypeError("numeric game: use expected_payoff")
-        if not labels and self.has_labels:
-            raise TypeError("label-valued game: use outcome_distribution_ewl")
 
 
 def ewl_game(problem: DecisionProblem) -> EwlGame:
@@ -168,8 +146,9 @@ def ewl_game(problem: DecisionProblem) -> EwlGame:
     gate of qubit d is the gate of depth d's information set, and a basis state
     is the path its leading bits spell.  The terminal z ending that path covers
     the 2^(m-|z|) basis states with prefix z, an aligned block, so the
-    terminals in lexicographic order are the game's blocks, with their labels,
-    or their labels' payoffs when the problem has payoffs, as values.
+    terminals in lexicographic order are the game's blocks, each carrying its
+    label; the game keeps the problem's payoffs of those labels too, when it
+    has any.
     """
     terminals = sorted(problem.terminal_labels)
     m = max(map(len, terminals))
@@ -184,16 +163,19 @@ def ewl_game(problem: DecisionProblem) -> EwlGame:
         if depth_sets.setdefault(len(h), s) != s:
             raise ValueError(f"the protocol needs one information set per depth; "
                              f"depth {len(h)} holds several")
-    labels = [problem.terminal_labels[z] for z in terminals]
-    if problem.payoffs is None:
-        values = np.array(labels)
-    else:
-        values = np.array([problem.payoffs[lab] for lab in labels])
+    block_labels = [problem.terminal_labels[z] for z in terminals]
+    index = {label: i for i, label in enumerate(dict.fromkeys(block_labels))}
+    label_index = np.array([index[label] for label in block_labels])
+    payoffs = None
+    if problem.payoffs is not None:
+        payoffs = np.array([problem.payoffs[label] for label in index])
+        payoffs.flags.writeable = False
     paths = np.array([z + (2,) * (m - len(z)) for z in terminals]).T  # 2 past the path
     rows = (3 * np.arange(m)[:, None] + paths).astype(np.min_scalar_type(3 * m))  # m bytes per block
-    rows.flags.writeable = values.flags.writeable = False
+    rows.flags.writeable = label_index.flags.writeable = False
     game = object.__new__(EwlGame)
-    game.__dict__.update(m=m, rows=rows, values=values)
+    game.__dict__.update(m=m, rows=rows, labels=tuple(index), label_index=label_index,
+                         payoffs=payoffs)
     return game
 
 
@@ -243,9 +225,12 @@ def _column_products(mats: np.ndarray) -> np.ndarray:
 
 def check_stack_size(k: int, m: int) -> None:
     """Refuse k protocol runs on m qubits before any of their arrays exist:
-    m must pass check_qubit_count, and the widest array of final_states on
-    such a stack, the 2^m amplitudes or the 4 * 2^(m - m//2) column products
-    of each run, must hold at most STACK_BUDGET entries."""
+    k must be at least 1, m must pass check_qubit_count, and the widest array
+    of final_states on such a stack, the 2^m amplitudes or the
+    4 * 2^(m - m//2) column products of each run, must hold at most
+    STACK_BUDGET entries."""
+    if k < 1:
+        raise ValueError(f"need at least one run, got {k}")
     check_qubit_count(m)
     entries = k * max(1 << m, 4 << (m - m // 2))
     if entries > STACK_BUDGET:
@@ -370,21 +355,21 @@ def _summed_terms(factors: np.ndarray, flat: np.ndarray) -> np.ndarray:
 
 
 def expected_payoffs(game: EwlGame, mats: np.ndarray) -> np.ndarray:
-    """expected_payoff of every row of a (k, m, 2, 2) gate stack, as k floats."""
-    game._require(labels=False)
-    return (block_masses(game, mats) * game.values).sum(axis=1)
+    """expected_payoff of every row of a (k, m, 2, 2) gate stack, as k floats;
+    a game without payoffs raises ValueError."""
+    if game.payoffs is None:
+        raise ValueError("game has outcome labels only, no payoffs")
+    return (block_masses(game, mats) * game.payoffs[game.label_index]).sum(axis=1)
 
 
 def outcome_masses(game: EwlGame, mats: np.ndarray) -> np.ndarray:
     """The masses of ``game.labels`` for every row of a (k, m, 2, 2) gate stack,
     as a (k, len(labels)) array."""
-    game._require(labels=True)
     masses = block_masses(game, mats)
-    labels, owner = game._label_blocks
-    if owner is None:
+    if len(game.labels) == masses.shape[1]:  # one block per label, in label order
         return masses
-    by_label = np.zeros((len(masses), len(labels)))
-    np.add.at(by_label.T, owner, masses.T)  # adds a label's blocks in basis order
+    by_label = np.zeros((len(masses), len(game.labels)))
+    np.add.at(by_label.T, game.label_index, masses.T)  # adds a label's blocks in basis order
     return by_label
 
 

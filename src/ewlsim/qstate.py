@@ -94,7 +94,9 @@ class StateVector:
 
     @cached_property
     def probabilities(self) -> np.ndarray:
-        probs = born_probabilities(self.amps)
+        """The Born-rule probability of every basis state, |amps|^2, read-only."""
+        probs = np.abs(self.amps)
+        np.square(probs, out=probs)
         probs.flags.writeable = False
         return probs
 
@@ -146,12 +148,6 @@ def check_norms(norms: np.ndarray, entries: np.ndarray, what: str) -> None:
             raise ValueError(f"{what} must be finite")
         norm = float(norms[np.argmax(~(off <= NORM_TOL))])
         raise ValueError(f"state norm {norm!r} is not 1 within {NORM_TOL}")
-
-
-def born_probabilities(amps: np.ndarray) -> np.ndarray:
-    """|amps|^2 elementwise, as a new float array of the same shape."""
-    probs = np.abs(amps)
-    return np.square(probs, out=probs)
 
 
 def _unchecked_state(m: int, amps: np.ndarray) -> StateVector:

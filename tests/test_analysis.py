@@ -134,6 +134,12 @@ def test_prop2_refuses_its_largest_stack_before_n1_runs(monkeypatch):
         prop2_verify(4, 101)
 
 
+def test_prop2_refuses_an_empty_theta_grid_by_name():
+    for grid in (0, -3):
+        with pytest.raises(ValueError, match=f"need at least one run, got {grid}"):
+            prop2_verify(2, grid)
+
+
 def test_tree_references_take_one_array_call_per_tree(monkeypatch):
     # the behavioral outcomes at all angles come from one behavioral_masses call,
     # not from a strategy object and an outcome or payoff call per angle
@@ -287,6 +293,12 @@ def test_formulas_report():
     assert disc["actual"]["sine_linear_deviation"] > 0.01
     assert disc["actual"]["beta0_reduction_deviation"] <= 1e-9
     json.dumps(report)
+
+
+@pytest.mark.parametrize("samples", [0, -5])
+def test_formulas_refuse_sweeps_without_samples(samples):
+    with pytest.raises(ValueError, match="samples must be >= 1"):
+        formulas_verify(samples=samples)
 
 
 # -------------------------------------------------------------------- recall

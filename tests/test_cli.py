@@ -189,13 +189,17 @@ def test_optimize_finishes_at_a_tolerance_below_float_resolution(capsys):
 
 
 def test_verify_prop2_refuses_n_over_its_cap(capsys, monkeypatch):
+    # the cap is the stack budget: 101 runs on 17 qubits fit, on 18 they do not
     def refused(*args, **kwargs):
         raise AssertionError("verify prop2 ran past its cap")
 
-    monkeypatch.setattr(cli.analysis, "prop2_verify", refused)
+    monkeypatch.setattr(cli.analysis, "final_states", refused)
+    monkeypatch.setattr(cli.analysis, "outcome_masses", refused)
     assert cli.main(["verify", "prop2", "--n", "17"]) == 2
     out, err = capsys.readouterr()
-    assert out == "" and "capped at 16, got 17" in err
+    assert out == "" and ("101 runs on 18 qubits need an array of 26,476,544 complex entries, "
+                          "over the budget of 16,777,216 (STACK_BUDGET)") in err
+    cli.ewl.check_stack_size(101, 17)  # --n 16 fits
 
 
 # ----------------------------------------------------------------- optimize
@@ -313,10 +317,14 @@ def test_verify_recall_with_problem_file(tmp_path, capsys):
     {"histories": [[], [0], [1]], "partition": [[0]], "labels": {"1": "a", "01": "b"}},
     {"histories": [[], [0], [1]], "partition": [[0]], "labels": {"1": "a", "2": "b"},
      "payoffs": {"a": True, "b": 0.0}},
+    # a repeated key, which json.dumps cannot write, at any level of the document
+    '{"histories": [[], [0], [1]], "partition": [[0]], "labels": {"1": "a", "1": "c", "2": "b"}}',
+    '{"histories": [[], [0], [1]], "partition": [[0]], "labels": {"1": "a", "2": "b"}, '
+    '"payoffs": {"a": 1, "a": 5, "b": 0}}',
 ])
 def test_verify_recall_rejects_malformed_problem(doc, tmp_path, capsys):
     path = tmp_path / "problem.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     code = cli.main(["verify", "recall", "--problem", str(path)])
     assert code == 2
     assert "cannot load problem" in capsys.readouterr().err

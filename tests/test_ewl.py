@@ -213,7 +213,8 @@ def test_mass_chunks_give_the_unchunked_results(monkeypatch):
     mats = _random_stack(rng, 11, 6)
     game = n_tuple_outcome_game(5)
     whole_masses = outcome_masses(game, mats)
-    monkeypatch.setattr(ewl, "MASS_CHUNK", 4 * 10 * 6 * len(game.values))  # four runs per mass chunk
+    blocks = len(game.label_index)
+    monkeypatch.setattr(ewl, "MASS_CHUNK", 4 * 10 * 6 * blocks)  # four runs per mass chunk
     assert np.array_equal(outcome_masses(game, mats), whole_masses)
 
 
@@ -230,18 +231,20 @@ def test_final_states_checks_every_row():
 def test_stacked_payoffs_and_masses_match_per_run_calls():
     rng = np.random.default_rng(13)
     # parity labels recur in separate blocks, so masses add blocks
-    parity = ewl_game(_parity_tree(4))
-    for game in (n_tuple_driver_game(3, 7.0), n_tuple_outcome_game(3), parity):
+    parity = _parity_tree(4)
+    paid_parity = replace(parity, payoffs={"even": 2.0, "odd": -1.0})
+    for problem in (n_tuple_driver(3, 7.0), n_tuple_outcomes(3), parity, paid_parity):
+        game = ewl_game(problem)
         mats = _random_stack(rng, 6, 4)
         runs = [[Gate(mat) for mat in row] for row in mats]
-        if game.has_labels:
-            got = outcome_masses(game, mats)
-            expected = [[outcome_distribution_ewl(game, gates)[lab] for lab in game.labels]
-                        for gates in runs]
-        else:
+        got = outcome_masses(game, mats)
+        expected = [[outcome_distribution_ewl(game, gates)[lab] for lab in game.labels]
+                    for gates in runs]
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-15)
+        if game.payoffs is not None:
             got = expected_payoffs(game, mats)
             expected = [expected_payoff(game, gates) for gates in runs]
-        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-15)
+            np.testing.assert_allclose(got, expected, rtol=0, atol=1e-15)
     with pytest.raises(ValueError, match="stack of 4 gates per run"):
         expected_payoffs(n_tuple_driver_game(3, 7.0), _random_stack(rng, 2, 3))
 
@@ -278,12 +281,17 @@ def test_final_states_refuses_stacks_over_budget_before_any_work(monkeypatch):
     assert peak < 2 ** m  # one state is 16 * 2^m bytes
 
 
+def test_final_states_refuses_empty_stacks_by_name():
+    with pytest.raises(ValueError, match="need at least one run, got 0"):
+        final_states(_random_stack(np.random.default_rng(15), 0, 3))
+
+
 def test_stacked_block_masses_peak_within_one_chunk(monkeypatch):
     # a chunk's widest array holds 10m entries per block and run; an unchunked
     # call on this stack would peak above 3x the patched chunk size
     m, per_chunk = 12, 4
     game = n_tuple_driver_game(m - 1, 3.0)
-    chunk = per_chunk * 10 * m * len(game.values)
+    chunk = per_chunk * 10 * m * len(game.label_index)
     monkeypatch.setattr(ewl, "MASS_CHUNK", chunk)
     mats = _random_stack(np.random.default_rng(14), 3 * per_chunk + 1, m)
     expected_payoffs(game, mats)
@@ -337,8 +345,8 @@ def test_block_masses_match_dense_oracle(depth):
         game = ewl_game(tree)
         mats = _random_stack(rng, k, game.m)
         probs = _oracle_probs(mats)
-        np.testing.assert_allclose(block_masses(game, mats), _oracle_masses(tree, game.values, probs),
-                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(block_masses(game, mats),
+                                   _oracle_masses(tree, game.labels, probs), rtol=0, atol=1e-12)
         np.testing.assert_allclose(expected_payoffs(ewl_game(paid), mats),
                                    probs @ tree_walk_values(paid), rtol=0, atol=1e-12)
 
@@ -350,10 +358,33 @@ def test_compiled_game_masses_match_dense_oracle(seed):
     rng = np.random.default_rng(seed)
     problem = _random_binary_tree(rng)
     game = ewl_game(problem)
-    assert np.array_equal(_basis_values(game), tree_walk_values(problem))
+    assert np.array_equal(_basis_values(game, game.labels), tree_walk_values(problem))
     mats = _random_stack(rng, 2, game.m)
-    expected = _oracle_masses(problem, game.labels, _oracle_probs(mats))
+    probs = _oracle_probs(mats)
+    expected = _oracle_masses(problem, game.labels, probs)
     np.testing.assert_allclose(outcome_masses(game, mats), expected, rtol=0, atol=1e-12)
+    # the same tree with payoffs keeps its labels and masses
+    paid = replace(problem, payoffs={label: rng.normal() for label in problem.labels})
+    paid_game = ewl_game(paid)
+    assert paid_game.labels == game.labels
+    np.testing.assert_allclose(outcome_masses(paid_game, mats), expected, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(expected_payoffs(paid_game, mats), probs @ tree_walk_values(paid),
+                               rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("depth", [2, 4, 7])
+def test_parity_games_with_payoffs_match_dense_oracle(depth):
+    # each parity label owns half the blocks, scattered over the basis
+    rng = np.random.default_rng(90 + depth)
+    labelled = _parity_tree(depth)
+    paid = replace(labelled, payoffs={"even": rng.normal(), "odd": rng.normal()})
+    game = ewl_game(paid)
+    mats = _random_stack(rng, 3, depth)
+    probs = _oracle_probs(mats)
+    np.testing.assert_allclose(expected_payoffs(game, mats), probs @ tree_walk_values(paid),
+                               rtol=0, atol=1e-12)
+    np.testing.assert_allclose(outcome_masses(game, mats),
+                               _oracle_masses(labelled, game.labels, probs), rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("m", [12, 16, 20])
@@ -365,7 +396,7 @@ def test_block_masses_agree_with_final_states(m):
     outcomes = n_tuple_outcome_game(m - 1)
     walked = tree_walk_values(n_tuple_outcomes(m - 1))
     np.testing.assert_allclose(block_masses(outcomes, mats)[0],
-                               [probs[walked == label].sum() for label in outcomes.values],
+                               [probs[walked == label].sum() for label in outcomes.labels],
                                rtol=0, atol=1e-12)
     driver = n_tuple_driver_game(m - 1, 20.0)
     payoffs = tree_walk_values(n_tuple_driver(m - 1, 20.0))
@@ -425,10 +456,30 @@ def test_driver_reference_payoffs():
 
 def test_expected_payoff_rejects_label_games():
     gates = [build_gate(UnitaryParams(0.0))] * 2
-    with pytest.raises(TypeError):
-        expected_payoff(two_stage_game(), gates)
-    with pytest.raises(TypeError):
-        outcome_distribution_ewl(driver_game(4.0), gates)
+    for game in (two_stage_game(), n_tuple_outcome_game(1)):
+        with pytest.raises(ValueError, match="game has outcome labels only, no payoffs"):
+            expected_payoff(game, gates)
+        with pytest.raises(ValueError, match="game has outcome labels only, no payoffs"):
+            expected_payoffs(game, _random_stack(np.random.default_rng(3), 2, 2))
+
+
+def test_games_with_payoffs_keep_their_labels():
+    quarter = build_gate(UnitaryParams(math.pi / 2, math.pi / 4, 0.0))
+    dist = outcome_distribution_ewl(driver_game(4.0), [quarter] * 2)
+    assert set(dist.probs) == {"exit1", "home", "lodge"}
+    assert 4.0 * dist["home"] + dist["lodge"] == pytest.approx(2.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_driver_and_outcome_games_have_the_same_masses(n):
+    # exit{t} <-> o{t}, home <-> o{n+1}, lodge <-> o{n+2}, in the same block order
+    driver, outcomes = n_tuple_driver_game(n, 20.0), n_tuple_outcome_game(n)
+    assert [outcomes.labels.index(f"o{t}") for t in range(1, n + 1)] == \
+        [driver.labels.index(f"exit{t}") for t in range(1, n + 1)]
+    assert outcomes.labels.index(f"o{n + 1}") == driver.labels.index("home")
+    assert outcomes.labels.index(f"o{n + 2}") == driver.labels.index("lodge")
+    mats = _random_stack(np.random.default_rng(80 + n), 7, n + 1)
+    assert np.array_equal(outcome_masses(driver, mats), outcome_masses(outcomes, mats))
 
 
 @pytest.mark.parametrize("angles", [(2.0, 1.0, 0.5),
@@ -462,7 +513,8 @@ def test_outcome_distribution_matches_per_basis_sum_for_scattered_labels():
 @pytest.mark.parametrize("n", range(1, 10))
 def test_outcome_game_labels_are_first_exits(n):
     m = n + 1
-    labels = _basis_values(n_tuple_outcome_game(n))
+    game = n_tuple_outcome_game(n)
+    labels = _basis_values(game, game.labels)
     assert np.array_equal(labels, tree_walk_values(n_tuple_outcomes(n)))
     for y in range(1 << m):
         bits = format(y, f"0{m}b")
@@ -691,7 +743,7 @@ def test_eta_symmetry_everywhere(params):
 
 def test_game_validation():
     with pytest.raises(TypeError):
-        EwlGame(2, np.zeros(4))  # ewl_game is the only constructor
+        EwlGame(2, np.zeros(4), ("a",), np.zeros(4), None)  # ewl_game is the only constructor
     with pytest.raises(ValueError):
         n_tuple_driver_game(0, 4.0)
 
@@ -718,14 +770,17 @@ def test_two_qubit_payoff_refuses_bad_payoffs(payoffs):
 
 def test_games_are_read_only_and_compare_by_value():
     game = n_tuple_driver_game(1, 2.0)
-    assert not game.rows.flags.writeable and not game.values.flags.writeable
+    assert not any(a.flags.writeable for a in (game.rows, game.label_index, game.payoffs))
+    assert not n_tuple_outcome_game(1).label_index.flags.writeable
     assert game == n_tuple_driver_game(1, 2.0) != n_tuple_driver_game(1, 3.0)
+    assert game != ewl_game(replace(n_tuple_driver(1, 2.0), payoffs=None))
     assert game != n_tuple_driver_game(2, 2.0)
     assert two_stage_game() == two_stage_game() != n_tuple_outcome_game(1)
 
 
 def test_driver_game_payoff_layout():
-    values = _basis_values(n_tuple_driver_game(2, 7.0))
+    game = n_tuple_driver_game(2, 7.0)
+    values = _basis_values(game, game.payoffs)
     assert values[6] == 7.0  # |110>
     assert values[7] == 1.0  # |111>
     assert all(values[y] == 0.0 for y in range(6))
@@ -734,11 +789,11 @@ def test_driver_game_payoff_layout():
 # ---------------------------------------------------------- game compiler
 
 
-def _basis_values(game):
-    """The game's value on every basis state, read off its blocks: column i of
-    game.rows spells block i's path, a prefix of bits and then 2s, and the
-    blocks, each covering the 2^(m - depth) states of its prefix, must tile
-    the basis in order."""
+def _basis_values(game, per_label):
+    """The value of ``per_label`` (game.labels or game.payoffs) on every basis
+    state, read off the game's blocks: column i of game.rows spells block i's
+    path, a prefix of bits and then 2s, and the blocks, each covering the
+    2^(m - depth) states of its prefix, must tile the basis in order."""
     m = game.m
     bits = game.rows - 3 * np.arange(m)[:, None]
     depths = np.count_nonzero(bits != 2, axis=0)
@@ -746,7 +801,7 @@ def _basis_values(game):
     starts = (np.where(bits == 1, 1, 0) << (m - 1 - np.arange(m))[:, None]).sum(axis=0)
     sizes = 1 << (m - depths)
     assert np.array_equal(starts, np.cumsum(sizes) - sizes) and sizes.sum() == 1 << m
-    return np.repeat(game.values, sizes)
+    return np.repeat(np.asarray(per_label)[game.label_index], sizes)
 
 
 def _parity_tree(depth):
@@ -767,18 +822,21 @@ def test_compiled_games_equal_the_hand_layouts(n):
     for lam in (0.0, 4.0, 20.0):
         layout = np.zeros(dim)
         layout[dim - 2:] = lam, 1.0  # home is |1..10>, lodge is |1..11>
-        assert np.array_equal(_basis_values(n_tuple_driver_game(n, lam)), layout)
+        game = n_tuple_driver_game(n, lam)
+        assert np.array_equal(_basis_values(game, game.payoffs), layout)
     assert np.array_equal(layout, tree_walk_values(n_tuple_driver(n, 20.0)))
     # label o{t+1} on [2^m - 2^(m-t), 2^m - 2^(m-t-1)), o{n+2} on the all-ones state
     exits = [f"o{t + 1}" for t in range(n + 1) for _ in range(1 << (n - t))] + [f"o{n + 2}"]
-    assert _basis_values(n_tuple_outcome_game(n)).tolist() == exits
+    outcomes = n_tuple_outcome_game(n)
+    assert _basis_values(outcomes, outcomes.labels).tolist() == exits
     assert tree_walk_values(n_tuple_outcomes(n)).tolist() == exits
 
 
 def test_compiled_two_stage_games_keep_the_label_order():
-    assert _basis_values(two_stage_game()).tolist() == ["o00", "o01", "o10", "o11"]
     custom = ("LL", "LR", "RL", "RR")
-    assert _basis_values(two_stage_game(custom)).tolist() == list(custom)
+    for game, labels in ((two_stage_game(), ("o00", "o01", "o10", "o11")),
+                         (two_stage_game(custom), custom)):
+        assert game.labels == labels and _basis_values(game, labels).tolist() == list(labels)
     assert tree_walk_values(two_stage_problem(*custom)).tolist() == list(custom)
     with pytest.raises(ValueError, match="need four labels"):
         two_stage_game(custom[:3])
@@ -788,8 +846,8 @@ def test_parity_trees_compile_to_one_block_per_state():
     for depth in (4, 10):
         problem = _parity_tree(depth)
         game = ewl_game(problem)
-        assert len(game.values) == 1 << depth and game.labels == ("even", "odd")
-        assert np.array_equal(_basis_values(game), tree_walk_values(problem))
+        assert len(game.label_index) == 1 << depth and game.labels == ("even", "odd")
+        assert np.array_equal(_basis_values(game, game.labels), tree_walk_values(problem))
 
 
 def _random_binary_tree(rng, max_depth=5):
