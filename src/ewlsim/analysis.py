@@ -369,8 +369,8 @@ def formulas_verify(n_max: int = 5, samples: int = 500, seed: int = 11) -> dict:
     dev = 0.0
     for n in sorted(set(ns.tolist())):
         rows = ns == n
-        # driver payoffs are affine in lambda: lambda P(home) + P(lodge), with
-        # home and lodge the labels o{n+1} and o{n+2} of the outcome game
+        # driver payoffs are affine in lambda: lambda P(o{n+1}) + P(o{n+2}), with
+        # o{n+1} the exit at the last intersection and o{n+2} the motorway
         game = n_tuple_outcome_game(n)
         masses = outcome_masses(game, _on_every_qubit(gates[rows], n + 1))
         home, lodge = (game.labels.index(f"o{t}") for t in (n + 1, n + 2))

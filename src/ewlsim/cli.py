@@ -24,7 +24,7 @@ import numpy as np
 
 from . import analysis, decision, ewl, optimize
 from .optimize import GRID_BUDGET, TWO_PI, wrap_phase
-from .qstate import check_qubit_count
+from .qstate import MAX_QUBITS, check_qubit_count
 
 _ANGLE_RE = re.compile(r"^([+-]?\d*\.?\d*)\*?pi(?:/(\d*\.?\d+))?$")
 
@@ -47,6 +47,19 @@ def parse_angle(text: str) -> float:
         return float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"cannot parse angle {text!r}") from None
+
+
+def _attach_negative_values(argv: list[str] | None) -> list[str]:
+    """argv (sys.argv[1:] if None) with '--alpha -pi/4' written '--alpha=-pi/4':
+    argparse reads -pi/4, -1e-3 or -3,4 as an option, not as the value before it."""
+    joined: list[str] = []
+    for arg in sys.argv[1:] if argv is None else argv:
+        if (joined and re.fullmatch(r"--[^=]+", joined[-1])
+                and re.match(r"-(\d|\.\d|pi)", arg, re.IGNORECASE)):
+            joined[-1] += "=" + arg
+        else:
+            joined.append(arg)
+    return joined
 
 
 def check_options(args: argparse.Namespace) -> None:
@@ -144,12 +157,15 @@ def _report_text(report: dict, fmt: str) -> str:
 def cmd_simulate(args: argparse.Namespace) -> str:
     params = ewl.UnitaryParams(args.theta, wrap_phase(args.alpha), wrap_phase(args.beta))
     n, m = args.n, args.n + 1
+    check_qubit_count(m)
+    if 1 << m > GRID_BUDGET:  # the table's dict and text cost far more than its state
+        raise ValueError(f"--n {n} gives a basis table of {1 << m:,} rows, over the budget of "
+                         f"{GRID_BUDGET:,} (GRID_BUDGET)")
     game = ewl.n_tuple_driver_game(n, args.lam)
-    outcomes = ewl.n_tuple_outcome_game(n)
     gates = [ewl.build_gate(params)] * m
     probs = ewl.final_state(gates).probabilities  # only the basis table needs the 2^m amplitudes
     payoff = ewl.expected_payoff(game, gates)
-    dist = ewl.outcome_distribution_ewl(outcomes, gates)
+    dist = ewl.outcome_distribution_ewl(game, gates)
 
     basis = {format(y, f"0{m}b"): float(probs[y]) for y in range(1 << m)}
     doc = {
@@ -258,6 +274,8 @@ def verify_formulas(args: argparse.Namespace) -> dict:
 
 
 def cmd_landscape(args: argparse.Namespace) -> str:
+    if args.n > MAX_QUBITS - 1:  # the n range optimize searches the same closed form in
+        raise ValueError(f"--n must be at most {MAX_QUBITS - 1} (MAX_QUBITS - 1), got {args.n}")
     index = np.arange(args.grid)
     thetas = index * math.pi / (args.grid - 1)
     phases = index * TWO_PI / (args.grid - 1)
@@ -399,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(_attach_negative_values(argv))
     try:
         check_options(args)
         result = args.run(args)

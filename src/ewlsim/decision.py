@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import chain, product
 from operator import contains
@@ -256,34 +256,21 @@ def two_stage_problem(o00: str = "o00", o01: str = "o01", o10: str = "o10",
 def n_tuple_driver(n: int, lam: float) -> DecisionProblem:
     """Chain of n+1 indistinguishable intersections.
 
-    Exiting at intersections 1..n pays 0, exiting at intersection n+1 pays
-    lam, staying on the motorway throughout pays 1.  A single information set
-    holds every decision node, so the same rule must apply at all of them.
+    Exiting at intersection t ends in outcome o{t}, staying on the motorway
+    throughout ends in o{n+2}.  Exiting at intersections 1..n pays 0, exiting
+    at intersection n+1 (o{n+1}) pays lam and o{n+2} pays 1.  A single
+    information set holds every decision node, so the same rule must apply at
+    all of them.
     """
     if not isinstance(n, int) or n < 1:
         raise ValueError(f"n must be an integer >= 1, got {n}")
-    lam = float(lam)
-    histories: list[History] = [()]
-    terminal_labels: dict[History, str] = {}
-    payoffs: dict[str, float] = {}
-    for t in range(1, n + 2):
-        stay = (1,) * t
-        exit_here = (1,) * (t - 1) + (0,)
-        histories += [exit_here, stay]
-        if t <= n:
-            terminal_labels[exit_here] = f"exit{t}"
-            payoffs[f"exit{t}"] = 0.0
-        else:
-            terminal_labels[exit_here] = "home"
-            payoffs["home"] = lam
-    terminal_labels[(1,) * (n + 1)] = "lodge"
-    payoffs["lodge"] = 1.0
-    info_set = tuple((1,) * t for t in range(n + 1))
+    exits = {(1,) * t + (0,): f"o{t + 1}" for t in range(n + 1)}
+    motorway = tuple((1,) * t for t in range(n + 2))
     return DecisionProblem(
-        histories=tuple(histories),
-        terminal_labels=terminal_labels,
-        info_partition=(info_set,),
-        payoffs=payoffs,
+        histories=motorway + tuple(exits),
+        terminal_labels={**exits, motorway[-1]: f"o{n + 2}"},
+        info_partition=(motorway[:-1],),
+        payoffs={**dict.fromkeys(exits.values(), 0.0), f"o{n + 1}": lam, f"o{n + 2}": 1.0},
     )
 
 
@@ -293,17 +280,9 @@ def absentminded_driver(lam: float) -> DecisionProblem:
 
 
 def n_tuple_outcomes(n: int) -> DecisionProblem:
-    """Same tree as n_tuple_driver, with abstract labels o1..o{n+2} and no payoffs."""
-    base = n_tuple_driver(n, 0.0)
-    relabel = {}
-    for h, lab in base.terminal_labels.items():
-        t = len(h)  # exit after t-1 motorway moves ends a length-t history
-        relabel[h] = f"o{t}" if h[-1] == 0 else f"o{n + 2}"
-    return DecisionProblem(
-        histories=base.histories,
-        terminal_labels=relabel,
-        info_partition=base.info_partition,
-    )
+    """The n_tuple_driver tree as a label-valued problem: outcomes o1..o{n+2},
+    no payoffs."""
+    return replace(n_tuple_driver(n, 0.0), payoffs=None)
 
 
 # --------------------------------------------------------------------------

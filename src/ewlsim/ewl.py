@@ -180,7 +180,7 @@ def ewl_game(problem: DecisionProblem) -> EwlGame:
 
 
 def n_tuple_driver_game(n: int, lam: float) -> EwlGame:
-    """Driver payoffs on n+1 qubits: lam on |1..10>, 1 on |1..11>, 0 elsewhere."""
+    """n_tuple_outcome_game with payoffs lam on o{n+1} (|1..10>), 1 on o{n+2}."""
     return ewl_game(n_tuple_driver(n, lam))
 
 
@@ -196,9 +196,9 @@ def two_stage_game(labels: Sequence[str] = ("o00", "o01", "o10", "o11")) -> EwlG
 
 
 def n_tuple_outcome_game(n: int) -> EwlGame:
-    """Label-valued driver game: basis states starting with t ones and a zero
-    carry label o{t+1} (the driver exits at intersection t+1), and the all-ones
-    state carries o{n+2}."""
+    """n_tuple_driver_game without payoffs: basis states starting with t ones
+    and a zero carry label o{t+1} (the driver exits at intersection t+1), and
+    the all-ones state carries o{n+2}."""
     return ewl_game(n_tuple_outcomes(n))
 
 

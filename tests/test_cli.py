@@ -43,6 +43,29 @@ def test_parse_angle_rejects_garbage():
             cli.parse_angle(text)
 
 
+@pytest.mark.parametrize("argv,dest,expected", [
+    (["simulate", "--theta", "1", "--alpha", "-pi/4"], "alpha", -math.pi / 4),
+    (["simulate", "--theta", "1", "--alpha", "-1e-3"], "alpha", -1e-3),
+    (["optimize", "--lambda", "-1e3"], "lam", -1e3),
+    (["reproduce", "--lambda-sweep", "-3,4"], "lambda_sweep", "-3,4"),
+])
+def test_options_take_negative_values(argv, dest, expected, capsys, monkeypatch):
+    seen = []
+    for command in ("cmd_simulate", "cmd_optimize", "cmd_reproduce"):
+        monkeypatch.setattr(cli, command, lambda args: seen.append(args) or "")
+    assert cli.main(argv) == 0
+    assert getattr(seen[0], dest) == expected
+    # the same value written with '=' parses the same
+    assert cli.main(argv[:-2] + [f"{argv[-2]}={argv[-1]}"]) == 0
+    assert vars(seen[1]) == vars(seen[0])
+
+
+def test_simulate_reports_a_negative_alpha_wrapped(capsys):
+    code, out = run_cli("simulate", "--theta", "1", "--alpha", "-pi/4", "--format", "json",
+                        capsys=capsys)
+    assert code == 0 and json.loads(out)["alpha"] == pytest.approx(7 * math.pi / 4, abs=1e-15)
+
+
 # ----------------------------------------------------------------- simulate
 
 
@@ -89,6 +112,35 @@ def test_simulate_builds_the_state_once(capsys, monkeypatch):
     dist = doc["outcome_distribution"]
     assert doc["expected_payoff"] == pytest.approx(20.0 * dist["o4"] + dist["o5"], abs=1e-12)
     assert sum(doc["basis_probabilities"].values()) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_simulate_compiles_one_game(capsys, monkeypatch):
+    compiled = []
+    original = cli.ewl.ewl_game
+
+    def counted(problem):
+        compiled.append(problem)
+        return original(problem)
+
+    monkeypatch.setattr(cli.ewl, "ewl_game", counted)
+    code, out = run_cli("simulate", "--n", "3", "--lambda", "20", "--theta", "pi/2",
+                        "--alpha", "9pi/16", "--beta", "3pi/16", "--format", "json",
+                        capsys=capsys)
+    assert code == 0 and len(compiled) == 1
+    assert list(json.loads(out)["outcome_distribution"]) == ["o1", "o2", "o3", "o4", "o5"]
+
+
+def test_simulate_refuses_basis_tables_over_budget_before_any_work(capsys, monkeypatch):
+    def refused(*args, **kwargs):
+        raise AssertionError("an oversized simulate run started its work")
+
+    monkeypatch.setattr(cli.ewl, "ewl_game", refused)
+    monkeypatch.setattr(cli.ewl, "final_state", refused)
+    assert cli.main(["simulate", "--n", "19", "--theta", "pi/2"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "--n 19 gives a basis table of 1,048,576 rows, over the budget of 1,000,000 " \
+        "(GRID_BUDGET)" in err
 
 
 def test_simulate_requires_theta(capsys):
@@ -379,6 +431,19 @@ def test_verify_refuses_sample_counts_over_budget(target, verify, samples, capsy
     assert cli.main(["verify", target, "--samples", samples]) == 2
     out, err = capsys.readouterr()
     assert out == "" and "over the budget of 1,000,000 (GRID_BUDGET)" in err
+
+
+def test_landscape_refuses_n_beyond_the_optimize_range(capsys, monkeypatch):
+    def refused(*args, **kwargs):
+        raise AssertionError("an oversized landscape started computing rows")
+
+    monkeypatch.setattr(cli.ewl, "payoff_three_param_fn", refused)
+    assert cli.main(["landscape", "--n", "24", "--grid", "2"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "--n must be at most 23 (MAX_QUBITS - 1), got 24" in err
+    monkeypatch.undo()
+    code, out = run_cli("landscape", "--n", "23", "--grid", "2", capsys=capsys)
+    assert code == 0 and len(out.strip().splitlines()) == 1 + 8
 
 
 def test_landscape_reference_row_and_roundtrip(capsys):

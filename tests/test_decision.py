@@ -64,7 +64,7 @@ def test_driver_structure():
     prob = absentminded_driver(4.0)
     assert len(prob.pure_strategies()) == 2
     assert has_imperfect_recall(prob)
-    assert prob.payoffs == {"exit1": 0.0, "home": 4.0, "lodge": 1.0}
+    assert prob.payoffs == {"o1": 0.0, "o2": 4.0, "o3": 1.0}
 
 
 def test_driver_pure_strategy_payoffs():
@@ -101,13 +101,28 @@ def test_trees_refuse_non_finite_payoffs(bad):
                         info_partition=(((),),), payoffs={"a": 1.0, "b": bad})
     doc = json.loads(problem_to_json(absentminded_driver(4.0)))
     with pytest.raises(ValueError, match="payoffs must be finite"):
-        problem_from_json(json.dumps({**doc, "payoffs": {**doc["payoffs"], "home": bad}}))
+        problem_from_json(json.dumps({**doc, "payoffs": {**doc["payoffs"], "o2": bad}}))
 
 
 def test_n_tuple_outcomes_labels():
     prob = n_tuple_outcomes(2)
     assert sorted(set(prob.terminal_labels.values())) == ["o1", "o2", "o3", "o4"]
     assert prob.payoffs is None
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_n_tuple_outcomes_is_the_driver_without_payoffs(n):
+    driver, outcomes = n_tuple_driver(n, 20.0), n_tuple_outcomes(n)
+    assert outcomes.histories == driver.histories
+    assert outcomes.info_partition == driver.info_partition
+    assert outcomes.terminal_labels == driver.terminal_labels
+    assert outcomes.payoffs is None
+    # exiting at intersection t ends in o{t}, staying on the motorway in o{n+2}
+    assert outcomes.terminal_labels[(1,) * (n + 1)] == f"o{n + 2}"
+    for t in range(1, n + 2):
+        assert outcomes.terminal_labels[(1,) * (t - 1) + (0,)] == f"o{t}"
+    assert driver.payoffs == {**{f"o{t}": 0.0 for t in range(1, n + 1)},
+                              f"o{n + 1}": 20.0, f"o{n + 2}": 1.0}
 
 
 def test_prefix_closure_enforced():
@@ -159,9 +174,9 @@ def test_two_stage_mixed_half_half():
 def test_driver_behavioral_third():
     prob = absentminded_driver(4.0)
     dist = outcome_of(prob, BehavioralStrategy(((1 / 3, 2 / 3),)))
-    assert dist["exit1"] == pytest.approx(1 / 3, abs=1e-12)
-    assert dist["home"] == pytest.approx(2 / 9, abs=1e-12)
-    assert dist["lodge"] == pytest.approx(4 / 9, abs=1e-12)
+    assert dist["o1"] == pytest.approx(1 / 3, abs=1e-12)
+    assert dist["o2"] == pytest.approx(2 / 9, abs=1e-12)
+    assert dist["o3"] == pytest.approx(4 / 9, abs=1e-12)
     assert expected_payoff_classical(prob, BehavioralStrategy(((1 / 3, 2 / 3),))) == \
         pytest.approx(4 / 3, abs=1e-12)
 
@@ -615,7 +630,7 @@ def test_json_document_shape():
     doc = json.loads(problem_to_json(absentminded_driver(4.0)))
     assert set(doc) == {"histories", "partition", "labels", "payoffs"}
     assert [] in doc["histories"]
-    assert doc["payoffs"]["home"] == 4.0
+    assert doc["payoffs"]["o2"] == 4.0
     assert all(isinstance(i, int) for cell in doc["partition"] for i in cell)
 
 
@@ -627,8 +642,8 @@ _TWO_STAGE_DOC = {"histories": [[], [0], [1], [0, 0], [0, 1], [1, 0], [1, 1]],
 @pytest.mark.parametrize("prob, doc", [
     (absentminded_driver(4.0),
      {"histories": [[], [0], [1], [1, 0], [1, 1]], "partition": [[0, 2]],
-      "labels": {"1": "exit1", "3": "home", "4": "lodge"},
-      "payoffs": {"exit1": 0.0, "home": 4.0, "lodge": 1.0}}),
+      "labels": {"1": "o1", "3": "o2", "4": "o3"},
+      "payoffs": {"o1": 0.0, "o2": 4.0, "o3": 1.0}}),
     (two_stage_problem(), _TWO_STAGE_DOC),
     (perfect_recall_control(), {**_TWO_STAGE_DOC, "partition": [[0], [1], [2]]}),
 ], ids=["driver", "two_stage", "perfect_recall_control"])

@@ -466,18 +466,14 @@ def test_expected_payoff_rejects_label_games():
 def test_games_with_payoffs_keep_their_labels():
     quarter = build_gate(UnitaryParams(math.pi / 2, math.pi / 4, 0.0))
     dist = outcome_distribution_ewl(driver_game(4.0), [quarter] * 2)
-    assert set(dist.probs) == {"exit1", "home", "lodge"}
-    assert 4.0 * dist["home"] + dist["lodge"] == pytest.approx(2.0, abs=1e-12)
+    assert set(dist.probs) == {"o1", "o2", "o3"}
+    assert 4.0 * dist["o2"] + dist["o3"] == pytest.approx(2.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("n", range(1, 6))
 def test_driver_and_outcome_games_have_the_same_masses(n):
-    # exit{t} <-> o{t}, home <-> o{n+1}, lodge <-> o{n+2}, in the same block order
     driver, outcomes = n_tuple_driver_game(n, 20.0), n_tuple_outcome_game(n)
-    assert [outcomes.labels.index(f"o{t}") for t in range(1, n + 1)] == \
-        [driver.labels.index(f"exit{t}") for t in range(1, n + 1)]
-    assert outcomes.labels.index(f"o{n + 1}") == driver.labels.index("home")
-    assert outcomes.labels.index(f"o{n + 2}") == driver.labels.index("lodge")
+    assert driver.labels == outcomes.labels == tuple(f"o{t}" for t in range(1, n + 3))
     mats = _random_stack(np.random.default_rng(80 + n), 7, n + 1)
     assert np.array_equal(outcome_masses(driver, mats), outcome_masses(outcomes, mats))
 
@@ -821,7 +817,7 @@ def test_compiled_games_equal_the_hand_layouts(n):
     dim = 1 << (n + 1)
     for lam in (0.0, 4.0, 20.0):
         layout = np.zeros(dim)
-        layout[dim - 2:] = lam, 1.0  # home is |1..10>, lodge is |1..11>
+        layout[dim - 2:] = lam, 1.0  # o{n+1} is |1..10>, o{n+2} is |1..11>
         game = n_tuple_driver_game(n, lam)
         assert np.array_equal(_basis_values(game, game.payoffs), layout)
     assert np.array_equal(layout, tree_walk_values(n_tuple_driver(n, 20.0)))
