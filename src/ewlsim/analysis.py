@@ -13,7 +13,7 @@ Every sweep returns a structured report: a list of checks with stable keys
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 
 import numpy as np
 
@@ -93,30 +93,30 @@ class Prop1Solution:
     gate2_is_identity: bool = True
 
 
-def _arccos_sqrt(x: float) -> float:
-    return math.acos(math.sqrt(min(max(x, 0.0), 1.0)))
+def _prop1_angles(p00, p01, p10, p11):
+    """prop1_solve's (theta, alpha, beta) at Python floats, through math, or at
+    numpy arrays that broadcast together, through numpy."""
+    floats = type(p00) is type(p01) is type(p10) is type(p11) is float
+    atan2, sqrt = (math.atan2, math.sqrt) if floats else (np.arctan2, np.sqrt)
+    return (2.0 * atan2(sqrt(p01 + p10), sqrt(p00 + p11)),
+            atan2(sqrt(p11), sqrt(p00)), atan2(sqrt(p01), sqrt(p10)))
 
 
 def prop1_solve(p00: float, p01: float, p10: float, p11: float) -> Prop1Solution:
     """Gate on qubit 1 (identity on qubit 2) whose outcome is the given mixture.
 
-    General branch: cos^2(theta/2) = p00 + p11, cos^2(alpha) = p00/(p00+p11),
-    cos^2(beta) = p10/(p01+p10).  Degenerate mixtures fall back to the pure
-    diagonal/antidiagonal segments; all angles take principal values in
-    [0, pi/2], residual free angles are fixed to 0.
+    tan^2(theta/2) = (p01+p10)/(p00+p11), tan^2 alpha = p11/p00 and
+    tan^2 beta = p01/p10, that is theta = 2 atan2(sqrt(p01+p10), sqrt(p00+p11)),
+    alpha = atan2(sqrt(p11), sqrt(p00)) and beta = atan2(sqrt(p01), sqrt(p10)).
+    An atan2 of two square roots lies in [0, pi/2] and is 0 when both are 0, so
+    a pair that sums to 0 needs no branch: its unused angle is 0.  ``branch``
+    only names that pair (diagonal_segment: p01+p10 = 0, antidiagonal_segment:
+    p00+p11 = 0).
     """
     p00, p01, p10, p11 = checked_probabilities((p00, p01, p10, p11), "probabilities")
-
-    diag = p00 + p11
-    anti = p01 + p10
-    if anti == 0.0:
-        return Prop1Solution(UnitaryParams(0.0, _arccos_sqrt(p00), 0.0), "diagonal_segment")
-    if diag == 0.0:
-        return Prop1Solution(UnitaryParams(math.pi, 0.0, _arccos_sqrt(p10)), "antidiagonal_segment")
-    theta = 2.0 * _arccos_sqrt(diag)
-    alpha = _arccos_sqrt(p00 / diag)
-    beta = _arccos_sqrt(p10 / anti)
-    return Prop1Solution(UnitaryParams(theta, alpha, beta), "general")
+    branch = ("diagonal_segment" if p01 + p10 == 0.0 else
+              "antidiagonal_segment" if p00 + p11 == 0.0 else "general")
+    return Prop1Solution(UnitaryParams(*_prop1_angles(p00, p01, p10, p11)), branch)
 
 
 _TWO_STAGE_GAME = two_stage_game()
@@ -134,16 +134,14 @@ def _on_every_qubit(gates: np.ndarray, m: int) -> np.ndarray:
 
 
 def _identity_gates(k: int) -> np.ndarray:
-    identity = gate_stack(IDENTITY_PARAMS.theta, IDENTITY_PARAMS.alpha, IDENTITY_PARAMS.beta)
-    return np.broadcast_to(identity, (k, 2, 2))
+    return np.broadcast_to(gate_stack(*astuple(IDENTITY_PARAMS)), (k, 2, 2))
 
 
 def _prop1_deviation(mixtures) -> float:
     """Largest outcome error of prop1_solve's unitary strategies over the rows
     of a (k, 4) array of mixtures, all simulated in one stacked call."""
     mixtures = np.asarray(mixtures, dtype=float)
-    params = [prop1_solve(*probs).params1 for probs in mixtures.tolist()]
-    first = gate_stack(*np.array([(p.theta, p.alpha, p.beta) for p in params]).T)
+    first = gate_stack(*_prop1_angles(*mixtures.T))
     masses = outcome_masses(_TWO_STAGE_GAME,
                             np.stack((first, _identity_gates(len(first))), axis=1))
     order = [_TWO_STAGE_GAME.labels.index(lab) for lab in ("o00", "o01", "o10", "o11")]
@@ -248,8 +246,8 @@ def prop3_params(n: int) -> tuple[float, float, float, float]:
     lambda0 = 1 / (cos^2n(theta'/2) sin^2(theta'/2)) = (n+1)^(n+1) / n,
     with chi(n) = 1 iff n = 3 (mod 4), which is when i^(n-1) = -1.
 
-    lambda0 is computed in log space; from n = 143 on it exceeds the largest
-    float and a ValueError is raised.
+    lambda0 is the correctly rounded quotient of the two exact integers; from
+    n = 143 on it exceeds the largest float and a ValueError is raised.
     """
     if not isinstance(n, int) or n < 2:
         raise ValueError(f"n must be an integer >= 2, got {n}")
@@ -257,12 +255,11 @@ def prop3_params(n: int) -> tuple[float, float, float, float]:
     chi = 1 if n % 4 == 3 else 0
     alpha = (math.pi + 2.0 * math.pi * chi) * n / (2.0 * (n * n - 1))
     beta = (math.pi + 2.0 * math.pi * chi) / (2.0 * (n * n - 1))
-    log_lam0 = (n + 1) * math.log(n + 1) - math.log(n)
     try:
-        lam0 = math.exp(log_lam0)
+        lam0 = (n + 1) ** (n + 1) / n
     except OverflowError:
-        raise ValueError(f"lambda0 = (n+1)^(n+1)/n = e^{log_lam0:.2f} at n={n} is beyond the "
-                         f"largest float; prop3_params needs n <= 142") from None
+        raise ValueError(f"lambda0 = (n+1)^(n+1)/n at n={n} is beyond the largest float; "
+                         "prop3_params needs n <= 142") from None
     return theta, alpha, beta, lam0
 
 
@@ -306,10 +303,9 @@ def prop3_verify(n: int, delta: float = 1.5, lam: float | None = None) -> Prop3C
     if abs(res.value - closed) > 1e-9 * max(1.0, abs(closed)):
         raise CrossCheckError(
             f"classical optimum mismatch: numeric {res.value!r} vs closed form {closed!r}")
-    classical = res.value
-    margin = quantum - classical
+    margin = quantum - res.value
     return Prop3Certificate(n, theta, alpha, beta, lam0, delta, lam_eff,
-                            quantum, classical, margin, margin > 0.0)
+                            quantum, res.value, margin, margin > 0.0)
 
 
 def prop3_sweep(n_values=(2, 3, 4, 5, 6), deltas=(1.1, 1.5, 3.0)) -> dict:
@@ -381,8 +377,7 @@ def formulas_verify(n_max: int = 5, samples: int = 500, seed: int = 11) -> dict:
         {"samples": samples, "seed": seed, "n_max": n_max},
         0.0, dev, dev, dev <= 1e-9))
 
-    dev_sim = 0.0
-    dev_tree = 0.0
+    dev_sim = dev_tree = 0.0
     lam = 4.0
     thetas = np.linspace(0.0, math.pi, 101)
     exits = _exit_rows(thetas)
@@ -463,13 +458,7 @@ def formulas_verify(n_max: int = 5, samples: int = 500, seed: int = 11) -> dict:
 
 def perfect_recall_control() -> DecisionProblem:
     """Two-stage tree whose second move sits in singleton information sets."""
-    histories = [(), (0,), (1,)] + [(k, l) for k in (0, 1) for l in (0, 1)]
-    labels = {(k, l): f"o{k}{l}" for k in (0, 1) for l in (0, 1)}
-    return DecisionProblem(
-        histories=tuple(histories),
-        terminal_labels=labels,
-        info_partition=(((),), ((0,),), ((1,),)),
-    )
+    return replace(two_stage_problem(), info_partition=(((),), ((0,),), ((1,),)))
 
 
 def recall_verify(problem: DecisionProblem | None = None) -> dict:

@@ -255,7 +255,9 @@ def verify_prop2(args: argparse.Namespace) -> dict:
 
 
 def verify_prop3(args: argparse.Namespace) -> dict:
-    return analysis.prop3_sweep(n_values=tuple(range(2, max(args.n, 2) + 1)))
+    if args.n < 2:  # the certificates start at n = 2
+        raise ValueError(f"--n must be >= 2 for verify prop3, got {args.n}")
+    return analysis.prop3_sweep(n_values=tuple(range(2, args.n + 1)))
 
 
 def verify_recall(args: argparse.Namespace) -> dict:

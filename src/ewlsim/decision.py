@@ -530,15 +530,23 @@ def problem_from_json_dict(doc: Mapping) -> DecisionProblem:
             raise ValueError(f"history index {i!r} is not an integer in 0..{len(histories) - 1}")
         return histories[i]
 
-    labels = {history(i): str(lab) for i, lab in doc["labels"].items()}
+    if not all(isinstance(lab, str) for lab in doc["labels"].values()):
+        raise ValueError("labels must be strings")
+    labels = {history(i): lab for i, lab in doc["labels"].items()}
     if len(labels) < len(doc["labels"]):
         raise ValueError("two label keys name the same history (as \"1\" and \"01\" do)")
-    return DecisionProblem(
+    problem = DecisionProblem(
         histories=tuple(histories),
         terminal_labels=labels,
         info_partition=tuple(tuple(history(i) for i in cell) for cell in doc["partition"]),
         payoffs=doc.get("payoffs"),
     )
+    # the tree keeps one copy of a repeated history or set member: count them
+    if len(problem.histories) < len(histories):
+        raise ValueError("'histories' lists a history twice")
+    if sum(map(len, problem.info_partition)) < sum(map(len, doc["partition"])):
+        raise ValueError("an information set in 'partition' lists a history twice")
+    return problem
 
 
 def problem_to_json(problem: DecisionProblem, indent: int | None = None) -> str:

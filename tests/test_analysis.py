@@ -1,8 +1,11 @@
 import json
 import math
+from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ewlsim.analysis import (
     classical_max_closed_form,
@@ -85,6 +88,60 @@ def test_prop1_rejects_bad_vectors():
         prop1_solve(0.5, 0.5, 0.5, -0.5)
     with pytest.raises(ValueError):
         prop1_solve(0.5, 0.2, 0.2, 0.2)
+
+
+# the 23 simplex points with coordinates in {0, 1/4, 1/2, 1}: vertices, edge
+# midpoints and face points
+QUARTER_MIXTURES = [p for p in product((0.0, 0.25, 0.5, 1.0), repeat=4) if sum(p) == 1.0]
+
+
+def _segment(p00, p01, p10, p11):
+    return ("diagonal_segment" if p01 + p10 == 0.0 else
+            "antidiagonal_segment" if p00 + p11 == 0.0 else "general")
+
+
+def _check_prop1_solution(p):
+    sol = prop1_solve(*p)
+    t, a, b = sol.params1.theta, sol.params1.alpha, sol.params1.beta
+    assert 0.0 <= t <= math.pi and 0.0 <= a <= math.pi / 2 and 0.0 <= b <= math.pi / 2
+    assert sol.branch == _segment(*p) and sol.gate2_is_identity
+    dist = prop1_outcome(sol)
+    assert max(abs(dist[lab] - x) for lab, x in zip(("o00", "o01", "o10", "o11"), p)) <= 1e-12
+
+
+@pytest.mark.parametrize("p", QUARTER_MIXTURES)
+def test_prop1_reaches_the_quarter_mixtures(p):
+    _check_prop1_solution(p)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4),
+       st.sets(st.integers(0, 3), max_size=3))
+def test_prop1_reaches_mixtures_with_zero_coordinates(weights, zeros):
+    weights = [0.0 if i in zeros else w for i, w in enumerate(weights)]
+    total = sum(weights)
+    assume(total > 1e-6)
+    _check_prop1_solution([w / total for w in weights])
+
+
+def test_prop1_angles_on_arrays_agree_with_float_calls():
+    rng = np.random.default_rng(18)
+    rows = np.concatenate([rng.dirichlet((1.0,) * 4, size=2000),
+                           rng.dirichlet((0.2,) * 4, size=2000), QUARTER_MIXTURES])
+    rows[rng.random(rows.shape) < 0.2] = 0.0  # zero pairs too; only the kernel reads the rows
+    stacked = np.stack(analysis._prop1_angles(*rows.T), axis=1)
+    assert stacked.shape == (len(rows), 3)
+    for row, angles in zip(rows.tolist(), stacked.tolist()):
+        assert angles == pytest.approx(analysis._prop1_angles(*row), rel=0.0, abs=1e-15)
+
+
+def test_prop1_verify_makes_no_per_row_solve(monkeypatch):
+    def refused(*args, **kwargs):
+        raise AssertionError("the sweep solved a row on its own")
+
+    monkeypatch.setattr(analysis, "prop1_solve", refused)
+    report = prop1_verify(500, seed=7)
+    assert report["pass"] and len(report["checks"]) == 3
 
 
 def test_prop1_verify_sweep():
@@ -186,6 +243,11 @@ def test_prop3_threshold_matches_direct_formula_up_to_n142():
         theta = 2.0 * math.acos(1.0 / math.sqrt(n + 1.0))
         direct = 1.0 / (math.cos(theta / 2.0) ** (2 * n) * math.sin(theta / 2.0) ** 2)
         assert prop3_params(n)[3] == pytest.approx(direct, rel=1e-12)
+
+
+def test_prop3_threshold_is_the_correctly_rounded_quotient():
+    for n in range(2, 143):
+        assert prop3_params(n)[3] == (n + 1) ** (n + 1) / n
 
 
 @pytest.mark.parametrize("n", [143, 150])

@@ -335,6 +335,16 @@ def test_verify_prop3_small(capsys):
     assert all(c["actual"]["margin"] > 0 for c in report["checks"])
 
 
+def test_verify_prop3_refuses_n_below_2_before_any_work(capsys, monkeypatch):
+    def refused(*args, **kwargs):
+        raise AssertionError("verify prop3 --n 1 started its work")
+
+    monkeypatch.setattr(cli.analysis, "prop3_sweep", refused)
+    assert cli.main(["verify", "prop3", "--n", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "--n must be >= 2" in err
+
+
 def test_verify_formulas_reports_discrepancy_note(capsys):
     code, out = run_cli("verify", "formulas", "--n", "1", "--samples", "60",
                         "--format", "json", capsys=capsys)
@@ -373,6 +383,7 @@ def test_verify_recall_with_problem_file(tmp_path, capsys):
     '{"histories": [[], [0], [1]], "partition": [[0]], "labels": {"1": "a", "1": "c", "2": "b"}}',
     '{"histories": [[], [0], [1]], "partition": [[0]], "labels": {"1": "a", "2": "b"}, '
     '"payoffs": {"a": 1, "a": 5, "b": 0}}',
+    {"histories": [[], [0], [0]], "partition": [[0]], "labels": {"1": "a"}},
 ])
 def test_verify_recall_rejects_malformed_problem(doc, tmp_path, capsys):
     path = tmp_path / "problem.json"

@@ -666,7 +666,11 @@ def test_json_refuses_actions_that_are_not_integers(histories):
 @pytest.mark.parametrize("change, message", [
     ({"labels": {"1": "a", "01": "b"}}, "two label keys name the same history"),
     ({"payoffs": {"a": True, "b": 0.0}}, r"'payoffs' objects \(payoffs numbers\)"),
-], ids=["duplicate_label_key", "boolean_payoff"])
+    ({"histories": [[], [0], [0]], "labels": {"1": "a"}}, "'histories' lists a history twice"),
+    ({"partition": [[0, 0]]}, "information set in 'partition' lists a history twice"),
+    ({"labels": {"1": ["a"], "2": None}}, "labels must be strings"),
+], ids=["duplicate_label_key", "boolean_payoff", "repeated_history", "repeated_set_member",
+        "non_string_labels"])
 def test_json_refuses_duplicate_label_keys_and_boolean_payoffs(change, message):
     doc = {"histories": [[], [0], [1]], "partition": [[0]], "labels": {"1": "a", "2": "b"},
            "payoffs": {"a": 1, "b": 0.0}}
