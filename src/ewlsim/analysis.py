@@ -13,7 +13,7 @@ Every sweep returns a structured report: a list of checks with stable keys
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -94,12 +94,10 @@ class Prop1Solution:
 
 
 def _prop1_angles(p00, p01, p10, p11):
-    """prop1_solve's (theta, alpha, beta) at Python floats, through math, or at
-    numpy arrays that broadcast together, through numpy."""
-    floats = type(p00) is type(p01) is type(p10) is type(p11) is float
-    atan2, sqrt = (math.atan2, math.sqrt) if floats else (np.arctan2, np.sqrt)
-    return (2.0 * atan2(sqrt(p01 + p10), sqrt(p00 + p11)),
-            atan2(sqrt(p11), sqrt(p00)), atan2(sqrt(p01), sqrt(p10)))
+    """prop1_solve's (theta, alpha, beta) at floats or at numpy arrays that
+    broadcast together, elementwise in numpy either way."""
+    return (2.0 * np.arctan2(np.sqrt(p01 + p10), np.sqrt(p00 + p11)),
+            np.arctan2(np.sqrt(p11), np.sqrt(p00)), np.arctan2(np.sqrt(p01), np.sqrt(p10)))
 
 
 def prop1_solve(p00: float, p01: float, p10: float, p11: float) -> Prop1Solution:
@@ -113,7 +111,8 @@ def prop1_solve(p00: float, p01: float, p10: float, p11: float) -> Prop1Solution
     only names that pair (diagonal_segment: p01+p10 = 0, antidiagonal_segment:
     p00+p11 = 0).
     """
-    p00, p01, p10, p11 = checked_probabilities((p00, p01, p10, p11), "probabilities")
+    probs = checked_probabilities((p00, p01, p10, p11), "probabilities")
+    p00, p01, p10, p11 = (p + 0.0 for p in probs)  # -0.0 becomes 0.0: atan2(0, -0) is pi
     branch = ("diagonal_segment" if p01 + p10 == 0.0 else
               "antidiagonal_segment" if p00 + p11 == 0.0 else "general")
     return Prop1Solution(UnitaryParams(*_prop1_angles(p00, p01, p10, p11)), branch)
@@ -134,12 +133,13 @@ def _on_every_qubit(gates: np.ndarray, m: int) -> np.ndarray:
 
 
 def _identity_gates(k: int) -> np.ndarray:
-    return np.broadcast_to(gate_stack(*astuple(IDENTITY_PARAMS)), (k, 2, 2))
+    identity = gate_stack(IDENTITY_PARAMS.theta, IDENTITY_PARAMS.alpha, IDENTITY_PARAMS.beta)
+    return np.broadcast_to(identity, (k, 2, 2))
 
 
 def _prop1_deviation(mixtures) -> float:
-    """Largest outcome error of prop1_solve's unitary strategies over the rows
-    of a (k, 4) array of mixtures, all simulated in one stacked call."""
+    """Largest outcome error of the gates that _prop1_angles, prop1_solve's kernel, gives
+    at once for the rows of a (k, 4) array of mixtures, simulated in one stacked call."""
     mixtures = np.asarray(mixtures, dtype=float)
     first = gate_stack(*_prop1_angles(*mixtures.T))
     masses = outcome_masses(_TWO_STAGE_GAME,
@@ -149,7 +149,7 @@ def _prop1_deviation(mixtures) -> float:
 
 
 def prop1_verify(sample_count: int = 1000, seed: int = 7) -> dict:
-    """Seeded sweep of random and boundary mixtures through prop1_solve."""
+    """Seeded sweep of random and boundary mixtures through prop1_solve's kernel, _prop1_angles."""
     if sample_count < 1:
         raise ValueError("sample_count must be >= 1")
     rng = np.random.default_rng(seed)
@@ -247,20 +247,19 @@ def prop3_params(n: int) -> tuple[float, float, float, float]:
     with chi(n) = 1 iff n = 3 (mod 4), which is when i^(n-1) = -1.
 
     lambda0 is the correctly rounded quotient of the two exact integers; from
-    n = 143 on it exceeds the largest float and a ValueError is raised.
+    n = 143 on it exceeds the largest float, so a ValueError is raised before
+    the power is built.
     """
     if not isinstance(n, int) or n < 2:
         raise ValueError(f"n must be an integer >= 2, got {n}")
+    if n > 142:
+        raise ValueError(f"lambda0 = (n+1)^(n+1)/n at n={n} is beyond the largest float; "
+                         "prop3_params needs n <= 142")
     theta = 2.0 * math.acos(1.0 / math.sqrt(n + 1.0))
     chi = 1 if n % 4 == 3 else 0
     alpha = (math.pi + 2.0 * math.pi * chi) * n / (2.0 * (n * n - 1))
     beta = (math.pi + 2.0 * math.pi * chi) / (2.0 * (n * n - 1))
-    try:
-        lam0 = (n + 1) ** (n + 1) / n
-    except OverflowError:
-        raise ValueError(f"lambda0 = (n+1)^(n+1)/n at n={n} is beyond the largest float; "
-                         "prop3_params needs n <= 142") from None
-    return theta, alpha, beta, lam0
+    return theta, alpha, beta, (n + 1) ** (n + 1) / n
 
 
 @dataclass(frozen=True)
@@ -303,9 +302,10 @@ def prop3_verify(n: int, delta: float = 1.5, lam: float | None = None) -> Prop3C
     if abs(res.value - closed) > 1e-9 * max(1.0, abs(closed)):
         raise CrossCheckError(
             f"classical optimum mismatch: numeric {res.value!r} vs closed form {closed!r}")
-    margin = quantum - res.value
+    classical = res.value
+    margin = quantum - classical
     return Prop3Certificate(n, theta, alpha, beta, lam0, delta, lam_eff,
-                            quantum, res.value, margin, margin > 0.0)
+                            quantum, classical, margin, margin > 0.0)
 
 
 def prop3_sweep(n_values=(2, 3, 4, 5, 6), deltas=(1.1, 1.5, 3.0)) -> dict:
@@ -377,7 +377,8 @@ def formulas_verify(n_max: int = 5, samples: int = 500, seed: int = 11) -> dict:
         {"samples": samples, "seed": seed, "n_max": n_max},
         0.0, dev, dev, dev <= 1e-9))
 
-    dev_sim = dev_tree = 0.0
+    dev_sim = 0.0
+    dev_tree = 0.0
     lam = 4.0
     thetas = np.linspace(0.0, math.pi, 101)
     exits = _exit_rows(thetas)

@@ -109,7 +109,8 @@ def _check_prop1_solution(p):
     assert max(abs(dist[lab] - x) for lab, x in zip(("o00", "o01", "o10", "o11"), p)) <= 1e-12
 
 
-@pytest.mark.parametrize("p", QUARTER_MIXTURES)
+# a -0.0 coordinate must not turn an unused angle into atan2(0, -0) = pi
+@pytest.mark.parametrize("p", QUARTER_MIXTURES + [(1.0, 0.0, -0.0, 0.0), (-0.0, 0.5, 0.5, 0.0)])
 def test_prop1_reaches_the_quarter_mixtures(p):
     _check_prop1_solution(p)
 
@@ -132,7 +133,7 @@ def test_prop1_angles_on_arrays_agree_with_float_calls():
     stacked = np.stack(analysis._prop1_angles(*rows.T), axis=1)
     assert stacked.shape == (len(rows), 3)
     for row, angles in zip(rows.tolist(), stacked.tolist()):
-        assert angles == pytest.approx(analysis._prop1_angles(*row), rel=0.0, abs=1e-15)
+        assert tuple(angles) == analysis._prop1_angles(*row)
 
 
 def test_prop1_verify_makes_no_per_row_solve(monkeypatch):
@@ -254,6 +255,12 @@ def test_prop3_threshold_is_the_correctly_rounded_quotient():
 def test_prop3_params_refuses_thresholds_beyond_float(n):
     with pytest.raises(ValueError, match="n <= 142"):
         prop3_params(n)
+
+
+def test_prop3_params_refuses_before_building_the_power():
+    # (n + 1) ** (n + 1) at n = 10**9 would take about 3.7 GB
+    with pytest.raises(ValueError, match="n <= 142"):
+        prop3_params(10**9)
 
 
 def test_prop3_params_rejects_n1():
