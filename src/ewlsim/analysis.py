@@ -38,7 +38,7 @@ from .ewl import (
     payoff_three_param_fn,
     two_stage_game,
 )
-from .optimize import TWO_PI, maximize_1d, wrap_phase
+from .optimize import TWO_PI, OptResult, maximize_1d, maximize_3d, wrap_phase
 from .qstate import check_qubit_count
 
 AMP_TOL = 1e-12
@@ -277,12 +277,40 @@ class Prop3Certificate:
     dominates: bool
 
 
+def _cross_check(kind: str, value: float, other: float, against: str, tol: float) -> None:
+    """Raise CrossCheckError unless a search's value lies within
+    max(tol, 1e-9) * max(1, |other|) of ``other``, a second computation of it."""
+    if not abs(value - other) <= max(tol, 1e-9) * max(1.0, abs(other)):
+        raise CrossCheckError(f"{kind} optimum mismatch: search {value!r} vs {against} {other!r}")
+
+
+def classical_optimum(n: int, lam: float, tol: float) -> tuple[OptResult, float, float]:
+    """maximize_1d of the one-parameter payoff over theta, searched to ``tol``
+    and cross-checked against classical_max_closed_form: (result, p*, closed)."""
+    p_star, closed = classical_max_closed_form(n, lam)
+    res = maximize_1d(lambda t: payoff_one_param(n, lam, t), 0.0, math.pi, tol=tol)
+    _cross_check("classical", res.value, closed, "closed form", tol)
+    return res, p_star, closed
+
+
+def quantum_optimum(n: int, lam: float, grid_per_dim: int, starts: int,
+                    tol: float) -> tuple[OptResult, float]:
+    """maximize_3d of the three-parameter payoff, cross-checked against the driver game
+    simulated at the argmax (theta clamped, phases wrapped): (result, simulated payoff)."""
+    res = maximize_3d(payoff_three_param_fn(n, lam), grid_per_dim, starts, tol)
+    theta, alpha, beta = res.argmax
+    gate = build_gate(UnitaryParams(min(max(theta, 0.0), math.pi),
+                                    wrap_phase(alpha), wrap_phase(beta)))
+    sim = expected_payoff(n_tuple_driver_game(n, lam), [gate] * (n + 1))
+    _cross_check("quantum", res.value, sim, "simulation at the argmax", 0.0)
+    return res, sim
+
+
 def prop3_verify(n: int, delta: float = 1.5, lam: float | None = None) -> Prop3Certificate:
     """Compare the fixed dominating unitary strategy against the classical optimum.
 
     The payoff is lam if given, else delta * lambda0(n).  The quantum side is
-    a direct simulation; the classical side is a 1D maximization verified
-    against the closed form (disagreement raises CrossCheckError).
+    a direct simulation; the classical side is classical_optimum at tol 1e-10.
     """
     if not isinstance(n, int) or n < 1:
         raise ValueError(f"n must be an integer >= 1, got {n}")
@@ -297,12 +325,7 @@ def prop3_verify(n: int, delta: float = 1.5, lam: float | None = None) -> Prop3C
     gate = build_gate(UnitaryParams(theta, alpha, beta))
     quantum = expected_payoff(n_tuple_driver_game(n, lam_eff), [gate] * (n + 1))
 
-    res = maximize_1d(lambda t: payoff_one_param(n, lam_eff, t), 0.0, math.pi, tol=1e-10)
-    _, closed = classical_max_closed_form(n, lam_eff)
-    if abs(res.value - closed) > 1e-9 * max(1.0, abs(closed)):
-        raise CrossCheckError(
-            f"classical optimum mismatch: numeric {res.value!r} vs closed form {closed!r}")
-    classical = res.value
+    classical = classical_optimum(n, lam_eff, 1e-10)[0].value
     margin = quantum - classical
     return Prop3Certificate(n, theta, alpha, beta, lam0, delta, lam_eff,
                             quantum, classical, margin, margin > 0.0)

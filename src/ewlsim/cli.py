@@ -164,8 +164,10 @@ def cmd_simulate(args: argparse.Namespace) -> str:
     game = ewl.n_tuple_driver_game(n, args.lam)
     gates = [ewl.build_gate(params)] * m
     probs = ewl.final_state(gates).probabilities  # only the basis table needs the 2^m amplitudes
-    payoff = ewl.expected_payoff(game, gates)
-    dist = ewl.outcome_distribution_ewl(game, gates)
+    masses = ewl.outcome_masses(game, np.array([[gate.matrix for gate in gates]]))
+    # the driver's labels are its blocks, so this is expected_payoffs' sum on the raw row
+    payoff = float((masses * game.payoffs).sum(axis=1)[0])
+    dist = decision.OutcomeDistribution(dict(zip(game.labels, masses[0].tolist())))
 
     basis = {format(y, f"0{m}b"): float(probs[y]) for y in range(1 << m)}
     doc = {
@@ -201,49 +203,29 @@ def _search_fields(check: dict, res: optimize.OptResult) -> dict:
 
 
 def cmd_optimize(args: argparse.Namespace) -> dict:
-    report_checks = []
-    classical_value = quantum_value = None
+    checks = []
     n, lam = args.n, args.lam
     if args.mode != "classical":
         check_qubit_count(n + 1)  # the quantum argmax is cross-checked by simulation
 
     if args.mode in ("classical", "both"):
-        res = optimize.maximize_1d(
-            lambda t: ewl.payoff_one_param(n, lam, t), 0.0, math.pi, tol=args.tol)
-        p_star, closed = analysis.classical_max_closed_form(n, lam)
-        dev = abs(res.value - closed)
-        if dev > 1e-6 * max(1.0, abs(closed)):
-            raise analysis.CrossCheckError(f"classical optimizer {res.value!r} disagrees with "
-                                           f"closed form {closed!r}")
-        classical_value = res.value
-        report_checks.append(_search_fields(analysis.make_check(
+        res, p_star, closed = analysis.classical_optimum(n, lam, args.tol)
+        checks.append(_search_fields(analysis.make_check(
             "classical_optimum", {"n": n, "lambda": lam},
-            closed, res.value, dev, True, note=f"p*={p_star:.9f}"), res))
+            closed, res.value, abs(res.value - closed), True, note=f"p*={p_star:.9f}"), res))
 
     if args.mode in ("quantum", "both"):
-        res = optimize.maximize_3d(
-            ewl.payoff_three_param_fn(n, lam),
-            grid_per_dim=args.grid, starts=args.starts, tol=args.tol)
-        theta, alpha, beta = res.argmax
-        params = ewl.UnitaryParams(min(max(theta, 0.0), math.pi),
-                                   wrap_phase(alpha), wrap_phase(beta))
-        gate = ewl.build_gate(params)
-        sim = ewl.expected_payoff(ewl.n_tuple_driver_game(n, lam), [gate] * (n + 1))
-        dev = abs(sim - res.value)
-        if dev > 1e-9 * max(1.0, abs(sim)):
-            raise analysis.CrossCheckError(f"quantum optimum {res.value!r} disagrees with "
-                                           f"simulation {sim!r} at the argmax")
-        quantum_value = res.value
-        report_checks.append(_search_fields(analysis.make_check(
+        res, sim = analysis.quantum_optimum(n, lam, args.grid, args.starts, args.tol)
+        checks.append(_search_fields(analysis.make_check(
             "quantum_optimum", {"n": n, "lambda": lam, "grid": args.grid},
-            sim, res.value, dev, True), res))
+            sim, res.value, abs(sim - res.value), True), res))
 
-    if classical_value is not None and quantum_value is not None:
-        ratio = quantum_value / classical_value if classical_value else math.inf
-        report_checks.append(analysis.make_check(
+    if args.mode == "both":
+        classical, quantum = (c["actual"] for c in checks)
+        checks.append(analysis.make_check(
             "quantum_classical_ratio", {"n": n, "lambda": lam},
-            None, ratio, 0.0, True))
-    return analysis.make_report(report_checks)
+            None, quantum / classical if classical else math.inf, 0.0, True))
+    return analysis.make_report(checks)
 
 
 def verify_prop1(args: argparse.Namespace) -> dict:
@@ -298,13 +280,11 @@ def cmd_reproduce(args: argparse.Namespace) -> dict:
         raise ValueError(f"--lambda-sweep entries must be finite, got {args.lambda_sweep!r}")
     checks = []
 
-    res1 = optimize.maximize_1d(lambda t: ewl.payoff_one_param(1, 4.0, t), 0.0, math.pi,
-                                tol=1e-10)
+    res1, _, value_n1 = analysis.classical_optimum(1, 4.0, 1e-10)
     checks.append(analysis.make_check(
         "driver_classical_optimum", {"n": 1, "lambda": 4.0}, 4.0 / 3.0, res1.value,
         abs(res1.value - 4.0 / 3.0), abs(res1.value - 4.0 / 3.0) <= 1e-6))
     closed_n1 = 16.0 / (4.0 * 3.0)
-    _, value_n1 = analysis.classical_max_closed_form(1, 4.0)
     checks.append(analysis.make_check(
         "driver_classical_closed_form", {"n": 1, "lambda": 4.0,
                                          "formula": "lambda^2/(4(lambda-1))"},
@@ -333,8 +313,7 @@ def cmd_reproduce(args: argparse.Namespace) -> dict:
         5.0, sim3, abs(sim3 - 5.0), abs(sim3 - 5.0) <= 1e-9))
 
     for lam in lams:
-        res = optimize.maximize_3d(ewl.payoff_three_param_fn(1, lam),
-                                   grid_per_dim=17, starts=6, tol=1e-9)
+        res, _ = analysis.quantum_optimum(1, lam, 17, 6, 1e-9)
         expected = max(1.0, lam / 2.0)
         # 1e-6 up to |expected| ~ 7e7, then a few ulps of expected
         tol = max(1e-6, 64.0 * sys.float_info.epsilon * abs(expected))

@@ -525,14 +525,15 @@ def problem_from_json_dict(doc: Mapping) -> DecisionProblem:
     histories = [tuple(h) for h in doc["histories"]]
 
     def history(i) -> History:
-        i = int(i) if isinstance(i, str) and i.isdecimal() else i  # label keys are strings
         if not (_is_int_type(type(i)) and 0 <= i < len(histories)):
             raise ValueError(f"history index {i!r} is not an integer in 0..{len(histories) - 1}")
         return histories[i]
 
     if not all(isinstance(lab, str) for lab in doc["labels"].values()):
         raise ValueError("labels must be strings")
-    labels = {history(i): lab for i, lab in doc["labels"].items()}
+    # label keys are strings (JSON object keys); partition members are integers
+    labels = {history(int(i) if isinstance(i, str) and i.isdecimal() else i): lab
+              for i, lab in doc["labels"].items()}
     if len(labels) < len(doc["labels"]):
         raise ValueError("two label keys name the same history (as \"1\" and \"01\" do)")
     problem = DecisionProblem(
@@ -546,6 +547,9 @@ def problem_from_json_dict(doc: Mapping) -> DecisionProblem:
         raise ValueError("'histories' lists a history twice")
     if sum(map(len, problem.info_partition)) < sum(map(len, doc["partition"])):
         raise ValueError("an information set in 'partition' lists a history twice")
+    unknown = set(problem.payoffs or ()) - set(problem.labels)
+    if unknown:
+        raise ValueError(f"payoffs name labels that no terminal carries: {sorted(unknown)}")
     return problem
 
 
@@ -566,4 +570,8 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
 
 def problem_from_json(text: str) -> DecisionProblem:
     """problem_from_json_dict of a JSON document in which no object repeats a key."""
-    return problem_from_json_dict(json.loads(text, object_pairs_hook=_unique_keys))
+    try:
+        doc = json.loads(text, object_pairs_hook=_unique_keys)
+    except RecursionError:
+        raise ValueError("the JSON document nests too deeply to parse") from None
+    return problem_from_json_dict(doc)

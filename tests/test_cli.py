@@ -172,8 +172,8 @@ def test_oversized_runs_exit_2_before_any_work(argv, capsys, monkeypatch):
     monkeypatch.setattr(cli.ewl, "block_masses", refused)
     monkeypatch.setattr(cli.analysis, "final_states", refused)
     monkeypatch.setattr(cli.analysis, "prop3_verify", refused)
-    monkeypatch.setattr(cli.optimize, "maximize_1d", refused)
-    monkeypatch.setattr(cli.optimize, "maximize_3d", refused)
+    monkeypatch.setattr(cli.analysis, "maximize_1d", refused)
+    monkeypatch.setattr(cli.analysis, "maximize_3d", refused)
     assert cli.main(list(argv)) == 2
     assert "41 qubits exceed the limit of MAX_QUBITS = 24" in capsys.readouterr().err
 
@@ -182,7 +182,7 @@ def test_optimize_refuses_grids_over_budget(capsys, monkeypatch):
     def refused(*args, **kwargs):
         raise AssertionError("an oversized optimize run started its scan")
 
-    monkeypatch.setattr(cli.optimize, "maximize_3d", refused)
+    monkeypatch.setattr(cli.analysis, "maximize_3d", refused)
     assert cli.main(["optimize", "--n", "1", "--mode", "quantum", "--grid", "101"]) == 2
     out, err = capsys.readouterr()
     assert out == "" and "over the budget of 1,000,000 (GRID_BUDGET)" in err
@@ -193,8 +193,8 @@ def test_optimize_refuses_tolerances_that_are_not_finite_and_positive(tol, capsy
     def refused(*args, **kwargs):
         raise AssertionError("a run with an invalid tolerance started its search")
 
-    monkeypatch.setattr(cli.optimize, "maximize_1d", refused)
-    monkeypatch.setattr(cli.optimize, "maximize_3d", refused)
+    monkeypatch.setattr(cli.analysis, "maximize_1d", refused)
+    monkeypatch.setattr(cli.analysis, "maximize_3d", refused)
     assert cli.main(["optimize", "--n", "2", "--lambda", "5", f"--tol={tol}"]) == 2
     assert "--tol must be finite and positive" in capsys.readouterr().err
 
@@ -204,8 +204,8 @@ def test_optimize_refuses_starts_below_one_before_any_search(mode, capsys, monke
     def refused(*args, **kwargs):
         raise AssertionError("a run without starts started its search")
 
-    monkeypatch.setattr(cli.optimize, "maximize_1d", refused)
-    monkeypatch.setattr(cli.optimize, "maximize_3d", refused)
+    monkeypatch.setattr(cli.analysis, "maximize_1d", refused)
+    monkeypatch.setattr(cli.analysis, "maximize_3d", refused)
     assert cli.main(["optimize", "--n", "1", "--mode", mode, "--starts", "0"]) == 2
     out, err = capsys.readouterr()
     assert out == "" and "--starts must be >= 1, got 0" in err
@@ -403,6 +403,15 @@ def test_verify_recall_refuses_non_finite_payoffs(bad, tmp_path, capsys):
     assert out == "" and "payoffs must be finite" in err
 
 
+def test_verify_recall_refuses_problems_nested_too_deeply(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    proc = subprocess.run([sys.executable, "-m", "ewlsim", "verify", "recall",
+                           "--problem", str(path)], capture_output=True, text=True)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "nests too deeply" in proc.stderr and "Traceback" not in proc.stderr
+
+
 def test_verify_recall_missing_problem_file(capsys):
     code, _ = run_cli("verify", "recall", "--problem", "/nonexistent/problem.json",
                       capsys=capsys)
@@ -565,8 +574,8 @@ def test_reproduce_refuses_lambda_sweeps_that_are_not_finite(sweep, capsys, monk
     def refused(*args, **kwargs):
         raise AssertionError("a sweep with a non-finite lambda started its checks")
 
-    monkeypatch.setattr(cli.optimize, "maximize_1d", refused)
-    monkeypatch.setattr(cli.optimize, "maximize_3d", refused)
+    monkeypatch.setattr(cli.analysis, "maximize_1d", refused)
+    monkeypatch.setattr(cli.analysis, "maximize_3d", refused)
     assert cli.main(["reproduce", "--lambda-sweep", sweep]) == 2
     out, err = capsys.readouterr()
     assert out == "" and "--lambda-sweep entries must be finite" in err
@@ -614,10 +623,28 @@ def test_other_arithmetic_errors_are_not_cross_check_failures(monkeypatch):
 
 
 def test_optimize_exits_3_on_cross_check_failure(capsys, monkeypatch):
-    monkeypatch.setattr(cli.ewl, "payoff_one_param", lambda n, lam, t: 0.0)
+    monkeypatch.setattr(cli.analysis, "payoff_one_param", lambda n, lam, t: 0.0)
     code, _ = run_cli("optimize", "--n", "1", "--lambda", "4", "--mode", "classical",
                       capsys=capsys)
     assert code == 3
+
+
+@pytest.mark.parametrize("n, lam", [(3, "20"), (100, "1000"), (23, "1e8")])
+@pytest.mark.parametrize("tol", ["1e-3", "1e-2", "0.1", "0.5"])
+def test_optimize_classical_passes_at_coarse_tolerances(n, lam, tol, capsys):
+    # the cross-check bound grows with --tol: a coarse search is not an internal fault
+    code, out = run_cli("optimize", "--n", str(n), "--lambda", lam, "--mode", "classical",
+                        "--tol", tol, "--format", "json", capsys=capsys)
+    assert code == 0 and json.loads(out)["pass"]
+
+
+def test_reproduce_exits_3_when_the_simulation_disagrees_with_its_search(capsys, monkeypatch):
+    original = cli.analysis.expected_payoff
+    monkeypatch.setattr(cli.analysis, "expected_payoff",
+                        lambda game, gates: original(game, gates) + 1e-3)
+    assert cli.main(["reproduce", "--lambda-sweep", "4"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: quantum optimum mismatch")
 
 
 def test_identical_invocations_identical_output(capsys):

@@ -669,11 +669,19 @@ def test_json_refuses_actions_that_are_not_integers(histories):
     ({"histories": [[], [0], [0]], "labels": {"1": "a"}}, "'histories' lists a history twice"),
     ({"partition": [[0, 0]]}, "information set in 'partition' lists a history twice"),
     ({"labels": {"1": ["a"], "2": None}}, "labels must be strings"),
+    ({"partition": [["0"]]}, "history index '0' is not an integer"),
+    ({"payoffs": {"a": 1, "b": 2, "zzz": 3}},
+     r"payoffs name labels that no terminal carries: \['zzz'\]"),
 ], ids=["duplicate_label_key", "boolean_payoff", "repeated_history", "repeated_set_member",
-        "non_string_labels"])
+        "non_string_labels", "string_partition_member", "unknown_payoff_label"])
 def test_json_refuses_duplicate_label_keys_and_boolean_payoffs(change, message):
     doc = {"histories": [[], [0], [1]], "partition": [[0]], "labels": {"1": "a", "2": "b"},
            "payoffs": {"a": 1, "b": 0.0}}
     assert problem_from_json(json.dumps(doc)).payoffs == {"a": 1.0, "b": 0.0}
     with pytest.raises(ValueError, match=message):
         problem_from_json(json.dumps({**doc, **change}))
+
+
+def test_json_refuses_documents_nested_too_deeply():
+    with pytest.raises(ValueError, match="the JSON document nests too deeply"):
+        problem_from_json("[" * 100_000 + "]" * 100_000)
