@@ -379,11 +379,10 @@ def formulas_verify(n_max: int = 5, samples: int = 500, seed: int = 11) -> dict:
     rng = np.random.default_rng(seed)
     checks = []
 
-    # draws interleave per sample: n, lambda, theta, alpha, beta
-    draws = np.array([(rng.integers(1, n_max + 1), rng.uniform(0.0, 20.0),
-                       rng.uniform(0.0, math.pi), rng.uniform(0.0, TWO_PI),
-                       rng.uniform(0.0, TWO_PI)) for _ in range(samples)]).reshape(samples, 5)
-    ns, lams, angles = draws[:, 0].astype(int), draws[:, 1], draws[:, 2:]
+    # one draw per column: every n, every lambda, then the (theta, alpha, beta) rows
+    ns = rng.integers(1, n_max + 1, size=samples)
+    lams = rng.uniform(0.0, 20.0, size=samples)
+    angles = rng.uniform(0.0, (math.pi, TWO_PI, TWO_PI), size=(samples, 3))
     gates = gate_stack(*angles.T)
     dev = 0.0
     for n in sorted(set(ns.tolist())):
@@ -407,7 +406,7 @@ def formulas_verify(n_max: int = 5, samples: int = 500, seed: int = 11) -> dict:
     exits = _exit_rows(thetas)
     for n in range(1, max(n_max, 6) + 1):
         problem = n_tuple_driver(n, lam)
-        closed = [payoff_one_param(n, lam, theta) for theta in thetas.tolist()]
+        closed = payoff_one_param(n, lam, thetas)
         sim = expected_payoffs(ewl_game(problem), _on_every_qubit(gate_stack(thetas), n + 1))
         tree = sum(problem.payoffs[lab] * mass for lab, mass in behavioral_masses(problem, exits))
         dev_sim = max(dev_sim, _max_dev(closed, sim))

@@ -165,7 +165,7 @@ def cmd_simulate(args: argparse.Namespace) -> str:
     gates = [ewl.build_gate(params)] * m
     probs = ewl.final_state(gates).probabilities  # only the basis table needs the 2^m amplitudes
     masses = ewl.outcome_masses(game, np.array([[gate.matrix for gate in gates]]))
-    # the driver's labels are its blocks, so this is expected_payoffs' sum on the raw row
+    # expected_payoffs' sum, on the row of label masses already computed
     payoff = float((masses * game.payoffs).sum(axis=1)[0])
     dist = decision.OutcomeDistribution(dict(zip(game.labels, masses[0].tolist())))
 

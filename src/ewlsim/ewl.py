@@ -28,7 +28,7 @@ from .decision import (
     n_tuple_outcomes,
     two_stage_problem,
 )
-from .optimize import TWO_PI, wrap_phase
+from .optimize import TWO_PI
 from .qstate import (
     MAX_QUBITS,
     Gate,
@@ -355,11 +355,11 @@ def _summed_terms(factors: np.ndarray, flat: np.ndarray) -> np.ndarray:
 
 
 def expected_payoffs(game: EwlGame, mats: np.ndarray) -> np.ndarray:
-    """expected_payoff of every row of a (k, m, 2, 2) gate stack, as k floats;
-    a game without payoffs raises ValueError."""
+    """expected_payoff of every row of a (k, m, 2, 2) gate stack, as k floats,
+    from its outcome_masses; a game without payoffs raises ValueError."""
     if game.payoffs is None:
         raise ValueError("game has outcome labels only, no payoffs")
-    return (block_masses(game, mats) * game.payoffs[game.label_index]).sum(axis=1)
+    return (outcome_masses(game, mats) * game.payoffs).sum(axis=1)
 
 
 def outcome_masses(game: EwlGame, mats: np.ndarray) -> np.ndarray:
@@ -429,19 +429,21 @@ def amplitudes_one_param(thetas: np.ndarray, m: int) -> np.ndarray:
     return by_weight[:, weights]
 
 
-def payoff_one_param(n: int, lam: float, theta: float) -> float:
+def payoff_one_param(n: int, lam, theta):
     """Driver payoff under U(theta,0,0) on all n+1 qubits:
 
     lam * cos^2(theta/2) sin^2n(theta/2) + sin^(2n+2)(theta/2).
 
     Equals the classical behavioral payoff at exit probability
-    p = cos^2(theta/2).
+    p = cos^2(theta/2).  A float theta runs through math, an array (lam may be
+    one too) through numpy, bit for bit alike: both take libm's pow.
     """
     if not isinstance(n, int) or n < 1:
         raise ValueError(f"n must be an integer >= 1, got {n}")
-    c2 = math.cos(theta / 2.0) ** 2
-    s2 = math.sin(theta / 2.0) ** 2
-    return lam * c2 * s2 ** n + s2 ** (n + 1)
+    xp, power = (math, math.pow) if type(theta) is float else (np, np.float_power)
+    s2 = power(xp.sin(theta / 2.0), 2)
+    c2 = 1.0 - s2  # exact 0 at theta = pi, where cos(pi/2) is 6e-17 in floats
+    return lam * c2 * power(s2, n) + power(s2, n + 1)
 
 
 def _half_angle_powers(xp, n: int, theta):
@@ -502,10 +504,10 @@ class ThreeParamPayoff:
 
         The factors that do not depend on t are computed once, here: on a theta
         line the four phase terms, on a phase line the powers of c and s and
-        the phase term of the held phase.  h takes a float or an array; a phase
-        t is first reduced to [0, 2pi) by ``wrap_phase``.  h(t) equals the full
-        call at that point bit for bit: it runs the same products in the same
-        order.
+        the phase term of the held phase.  h meets maximize_box's objective
+        contract: it takes a float or an array, and on a phase line it is
+        2pi-periodic, so t is never wrapped.  h(t) equals the full call at that
+        t bit for bit: it runs the same products in the same order.
         """
         n, lam = self.n, self.lam
         theta, alpha, beta = point
@@ -525,7 +527,6 @@ class ThreeParamPayoff:
             n_beta, q = n * beta, sn1 * math.cos((n + 1) * beta)
 
             def alpha_line(t):
-                t = wrap_phase(t)
                 xp = math if type(t) is float else np
                 return _combine(n, lam, cns * xp.sin(n * t - beta), csn * xp.cos(t - n_beta),
                                 cn1 * xp.sin((n + 1) * t), q)
@@ -535,7 +536,6 @@ class ThreeParamPayoff:
             n_alpha, p = n * alpha, cn1 * math.sin((n + 1) * alpha)
 
             def beta_line(t):
-                t = wrap_phase(t)
                 xp = math if type(t) is float else np
                 return _combine(n, lam, cns * xp.sin(n_alpha - t), csn * xp.cos(alpha - n * t),
                                 p, sn1 * xp.cos((n + 1) * t))

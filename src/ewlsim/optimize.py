@@ -66,18 +66,16 @@ def _check_tol(tol: float) -> None:
         raise ValueError(f"tol must be finite and positive, got {tol!r}")
 
 
-def _grid_then_golden(f, lo: float, hi: float, n: int, tol: float, periodic: bool = False,
-                      vectorized: bool = False) -> tuple[float, float, float, int]:
-    """Best of n points spanning [lo, hi] ([lo, hi) and wrapped by f if periodic),
-    then golden-section on its bracket: (argmax, value >= grid max, grid max,
-    points evaluated).
-
-    A vectorized f scores the array of grid points in one call; otherwise f is
-    called at each point.
+def _grid_then_golden(f, lo: float, hi: float, n: int, tol: float,
+                      periodic: bool = False) -> tuple[float, float, float, int]:
+    """Best of n points spanning [lo, hi] ([lo, hi) if periodic), scored in one
+    call of f on their array, then golden-section on its bracket: (argmax,
+    value >= grid max, grid max, points evaluated).  A periodic bracket may
+    reach past lo or hi, where f must repeat itself; the argmax is not wrapped.
     """
     step = (hi - lo) / (n if periodic else n - 1)
     points = lo + np.arange(n) * step
-    values = f(points) if vectorized else [f(x) for x in points.tolist()]
+    values = np.broadcast_to(f(points), points.shape)
     best_i = int(np.argmax(values))
     grid_best = float(values[best_i])
     center = lo + best_i * step
@@ -92,12 +90,11 @@ def _grid_then_golden(f, lo: float, hi: float, n: int, tol: float, periodic: boo
     return x, v, grid_best, n + evaluations
 
 
-def maximize_1d(f: Callable[[float], float], lo: float, hi: float, tol: float = 1e-8) -> OptResult:
-    """Maximize f on [lo, hi]: best of a 257-point grid, then golden-section.
-
-    Accurate to tol in the argument for functions unimodal near their
-    maximum; the returned value never falls below the grid maximum.
-    """
+def maximize_1d(f: Callable, lo: float, hi: float, tol: float = 1e-8) -> OptResult:
+    """Maximize f on [lo, hi]: best of a 257-point grid, scored in one array
+    call of f (maximize_box's objective contract), then golden-section in float
+    calls.  Accurate to tol in the argument for functions unimodal near their
+    maximum; the returned value never falls below the grid maximum."""
     if not (math.isfinite(lo) and math.isfinite(hi)) or hi <= lo:
         raise ValueError(f"invalid interval [{lo}, {hi}]")
     _check_tol(tol)
@@ -113,11 +110,9 @@ def wrap_phase(x):
     return 0.0 if w >= TWO_PI else w
 
 
-def _slice(f, x: list[float], coord: int, periodic: bool) -> Callable:
-    """f along one coordinate of x, with a phase first reduced to [0, 2pi)."""
+def _slice(f, x: list[float], coord: int) -> Callable:
+    """f along one coordinate of x."""
     head, tail = x[:coord], x[coord + 1:]
-    if periodic:
-        return lambda t: f(*head, wrap_phase(t), *tail)
     return lambda t: f(*head, t, *tail)
 
 
@@ -130,9 +125,8 @@ def _line_max(f, x: list[float], coord: int, hi: float, periodic: bool,
     else a slice of f.
     """
     line = getattr(f, "line", None)
-    h = line(coord, x) if line is not None else _slice(f, x, coord, periodic)
-    best, _, _, evaluations = _grid_then_golden(h, 0.0, hi, LINE_SAMPLES, tol, periodic,
-                                              vectorized=True)
+    h = line(coord, x) if line is not None else _slice(f, x, coord)
+    best, _, _, evaluations = _grid_then_golden(h, 0.0, hi, LINE_SAMPLES, tol, periodic)
     return (wrap_phase(best) if periodic else best), evaluations
 
 
@@ -146,14 +140,16 @@ def maximize_box(f: Callable, axes: tuple[tuple[float, bool], ...], grid_per_dim
     merge by value with the lexicographically smallest argmax breaking exact
     ties.
 
-    f must take floats, and also numpy arrays that broadcast together, for which
-    it returns the array of values at the broadcast points.  The scan is one
-    array call.  Each line search builds its 1-D function h once: f.line(coord,
-    x) when f has that method, which must return h with h(t) equal to f at x
-    with coordinate coord set to t (a phase t reduced to [0, 2pi) first), for
-    float and array t; otherwise a slice that calls f.  The line's samples are
-    one array call of h and its golden steps float calls of h.  `evaluations`
-    counts points, not calls.  Scans over GRID_BUDGET points are refused.
+    The objective contract, shared with maximize_1d: f takes floats, and numpy
+    arrays that broadcast together, for which it returns the array of values (a
+    scalar result broadcasts); f is periodic on a periodic axis, so a line
+    search probes phases off [0, hi) unwrapped and wraps only its argmax.  The
+    scan is one array call.  Each line search builds its 1-D function h once:
+    f.line(coord, x) when f has that method, which must return f at x with
+    coordinate coord set to t, for float and array t; otherwise a slice of f.
+    The line's samples are one array call of h and its golden steps float
+    calls.  `evaluations` counts points, not calls.  Scans over GRID_BUDGET
+    points are refused.
     """
     k = len(axes)
     if grid_per_dim < 2:
@@ -167,7 +163,7 @@ def maximize_box(f: Callable, axes: tuple[tuple[float, bool], ...], grid_per_dim
 
     index = np.arange(grid_per_dim)
     grids = [index * hi / (grid_per_dim if periodic else grid_per_dim - 1) for hi, periodic in axes]
-    values = f(*np.ix_(*grids)).ravel()
+    values = np.broadcast_to(f(*np.ix_(*grids)), (grid_per_dim,) * k).ravel()
     evaluations = grid_per_dim ** k
     # a stable sort keeps the lowest flat index first among equal values
     top = np.argsort(-values, kind="stable")[:starts].tolist()

@@ -234,7 +234,7 @@ def test_prop3_theta_maximizes_exit_mass():
     for n in (2, 3, 5):
         theta, _, _, _ = prop3_params(n)
         res = maximize_1d(
-            lambda t: math.cos(t / 2) ** 2 * math.sin(t / 2) ** (2 * n), 0.0, math.pi,
+            lambda t: np.cos(t / 2) ** 2 * np.sin(t / 2) ** (2 * n), 0.0, math.pi,
             tol=1e-10)
         assert res.argmax[0] == pytest.approx(theta, abs=1e-5)
 

@@ -569,6 +569,17 @@ def test_optimize_and_reproduce_pass_at_the_largest_lambdas(capsys):
     assert cell["pass"] and cell["deviation"] > 1e-6
 
 
+@pytest.mark.parametrize("n, lam", [("6", "-1e300"), ("3", "-1e308")])
+def test_optimize_passes_at_the_most_negative_lambdas(n, lam, capsys):
+    # the optimum is p* = 0, theta = pi, where cos^2(theta/2) must be exactly 0:
+    # 3.7e-33 of it times lambda would swamp the payoff of 1
+    code, out = run_cli("optimize", "--n", n, "--lambda", lam, "--format", "json",
+                        capsys=capsys)
+    assert code == 0
+    checks = {c["check"]: c for c in json.loads(out)["checks"]}
+    assert checks["classical_optimum"]["actual"] == 1.0
+
+
 @pytest.mark.parametrize("sweep", ["nan", "inf", "3,inf"])
 def test_reproduce_refuses_lambda_sweeps_that_are_not_finite(sweep, capsys, monkeypatch):
     def refused(*args, **kwargs):

@@ -44,7 +44,6 @@ from ewlsim.ewl import (
     payoff_two_qubit_general,
     two_stage_game,
 )
-from ewlsim.optimize import wrap_phase
 from ewlsim.qstate import Gate, apply_entangler, apply_single_qubit_gate, basis_state
 from oracles import dense_final_state, dense_gate, three_param_payoff, tree_walk_values
 
@@ -586,6 +585,14 @@ def test_payoff_one_param_reference_points():
     assert payoff_one_param(2, 5.0, math.pi) == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+def test_one_param_float_calls_equal_one_array_call(n):
+    thetas = np.arange(17) * math.pi / 16  # 0 and pi included
+    values = payoff_one_param(n, 7.0, thetas)
+    assert values.shape == (17,)
+    assert values.tolist() == [payoff_one_param(n, 7.0, t) for t in thetas.tolist()]
+
+
 def test_classical_embedding_three_way():
     lam = 4.0
     for n in (1, 2, 3):
@@ -652,8 +659,8 @@ def test_three_param_scalar_calls_equal_one_array_call(n):
 
 LINE_THETAS = [0.0, 1e-9, 0.3, math.pi / 2, 2.5, math.pi]
 LINE_PHASES = [0.0, 1.1, 3.5, TWO_PI - 1e-9, math.nextafter(TWO_PI, 0.0)]
-# phases off [0, 2pi) that a periodic line search probes: h reduces them first,
-# and -1e-300 reduces to 2pi in floats, so to 0.0
+# phases off [0, 2pi) that a periodic line search probes: h takes them as
+# given, as the full call does, since the payoff is 2pi-periodic in each phase
 OFF_RANGE_PHASES = [-1e-3, -1e-300, TWO_PI, TWO_PI + 0.7]
 
 
@@ -667,7 +674,7 @@ def test_three_param_lines_equal_the_full_call(n):
             full = []
             for t in ts:
                 probe = list(point)
-                probe[coord] = wrap_phase(t) if coord else t
+                probe[coord] = t
                 full.append(f(*probe))
             assert [h(t) for t in ts] == full
             assert h(np.array(ts)).tolist() == full

@@ -40,10 +40,52 @@ def test_1d_invalid_interval():
 
 def test_1d_value_never_below_grid_best():
     def jagged(t):
-        return math.sin(37.0 * t) + 0.3 * math.cos(11.0 * t)
+        return np.sin(37.0 * t) + 0.3 * np.cos(11.0 * t)
 
     res = maximize_1d(jagged, 0.0, math.pi)
     assert res.value >= res.grid_best
+
+
+def test_1d_scores_its_grid_in_one_call():
+    calls = []
+
+    def f(t):
+        calls.append(t)
+        return payoff_one_param(2, 5.0, t)
+
+    res = maximize_1d(f, 0.0, math.pi, tol=1e-10)
+    grid, steps = calls[0], calls[1:]
+    assert isinstance(grid, np.ndarray) and grid.shape == (257,)
+    assert all(type(t) is float for t in steps)
+    assert res.evaluations == len(grid) + len(steps)
+
+
+def test_3d_probes_phases_past_the_box_and_reports_them_wrapped():
+    # the maximum sits at the phases' seam 0 = 2pi, so the line searches probe
+    # both sides of it with phases the objective is trusted to repeat on
+    probed = []
+
+    def f(theta, alpha, beta):
+        probed.extend(np.ravel(alpha).tolist() + np.ravel(beta).tolist())
+        return np.cos(alpha) + np.cos(beta) - (theta - 1.0) ** 2
+
+    res = maximize_3d(f, grid_per_dim=9, starts=2, tol=1e-10)
+    assert min(probed) < 0.0
+    assert res.value == pytest.approx(2.0, abs=1e-12)
+    theta, alpha, beta = res.argmax
+    assert 0.0 <= theta <= math.pi and theta == pytest.approx(1.0, abs=1e-6)
+    for phase in (alpha, beta):
+        assert 0.0 <= phase < TWO_PI
+        assert min(phase, TWO_PI - phase) == pytest.approx(0.0, abs=1e-6)
+
+
+@pytest.mark.parametrize("f", [lambda t, a, b: 1.5, lambda t, a, b: np.cos(a) + np.cos(b)],
+                         ids=["constant", "theta_free"])
+def test_3d_broadcasts_objectives_that_omit_a_coordinate(f):
+    # a result that is a scalar, or that lacks the theta axis, stands for the grid
+    res = maximize_3d(f, grid_per_dim=9, starts=2)
+    assert res.value == res.grid_best == f(0.0, 0.0, 0.0)
+    assert res.evaluations > 9 ** 3
 
 
 def test_3d_recovers_example_optimum():
