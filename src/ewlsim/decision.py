@@ -458,11 +458,11 @@ def behavioral_gap(problem: DecisionProblem, target: OutcomeDistribution,
 
     The distance is minimized with optimize.maximize_box, the search of
     maximize_3d: a grid_points**k scan of the box [0, 1]**k of first-action
-    probabilities of the k information sets, then cyclic golden-section
-    refinement from the best grid point.  The distance comes from
-    behavioral_masses, so the scan is one array call.  Information sets must
-    be binary (every problem built in this module is); a grid over
-    GRID_BUDGET points is refused.
+    probabilities of the k information sets, then maximize_box's refinement
+    (cyclic golden-section line searches and pattern steps) from the best grid
+    point.  The distance comes from behavioral_masses, so the scan is one
+    array call.  Information sets must be binary (every problem built in this
+    module is); a grid over GRID_BUDGET points is refused.
     """
     if set(target.probs) != set(problem.terminal_labels.values()):
         raise ValueError("target distribution is not over the problem's labels")

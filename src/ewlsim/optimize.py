@@ -21,6 +21,9 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 GRID_1D = 257
 LINE_SAMPLES = 65
 MAX_CYCLES = 60
+# a cycle of maximize_box that moves the point within this cosine of the
+# previous cycle's move is followed by a line search along its move
+PATTERN_COSINE = 0.9
 # most points one grid scan or sweep scores: maximize_box's seed grid
 # (maximize_3d, behavioral_gap), `landscape`'s rows, and the samples of
 # `verify prop1` and `verify formulas`
@@ -117,17 +120,50 @@ def _slice(f, x: list[float], coord: int) -> Callable:
 
 
 def _line_max(f, x: list[float], coord: int, hi: float, periodic: bool,
-              tol: float) -> tuple[float, int]:
-    """Argmax of f along one coordinate of x, on [0, hi] or on a phase's [0, 2pi),
-    and the number of points evaluated.
+              tol: float) -> tuple[float, float, int]:
+    """Argmax of f along one coordinate of x, on [0, hi] or on a phase's period
+    from x's phase on, its value, and the number of points evaluated.
 
     The 1-D function is built once per line: f.line(coord, x) when f has one,
     else a slice of f.
     """
     line = getattr(f, "line", None)
     h = line(coord, x) if line is not None else _slice(f, x, coord)
-    best, _, _, evaluations = _grid_then_golden(h, 0.0, hi, LINE_SAMPLES, tol, periodic)
-    return (wrap_phase(best) if periodic else best), evaluations
+    lo = x[coord] if periodic else 0.0
+    best, value, _, evaluations = _grid_then_golden(h, lo, lo + hi, LINE_SAMPLES, tol, periodic)
+    return (wrap_phase(best) if periodic else best), value, evaluations
+
+
+def _displacement(start: list[float], x: list[float],
+                  axes: tuple[tuple[float, bool], ...]) -> list[float]:
+    """x - start per axis; on a phase axis the signed shortest difference."""
+    return [math.remainder(b - a, TWO_PI) if periodic else b - a
+            for a, b, (_, periodic) in zip(start, x, axes)]
+
+
+def _cosine(u: list[float], v: list[float]) -> float:
+    norms = math.hypot(*u) * math.hypot(*v)
+    return sum(a * b for a, b in zip(u, v)) / norms if norms > 0.0 else 0.0
+
+
+def _pattern_max(f, x: list[float], d: list[float], axes: tuple[tuple[float, bool], ...],
+                 tol: float) -> tuple[list[float], float, int]:
+    """Argmax of f along x + t d over t in [0, T], its value, and the points
+    evaluated.  T keeps each non-periodic coordinate in [0, hi] and moves no
+    phase by more than pi; a reach of 0 evaluates nothing."""
+    reach = math.inf
+    for xi, di, (hi, periodic) in zip(x, d, axes):
+        if di != 0.0:
+            room = math.pi if periodic else (hi - xi if di > 0.0 else xi)
+            reach = min(reach, room / abs(di))
+    if not reach > 0.0:
+        return x, -math.inf, 0
+    t, value, _, evaluations = _grid_then_golden(
+        lambda t: f(*(xi + t * di for xi, di in zip(x, d))), 0.0, reach, LINE_SAMPLES,
+        tol / max(map(abs, d)))
+    point = [wrap_phase(xi + t * di) if periodic else min(max(xi + t * di, 0.0), hi)
+             for xi, di, (hi, periodic) in zip(x, d, axes)]
+    return point, value, evaluations
 
 
 def maximize_box(f: Callable, axes: tuple[tuple[float, bool], ...], grid_per_dim: int,
@@ -135,10 +171,21 @@ def maximize_box(f: Callable, axes: tuple[tuple[float, bool], ...], grid_per_dim
     """Maximize f(x_1, ..., x_k) over a box with one (hi, periodic) axis per argument.
 
     An axis spans [0, hi]; a periodic one is a phase, hi = 2pi, and wraps
-    around on [0, 2pi).  A grid_per_dim**k scan seeds `starts` cyclic
-    coordinate-descent refinements (golden-section line searches).  Results
-    merge by value with the lexicographically smallest argmax breaking exact
-    ties.
+    around on [0, 2pi).  A grid_per_dim**k scan seeds `starts` refinements.
+    Each refinement runs cycles of golden-section line searches, one per
+    coordinate in turn; a phase line's samples start at the current phase, so
+    a narrow peak holding the point is never lost between two samples.
+    After a cycle whose displacement d (on a phase axis the signed shortest
+    difference) lies within cosine PATTERN_COSINE of the previous cycle's, a
+    pattern step searches the line x + t d over t in [0, T], T as far as keeps
+    every non-periodic coordinate in [0, hi] and moves no phase by more than
+    pi: on a ridge the cycles zig-zag along it, and this step follows it.  No
+    step is taken unless it raises the value, a refinement keeps its best
+    (value, x) pair, and stops when a cycle raises the value by no more than
+    1e-13 relative or after MAX_CYCLES cycles.  So the value reported is f at
+    the argmax reported, a float call, and at least f at the best grid point.
+    Results merge by value with the lexicographically smallest argmax breaking
+    exact ties.
 
     The objective contract, shared with maximize_1d: f takes floats, and numpy
     arrays that broadcast together, for which it returns the array of values (a
@@ -147,9 +194,9 @@ def maximize_box(f: Callable, axes: tuple[tuple[float, bool], ...], grid_per_dim
     scan is one array call.  Each line search builds its 1-D function h once:
     f.line(coord, x) when f has that method, which must return f at x with
     coordinate coord set to t, for float and array t; otherwise a slice of f.
-    The line's samples are one array call of h and its golden steps float
-    calls.  `evaluations` counts points, not calls.  Scans over GRID_BUDGET
-    points are refused.
+    A pattern step's h is always a slice of f.  A line's 65 samples are one
+    array call of h and its golden steps float calls.  `evaluations` counts
+    points, not calls.  Scans over GRID_BUDGET points are refused.
     """
     k = len(axes)
     if grid_per_dim < 2:
@@ -178,22 +225,33 @@ def maximize_box(f: Callable, axes: tuple[tuple[float, bool], ...], grid_per_dim
         x = list(grid_point(flat))
         value = f(*x)
         evaluations += 1
+        previous = [0.0] * k  # the last cycle's displacement
         for _ in range(MAX_CYCLES):
+            start, start_value = list(x), value
             for coord, (hi, periodic) in enumerate(axes):
-                x[coord], line_evaluations = _line_max(f, x, coord, hi, periodic, tol)
+                t, line_value, line_evaluations = _line_max(f, x, coord, hi, periodic, tol)
                 evaluations += line_evaluations
-            new_value = f(*x)
+                if line_value > value:
+                    x[coord], value = t, line_value
+            d = _displacement(start, x, axes)
+            if _cosine(d, previous) > PATTERN_COSINE:
+                point, pattern_value, pattern_evaluations = _pattern_max(f, x, d, axes, tol)
+                evaluations += pattern_evaluations
+                if pattern_value > value:
+                    x = point
+            previous = d
+            # the steps' values come from slices at unwrapped phases; the
+            # (value, x) pairs kept are f at x itself
+            value = f(*x)
             evaluations += 1
-            if new_value - value <= 1e-13 * (1.0 + abs(value)):
-                value = max(value, new_value)
+            if value - start_value <= 1e-13 * (1.0 + abs(start_value)):
+                if value < start_value:
+                    x, value = start, start_value
                 break
-            value = new_value
         candidates.append((value, tuple(x)))
 
     best_value = max(v for v, _ in candidates)
     best_arg = min(arg for v, arg in candidates if v == best_value)
-    if best_value < grid_best:
-        best_value, best_arg = grid_best, grid_point(top[0])
     return OptResult(best_arg, best_value, evaluations, grid_best)
 
 

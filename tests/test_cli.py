@@ -294,7 +294,7 @@ def test_optimize_reports_argmax_and_evaluations_as_fields(capsys):
     assert classical["argmax"] == [pytest.approx(2 * math.acos(math.sqrt(4 / 19)), abs=1e-6)]
     assert classical["evaluations"] == 291
     assert classical["note"] == f"p*={4 / 19:.9f}"
-    assert len(quantum["argmax"]) == 3 and quantum["evaluations"] == 67772
+    assert len(quantum["argmax"]) == 3 and quantum["evaluations"] == 53944
     assert "note" not in quantum
     assert payoff_three_param_fn(3, 20.0)(*quantum["argmax"]) == quantum["actual"]
 
@@ -578,6 +578,18 @@ def test_optimize_passes_at_the_most_negative_lambdas(n, lam, capsys):
     assert code == 0
     checks = {c["check"]: c for c in json.loads(out)["checks"]}
     assert checks["classical_optimum"]["actual"] == 1.0
+
+
+def test_optimize_reports_the_value_of_its_argmax_on_a_narrow_peak(capsys):
+    # at 1.5 lambda0(6), a line search that stepped off its peak between two
+    # samples left a value its argmax did not reach, and optimize exited 3
+    lam = 205885.75
+    code, out = run_cli("optimize", "--n", "6", "--lambda", str(lam), "--format", "json",
+                        capsys=capsys)
+    assert code == 0
+    quantum = {c["check"]: c for c in json.loads(out)["checks"]}["quantum_optimum"]
+    assert quantum["actual"] >= 11665.807  # Prop. 3's angles give 11665.80745...
+    assert payoff_three_param_fn(6, lam)(*quantum["argmax"]) == quantum["actual"]
 
 
 @pytest.mark.parametrize("sweep", ["nan", "inf", "3,inf"])

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ewlsim import optimize
 from ewlsim.analysis import perfect_recall_control, prop1_solve
 from ewlsim.decision import (
     BehavioralStrategy,
@@ -545,6 +546,21 @@ def test_gap_for_half_half_diagonal_target():
     gap = behavioral_gap(two_stage_problem(), HALF_HALF)
     assert gap >= 0.1
     assert gap == pytest.approx(TWO_STAGE_GAP, abs=1e-6)
+
+
+def test_gap_search_work_is_pinned(monkeypatch):
+    # no two cycles of the box search move the same way here, so no pattern
+    # step fires and the two-stage gap's work is its line searches' alone
+    results = []
+    maximize_box = optimize.maximize_box
+
+    def recording(*args):
+        results.append(maximize_box(*args))
+        return results[-1]
+
+    monkeypatch.setattr(optimize, "maximize_box", recording)
+    assert behavioral_gap(two_stage_problem(), HALF_HALF, grid_points=201) == 0.25
+    assert [res.evaluations for res in results] == [40621]
 
 
 def test_gap_refuses_grids_over_budget():

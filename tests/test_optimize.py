@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from ewlsim.analysis import prop3_params
 from ewlsim.ewl import payoff_one_param, payoff_three_param_fn
 from ewlsim.optimize import GRID_BUDGET, TWO_PI, maximize_1d, maximize_3d, wrap_phase
 
@@ -107,10 +108,31 @@ def test_3d_deterministic_bit_identical():
 
 
 def test_3d_evaluation_counts_are_pinned():
-    assert maximize_3d(payoff_three_param_fn(3, 20.0)).evaluations == 67772
+    assert maximize_3d(payoff_three_param_fn(3, 20.0)).evaluations == 53944
     res = maximize_3d(payoff_three_param_fn(1, 10.0), grid_per_dim=17, starts=6, tol=1e-9)
-    assert res.evaluations == 12371
-    assert maximize_3d(payoff_three_param_fn(6, 100.0)).evaluations == 131117
+    assert res.evaluations == 12995
+    assert maximize_3d(payoff_three_param_fn(6, 100.0)).evaluations == 51276
+
+
+def test_3d_ridge_search_stays_within_its_budget():
+    # the payoff's ridge alpha - 6 beta = const: coordinate steps alone crawl
+    # along it for all MAX_CYCLES cycles from five of the eight starts, 131,117
+    # points in all
+    assert maximize_3d(payoff_three_param_fn(6, 100.0)).evaluations <= 65_000
+
+
+@pytest.mark.parametrize("delta", [1.1, 1.5, 3.0])
+@pytest.mark.parametrize("n", range(2, 15))
+def test_3d_reaches_prop3_point_and_reports_its_argmax_value(n, delta):
+    theta, alpha, beta, lam0 = prop3_params(n)
+    f = payoff_three_param_fn(n, delta * lam0)
+    res = maximize_3d(f)
+    assert res.value == f(*res.argmax)
+    known = f(theta, alpha, beta)
+    assert res.value >= known - 1e-9 * abs(known)
+    if delta == 1.5 and n in (6, 8, 9, 11):
+        # ridges on which coordinate steps alone stall below the known point
+        assert res.value >= known
 
 
 REPRODUCE_SETTINGS = {"grid_per_dim": 17, "starts": 6, "tol": 1e-9}
