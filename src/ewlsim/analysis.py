@@ -277,10 +277,16 @@ class Prop3Certificate:
     dominates: bool
 
 
+def search_slack(reference: float, tol: float) -> float:
+    """How far a search's value at tolerance ``tol`` may miss ``reference``:
+    max(tol, 1e-9) * max(1, |reference|)."""
+    return max(tol, 1e-9) * max(1.0, abs(reference))
+
+
 def _cross_check(kind: str, value: float, other: float, against: str, tol: float) -> None:
     """Raise CrossCheckError unless a search's value lies within
-    max(tol, 1e-9) * max(1, |other|) of ``other``, a second computation of it."""
-    if not abs(value - other) <= max(tol, 1e-9) * max(1.0, abs(other)):
+    search_slack(other, tol) of ``other``, a second computation of it."""
+    if not abs(value - other) <= search_slack(other, tol):
         raise CrossCheckError(f"{kind} optimum mismatch: search {value!r} vs {against} {other!r}")
 
 

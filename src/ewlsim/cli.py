@@ -221,10 +221,13 @@ def cmd_optimize(args: argparse.Namespace) -> dict:
             sim, res.value, abs(sim - res.value), True), res))
 
     if args.mode == "both":
+        # the quantum game embeds the classical one, so its optimum is no lower
         classical, quantum = (c["actual"] for c in checks)
+        shortfall = max(classical - quantum, 0.0)
         checks.append(analysis.make_check(
             "quantum_classical_ratio", {"n": n, "lambda": lam},
-            None, quantum / classical if classical else math.inf, 0.0, True))
+            None, quantum / classical if classical else math.inf, shortfall,
+            shortfall <= analysis.search_slack(classical, args.tol)))
     return analysis.make_report(checks)
 
 

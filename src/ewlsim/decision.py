@@ -459,7 +459,7 @@ def behavioral_gap(problem: DecisionProblem, target: OutcomeDistribution,
     The distance is minimized with optimize.maximize_box, the search of
     maximize_3d: a grid_points**k scan of the box [0, 1]**k of first-action
     probabilities of the k information sets, then maximize_box's refinement
-    (cyclic golden-section line searches and pattern steps) from the best grid
+    (cyclic line searches in Brent steps, and pattern steps) from the best grid
     point.  The distance comes from behavioral_masses, so the scan is one
     array call.  Information sets must be binary (every problem built in this
     module is); a grid over GRID_BUDGET points is refused.

@@ -42,6 +42,10 @@ from .qstate import (
 )
 
 _I_POW = np.array([1, 1j, -1, -1j])  # i**k for k mod 4
+# gates and closed forms take cos(theta/2) as sin(_HALF_PI - theta/2): near
+# theta = pi that difference is exact (Sterbenz), so the cosine is 0 at the
+# float pi, where cos(pi/2) is 6e-17
+_HALF_PI = math.pi / 2.0
 # final_states refuses a stack whose widest array would hold more complex
 # entries than this, which is what one state at the qubit limit holds
 STACK_BUDGET = 1 << MAX_QUBITS
@@ -95,7 +99,7 @@ def gate_stack(theta, alpha=0.0, beta=0.0) -> np.ndarray:
     if not in_range.all():
         first = np.unravel_index(np.argmin(in_range), in_range.shape)
         UnitaryParams(*(float(x[first]) for x in (theta, alpha, beta)))  # raises
-    c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
+    c, s = np.sin(_HALF_PI - theta / 2.0), np.sin(theta / 2.0)
     ca, sa, cb, sb = np.cos(alpha), np.sin(alpha), np.cos(beta), np.sin(beta)
     mats = np.empty(theta.shape + (2, 2), dtype=complex)
     parts = mats.view(np.float64).reshape(theta.shape + (2, 2, 2))  # last axis: re, im
@@ -449,7 +453,7 @@ def payoff_one_param(n: int, lam, theta):
 def _half_angle_powers(xp, n: int, theta):
     """cos(theta/2), sin(theta/2) and their n-th powers, as repeated products."""
     half = theta / 2.0
-    c, s = xp.cos(half), xp.sin(half)
+    c, s = xp.sin(_HALF_PI - half), xp.sin(half)
     cn, sn = c, s
     for _ in range(n - 1):
         cn = cn * c

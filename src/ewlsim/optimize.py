@@ -10,13 +10,15 @@ results.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 TWO_PI = 2.0 * math.pi
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+_CGOLD = (3.0 - math.sqrt(5.0)) / 2.0  # golden-section step, 1 - 1/phi
+_EPS = sys.float_info.epsilon
 
 GRID_1D = 257
 LINE_SAMPLES = 65
@@ -38,30 +40,66 @@ class OptResult:
     grid_best: float
 
 
-def _golden_max(f, a: float, b: float, tol: float) -> tuple[float, float, int]:
-    """Golden-section maximization of f on [a, b] down to interval width tol, or
-    until float resolution stops a step from narrowing the bracket:
-    (argmax, value, points evaluated)."""
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = f(c), f(d)
-    evaluations = 3  # c, d and the final midpoint
-    width = b - a
-    while width > tol:
-        evaluations += 1
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = f(d)
-        if b - a >= width:
+def _brent_max(f, a: float, b: float, x: float, fx: float,
+               tol: float) -> tuple[float, float, int]:
+    """Brent's method (Algorithms for Minimization without Derivatives, 1973,
+    ch. 5) for the maximum of f on [a, b], from x in [a, b] with fx = f(x):
+    golden-section steps, and parabolic steps through the three best points
+    where they fall inside the bracket and shrink.  Stops when x lies within
+    2 tol1 of both ends, tol1 = tol/4 + eps|x|, so at bracket width tol, or
+    when float resolution rounds a step away: (argmax, value >= fx, points
+    evaluated)."""
+    v = w = x
+    fv = fw = fx
+    d = e = 0.0  # the last step, and the one before it
+    evaluations = 0
+    tol4 = 0.25 * tol
+    while True:
+        tol1 = tol4 + _EPS * abs(x)
+        tol2 = 2.0 * tol1
+        if x - a <= tol2 and b - x <= tol2:
             break
-        width = b - a
-    x = 0.5 * (a + b)
-    return x, f(x), evaluations
+        m = 0.5 * (a + b)
+        golden = True
+        if abs(e) > tol1:
+            # the vertex x + p/q of the parabola through (v, fv), (w, fw), (x, fx)
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            else:
+                q = -q
+            if abs(p) < 0.5 * q * abs(e) and q * (a - x) < p < q * (b - x):
+                e, d = d, p / q
+                golden = False
+                if x + d - a < tol2 or b - (x + d) < tol2:
+                    d = math.copysign(tol1, m - x)
+        if golden:
+            e = (a - x) if x >= m else (b - x)
+            d = _CGOLD * e
+        u = x + (d if abs(d) >= tol1 else math.copysign(tol1, d))
+        if u == x:
+            break
+        fu = f(u)
+        evaluations += 1
+        if fu >= fx:
+            if u >= x:
+                a = x
+            else:
+                b = x
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu >= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu >= fv or v == x or v == w:
+                v, fv = u, fu
+    return x, fx, evaluations
 
 
 def _check_tol(tol: float) -> None:
@@ -69,17 +107,20 @@ def _check_tol(tol: float) -> None:
         raise ValueError(f"tol must be finite and positive, got {tol!r}")
 
 
-def _grid_then_golden(f, lo: float, hi: float, n: int, tol: float,
-                      periodic: bool = False) -> tuple[float, float, float, int]:
+def _grid_then_brent(f, lo: float, hi: float, n: int, tol: float,
+                     periodic: bool = False) -> tuple[float, float, float, int]:
     """Best of n points spanning [lo, hi] ([lo, hi) if periodic), scored in one
-    call of f on their array, then golden-section on its bracket: (argmax,
-    value >= grid max, grid max, points evaluated).  A periodic bracket may
-    reach past lo or hi, where f must repeat itself; the argmax is not wrapped.
+    call of f on their array, then Brent's method on its bracket from that
+    point: (argmax, value >= grid max, grid max, points evaluated).  A periodic
+    bracket may reach past lo or hi, where f must repeat itself; the argmax is
+    not wrapped.
     """
     step = (hi - lo) / (n if periodic else n - 1)
     points = lo + np.arange(n) * step
-    values = np.broadcast_to(f(points), points.shape)
-    best_i = int(np.argmax(values))
+    values = f(points)
+    if np.size(values) < n:  # a scalar result stands for every point
+        values = np.broadcast_to(values, points.shape)
+    best_i = int(values.argmax())
     grid_best = float(values[best_i])
     center = lo + best_i * step
     if periodic:
@@ -87,21 +128,19 @@ def _grid_then_golden(f, lo: float, hi: float, n: int, tol: float,
     else:
         a = lo + max(best_i - 1, 0) * step
         b = lo + min(best_i + 1, n - 1) * step
-    x, v, evaluations = _golden_max(f, a, b, tol)
-    if v < grid_best:
-        return center, grid_best, grid_best, n + evaluations
+    x, v, evaluations = _brent_max(f, a, b, center, grid_best, tol)
     return x, v, grid_best, n + evaluations
 
 
 def maximize_1d(f: Callable, lo: float, hi: float, tol: float = 1e-8) -> OptResult:
     """Maximize f on [lo, hi]: best of a 257-point grid, scored in one array
-    call of f (maximize_box's objective contract), then golden-section in float
+    call of f (maximize_box's objective contract), then Brent's method in float
     calls.  Accurate to tol in the argument for functions unimodal near their
     maximum; the returned value never falls below the grid maximum."""
     if not (math.isfinite(lo) and math.isfinite(hi)) or hi <= lo:
         raise ValueError(f"invalid interval [{lo}, {hi}]")
     _check_tol(tol)
-    x, v, grid_best, evaluations = _grid_then_golden(f, lo, hi, GRID_1D, tol)
+    x, v, grid_best, evaluations = _grid_then_brent(f, lo, hi, GRID_1D, tol)
     return OptResult((x,), v, evaluations, grid_best)
 
 
@@ -130,7 +169,7 @@ def _line_max(f, x: list[float], coord: int, hi: float, periodic: bool,
     line = getattr(f, "line", None)
     h = line(coord, x) if line is not None else _slice(f, x, coord)
     lo = x[coord] if periodic else 0.0
-    best, value, _, evaluations = _grid_then_golden(h, lo, lo + hi, LINE_SAMPLES, tol, periodic)
+    best, value, _, evaluations = _grid_then_brent(h, lo, lo + hi, LINE_SAMPLES, tol, periodic)
     return (wrap_phase(best) if periodic else best), value, evaluations
 
 
@@ -158,7 +197,7 @@ def _pattern_max(f, x: list[float], d: list[float], axes: tuple[tuple[float, boo
             reach = min(reach, room / abs(di))
     if not reach > 0.0:
         return x, -math.inf, 0
-    t, value, _, evaluations = _grid_then_golden(
+    t, value, _, evaluations = _grid_then_brent(
         lambda t: f(*(xi + t * di for xi, di in zip(x, d))), 0.0, reach, LINE_SAMPLES,
         tol / max(map(abs, d)))
     point = [wrap_phase(xi + t * di) if periodic else min(max(xi + t * di, 0.0), hi)
@@ -166,15 +205,31 @@ def _pattern_max(f, x: list[float], d: list[float], axes: tuple[tuple[float, boo
     return point, value, evaluations
 
 
+def _top_indices(values: np.ndarray, k: int) -> list[int]:
+    """The first k of np.argsort(-values, kind="stable"): the k largest values,
+    the lowest index first among equal values and NaN last.  Only the values at
+    or above the k-th largest are sorted; when fewer than k values are not NaN,
+    all of them are."""
+    keys = -values
+    if k < keys.size:
+        kth = np.partition(keys, k - 1)[k - 1]  # NaN sorts last
+        if not math.isnan(kth):
+            tied = np.flatnonzero(keys <= kth)  # in index order
+            return tied[np.argsort(keys[tied], kind="stable")[:k]].tolist()
+    return np.argsort(keys, kind="stable")[:k].tolist()
+
+
 def maximize_box(f: Callable, axes: tuple[tuple[float, bool], ...], grid_per_dim: int,
                  starts: int, tol: float) -> OptResult:
     """Maximize f(x_1, ..., x_k) over a box with one (hi, periodic) axis per argument.
 
     An axis spans [0, hi]; a periodic one is a phase, hi = 2pi, and wraps
-    around on [0, 2pi).  A grid_per_dim**k scan seeds `starts` refinements.
-    Each refinement runs cycles of golden-section line searches, one per
-    coordinate in turn; a phase line's samples start at the current phase, so
-    a narrow peak holding the point is never lost between two samples.
+    around on [0, 2pi).  A grid_per_dim**k scan seeds `starts` refinements
+    from its best points, the lowest flat index first among equal values.
+    Each refinement runs cycles of line searches (65 samples, then Brent's
+    method on the best one's bracket), one per coordinate in turn; a phase
+    line's samples start at the current phase, so a narrow peak holding the
+    point is never lost between two samples.
     After a cycle whose displacement d (on a phase axis the signed shortest
     difference) lies within cosine PATTERN_COSINE of the previous cycle's, a
     pattern step searches the line x + t d over t in [0, T], T as far as keeps
@@ -195,7 +250,7 @@ def maximize_box(f: Callable, axes: tuple[tuple[float, bool], ...], grid_per_dim
     f.line(coord, x) when f has that method, which must return f at x with
     coordinate coord set to t, for float and array t; otherwise a slice of f.
     A pattern step's h is always a slice of f.  A line's 65 samples are one
-    array call of h and its golden steps float calls.  `evaluations` counts
+    array call of h and its Brent steps float calls.  `evaluations` counts
     points, not calls.  Scans over GRID_BUDGET points are refused.
     """
     k = len(axes)
@@ -212,8 +267,7 @@ def maximize_box(f: Callable, axes: tuple[tuple[float, bool], ...], grid_per_dim
     grids = [index * hi / (grid_per_dim if periodic else grid_per_dim - 1) for hi, periodic in axes]
     values = np.broadcast_to(f(*np.ix_(*grids)), (grid_per_dim,) * k).ravel()
     evaluations = grid_per_dim ** k
-    # a stable sort keeps the lowest flat index first among equal values
-    top = np.argsort(-values, kind="stable")[:starts].tolist()
+    top = _top_indices(values, starts)
     grid_best = float(values[top[0]])
 
     def grid_point(flat: int) -> tuple[float, ...]:

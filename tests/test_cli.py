@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -232,7 +233,7 @@ def test_negative_seeds_are_refused_by_name(argv, target, capsys, monkeypatch):
 
 
 def test_optimize_finishes_at_a_tolerance_below_float_resolution(capsys):
-    # the golden-section bracket cannot narrow to 1e-300; the search stops when it stalls
+    # a bracket cannot narrow to 1e-300 off 0; Brent's steps stop at float resolution
     code, out = run_cli("optimize", "--n", "2", "--lambda", "5", "--mode", "both", "--grid", "9",
                         "--tol", "1e-300", "--format", "json", capsys=capsys)
     assert code == 0
@@ -292,9 +293,9 @@ def test_optimize_reports_argmax_and_evaluations_as_fields(capsys):
     checks = {c["check"]: c for c in json.loads(out)["checks"]}
     classical, quantum = checks["classical_optimum"], checks["quantum_optimum"]
     assert classical["argmax"] == [pytest.approx(2 * math.acos(math.sqrt(4 / 19)), abs=1e-6)]
-    assert classical["evaluations"] == 291
+    assert classical["evaluations"] == 265
     assert classical["note"] == f"p*={4 / 19:.9f}"
-    assert len(quantum["argmax"]) == 3 and quantum["evaluations"] == 53944
+    assert len(quantum["argmax"]) == 3 and quantum["evaluations"] == 49058
     assert "note" not in quantum
     assert payoff_three_param_fn(3, 20.0)(*quantum["argmax"]) == quantum["actual"]
 
@@ -643,6 +644,39 @@ def test_other_arithmetic_errors_are_not_cross_check_failures(monkeypatch):
     monkeypatch.setattr(cli.analysis, "prop3_sweep", crash)
     with pytest.raises(ZeroDivisionError):
         cli.main(["verify", "prop3"])
+
+
+def test_optimize_quantum_optimum_at_theta_pi_equals_the_classical_one(capsys):
+    # at lambda = -1e300 the best play exits at once: theta = pi, where the
+    # float cos(pi/2) = 6e-17 would let lambda swamp the exit payoff of 1
+    code, out = run_cli("optimize", "--n", "6", "--lambda", "-1e300", "--mode", "both",
+                        "--format", "json", capsys=capsys)
+    assert code == 0
+    checks = {c["check"]: c for c in json.loads(out)["checks"]}
+    assert checks["classical_optimum"]["actual"] == checks["quantum_optimum"]["actual"] == 1.0
+    assert checks["quantum_optimum"]["argmax"] == [math.pi, 0.0, 0.0]
+    ratio = checks["quantum_classical_ratio"]
+    assert ratio["pass"] and ratio["actual"] == 1.0 and ratio["deviation"] == 0.0
+
+
+def test_optimize_fails_when_the_quantum_optimum_is_below_the_classical_one(capsys, monkeypatch):
+    # the quantum game embeds the classical one, so a quantum search that ends
+    # below the classical optimum fails the ratio check
+    original = cli.analysis.quantum_optimum
+
+    def short(n, lam, grid_per_dim, starts, tol):
+        res, sim = original(n, lam, grid_per_dim, starts, tol)
+        low = 4.0 / 3.0 - 1e-6  # the classical optimum at n = 1, lambda = 4, less 1e-6
+        return replace(res, value=low), low
+
+    monkeypatch.setattr(cli.analysis, "quantum_optimum", short)
+    code, out = run_cli("optimize", "--n", "1", "--lambda", "4", "--mode", "both", "--grid", "9",
+                        "--format", "json", capsys=capsys)
+    assert code == 1
+    checks = {c["check"]: c for c in json.loads(out)["checks"]}
+    assert checks["classical_optimum"]["pass"] and checks["quantum_optimum"]["pass"]
+    ratio = checks["quantum_classical_ratio"]
+    assert not ratio["pass"] and ratio["deviation"] == pytest.approx(1e-6, rel=1e-6)
 
 
 def test_optimize_exits_3_on_cross_check_failure(capsys, monkeypatch):

@@ -695,6 +695,20 @@ def test_three_param_array_lambda_equals_float_calls(n):
                                for lam, a in zip(lams.tolist(), angles.tolist())]
 
 
+@pytest.mark.parametrize("n", [1, 2, 6, 7])
+def test_cosine_is_zero_at_theta_pi(n):
+    # cos(pi/2) is 6e-17 in floats; at lambda = -1e300 it made the payoff at
+    # U(pi, 0, 0) about -1e267, not the exit payoff 1 that the gate pays
+    lam = -1e300
+    f = payoff_three_param_fn(n, lam)
+    assert f(math.pi, 0.0, 0.0) == 1.0
+    assert f(np.array([math.pi]), np.array([0.0]), np.array([0.0])).tolist() == [1.0]
+    assert f.line(0, (0.3, 0.0, 0.0))(math.pi) == 1.0
+    assert gate_stack(math.pi)[0, 0] == 0.0 and gate_stack(math.pi)[1, 1] == 0.0
+    gate = build_gate(UnitaryParams(math.pi, 0.0, 0.0))
+    assert expected_payoff(n_tuple_driver_game(n, lam), [gate] * (n + 1)) == 1.0
+
+
 def test_two_qubit_product_form():
     payoffs = (1.0, 2.0, 3.0, 4.0)
     for theta1 in np.linspace(0.0, math.pi, 7):

@@ -5,7 +5,8 @@ import pytest
 
 from ewlsim.analysis import prop3_params
 from ewlsim.ewl import payoff_one_param, payoff_three_param_fn
-from ewlsim.optimize import GRID_BUDGET, TWO_PI, maximize_1d, maximize_3d, wrap_phase
+from ewlsim.optimize import (GRID_1D, GRID_BUDGET, TWO_PI, _top_indices, maximize_1d, maximize_3d,
+                             wrap_phase)
 
 # analytic optimum of the n=3, lam=20 classical payoff: exit probability 4/19
 THETA_STAR_N3 = 2.0 * math.acos(math.sqrt(4.0 / 19.0))
@@ -108,10 +109,10 @@ def test_3d_deterministic_bit_identical():
 
 
 def test_3d_evaluation_counts_are_pinned():
-    assert maximize_3d(payoff_three_param_fn(3, 20.0)).evaluations == 53944
+    assert maximize_3d(payoff_three_param_fn(3, 20.0)).evaluations == 49058
     res = maximize_3d(payoff_three_param_fn(1, 10.0), grid_per_dim=17, starts=6, tol=1e-9)
-    assert res.evaluations == 12995
-    assert maximize_3d(payoff_three_param_fn(6, 100.0)).evaluations == 51276
+    assert res.evaluations == 10967
+    assert maximize_3d(payoff_three_param_fn(6, 100.0)).evaluations == 47026
 
 
 def test_3d_ridge_search_stays_within_its_budget():
@@ -222,3 +223,61 @@ def test_golden_search_stops_at_float_resolution():
         calls = 0
         res = maximize_1d(payoff, 0.0, math.pi, tol=tol)
         assert res.value == pytest.approx(125.0 / 108.0, abs=1e-15)
+
+
+# at 5e-324, the least positive float, tol / 4 is 0: the steps from x = 0
+# round away to nothing, and only that stop ends the search
+@pytest.mark.parametrize("tol", [1e-300, 5e-324])
+@pytest.mark.parametrize("f, lo, hi, argmax, value", [
+    (lambda t: -(t * t), 0.0, 1.0, 0.0, 0.0),  # the maximum at an end of the interval
+    (lambda t: -abs(t), -1.0, 1.0, 0.0, 0.0),  # a kink at 0, where Brent's tol1 is tol / 4
+    (lambda t: 2.5 + 0.0 * t, 0.0, 1.0, None, 2.5),
+], ids=["end", "kink", "constant"])
+def test_brent_search_stops_at_float_resolution(f, lo, hi, argmax, value, tol):
+    calls = 0
+
+    def counted(t):
+        nonlocal calls
+        if type(t) is float:
+            calls += 1
+            if calls > 2_000:
+                raise AssertionError("the line search did not stop")
+        return f(t)
+
+    res = maximize_1d(counted, lo, hi, tol=tol)
+    assert res.value == value and res.evaluations == GRID_1D + calls
+    if argmax is not None:
+        assert abs(res.argmax[0] - argmax) <= 1e-300
+
+
+@pytest.mark.parametrize("n, lam", [(3, 20.0), (6, 100.0)])
+def test_line_searches_take_about_ten_float_calls(n, lam):
+    # each line search is one array call and its Brent steps' float calls (the
+    # seeds' and cycles' own float calls ride along); golden section took 38
+    f = payoff_three_param_fn(n, lam)
+    calls = {"array": 0, "float": 0}
+
+    def counted(*args):
+        calls["array" if any(isinstance(a, np.ndarray) for a in args) else "float"] += 1
+        return f(*args)
+
+    maximize_3d(counted)
+    assert calls["float"] / (calls["array"] - 1) <= 12.0  # the seed grid is one array call
+
+
+_SEED_CASES = {
+    "ties": np.array([1.0, 3.0, 3.0, 2.0, 3.0, 1.0, 2.0, 2.0, 0.0]),
+    "nans": np.array([np.nan, 1.0, np.nan, 4.0, 4.0, -np.inf, 0.0, np.nan, 4.0]),
+    "mostly_nan": np.array([np.nan, 2.0, np.nan, np.nan, 2.0, np.nan]),
+    "signed_zeros": np.array([0.0, -0.0, 1.0, -0.0, 0.0, -1.0, 0.0]),
+    "constant": np.full(40, 1.5),
+    "random_ties": np.random.default_rng(3).integers(0, 6, size=500).astype(float),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SEED_CASES))
+def test_seed_selection_equals_the_full_stable_sort(name):
+    values = _SEED_CASES[name]
+    full = np.argsort(-values, kind="stable").tolist()
+    for k in sorted({1, 2, 3, 5, 8, values.size - 1, values.size, values.size + 4}):
+        assert _top_indices(values, k) == full[:k], k
