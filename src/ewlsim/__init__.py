@@ -65,7 +65,6 @@ from .ewl import (
     payoff_one_param,
     payoff_three_param,
     payoff_three_param_fn,
-    payoff_two_qubit_general,
     two_stage_game,
 )
 from .optimize import OptResult, maximize_1d, maximize_3d
@@ -74,8 +73,6 @@ from .qstate import (
     StateVector,
     apply_entangler,
     apply_single_qubit_gate,
-    basis_state,
-    hamming_weight,
 )
 
 __version__ = "0.1.0"

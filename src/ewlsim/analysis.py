@@ -20,7 +20,6 @@ import numpy as np
 from .decision import DecisionProblem, behavioral_masses, has_imperfect_recall
 from .decision import checked_probabilities, n_tuple_driver, n_tuple_outcomes, two_stage_problem
 from .ewl import (
-    IDENTITY_PARAMS,
     UnitaryParams,
     amplitudes_one_param,
     build_gate,
@@ -90,7 +89,6 @@ class Prop1Solution:
 
     params1: UnitaryParams
     branch: str  # general | diagonal_segment | antidiagonal_segment
-    gate2_is_identity: bool = True
 
 
 def _prop1_angles(p00, p01, p10, p11):
@@ -123,7 +121,7 @@ _TWO_STAGE_GAME = two_stage_game()
 
 def prop1_outcome(solution: Prop1Solution):
     """Outcome distribution of the solved unitary strategy, by simulation."""
-    gates = [build_gate(solution.params1), build_gate(IDENTITY_PARAMS)]
+    gates = [build_gate(solution.params1), build_gate(UnitaryParams(0.0))]
     return outcome_distribution_ewl(_TWO_STAGE_GAME, gates)
 
 
@@ -132,18 +130,13 @@ def _on_every_qubit(gates: np.ndarray, m: int) -> np.ndarray:
     return np.broadcast_to(gates[:, None], (len(gates), m, 2, 2))
 
 
-def _identity_gates(k: int) -> np.ndarray:
-    identity = gate_stack(IDENTITY_PARAMS.theta, IDENTITY_PARAMS.alpha, IDENTITY_PARAMS.beta)
-    return np.broadcast_to(identity, (k, 2, 2))
-
-
 def _prop1_deviation(mixtures) -> float:
     """Largest outcome error of the gates that _prop1_angles, prop1_solve's kernel, gives
     at once for the rows of a (k, 4) array of mixtures, simulated in one stacked call."""
     mixtures = np.asarray(mixtures, dtype=float)
     first = gate_stack(*_prop1_angles(*mixtures.T))
-    masses = outcome_masses(_TWO_STAGE_GAME,
-                            np.stack((first, _identity_gates(len(first))), axis=1))
+    runs = np.stack(np.broadcast_arrays(first, gate_stack(0.0)), axis=1)  # identity on qubit 2
+    masses = outcome_masses(_TWO_STAGE_GAME, runs)
     order = [_TWO_STAGE_GAME.labels.index(lab) for lab in ("o00", "o01", "o10", "o11")]
     return float(np.abs(masses[:, order] - mixtures).max())
 
@@ -448,8 +441,8 @@ def formulas_verify(n_max: int = 5, samples: int = 500, seed: int = 11) -> dict:
     form = ((payoffs[0] * np.cos(alpha1) ** 2 + payoffs[3] * np.sin(alpha1) ** 2) * c2
             + (payoffs[1] * np.sin(beta1) ** 2 + payoffs[2] * np.cos(beta1) ** 2) * s2)
     first = gate_stack(theta1, alpha1, beta1)
-    sim = expected_payoffs(two_qubit_game,
-                           np.stack((first, _identity_gates(len(first))), axis=1))
+    runs = np.stack(np.broadcast_arrays(first, gate_stack(0.0)), axis=1)  # identity on qubit 2
+    sim = expected_payoffs(two_qubit_game, runs)
     dev = _max_dev(sim, form)
     checks.append(make_check(
         "first_qubit_only_form_vs_simulation", {"samples": 100, "seed": seed},

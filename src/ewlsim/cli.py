@@ -16,6 +16,7 @@ import csv
 import io
 import json
 import math
+import os
 import re
 import sys
 from itertools import product
@@ -102,7 +103,14 @@ def check_options(args: argparse.Namespace) -> None:
 
 def _emit(text: str, output: str | None) -> int:
     if output is None:
-        print(text)
+        try:
+            print(text, flush=True)
+        except BrokenPipeError:
+            # the reader took what it wanted and closed the pipe (as `| head` does); the
+            # interpreter's flush of stdout at exit then writes to devnull, not the pipe
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
         return 0
     try:
         with open(output, "w") as fh:

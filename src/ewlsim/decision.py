@@ -234,18 +234,15 @@ def outcome_equivalent(d1: OutcomeDistribution, d2: OutcomeDistribution, tol: fl
 # constructors for the concrete problems
 
 
-def two_stage_problem(o00: str = "o00", o01: str = "o01", o10: str = "o10",
-                      o11: str = "o11") -> DecisionProblem:
+def two_stage_problem() -> DecisionProblem:
     """Two choices in a row; the first move is forgotten before the second.
 
     One information set holds the root, the other holds both length-1
-    histories, so the second move cannot depend on the first.
+    histories, so the second move cannot depend on the first.  Choosing k
+    and then l ends in outcome o{k}{l}.
     """
-    labels = (o00, o01, o10, o11)
-    if len(set(labels)) != 4:
-        raise ValueError("the four outcome labels must be distinct")
     histories = [(), (0,), (1,)] + [(k, l) for k in (0, 1) for l in (0, 1)]
-    terminal_labels = {(k, l): labels[2 * k + l] for k in (0, 1) for l in (0, 1)}
+    terminal_labels = {(k, l): f"o{k}{l}" for k in (0, 1) for l in (0, 1)}
     return DecisionProblem(
         histories=tuple(histories),
         terminal_labels=terminal_labels,
@@ -453,7 +450,7 @@ def behavioral_from_mixed(problem: DecisionProblem, strategy: MixedStrategy) -> 
 
 
 def behavioral_gap(problem: DecisionProblem, target: OutcomeDistribution,
-                   grid_points: int = 201) -> float:
+                   grid_points: int | None = None) -> float:
     """Smallest max-norm distance from any behavioral outcome to the target.
 
     The distance is minimized with optimize.maximize_box, the search of
@@ -462,14 +459,22 @@ def behavioral_gap(problem: DecisionProblem, target: OutcomeDistribution,
     (cyclic line searches in Brent steps, and pattern steps) from the best grid
     point.  The distance comes from behavioral_masses, so the scan is one
     array call.  Information sets must be binary (every problem built in this
-    module is); a grid over GRID_BUDGET points is refused.
+    module is).  With no grid_points the grid has 201 points per set when
+    201**k fits in GRID_BUDGET, else the largest g >= 2 with g**k within it
+    (100 at k = 3); a grid over GRID_BUDGET points (given, or 2**k past
+    k = 19) is refused.
     """
     if set(target.probs) != set(problem.terminal_labels.values()):
         raise ValueError("target distribution is not over the problem's labels")
     for cell in problem.info_partition:
         if len(problem.actions(cell[0])) != 2:
             raise ValueError("behavioral_gap supports binary action sets only")
-    axes = ((1.0, False),) * len(problem.info_partition)
+    k = len(problem.info_partition)
+    if grid_points is None:
+        grid_points = 201
+        while grid_points > 2 and grid_points ** k > optimize.GRID_BUDGET:
+            grid_points -= 1
+    axes = ((1.0, False),) * k
     return -optimize.maximize_box(_neg_distance_fn(problem, target), axes, grid_points, 1,
                                   1e-10).value
 
@@ -497,21 +502,37 @@ def _neg_distance_fn(problem: DecisionProblem, target: OutcomeDistribution):
 # arrays of history indices, labels keyed by history index)
 
 
-def problem_to_json_dict(problem: DecisionProblem) -> dict:
-    return {
+def problem_to_json(problem: DecisionProblem, indent: int | None = None) -> str:
+    """The problem as compact JSON; indent=2 gives the readable, one-number-per-line form."""
+    return json.dumps({
         "histories": [list(h) for h in problem.histories],
         "partition": [[problem._ids[h] for h in cell] for cell in problem.info_partition],
         "labels": {str(i): lab for i, lab in enumerate(problem._label) if lab is not None},
         "payoffs": dict(problem.payoffs) if problem.payoffs is not None else None,
-    }
+    }, indent=indent)
 
 
 def _is_int_type(t: type) -> bool:
     return issubclass(t, int) and not issubclass(t, bool)
 
 
-def problem_from_json_dict(doc: Mapping) -> DecisionProblem:
-    """Inverse of problem_to_json_dict; a malformed document raises ValueError."""
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """json's object_pairs_hook: an object, refused when it names a key twice."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ValueError(f"a JSON object names the key {key!r} twice")
+        doc[key] = value
+    return doc
+
+
+def problem_from_json(text: str) -> DecisionProblem:
+    """Inverse of problem_to_json, for a document in which no object repeats a
+    key; a malformed document raises ValueError."""
+    try:
+        doc = json.loads(text, object_pairs_hook=_unique_keys)
+    except RecursionError:
+        raise ValueError("the JSON document nests too deeply to parse") from None
     if not (isinstance(doc, Mapping) and isinstance(doc.get("histories"), list)
             and isinstance(doc.get("partition"), list) and isinstance(doc.get("labels"), Mapping)
             and all(isinstance(x, list) for x in doc["histories"] + doc["partition"])
@@ -551,27 +572,3 @@ def problem_from_json_dict(doc: Mapping) -> DecisionProblem:
     if unknown:
         raise ValueError(f"payoffs name labels that no terminal carries: {sorted(unknown)}")
     return problem
-
-
-def problem_to_json(problem: DecisionProblem, indent: int | None = None) -> str:
-    """The problem as compact JSON; indent=2 gives the readable, one-number-per-line form."""
-    return json.dumps(problem_to_json_dict(problem), indent=indent)
-
-
-def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
-    """json's object_pairs_hook: an object, refused when it names a key twice."""
-    doc = {}
-    for key, value in pairs:
-        if key in doc:
-            raise ValueError(f"a JSON object names the key {key!r} twice")
-        doc[key] = value
-    return doc
-
-
-def problem_from_json(text: str) -> DecisionProblem:
-    """problem_from_json_dict of a JSON document in which no object repeats a key."""
-    try:
-        doc = json.loads(text, object_pairs_hook=_unique_keys)
-    except RecursionError:
-        raise ValueError("the JSON document nests too deeply to parse") from None
-    return problem_from_json_dict(doc)

@@ -16,7 +16,7 @@ formulas printed here are re-derived closed forms, tested against both.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -38,7 +38,6 @@ from .qstate import (
     check_qubit_count,
     check_state_rows,
     eq_by_value,
-    hamming_weight,
 )
 
 _I_POW = np.array([1, 1j, -1, -1j])  # i**k for k mod 4
@@ -115,9 +114,6 @@ def build_gate(params: UnitaryParams) -> Gate:
     return Gate(gate_stack(params.theta, params.alpha, params.beta))
 
 
-IDENTITY_PARAMS = UnitaryParams(0.0, 0.0, 0.0)
-
-
 @dataclass(frozen=True, init=False)
 class EwlGame:
     """A decision tree compiled by ``ewl_game`` for an m-qubit protocol run: its
@@ -192,11 +188,9 @@ def driver_game(lam: float) -> EwlGame:
     return n_tuple_driver_game(1, lam)
 
 
-def two_stage_game(labels: Sequence[str] = ("o00", "o01", "o10", "o11")) -> EwlGame:
-    """Two-qubit game whose four basis states carry the four outcome labels."""
-    if len(labels) != 4:
-        raise ValueError(f"need four labels, got {len(labels)}")
-    return ewl_game(two_stage_problem(*labels))
+def two_stage_game() -> EwlGame:
+    """Two-qubit game whose basis states |kl> carry the outcome labels o{k}{l}."""
+    return ewl_game(two_stage_problem())
 
 
 def n_tuple_outcome_game(n: int) -> EwlGame:
@@ -412,13 +406,21 @@ def _amplitude_by_weight(r, theta, m: int):
     return _I_POW[r % 4] * np.cos(theta / 2.0) ** (m - r) * np.sin(theta / 2.0) ** r
 
 
+def _check_basis_index(y: int, m: int) -> None:
+    if not isinstance(m, int) or m < 1:
+        raise ValueError(f"qubit count must be an integer >= 1, got {m}")
+    if not isinstance(y, int) or not 0 <= y < (1 << m):
+        raise ValueError(f"basis index {y} out of range for {m} qubits")
+
+
 def amplitude_one_param(y: int, theta: float, m: int) -> complex:
     """<y|psi_f> when the same U(theta, 0, 0) acts on all m qubits:
 
     i^r(y) * cos^r(ybar)(theta/2) * sin^r(y)(theta/2),
     with r the Hamming weight and ybar the bit complement.
     """
-    return complex(_amplitude_by_weight(hamming_weight(y, m), theta, m))
+    _check_basis_index(y, m)
+    return complex(_amplitude_by_weight(y.bit_count(), theta, m))
 
 
 def amplitudes_one_param(thetas: np.ndarray, m: int) -> np.ndarray:
@@ -568,19 +570,6 @@ def payoff_three_param_fn(n: int, lam: float) -> ThreeParamPayoff:
     line search on it.
     """
     return ThreeParamPayoff(n, lam)
-
-
-def payoff_two_qubit_general(outcome_payoffs: Sequence[float], p1: UnitaryParams,
-                             p2: UnitaryParams) -> float:
-    """Two-qubit expected payoff with independent gates, by direct simulation.
-
-    ``outcome_payoffs`` orders the basis as (o00, o01, o10, o11).
-    """
-    if len(outcome_payoffs) != 4:
-        raise ValueError(f"need four payoffs, got {len(outcome_payoffs)}")
-    problem = two_stage_problem()
-    game = ewl_game(replace(problem, payoffs=dict(zip(problem.labels, outcome_payoffs))))
-    return expected_payoff(game, [build_gate(p1), build_gate(p2)])
 
 
 def eta_symmetry_check(params: UnitaryParams) -> float:

@@ -100,27 +100,6 @@ class StateVector:
         probs.flags.writeable = False
         return probs
 
-    def probability(self, y: int) -> float:
-        """Born-rule probability of measuring basis state y."""
-        _check_basis_index(y, self.m)
-        return float(self.probabilities[y])
-
-
-def basis_state(m: int, y: int = 0) -> StateVector:
-    """The computational basis state |y> on m qubits."""
-    check_qubit_count(m)
-    _check_basis_index(y, m)
-    amps = np.zeros(1 << m, dtype=complex)
-    amps[y] = 1.0
-    return StateVector(m, amps)
-
-
-def _check_basis_index(y: int, m: int) -> None:
-    if not isinstance(m, int) or m < 1:
-        raise ValueError(f"qubit count must be an integer >= 1, got {m}")
-    if not isinstance(y, int) or not 0 <= y < (1 << m):
-        raise ValueError(f"basis index {y} out of range for {m} qubits")
-
 
 def _check_amplitudes(m: int, amps: np.ndarray) -> None:
     dim = 1 << m
@@ -178,10 +157,3 @@ def apply_entangler(state: StateVector, dagger: bool = False) -> StateVector:
     sign = -1j if dagger else 1j
     new = (state.amps + sign * state.amps[::-1]) * _SQRT2_INV
     return _unchecked_state(state.m, new)
-
-
-def hamming_weight(y: int, m: int) -> int:
-    """Number of 1-bits in the m-bit representation of y."""
-    _check_basis_index(y, m)
-    return y.bit_count()
-

@@ -48,12 +48,17 @@ def dense_lift(gate2x2, qubit_index, m):
     return kron_all(mats)
 
 
+def basis_vector(m, y=0):
+    """The amplitudes e_y of the computational basis state |y> on m qubits."""
+    e = np.zeros(2 ** m, dtype=complex)
+    e[y] = 1.0
+    return e
+
+
 def dense_final_state(gate_matrices):
     m = len(gate_matrices)
     J = dense_entangler(m)
-    e0 = np.zeros(2 ** m, dtype=complex)
-    e0[0] = 1.0
-    return J.conj().T @ kron_all(gate_matrices) @ J @ e0
+    return J.conj().T @ kron_all(gate_matrices) @ J @ basis_vector(m)
 
 
 def random_state(m, rng):

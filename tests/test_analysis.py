@@ -23,6 +23,7 @@ from ewlsim.analysis import (
 from ewlsim import analysis, decision, ewl
 from ewlsim.ewl import payoff_one_param
 from ewlsim.optimize import maximize_1d
+from oracles import I2, dense_final_state, dense_gate
 
 # frozen from an independent dense-matrix simulation plus the closed-form
 # classical maximum (quantum - classical at lam = delta * lambda0)
@@ -80,7 +81,10 @@ def test_prop1_antidiagonal():
 
 
 def test_prop1_solution_always_acts_on_first_qubit_only():
-    assert prop1_solve(0.1, 0.2, 0.3, 0.4).gate2_is_identity
+    # the solved gate on qubit 1 and the identity on qubit 2 reach the mixture
+    params = prop1_solve(0.1, 0.2, 0.3, 0.4).params1
+    state = dense_final_state([dense_gate(params.theta, params.alpha, params.beta), I2])
+    np.testing.assert_allclose(np.abs(state) ** 2, [0.1, 0.2, 0.3, 0.4], atol=1e-12)
 
 
 def test_prop1_rejects_bad_vectors():
@@ -104,7 +108,7 @@ def _check_prop1_solution(p):
     sol = prop1_solve(*p)
     t, a, b = sol.params1.theta, sol.params1.alpha, sol.params1.beta
     assert 0.0 <= t <= math.pi and 0.0 <= a <= math.pi / 2 and 0.0 <= b <= math.pi / 2
-    assert sol.branch == _segment(*p) and sol.gate2_is_identity
+    assert sol.branch == _segment(*p)
     dist = prop1_outcome(sol)
     assert max(abs(dist[lab] - x) for lab, x in zip(("o00", "o01", "o10", "o11"), p)) <= 1e-12
 

@@ -739,6 +739,18 @@ def test_usage_error_exits_2():
     assert proc.returncode == 2
 
 
+def test_reader_closing_the_pipe_early_is_no_failure():
+    # the 64,000-row CSV (3.6 MB) is far past a pipe's buffer, so printing it
+    # meets the closed pipe, as `ewlsim landscape ... | head -n 1` does
+    proc = subprocess.Popen([sys.executable, "-m", "ewlsim", "landscape", "--n", "1",
+                             "--grid", "40"], stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline() == b"theta,alpha,beta,payoff\n"
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) == 0
+    assert "Traceback" not in err and "BrokenPipeError" not in err
+
+
 # ------------------------------------------------------------ option sets
 
 

@@ -56,11 +56,6 @@ def test_two_stage_structure():
     assert has_imperfect_recall(prob)
 
 
-def test_two_stage_rejects_duplicate_labels():
-    with pytest.raises(ValueError):
-        two_stage_problem("a", "a", "b", "c")
-
-
 def test_driver_structure():
     prob = absentminded_driver(4.0)
     assert len(prob.pure_strategies()) == 2
@@ -567,6 +562,41 @@ def test_gap_refuses_grids_over_budget():
     prob = perfect_recall_control()  # three binary sets: 201**3 = 8.1e6 points
     target = outcome_of(prob, BehavioralStrategy(((0.5, 0.5),) * 3))
     with pytest.raises(ValueError, match="GRID_BUDGET"):
+        behavioral_gap(prob, target, grid_points=201)
+
+
+def _grids_used(monkeypatch):
+    """The grid_per_dim of every maximize_box call from here on."""
+    grids = []
+    maximize_box = optimize.maximize_box
+
+    def recording(f, axes, grid_per_dim, *rest):
+        grids.append(grid_per_dim)
+        return maximize_box(f, axes, grid_per_dim, *rest)
+
+    monkeypatch.setattr(optimize, "maximize_box", recording)
+    return grids
+
+
+def test_default_gap_grid_fits_the_budget(monkeypatch):
+    # 201 points per set while 201**k fits in GRID_BUDGET (k <= 2), then the
+    # largest g with g**k within it: 100**3 is exactly 1,000,000
+    grids = _grids_used(monkeypatch)
+    behavioral_gap(two_stage_problem(), HALF_HALF)
+    prob = perfect_recall_control()
+    target = outcome_of(prob, BehavioralStrategy(((0.3, 0.7), (0.8, 0.2), (0.4, 0.6))))
+    assert behavioral_gap(prob, target) <= 1e-6
+    assert grids == [201, 100]
+
+
+def test_default_gap_grid_past_19_sets_is_refused():
+    # a chain of 20 sets, each its own: even 2**20 points are over the budget
+    motorway = [(1,) * t for t in range(20)]
+    terminals = [h + (0,) for h in motorway] + [(1,) * 20]
+    prob = DecisionProblem(tuple(motorway + terminals), {h: str(h) for h in terminals},
+                           tuple((h,) for h in motorway))
+    target = OutcomeDistribution(dict.fromkeys(prob.labels, 1.0 / len(prob.labels)))
+    with pytest.raises(ValueError, match="grid_per_dim=2 gives 1,048,576 grid points"):
         behavioral_gap(prob, target)
 
 

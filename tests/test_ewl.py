@@ -41,11 +41,11 @@ from ewlsim.ewl import (
     payoff_one_param,
     payoff_three_param,
     payoff_three_param_fn,
-    payoff_two_qubit_general,
     two_stage_game,
 )
-from ewlsim.qstate import Gate, apply_entangler, apply_single_qubit_gate, basis_state
-from oracles import dense_final_state, dense_gate, three_param_payoff, tree_walk_values
+from ewlsim.qstate import Gate, StateVector, apply_entangler, apply_single_qubit_gate
+from oracles import (basis_vector, dense_final_state, dense_gate, three_param_payoff,
+                     tree_walk_values)
 
 TWO_PI = 2.0 * math.pi
 
@@ -132,14 +132,14 @@ def test_identity_gates_give_initial_state():
 def test_double_isx_concentrates_on_last_basis_state():
     gate = build_gate(UnitaryParams(math.pi))
     psi = final_state([gate, gate])
-    assert psi.probability(3) == pytest.approx(1.0, abs=1e-12)
+    assert psi.probabilities[3] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_cos4_amplitude_on_00():
     for theta in np.linspace(0.0, math.pi, 17):
         gate = build_gate(UnitaryParams(float(theta)))
         psi = final_state([gate, gate])
-        assert psi.probability(0) == pytest.approx(math.cos(theta / 2.0) ** 4, abs=1e-12)
+        assert psi.probabilities[0] == pytest.approx(math.cos(theta / 2.0) ** 4, abs=1e-12)
 
 
 def test_final_state_matches_dense_oracle():
@@ -161,7 +161,7 @@ def test_final_state_matches_gate_by_gate_reference(m):
     # m = 1 leaves the first half empty, odd m splits unevenly
     rng = np.random.default_rng(100 + m)
     gates = [_random_gate(rng) for _ in range(m)]
-    state = apply_entangler(basis_state(m))
+    state = apply_entangler(StateVector(m, basis_vector(m)))
     for qubit, gate in enumerate(gates, start=1):
         state = apply_single_qubit_gate(state, qubit, gate)
     expected = apply_entangler(state, dagger=True).amps
@@ -547,8 +547,6 @@ def test_amplitude_one_param_extremes():
 
 
 def test_amplitude_one_param_matches_simulation():
-    from ewlsim.qstate import hamming_weight
-
     for m in (2, 3, 4, 5):
         for theta in np.linspace(0.0, math.pi, 21):
             theta = float(theta)
@@ -557,9 +555,9 @@ def test_amplitude_one_param_matches_simulation():
             p = math.cos(theta / 2.0) ** 2
             for y in range(1 << m):
                 assert abs(psi.amps[y] - amplitude_one_param(y, theta, m)) <= 1e-12
-                r = hamming_weight(y, m)
-                assert psi.probability(y) == pytest.approx(p ** (m - r) * (1 - p) ** r,
-                                                           abs=1e-12)
+                r = y.bit_count()
+                assert psi.probabilities[y] == pytest.approx(p ** (m - r) * (1 - p) ** r,
+                                                             abs=1e-12)
 
 
 def test_amplitudes_one_param_index_the_closed_form_by_popcount():
@@ -709,13 +707,21 @@ def test_cosine_is_zero_at_theta_pi(n):
     assert expected_payoff(n_tuple_driver_game(n, lam), [gate] * (n + 1)) == 1.0
 
 
+def _two_qubit_payoff(payoffs, p1, p2):
+    """Two-qubit expected payoff with independent gates: the two-stage tree
+    with per-basis payoffs in the order (o00, o01, o10, o11), compiled by
+    ewl_game."""
+    problem = two_stage_problem()
+    game = ewl_game(replace(problem, payoffs=dict(zip(problem.labels, payoffs))))
+    return expected_payoff(game, [build_gate(p1), build_gate(p2)])
+
+
 def test_two_qubit_product_form():
     payoffs = (1.0, 2.0, 3.0, 4.0)
     for theta1 in np.linspace(0.0, math.pi, 7):
         for theta2 in np.linspace(0.0, math.pi, 7):
             theta1, theta2 = float(theta1), float(theta2)
-            sim = payoff_two_qubit_general(payoffs, UnitaryParams(theta1),
-                                           UnitaryParams(theta2))
+            sim = _two_qubit_payoff(payoffs, UnitaryParams(theta1), UnitaryParams(theta2))
             form = sum(payoffs[2 * k + l]
                        * math.cos((theta1 - k * math.pi) / 2.0) ** 2
                        * math.cos((theta2 - l * math.pi) / 2.0) ** 2
@@ -724,16 +730,15 @@ def test_two_qubit_product_form():
 
 
 def test_two_qubit_identity_gives_first_payoff():
-    assert payoff_two_qubit_general((7.0, 1.0, 2.0, 3.0), UnitaryParams(0.0),
-                                    UnitaryParams(0.0)) == pytest.approx(7.0, abs=1e-12)
+    assert _two_qubit_payoff((7.0, 1.0, 2.0, 3.0), UnitaryParams(0.0),
+                             UnitaryParams(0.0)) == pytest.approx(7.0, abs=1e-12)
 
 
 def test_first_qubit_phase_walks_diagonal_segment():
     payoffs = (2.0, 0.0, 0.0, 5.0)
     for alpha in np.linspace(0.0, TWO_PI, 9, endpoint=False):
         alpha = float(alpha)
-        got = payoff_two_qubit_general(payoffs, UnitaryParams(0.0, alpha, 0.0),
-                                       UnitaryParams(0.0))
+        got = _two_qubit_payoff(payoffs, UnitaryParams(0.0, alpha, 0.0), UnitaryParams(0.0))
         expected = 2.0 * math.cos(alpha) ** 2 + 5.0 * math.sin(alpha) ** 2
         assert got == pytest.approx(expected, abs=1e-12)
 
@@ -776,13 +781,6 @@ def test_game_rejects_non_finite_payoffs():
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="payoffs must be finite"):
             ewl_game(n_tuple_driver(1, bad))
-
-
-@pytest.mark.parametrize("payoffs", [(1.0, 2.0, 3.0), (1.0, 2.0, 3.0, 4.0, 5.0),
-                                     (1.0, math.nan, 3.0, 4.0)])
-def test_two_qubit_payoff_refuses_bad_payoffs(payoffs):
-    with pytest.raises(ValueError):
-        payoff_two_qubit_general(payoffs, UnitaryParams(0.0), UnitaryParams(0.0))
 
 
 def test_games_are_read_only_and_compare_by_value():
@@ -850,13 +848,10 @@ def test_compiled_games_equal_the_hand_layouts(n):
 
 
 def test_compiled_two_stage_games_keep_the_label_order():
-    custom = ("LL", "LR", "RL", "RR")
-    for game, labels in ((two_stage_game(), ("o00", "o01", "o10", "o11")),
-                         (two_stage_game(custom), custom)):
-        assert game.labels == labels and _basis_values(game, labels).tolist() == list(labels)
-    assert tree_walk_values(two_stage_problem(*custom)).tolist() == list(custom)
-    with pytest.raises(ValueError, match="need four labels"):
-        two_stage_game(custom[:3])
+    labels = ("o00", "o01", "o10", "o11")
+    game = two_stage_game()
+    assert game.labels == labels and _basis_values(game, labels).tolist() == list(labels)
+    assert tree_walk_values(two_stage_problem()).tolist() == list(labels)
 
 
 def test_parity_trees_compile_to_one_block_per_state():

@@ -1,10 +1,12 @@
-"""Every module of the package uses each name it imports, and every private
-module-level name it defines is read somewhere in the package."""
+"""Every module of the package uses each name it imports, every private
+module-level name it defines is read somewhere in the package, and every
+public one has a caller outside the tests."""
 
 import ast
 from pathlib import Path
 
 import pytest
+from test_readme import BLOCKS as README_BLOCKS
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "ewlsim"
 # __init__ imports to re-export, so its names are used by the package's callers
@@ -34,19 +36,26 @@ def test_module_has_no_unused_imports(module):
     assert unused_imports((PACKAGE / module).read_text()) == []
 
 
-def private_definitions(source: str) -> list[str]:
-    """The private names (one leading underscore) that the module's top-level
-    functions, classes and assignments define, and its classes' methods."""
+def definitions(source: str, methods: bool) -> list[str]:
+    """The names that the module's top-level functions, classes and assignments
+    define, and its classes' methods when ``methods`` is set."""
     defined = []
     for node in ast.parse(source).body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             defined.append(node.name)
         if isinstance(node, ast.ClassDef):
-            defined += [f.name for f in node.body if isinstance(f, ast.FunctionDef)]
+            defined += [f.name for f in node.body if methods and isinstance(f, ast.FunctionDef)]
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             defined += [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
-    return [name for name in defined if name.startswith("_") and not name.startswith("__")]
+    return defined
+
+
+def private_definitions(source: str) -> list[str]:
+    """The private names (one leading underscore) that the module's top-level
+    functions, classes and assignments define, and its classes' methods."""
+    return [name for name in definitions(source, methods=True)
+            if name.startswith("_") and not name.startswith("__")]
 
 
 def names_read(source: str) -> set[str]:
@@ -74,4 +83,41 @@ def test_every_private_name_is_read_in_the_package():
     sources = [path.read_text() for path in sorted(PACKAGE.glob("*.py"))]
     read = set().union(*map(names_read, sources))
     assert [name for source in sources for name in private_definitions(source)
+            if name not in read] == []
+
+
+ROOT = PACKAGE.parent.parent
+
+
+def public_definitions(source: str) -> list[str]:
+    """The public names that the module's top-level functions, classes and
+    assignments define."""
+    return [name for name in definitions(source, methods=False) if not name.startswith("_")]
+
+
+def traced_names(source: str) -> set[str]:
+    """The attribute names of the (module, attribute, span) entries of TARGETS."""
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["TARGETS"]:
+            return {attr for _, attr, _ in ast.literal_eval(node.value)}
+    raise AssertionError("no TARGETS assignment")
+
+
+def test_public_definitions_are_found():
+    source = "X = 1\n_Y = 2\nclass A:\n    def b(self): pass\ndef c(): pass\ndef _d(): pass\n"
+    assert public_definitions(source) == ["X", "A", "c"]
+    assert traced_names("TARGETS = (('m', 'f', 'span'), ('m', 'g', 'span'))\n") == {"f", "g"}
+
+
+def test_every_public_name_has_a_caller():
+    # __init__'s imports only re-export, so they are no caller; a name counts as
+    # read when a package module, a README example, the acceptance suite or the
+    # benchmark (its traced TARGETS and its workloads) reads it
+    sources = [path.read_text() for path in sorted(PACKAGE.glob("*.py"))]
+    read = set().union(*(names_read(PACKAGE.joinpath(module).read_text()) for module in MODULES),
+                       *map(names_read, README_BLOCKS),
+                       names_read((ROOT / "tests" / "test_acceptance.py").read_text()),
+                       names_read((ROOT / "perfbench" / "workloads.py").read_text()),
+                       traced_names((ROOT / "perfbench" / "tracing.py").read_text()))
+    assert [name for source in sources for name in public_definitions(source)
             if name not in read] == []

@@ -11,12 +11,11 @@ from ewlsim.qstate import (
     StateVector,
     apply_entangler,
     apply_single_qubit_gate,
-    basis_state,
     check_qubit_count,
     check_unitary,
-    hamming_weight,
 )
-from oracles import PAULI_X, dense_entangler, dense_gate, dense_lift, random_state
+from ewlsim.ewl import amplitude_one_param
+from oracles import PAULI_X, basis_vector, dense_entangler, dense_gate, dense_lift, random_state
 
 SQRT2_INV = 1.0 / math.sqrt(2.0)
 ISX = Gate(1j * PAULI_X)
@@ -30,7 +29,7 @@ def test_identity_gate_leaves_state_alone():
 
 
 def test_isx_on_qubit_one_permutes_with_global_i():
-    out = apply_single_qubit_gate(basis_state(2, 0), 1, ISX)
+    out = apply_single_qubit_gate(StateVector(2, basis_vector(2, 0)), 1, ISX)
     expected = np.zeros(4, dtype=complex)
     expected[2] = 1j  # |00> -> i|10>, qubit 1 is the most significant bit
     np.testing.assert_allclose(out.amps, expected, atol=1e-15)
@@ -39,7 +38,7 @@ def test_isx_on_qubit_one_permutes_with_global_i():
 def test_gate_formula_column_on_zero_ket():
     # U(pi/2, pi/4, 0)|0> = (e^{i pi/4}|0> + i|1>)/sqrt(2), evaluated by hand
     gate = Gate(dense_gate(math.pi / 2, math.pi / 4, 0.0))
-    out = apply_single_qubit_gate(basis_state(1, 0), 1, gate)
+    out = apply_single_qubit_gate(StateVector(1, basis_vector(1, 0)), 1, gate)
     expected = np.array([np.exp(1j * math.pi / 4), 1j]) * SQRT2_INV
     np.testing.assert_allclose(out.amps, expected, atol=1e-12)
 
@@ -56,13 +55,13 @@ def test_gate_application_matches_dense_lift(m):
 
 
 def test_entangler_on_00():
-    out = apply_entangler(basis_state(2, 0))
+    out = apply_entangler(StateVector(2, basis_vector(2, 0)))
     expected = np.array([1.0, 0.0, 0.0, 1j]) * SQRT2_INV
     np.testing.assert_allclose(out.amps, expected, atol=1e-15)
 
 
 def test_entangler_on_01_flips_to_10():
-    out = apply_entangler(basis_state(2, 1))
+    out = apply_entangler(StateVector(2, basis_vector(2, 1)))
     expected = np.array([0.0, 1.0, 1j, 0.0]) * SQRT2_INV
     np.testing.assert_allclose(out.amps, expected, atol=1e-15)
 
@@ -97,9 +96,19 @@ def test_norm_preserved_by_all_operations(m, seed):
         assert abs(np.linalg.norm(out.amps) - 1.0) <= 1e-12
 
 
+# tan(theta/2) = 2, so |<y|psi_f>| = cos^m(theta/2) 2^r when the same U(theta, 0, 0)
+# acts on all m qubits: the Hamming weight r of y is read off its amplitude
+WEIGHT_THETA = 2.0 * math.atan(2.0)
+
+
+def weight_in_amplitude(y, m):
+    amp = abs(amplitude_one_param(y, WEIGHT_THETA, m))
+    return round(math.log2(amp / math.cos(WEIGHT_THETA / 2.0) ** m))
+
+
 @pytest.mark.parametrize("y,m,expected", [(0, 4, 0), (15, 4, 4), (5, 4, 2), (2 ** 12 - 1, 12, 12)])
 def test_hamming_weight(y, m, expected):
-    assert hamming_weight(y, m) == expected
+    assert weight_in_amplitude(y, m) == expected
 
 
 @pytest.mark.parametrize("m", range(1, 13))
@@ -107,16 +116,12 @@ def test_weight_plus_complement_weight_is_m(m):
     ys = range(1 << m) if m <= 8 else np.random.default_rng(m).integers(0, 1 << m, 200)
     for y in ys:
         y = int(y)
-        assert hamming_weight(y, m) + hamming_weight(((1 << m) - 1) ^ y, m) == m
+        assert weight_in_amplitude(y, m) + weight_in_amplitude(((1 << m) - 1) ^ y, m) == m
 
 
 def test_rejects_out_of_range_indices():
     with pytest.raises(ValueError):
-        hamming_weight(8, 3)
-    with pytest.raises(ValueError):
-        hamming_weight(-1, 3)
-    with pytest.raises(ValueError):
-        apply_single_qubit_gate(basis_state(2), 3, ISX)
+        apply_single_qubit_gate(StateVector(2, basis_vector(2)), 3, ISX)
 
 
 def test_rejects_non_unitary_gate():
@@ -157,12 +162,12 @@ def test_constructor_copies_caller_arrays():
 
 
 def test_states_and_gates_compare_by_value():
-    assert basis_state(2) == basis_state(2)
-    assert basis_state(2) != basis_state(2, 1)
-    assert basis_state(2) != basis_state(3)
+    assert StateVector(2, basis_vector(2)) == StateVector(2, basis_vector(2))
+    assert StateVector(2, basis_vector(2)) != StateVector(2, basis_vector(2, 1))
+    assert StateVector(2, basis_vector(2)) != StateVector(3, basis_vector(3))
     assert Gate(np.eye(2)) == Gate(np.eye(2))
     assert Gate(np.eye(2)) != ISX
-    assert basis_state(1) != Gate(np.eye(2))
+    assert StateVector(1, basis_vector(1)) != Gate(np.eye(2))
 
 
 def test_qubit_limit_is_checked_before_allocating():
@@ -170,10 +175,11 @@ def test_qubit_limit_is_checked_before_allocating():
     with pytest.raises(ValueError, match="MAX_QUBITS = 24"):
         check_qubit_count(MAX_QUBITS + 1)
     with pytest.raises(ValueError, match="MAX_QUBITS = 24"):
-        basis_state(40)  # 2^40 amplitudes: refused, never requested from the allocator
+        # 2^40 amplitudes: the qubit count is refused before the amplitudes are read
+        StateVector(40, basis_vector(1))
 
 
 def test_states_are_immutable():
-    state = basis_state(2, 0)
+    state = StateVector(2, basis_vector(2, 0))
     with pytest.raises(ValueError):
         state.amps[0] = 0.0
