@@ -9,7 +9,6 @@ deterministic optimizers over the gate parameters.
 
 from .analysis import (
     CrossCheckError,
-    Prop1Solution,
     Prop3Certificate,
     classical_max_closed_form,
     formulas_verify,

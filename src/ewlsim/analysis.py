@@ -83,14 +83,6 @@ def make_report(checks: list[dict]) -> dict:
 # claim 1: mixed strategies are reachable by pure unitary strategies
 
 
-@dataclass(frozen=True)
-class Prop1Solution:
-    """First-qubit gate parameters reproducing a mixed-strategy outcome."""
-
-    params1: UnitaryParams
-    branch: str  # general | diagonal_segment | antidiagonal_segment
-
-
 def _prop1_angles(p00, p01, p10, p11):
     """prop1_solve's (theta, alpha, beta) at floats or at numpy arrays that
     broadcast together, elementwise in numpy either way."""
@@ -98,30 +90,28 @@ def _prop1_angles(p00, p01, p10, p11):
             np.arctan2(np.sqrt(p11), np.sqrt(p00)), np.arctan2(np.sqrt(p01), np.sqrt(p10)))
 
 
-def prop1_solve(p00: float, p01: float, p10: float, p11: float) -> Prop1Solution:
-    """Gate on qubit 1 (identity on qubit 2) whose outcome is the given mixture.
+def prop1_solve(p00: float, p01: float, p10: float, p11: float) -> UnitaryParams:
+    """Angles of the gate on qubit 1 (identity on qubit 2) whose outcome is the
+    given mixture.
 
     tan^2(theta/2) = (p01+p10)/(p00+p11), tan^2 alpha = p11/p00 and
     tan^2 beta = p01/p10, that is theta = 2 atan2(sqrt(p01+p10), sqrt(p00+p11)),
     alpha = atan2(sqrt(p11), sqrt(p00)) and beta = atan2(sqrt(p01), sqrt(p10)).
     An atan2 of two square roots lies in [0, pi/2] and is 0 when both are 0, so
-    a pair that sums to 0 needs no branch: its unused angle is 0.  ``branch``
-    only names that pair (diagonal_segment: p01+p10 = 0, antidiagonal_segment:
-    p00+p11 = 0).
+    a pair that sums to 0 needs no branch: its unused angle is 0.
     """
     probs = checked_probabilities((p00, p01, p10, p11), "probabilities")
     p00, p01, p10, p11 = (p + 0.0 for p in probs)  # -0.0 becomes 0.0: atan2(0, -0) is pi
-    branch = ("diagonal_segment" if p01 + p10 == 0.0 else
-              "antidiagonal_segment" if p00 + p11 == 0.0 else "general")
-    return Prop1Solution(UnitaryParams(*_prop1_angles(p00, p01, p10, p11)), branch)
+    return UnitaryParams(*_prop1_angles(p00, p01, p10, p11))
 
 
 _TWO_STAGE_GAME = two_stage_game()
 
 
-def prop1_outcome(solution: Prop1Solution):
-    """Outcome distribution of the solved unitary strategy, by simulation."""
-    gates = [build_gate(solution.params1), build_gate(UnitaryParams(0.0))]
+def prop1_outcome(params: UnitaryParams):
+    """Outcome distribution of prop1_solve's gate on qubit 1 and the identity
+    on qubit 2, by simulation."""
+    gates = [build_gate(params), build_gate(UnitaryParams(0.0))]
     return outcome_distribution_ewl(_TWO_STAGE_GAME, gates)
 
 
@@ -257,12 +247,8 @@ def prop3_params(n: int) -> tuple[float, float, float, float]:
 
 @dataclass(frozen=True)
 class Prop3Certificate:
-    n: int
-    theta: float
-    alpha: float
-    beta: float
-    lam0: float
-    delta: float
+    """Prop. 3's gate against the classical optimum at payoff lam = delta * lambda0(n)."""
+
     lam: float
     quantum_payoff: float
     classical_max: float
@@ -305,37 +291,34 @@ def quantum_optimum(n: int, lam: float, grid_per_dim: int, starts: int,
     return res, sim
 
 
-def prop3_verify(n: int, delta: float = 1.5, lam: float | None = None) -> Prop3Certificate:
-    """Compare the fixed dominating unitary strategy against the classical optimum.
+def prop3_verify(n: int, delta: float) -> Prop3Certificate:
+    """Compare prop3_params(n)'s gate against the classical optimum at payoff
+    lam = delta * lambda0(n).
 
-    The payoff is lam if given, else delta * lambda0(n).  The quantum side is
-    a direct simulation; the classical side is classical_optimum at tol 1e-10.
+    The quantum side simulates the driver game under the gate; the classical
+    side is classical_max_closed_form, the exact maximizer evaluated once.
     """
-    if not isinstance(n, int) or n < 1:
-        raise ValueError(f"n must be an integer >= 1, got {n}")
-    if lam is None and delta <= 1.0:
-        raise ValueError("delta must exceed 1 when lam is not given")
-    if n == 1:
-        theta, alpha, beta, lam0 = math.pi / 2.0, math.pi / 4.0, 0.0, 2.0
-    else:
-        theta, alpha, beta, lam0 = prop3_params(n)
-    lam_eff = float(lam) if lam is not None else delta * lam0
-
+    theta, alpha, beta, lam0 = prop3_params(n)
+    if not delta > 1.0:
+        raise ValueError(f"delta must exceed 1, got {delta}")
+    lam = delta * lam0
     gate = build_gate(UnitaryParams(theta, alpha, beta))
-    quantum = expected_payoff(n_tuple_driver_game(n, lam_eff), [gate] * (n + 1))
-
-    classical = classical_optimum(n, lam_eff, 1e-10)[0].value
+    quantum = expected_payoff(n_tuple_driver_game(n, lam), [gate] * (n + 1))
+    classical = classical_max_closed_form(n, lam)[1]
     margin = quantum - classical
-    return Prop3Certificate(n, theta, alpha, beta, lam0, delta, lam_eff,
-                            quantum, classical, margin, margin > 0.0)
+    return Prop3Certificate(lam, quantum, classical, margin, margin > 0.0)
 
 
-def prop3_sweep(n_values=(2, 3, 4, 5, 6), deltas=(1.1, 1.5, 3.0)) -> dict:
-    """Dominance certificates over a grid of (n, delta); all must be strict."""
+# the payoff multiples of lambda0 that prop3_sweep certifies at every n
+PROP3_DELTAS = (1.1, 1.5, 3.0)
+
+
+def prop3_sweep(n_values=(2, 3, 4, 5, 6)) -> dict:
+    """Dominance certificates over n_values x PROP3_DELTAS; all must be strict."""
     check_qubit_count(max(n_values, default=1) + 1)  # before the sweep's first run
     checks = []
     for n in n_values:
-        for delta in deltas:
+        for delta in PROP3_DELTAS:
             cert = prop3_verify(n, delta)
             checks.append(make_check(
                 f"prop3_dominance_n{n}_delta{delta}",

@@ -148,7 +148,12 @@ class DecisionProblem:
         return self._set[self._nonterminal_id(h)]
 
     def pure_strategies(self) -> list["PureStrategy"]:
-        """All pure strategies, in lexicographic order over the partition."""
+        """All pure strategies, in lexicographic order over the partition.  More
+        than GRID_BUDGET of them are refused before the first is built."""
+        count = math.prod(map(len, self._set_actions))
+        if count > optimize.GRID_BUDGET:
+            raise ValueError(f"the problem has {count:,} pure strategies, over the budget of "
+                             f"{optimize.GRID_BUDGET:,} (GRID_BUDGET)")
         return [PureStrategy(choice) for choice in product(*self._set_actions)]
 
 

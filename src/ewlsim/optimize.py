@@ -27,8 +27,9 @@ MAX_CYCLES = 60
 # previous cycle's move is followed by a line search along its move
 PATTERN_COSINE = 0.9
 # most points one grid scan or sweep scores: maximize_box's seed grid
-# (maximize_3d, behavioral_gap), `landscape`'s rows, and the samples of
-# `verify prop1` and `verify formulas`
+# (maximize_3d, behavioral_gap), `landscape`'s rows, the samples of `verify
+# prop1` and `verify formulas`, and the pure strategies that
+# DecisionProblem.pure_strategies (so mixed_from_behavioral) enumerates
 GRID_BUDGET = 1_000_000
 
 
@@ -37,7 +38,6 @@ class OptResult:
     argmax: tuple[float, ...]
     value: float
     evaluations: int
-    grid_best: float
 
 
 def _brent_max(f, a: float, b: float, x: float, fx: float,
@@ -108,10 +108,10 @@ def _check_tol(tol: float) -> None:
 
 
 def _grid_then_brent(f, lo: float, hi: float, n: int, tol: float,
-                     periodic: bool = False) -> tuple[float, float, float, int]:
+                     periodic: bool = False) -> tuple[float, float, int]:
     """Best of n points spanning [lo, hi] ([lo, hi) if periodic), scored in one
     call of f on their array, then Brent's method on its bracket from that
-    point: (argmax, value >= grid max, grid max, points evaluated).  A periodic
+    point: (argmax, value >= grid max, points evaluated).  A periodic
     bracket may reach past lo or hi, where f must repeat itself; the argmax is
     not wrapped.
     """
@@ -121,15 +121,14 @@ def _grid_then_brent(f, lo: float, hi: float, n: int, tol: float,
     if np.size(values) < n:  # a scalar result stands for every point
         values = np.broadcast_to(values, points.shape)
     best_i = int(values.argmax())
-    grid_best = float(values[best_i])
     center = lo + best_i * step
     if periodic:
         a, b = center - step, center + step
     else:
         a = lo + max(best_i - 1, 0) * step
         b = lo + min(best_i + 1, n - 1) * step
-    x, v, evaluations = _brent_max(f, a, b, center, grid_best, tol)
-    return x, v, grid_best, n + evaluations
+    x, v, evaluations = _brent_max(f, a, b, center, float(values[best_i]), tol)
+    return x, v, n + evaluations
 
 
 def maximize_1d(f: Callable, lo: float, hi: float, tol: float = 1e-8) -> OptResult:
@@ -140,8 +139,8 @@ def maximize_1d(f: Callable, lo: float, hi: float, tol: float = 1e-8) -> OptResu
     if not (math.isfinite(lo) and math.isfinite(hi)) or hi <= lo:
         raise ValueError(f"invalid interval [{lo}, {hi}]")
     _check_tol(tol)
-    x, v, grid_best, evaluations = _grid_then_brent(f, lo, hi, GRID_1D, tol)
-    return OptResult((x,), v, evaluations, grid_best)
+    x, v, evaluations = _grid_then_brent(f, lo, hi, GRID_1D, tol)
+    return OptResult((x,), v, evaluations)
 
 
 def wrap_phase(x):
@@ -169,7 +168,7 @@ def _line_max(f, x: list[float], coord: int, hi: float, periodic: bool,
     line = getattr(f, "line", None)
     h = line(coord, x) if line is not None else _slice(f, x, coord)
     lo = x[coord] if periodic else 0.0
-    best, value, _, evaluations = _grid_then_brent(h, lo, lo + hi, LINE_SAMPLES, tol, periodic)
+    best, value, evaluations = _grid_then_brent(h, lo, lo + hi, LINE_SAMPLES, tol, periodic)
     return (wrap_phase(best) if periodic else best), value, evaluations
 
 
@@ -197,7 +196,7 @@ def _pattern_max(f, x: list[float], d: list[float], axes: tuple[tuple[float, boo
             reach = min(reach, room / abs(di))
     if not reach > 0.0:
         return x, -math.inf, 0
-    t, value, _, evaluations = _grid_then_brent(
+    t, value, evaluations = _grid_then_brent(
         lambda t: f(*(xi + t * di for xi, di in zip(x, d))), 0.0, reach, LINE_SAMPLES,
         tol / max(map(abs, d)))
     point = [wrap_phase(xi + t * di) if periodic else min(max(xi + t * di, 0.0), hi)
@@ -268,7 +267,6 @@ def maximize_box(f: Callable, axes: tuple[tuple[float, bool], ...], grid_per_dim
     values = np.broadcast_to(f(*np.ix_(*grids)), (grid_per_dim,) * k).ravel()
     evaluations = grid_per_dim ** k
     top = _top_indices(values, starts)
-    grid_best = float(values[top[0]])
 
     def grid_point(flat: int) -> tuple[float, ...]:
         indices = np.unravel_index(flat, (grid_per_dim,) * k)
@@ -306,7 +304,7 @@ def maximize_box(f: Callable, axes: tuple[tuple[float, bool], ...], grid_per_dim
 
     best_value = max(v for v, _ in candidates)
     best_arg = min(arg for v, arg in candidates if v == best_value)
-    return OptResult(best_arg, best_value, evaluations, grid_best)
+    return OptResult(best_arg, best_value, evaluations)
 
 
 def maximize_3d(

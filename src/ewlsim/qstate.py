@@ -17,19 +17,19 @@ import numpy as np
 
 NORM_TOL = 1e-12
 UNITARY_TOL = 1e-12
-# largest qubit count a protocol run may allocate: 2^24 amplitudes are 256 MiB each
+# largest qubit count of any protocol run, payoffs and masses included; at the
+# cap one state holds 2^24 amplitudes, 256 MiB
 MAX_QUBITS = 24
 
 _SQRT2_INV = 1.0 / math.sqrt(2.0)
 
 
 def check_qubit_count(m: int) -> None:
-    """Refuse a qubit count outside 1..MAX_QUBITS before anything of size 2^m exists."""
+    """Refuse a qubit count outside 1..MAX_QUBITS before any work on it starts."""
     if not isinstance(m, int) or m < 1:
         raise ValueError(f"qubit count must be an integer >= 1, got {m}")
     if m > MAX_QUBITS:
-        raise ValueError(f"{m} qubits exceed the limit of MAX_QUBITS = {MAX_QUBITS} "
-                         f"(a run allocates arrays of 2^m amplitudes)")
+        raise ValueError(f"{m} qubits exceed the limit of MAX_QUBITS = {MAX_QUBITS}")
 
 
 def eq_by_value(self, other) -> bool:

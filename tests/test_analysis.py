@@ -51,8 +51,7 @@ DOMINANCE_MARGINS = {
 
 def test_prop1_diagonal_half_half():
     sol = prop1_solve(0.5, 0.0, 0.0, 0.5)
-    assert sol.branch == "diagonal_segment"
-    assert sol.params1.alpha == pytest.approx(math.pi / 4, abs=1e-12)
+    assert sol.alpha == pytest.approx(math.pi / 4, abs=1e-12)
     dist = prop1_outcome(sol)
     assert dist["o00"] == pytest.approx(0.5, abs=1e-12)
     assert dist["o11"] == pytest.approx(0.5, abs=1e-12)
@@ -60,10 +59,9 @@ def test_prop1_diagonal_half_half():
 
 def test_prop1_uniform_mixture():
     sol = prop1_solve(0.25, 0.25, 0.25, 0.25)
-    assert sol.branch == "general"
-    assert sol.params1.theta == pytest.approx(math.pi / 2, abs=1e-12)
-    assert sol.params1.alpha == pytest.approx(math.pi / 4, abs=1e-12)
-    assert sol.params1.beta == pytest.approx(math.pi / 4, abs=1e-12)
+    assert sol.theta == pytest.approx(math.pi / 2, abs=1e-12)
+    assert sol.alpha == pytest.approx(math.pi / 4, abs=1e-12)
+    assert sol.beta == pytest.approx(math.pi / 4, abs=1e-12)
 
 
 def test_prop1_point_mass():
@@ -74,7 +72,6 @@ def test_prop1_point_mass():
 
 def test_prop1_antidiagonal():
     sol = prop1_solve(0.0, 0.3, 0.7, 0.0)
-    assert sol.branch == "antidiagonal_segment"
     dist = prop1_outcome(sol)
     assert dist["o01"] == pytest.approx(0.3, abs=1e-12)
     assert dist["o10"] == pytest.approx(0.7, abs=1e-12)
@@ -82,7 +79,7 @@ def test_prop1_antidiagonal():
 
 def test_prop1_solution_always_acts_on_first_qubit_only():
     # the solved gate on qubit 1 and the identity on qubit 2 reach the mixture
-    params = prop1_solve(0.1, 0.2, 0.3, 0.4).params1
+    params = prop1_solve(0.1, 0.2, 0.3, 0.4)
     state = dense_final_state([dense_gate(params.theta, params.alpha, params.beta), I2])
     np.testing.assert_allclose(np.abs(state) ** 2, [0.1, 0.2, 0.3, 0.4], atol=1e-12)
 
@@ -99,16 +96,14 @@ def test_prop1_rejects_bad_vectors():
 QUARTER_MIXTURES = [p for p in product((0.0, 0.25, 0.5, 1.0), repeat=4) if sum(p) == 1.0]
 
 
-def _segment(p00, p01, p10, p11):
-    return ("diagonal_segment" if p01 + p10 == 0.0 else
-            "antidiagonal_segment" if p00 + p11 == 0.0 else "general")
-
-
 def _check_prop1_solution(p):
     sol = prop1_solve(*p)
-    t, a, b = sol.params1.theta, sol.params1.alpha, sol.params1.beta
+    t, a, b = sol.theta, sol.alpha, sol.beta
     assert 0.0 <= t <= math.pi and 0.0 <= a <= math.pi / 2 and 0.0 <= b <= math.pi / 2
-    assert sol.branch == _segment(*p)
+    # the angle of a pair that sums to 0 is unused, and 0
+    p00, p01, p10, p11 = p
+    assert p01 + p10 > 0.0 or b == 0.0
+    assert p00 + p11 > 0.0 or a == 0.0
     dist = prop1_outcome(sol)
     assert max(abs(dist[lab] - x) for lab, x in zip(("o00", "o01", "o10", "o11"), p)) <= 1e-12
 
@@ -272,18 +267,9 @@ def test_prop3_params_rejects_n1():
         prop3_params(1)
 
 
-def test_prop3_n1_reference_case():
-    cert = prop3_verify(1, lam=4.0)
-    assert cert.quantum_payoff == pytest.approx(2.0, abs=1e-9)
-    assert cert.classical_max == pytest.approx(4.0 / 3.0, abs=1e-9)
-    assert cert.dominates
-
-
-def test_prop3_n1_no_dominance_at_threshold():
-    cert = prop3_verify(1, lam=2.0)
-    assert cert.quantum_payoff == pytest.approx(1.0, abs=1e-9)
-    assert cert.classical_max == pytest.approx(1.0, abs=1e-9)
-    assert not cert.dominates
+def test_prop3_verify_refuses_n1():
+    with pytest.raises(ValueError, match="n must be an integer >= 2"):
+        prop3_verify(1, 1.5)
 
 
 def test_prop3_margins_match_frozen_constants():
@@ -294,9 +280,30 @@ def test_prop3_margins_match_frozen_constants():
 
 
 def test_prop3_sweep_report():
-    report = prop3_sweep(n_values=(2, 3), deltas=(1.5,))
+    report = prop3_sweep(n_values=(2, 3))
     assert report["pass"]
+    assert [c["inputs"]["delta"] for c in report["checks"]] == [1.1, 1.5, 3.0] * 2
     json.dumps(report)
+
+
+def test_prop3_classical_side_is_the_closed_form():
+    # the classical maximum is classical_max_closed_form at lam = delta * lambda0, and
+    # the maximizing search agrees with it to float resolution
+    for n in range(2, 15):
+        for delta in (1.1, 1.5, 3.0):
+            cert = prop3_verify(n, delta)
+            lam = delta * prop3_params(n)[3]
+            assert cert.lam == lam
+            assert cert.classical_max == classical_max_closed_form(n, lam)[1]
+            search = maximize_1d(lambda t: payoff_one_param(n, lam, t), 0.0, math.pi, tol=1e-10)
+            assert search.value == pytest.approx(cert.classical_max, rel=1e-14)
+            assert cert.margin == cert.quantum_payoff - cert.classical_max
+
+
+def test_prop3_certificates_hold_up_to_n15():
+    # n = 15 is the largest n whose float certificates all pass
+    report = prop3_sweep(n_values=tuple(range(2, 16)))
+    assert report["pass"], [c["check"] for c in report["checks"] if not c["pass"]]
 
 
 def test_prop3_delta_validation():

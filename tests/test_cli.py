@@ -176,7 +176,9 @@ def test_oversized_runs_exit_2_before_any_work(argv, capsys, monkeypatch):
     monkeypatch.setattr(cli.analysis, "maximize_1d", refused)
     monkeypatch.setattr(cli.analysis, "maximize_3d", refused)
     assert cli.main(list(argv)) == 2
-    assert "41 qubits exceed the limit of MAX_QUBITS = 24" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "41 qubits exceed the limit of MAX_QUBITS = 24" in err
+    assert "amplitudes" not in err  # the cap holds on paths that build none, too
 
 
 def test_optimize_refuses_grids_over_budget(capsys, monkeypatch):
@@ -629,12 +631,22 @@ def test_verify_exits_1_on_failed_check(capsys, monkeypatch):
     assert code == 1
 
 
-def test_verify_prop3_exits_3_on_cross_check_failure(capsys, monkeypatch):
+def test_reproduce_exits_3_on_classical_cross_check_failure(capsys, monkeypatch):
     monkeypatch.setattr(cli.analysis, "payoff_one_param", lambda n, lam, t: 0.0)
-    assert cli.main(["verify", "prop3", "--n", "2"]) == 3
+    assert cli.main(["reproduce"]) == 3
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: classical optimum mismatch")
     assert "Traceback" not in err
+
+
+def test_verify_prop3_runs_no_search(capsys, monkeypatch):
+    # the classical side is the closed form; a search would need a cross-check
+    def refused(*args, **kwargs):
+        raise AssertionError("verify prop3 ran a search")
+
+    monkeypatch.setattr(cli.analysis, "maximize_1d", refused)
+    monkeypatch.setattr(cli.analysis, "maximize_3d", refused)
+    assert cli.main(["verify", "prop3", "--n", "3"]) == 0
 
 
 def test_other_arithmetic_errors_are_not_cross_check_failures(monkeypatch):
@@ -742,13 +754,13 @@ def test_usage_error_exits_2():
 def test_reader_closing_the_pipe_early_is_no_failure():
     # the 64,000-row CSV (3.6 MB) is far past a pipe's buffer, so printing it
     # meets the closed pipe, as `ewlsim landscape ... | head -n 1` does
-    proc = subprocess.Popen([sys.executable, "-m", "ewlsim", "landscape", "--n", "1",
-                             "--grid", "40"], stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-    assert proc.stdout.readline() == b"theta,alpha,beta,payoff\n"
-    proc.stdout.close()
-    err = proc.stderr.read().decode()
-    assert proc.wait(timeout=60) == 0
-    assert "Traceback" not in err and "BrokenPipeError" not in err
+    with subprocess.Popen([sys.executable, "-m", "ewlsim", "landscape", "--n", "1", "--grid",
+                           "40"], stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.readline() == b"theta,alpha,beta,payoff\n"
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 0
+    assert b"Traceback" not in err and b"BrokenPipeError" not in err
 
 
 # ------------------------------------------------------------ option sets

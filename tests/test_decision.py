@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ewlsim import optimize
+from ewlsim import decision, optimize
 from ewlsim.analysis import perfect_recall_control, prop1_solve
 from ewlsim.decision import (
     BehavioralStrategy,
@@ -598,6 +598,23 @@ def test_default_gap_grid_past_19_sets_is_refused():
     target = OutcomeDistribution(dict.fromkeys(prob.labels, 1.0 / len(prob.labels)))
     with pytest.raises(ValueError, match="grid_per_dim=2 gives 1,048,576 grid points"):
         behavioral_gap(prob, target)
+
+
+def test_pure_strategies_past_the_budget_are_refused_before_any_is_built(monkeypatch):
+    # a chain of 43 histories, 21 singleton binary sets: 2**21 pure strategies
+    motorway = [(1,) * t for t in range(21)]
+    terminals = [h + (0,) for h in motorway] + [(1,) * 21]
+    prob = DecisionProblem(tuple(motorway + terminals), {h: str(h) for h in terminals},
+                           tuple((h,) for h in motorway))
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a pure strategy was built")
+
+    monkeypatch.setattr(decision, "PureStrategy", refused)
+    with pytest.raises(ValueError, match="2,097,152 pure strategies, over the budget"):
+        prob.pure_strategies()
+    with pytest.raises(ValueError, match="GRID_BUDGET"):
+        mixed_from_behavioral(prob, BehavioralStrategy(((0.5, 0.5),) * 21))
 
 
 def test_gap_rejects_foreign_labels():

@@ -39,8 +39,14 @@ def test_module_has_no_unused_imports(module):
 def definitions(source: str, methods: bool) -> list[str]:
     """The names that the module's top-level functions, classes and assignments
     define, and its classes' methods when ``methods`` is set."""
+    return bound_names(ast.parse(source).body, methods)
+
+
+def bound_names(body: list[ast.stmt], methods: bool) -> list[str]:
+    """The names that the functions, classes and assignments of a block of
+    statements define, and its classes' methods when ``methods`` is set."""
     defined = []
-    for node in ast.parse(source).body:
+    for node in body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             defined.append(node.name)
         if isinstance(node, ast.ClassDef):
@@ -121,3 +127,45 @@ def test_every_public_name_has_a_caller():
                        traced_names((ROOT / "perfbench" / "tracing.py").read_text()))
     assert [name for source in sources for name in public_definitions(source)
             if name not in read] == []
+
+
+def public_members(source: str) -> list[str]:
+    """The public fields, methods and properties that the module's public
+    top-level classes define, as Class.member."""
+    return [f"{node.name}.{name}" for node in ast.parse(source).body
+            if isinstance(node, ast.ClassDef) and not node.name.startswith("_")
+            for name in bound_names(node.body, methods=False)
+            if not name.startswith("_")]
+
+
+def members_read(source: str) -> set[str]:
+    """The member names the module reads: as ``.name``, or as ``getattr(x, "name")``."""
+    read = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            read.add(node.attr)
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "getattr" and len(node.args) >= 2
+              and isinstance(node.args[1], ast.Constant)):
+            read.add(node.args[1].value)
+    return read
+
+
+def test_public_members_are_found():
+    source = ("class A:\n    x: int\n    _y: int\n    def f(self): return self.x\n"
+              "    @property\n    def g(self): pass\n    def _h(self): pass\n"
+              "class _B:\n    z: int\n")
+    assert public_members(source) == ["A.x", "A.f", "A.g"]
+    assert members_read("a.x = 1\nb.y\ngetattr(c, 'z', None)\ngetattr(d, name)\n") == {"y", "z"}
+
+
+def test_every_public_member_has_a_caller():
+    # a member counts as read when a package module, a README example, the
+    # acceptance suite, the dense-matrix oracles or the benchmark reads it by name
+    readers = ([PACKAGE.joinpath(module).read_text() for module in MODULES] + README_BLOCKS
+               + [(ROOT / "tests" / name).read_text() for name in ("test_acceptance.py", "oracles.py")]
+               + [path.read_text() for path in sorted((ROOT / "perfbench").glob("*.py"))
+                  if path.name != "test_perfbench.py"])
+    read = set().union(*map(members_read, readers))
+    assert [member for module in MODULES for member in public_members((PACKAGE / module).read_text())
+            if member.partition(".")[2] not in read] == []

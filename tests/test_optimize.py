@@ -45,7 +45,8 @@ def test_1d_value_never_below_grid_best():
         return np.sin(37.0 * t) + 0.3 * np.cos(11.0 * t)
 
     res = maximize_1d(jagged, 0.0, math.pi)
-    assert res.value >= res.grid_best
+    grid = np.arange(GRID_1D) * (math.pi / (GRID_1D - 1))  # the points maximize_1d scores
+    assert res.value >= jagged(grid).max()
 
 
 def test_1d_scores_its_grid_in_one_call():
@@ -86,7 +87,7 @@ def test_3d_probes_phases_past_the_box_and_reports_them_wrapped():
 def test_3d_broadcasts_objectives_that_omit_a_coordinate(f):
     # a result that is a scalar, or that lacks the theta axis, stands for the grid
     res = maximize_3d(f, grid_per_dim=9, starts=2)
-    assert res.value == res.grid_best == f(0.0, 0.0, 0.0)
+    assert res.value == f(0.0, 0.0, 0.0)
     assert res.evaluations > 9 ** 3
 
 
@@ -175,7 +176,7 @@ def test_3d_beats_its_own_coarse_grid():
     exhaustive = max(
         f(i * math.pi / 8, j * two_pi / 9, k * two_pi / 9)
         for i in range(9) for j in range(9) for k in range(9))
-    assert res.value >= res.grid_best == pytest.approx(exhaustive, abs=0)
+    assert res.value >= exhaustive
     assert 0.0 <= res.argmax[0] <= math.pi
     assert 0.0 <= res.argmax[1] < two_pi
     assert 0.0 <= res.argmax[2] < two_pi
