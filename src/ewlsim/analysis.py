@@ -13,6 +13,7 @@ Every sweep returns a structured report: a list of checks with stable keys
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -21,6 +22,7 @@ from .decision import DecisionProblem, behavioral_masses, has_imperfect_recall
 from .decision import checked_probabilities, n_tuple_driver, n_tuple_outcomes, two_stage_problem
 from .ewl import (
     UnitaryParams,
+    _half_angle,
     amplitudes_one_param,
     build_gate,
     check_stack_size,
@@ -76,6 +78,10 @@ def make_check(check: str, inputs: dict, expected, actual, deviation: float,
 
 
 def make_report(checks: list[dict]) -> dict:
+    """The report of a list of checks, which passes when every check does; a
+    report of no checks would pass on nothing, so an empty list raises ValueError."""
+    if not checks:
+        raise ValueError("a report needs at least one check")
     return {"checks": checks, "pass": all(c["pass"] for c in checks)}
 
 
@@ -167,8 +173,8 @@ def prop1_verify(sample_count: int = 1000, seed: int = 7) -> dict:
 def _exit_rows(thetas: np.ndarray) -> tuple:
     """Behavioral rows of the one-set driver trees: exit with probability
     cos^2(theta/2) at every angle, as one array per action."""
-    p = np.cos(thetas / 2.0) ** 2
-    return ((p, 1.0 - p),)
+    c, s = _half_angle(np, thetas)
+    return ((c * c, s * s),)
 
 
 def prop2_verify(n_max: int = 5, theta_grid: int = 101) -> dict:
@@ -297,6 +303,14 @@ def prop3_verify(n: int, delta: float) -> Prop3Certificate:
 
     The quantum side simulates the driver game under the gate; the classical
     side is classical_max_closed_form, the exact maximizer evaluated once.
+    Both are of size lam, so their difference would lose the O(1) margin
+    from n = 16 on.  The margin comes from the exact structure instead: at
+    Prop. 3's angles cos^2(theta/2) = 1/(n+1), so lam times the home mass is
+    delta (1 + n^(n-1) + [n odd] 2 n^((n-1)/2)), and the classical maximum is
+    delta n^(n-1) (lam/(lam-1))^n; the margin is their difference, with the
+    n^(n-1) terms cancelled in closed form, plus the lodge payoff of the
+    gate.  A simulation that misses the margin by more than (n+1) lam eps
+    raises CrossCheckError.
     """
     theta, alpha, beta, lam0 = prop3_params(n)
     if not delta > 1.0:
@@ -305,7 +319,13 @@ def prop3_verify(n: int, delta: float) -> Prop3Certificate:
     gate = build_gate(UnitaryParams(theta, alpha, beta))
     quantum = expected_payoff(n_tuple_driver_game(n, lam), [gate] * (n + 1))
     classical = classical_max_closed_form(n, lam)[1]
-    margin = quantum - classical
+    odd_term = 2 * n ** ((n - 1) // 2) if n % 2 else 0
+    margin = (delta * (1.0 + odd_term)
+              - delta * n ** (n - 1) * math.expm1(n * math.log1p(1.0 / (lam - 1.0)))
+              + payoff_three_param_fn(n, 0.0)(theta, alpha, beta))
+    if abs(quantum - classical - margin) > (n + 1) * lam * sys.float_info.epsilon:
+        raise CrossCheckError(f"prop3 margin mismatch at n={n}, delta={delta}: simulation "
+                              f"{quantum - classical!r} vs exact structure {margin!r}")
     return Prop3Certificate(lam, quantum, classical, margin, margin > 0.0)
 
 

@@ -41,9 +41,6 @@ from .qstate import (
 )
 
 _I_POW = np.array([1, 1j, -1, -1j])  # i**k for k mod 4
-# gates and closed forms take cos(theta/2) as sin(_HALF_PI - theta/2): near
-# theta = pi that difference is exact (Sterbenz), so the cosine is 0 at the
-# float pi, where cos(pi/2) is 6e-17
 _HALF_PI = math.pi / 2.0
 # final_states refuses a stack whose widest array would hold more complex
 # entries than this, which is what one state at the qubit limit holds
@@ -78,6 +75,15 @@ class UnitaryParams:
         object.__setattr__(self, "beta", beta)
 
 
+def _half_angle(xp, theta):
+    """cos(theta/2) and sin(theta/2) through xp (math or numpy), the cosine as
+    sin(pi/2 - theta/2): near theta = pi that difference is exact (Sterbenz),
+    so the cosine is 0 at the float pi, where cos(pi/2) is 6e-17.  The gates
+    and every closed form take their half angles from here."""
+    half = theta / 2.0
+    return xp.sin(_HALF_PI - half), xp.sin(half)
+
+
 def gate_stack(theta, alpha=0.0, beta=0.0) -> np.ndarray:
     """The SU(2) gates of angle arrays that broadcast together, as one complex
     array of shape (broadcast shape, 2, 2).  Each gate has the columns
@@ -98,7 +104,7 @@ def gate_stack(theta, alpha=0.0, beta=0.0) -> np.ndarray:
     if not in_range.all():
         first = np.unravel_index(np.argmin(in_range), in_range.shape)
         UnitaryParams(*(float(x[first]) for x in (theta, alpha, beta)))  # raises
-    c, s = np.sin(_HALF_PI - theta / 2.0), np.sin(theta / 2.0)
+    c, s = _half_angle(np, theta)
     ca, sa, cb, sb = np.cos(alpha), np.sin(alpha), np.cos(beta), np.sin(beta)
     mats = np.empty(theta.shape + (2, 2), dtype=complex)
     parts = mats.view(np.float64).reshape(theta.shape + (2, 2, 2))  # last axis: re, im
@@ -403,7 +409,8 @@ def outcome_distribution_ewl(game: EwlGame, gates: Sequence[Gate]) -> OutcomeDis
 def _amplitude_by_weight(r, theta, m: int):
     """i^r cos^(m-r)(theta/2) sin^r(theta/2) for Hamming weights and angles that
     broadcast together."""
-    return _I_POW[r % 4] * np.cos(theta / 2.0) ** (m - r) * np.sin(theta / 2.0) ** r
+    c, s = _half_angle(np, theta)
+    return _I_POW[r % 4] * c ** (m - r) * s ** r
 
 
 def _check_basis_index(y: int, m: int) -> None:
@@ -447,15 +454,14 @@ def payoff_one_param(n: int, lam, theta):
     if not isinstance(n, int) or n < 1:
         raise ValueError(f"n must be an integer >= 1, got {n}")
     xp, power = (math, math.pow) if type(theta) is float else (np, np.float_power)
-    s2 = power(xp.sin(theta / 2.0), 2)
-    c2 = 1.0 - s2  # exact 0 at theta = pi, where cos(pi/2) is 6e-17 in floats
-    return lam * c2 * power(s2, n) + power(s2, n + 1)
+    c, s = _half_angle(xp, theta)
+    s2 = s * s
+    return lam * (c * c) * power(s2, n) + power(s2, n + 1)
 
 
 def _half_angle_powers(xp, n: int, theta):
     """cos(theta/2), sin(theta/2) and their n-th powers, as repeated products."""
-    half = theta / 2.0
-    c, s = xp.sin(_HALF_PI - half), xp.sin(half)
+    c, s = _half_angle(xp, theta)
     cn, sn = c, s
     for _ in range(n - 1):
         cn = cn * c
@@ -473,9 +479,11 @@ def _combine(n: int, lam, x, y, p, q):
     return lam * (home * home) + lodge * lodge
 
 
-class ThreeParamPayoff:
-    """The payoff of ``payoff_three_param`` as f(theta, alpha, beta), in real
-    arithmetic, with ``line`` for its restrictions to one coordinate.
+def payoff_three_param_fn(n: int, lam) -> Callable:
+    """The driver payoff under U(theta, alpha, beta) on all n+1 qubits as
+    f(theta, alpha, beta), the optimizers' objective (periodic in alpha and
+    beta): a float for float angles, an array for angle arrays that broadcast
+    together (lam may be one too), with the same value at every point either way.
 
     With c = cos(theta/2), s = sin(theta/2), x = c^n s sin(n a - b),
     y = c s^n cos(a - n b), p = c^(n+1) sin((n+1) a) and
@@ -484,38 +492,27 @@ class ThreeParamPayoff:
     repeated products, not pow, so a float call (through ``math``) and an
     array call (through numpy) run the same operations; they give equal
     values wherever numpy's sin and cos round as math's do (the tests check it).
+
+    ``f.line(coord, point)`` is h(t), f along coordinate ``coord`` (0 theta,
+    1 alpha, 2 beta) with the other two held at the floats of ``point``;
+    ``optimize.maximize_box`` runs each line search on it.  The factors that do
+    not depend on t are computed once: on a theta line the four phase terms, on
+    a phase line the powers of c and s and the phase term of the held phase.  h
+    meets maximize_box's objective contract, and on a phase line it is
+    2pi-periodic, so t is never wrapped.  h(t) equals f at that t bit for bit:
+    it runs the same products in the same order.
     """
+    if not isinstance(n, int) or n < 1:
+        raise ValueError(f"n must be an integer >= 1, got {n}")
 
-    __slots__ = ("n", "lam")
-
-    def __init__(self, n: int, lam):
-        if not isinstance(n, int) or n < 1:
-            raise ValueError(f"n must be an integer >= 1, got {n}")
-        self.n = n
-        self.lam = lam
-
-    def __call__(self, theta, alpha, beta):
-        """The payoff at Python floats, or at numpy arrays (lam included) that
-        broadcast together, for which it is the array of values."""
-        n = self.n
+    def payoff(theta, alpha, beta):
         xp = math if type(theta) is type(alpha) is type(beta) is float else np
         c, s, cn, sn = _half_angle_powers(xp, n, theta)
-        return _combine(n, self.lam, cn * s * xp.sin(n * alpha - beta),
+        return _combine(n, lam, cn * s * xp.sin(n * alpha - beta),
                         c * sn * xp.cos(alpha - n * beta), cn * c * xp.sin((n + 1) * alpha),
                         sn * s * xp.cos((n + 1) * beta))
 
-    def line(self, coord: int, point: Sequence[float]) -> Callable:
-        """h(t): the payoff along coordinate ``coord`` (0 theta, 1 alpha, 2 beta)
-        with the other two held at the floats of ``point``.
-
-        The factors that do not depend on t are computed once, here: on a theta
-        line the four phase terms, on a phase line the powers of c and s and
-        the phase term of the held phase.  h meets maximize_box's objective
-        contract: it takes a float or an array, and on a phase line it is
-        2pi-periodic, so t is never wrapped.  h(t) equals the full call at that
-        t bit for bit: it runs the same products in the same order.
-        """
-        n, lam = self.n, self.lam
+    def line(coord: int, point: Sequence[float]) -> Callable:
         theta, alpha, beta = point
         if coord == 0:
             sin_x, cos_y = math.sin(n * alpha - beta), math.cos(alpha - n * beta)
@@ -549,27 +546,19 @@ class ThreeParamPayoff:
             return beta_line
         raise ValueError(f"coord must be 0, 1 or 2, got {coord!r}")
 
+    payoff.line = line
+    return payoff
+
 
 def payoff_three_param(n: int, lam: float, params: UnitaryParams) -> float:
     """Driver payoff under U(theta, alpha, beta) on all n+1 qubits:
 
     lam * |i cos^n(t/2) sin(t/2) sin(n a - b) + i^n cos(t/2) sin^n(t/2) cos(a - n b)|^2
         + |cos^(n+1)(t/2) sin((n+1) a)      + i^(n+1) sin^(n+1)(t/2) cos((n+1) b)|^2
+
+    the one-point call of payoff_three_param_fn.
     """
-    return ThreeParamPayoff(n, lam)(params.theta, params.alpha, params.beta)
-
-
-def payoff_three_param_fn(n: int, lam: float) -> ThreeParamPayoff:
-    """Raw-angle objective f(theta, alpha, beta) for the optimizers (periodic in
-    alpha and beta): a float for float angles, an array for angle arrays that
-    broadcast together, with the same value at every point either way.  lam may
-    also be an array that broadcasts with the angles.
-
-    ``f.line(coord, point)`` is f along one coordinate with the other two held,
-    with its constant factors computed once; ``optimize.maximize_box`` runs each
-    line search on it.
-    """
-    return ThreeParamPayoff(n, lam)
+    return payoff_three_param_fn(n, lam)(params.theta, params.alpha, params.beta)
 
 
 def eta_symmetry_check(params: UnitaryParams) -> float:

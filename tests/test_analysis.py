@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 from itertools import product
 
 import numpy as np
@@ -297,13 +298,40 @@ def test_prop3_classical_side_is_the_closed_form():
             assert cert.classical_max == classical_max_closed_form(n, lam)[1]
             search = maximize_1d(lambda t: payoff_one_param(n, lam, t), 0.0, math.pi, tol=1e-10)
             assert search.value == pytest.approx(cert.classical_max, rel=1e-14)
-            assert cert.margin == cert.quantum_payoff - cert.classical_max
+            # the margin comes from the exact structure, and prop3_verify
+            # cross-checks it against the simulated difference
+            gap = cert.quantum_payoff - cert.classical_max - cert.margin
+            assert abs(gap) <= (n + 1) * lam * sys.float_info.epsilon
 
 
-def test_prop3_certificates_hold_up_to_n15():
-    # n = 15 is the largest n whose float certificates all pass
-    report = prop3_sweep(n_values=tuple(range(2, 16)))
+def test_prop3_certificates_hold_up_to_n23():
+    # the payoffs reach 1e30 at n = 23: a float difference of the two lost the
+    # O(1) margin from n = 16 on, and checks failed on a true claim
+    report = prop3_sweep(n_values=tuple(range(2, 24)))
     assert report["pass"], [c["check"] for c in report["checks"] if not c["pass"]]
+
+
+@pytest.mark.parametrize("n, margin", [(14, 1.4948383315881975), (16, 1.496101682809869),
+                                       (23, 2858429273741782.4)])
+def test_prop3_margin_matches_the_exact_margin(n, margin):
+    # the exact margins at delta = 1.5, from mpmath at Prop. 3's exact angles;
+    # the float difference of the payoffs gave 2.5, -5120 and -3.1e15
+    assert prop3_verify(n, 1.5).margin == pytest.approx(margin, rel=1e-12)
+
+
+def test_prop3_raises_when_the_simulation_misses_the_margin(monkeypatch):
+    original = analysis.expected_payoff
+    monkeypatch.setattr(analysis, "expected_payoff",
+                        lambda game, gates: original(game, gates) + 1e-6)
+    with pytest.raises(analysis.CrossCheckError, match="prop3 margin mismatch at n=3"):
+        prop3_verify(3, 1.5)
+
+
+def test_an_empty_report_does_not_pass():
+    with pytest.raises(ValueError, match="at least one check"):
+        analysis.make_report([])
+    with pytest.raises(ValueError, match="at least one check"):
+        prop3_sweep(())
 
 
 def test_prop3_delta_validation():

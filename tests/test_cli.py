@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from ewlsim import cli
-from ewlsim.ewl import payoff_three_param_fn
+from ewlsim.ewl import (UnitaryParams, build_gate, expected_payoff, n_tuple_driver_game,
+                        payoff_three_param_fn)
 from oracles import three_param_payoff
 
 
@@ -295,7 +296,7 @@ def test_optimize_reports_argmax_and_evaluations_as_fields(capsys):
     checks = {c["check"]: c for c in json.loads(out)["checks"]}
     classical, quantum = checks["classical_optimum"], checks["quantum_optimum"]
     assert classical["argmax"] == [pytest.approx(2 * math.acos(math.sqrt(4 / 19)), abs=1e-6)]
-    assert classical["evaluations"] == 265
+    assert classical["evaluations"] == 267
     assert classical["note"] == f"p*={4 / 19:.9f}"
     assert len(quantum["argmax"]) == 3 and quantum["evaluations"] == 49058
     assert "note" not in quantum
@@ -328,6 +329,14 @@ def test_verify_prop2_small(capsys):
     code, out = run_cli("verify", "prop2", "--n", "3", "--format", "json", capsys=capsys)
     assert code == 0
     assert json.loads(out)["pass"]
+
+
+def test_verify_prop3_passes_at_the_qubit_limit(capsys):
+    # the payoffs reach 1e30 at n = 23, where their float difference lost the margin
+    code, out = run_cli("verify", "prop3", "--n", "23", "--format", "json", capsys=capsys)
+    assert code == 0
+    report = json.loads(out)
+    assert report["pass"] and len(report["checks"]) == 66
 
 
 def test_verify_prop3_small(capsys):
@@ -572,15 +581,20 @@ def test_optimize_and_reproduce_pass_at_the_largest_lambdas(capsys):
     assert cell["pass"] and cell["deviation"] > 1e-6
 
 
-@pytest.mark.parametrize("n, lam", [("6", "-1e300"), ("3", "-1e308")])
+@pytest.mark.parametrize("n, lam", [("6", "-1e300"), ("3", "-1e308"), ("6", "-1e20")])
 def test_optimize_passes_at_the_most_negative_lambdas(n, lam, capsys):
     # the optimum is p* = 0, theta = pi, where cos^2(theta/2) must be exactly 0:
-    # 3.7e-33 of it times lambda would swamp the payoff of 1
+    # 3.7e-33 of it times lambda would swamp the payoff of 1.  A closed form
+    # whose cos^2 differed from the gates' put the classical argmax 1.8e-8
+    # below pi at lambda = -1e20, where the simulated payoff is -8268.6
     code, out = run_cli("optimize", "--n", n, "--lambda", lam, "--format", "json",
                         capsys=capsys)
     assert code == 0
-    checks = {c["check"]: c for c in json.loads(out)["checks"]}
-    assert checks["classical_optimum"]["actual"] == 1.0
+    classical = {c["check"]: c for c in json.loads(out)["checks"]}["classical_optimum"]
+    assert classical["actual"] == 1.0 and classical["argmax"] == [math.pi]
+    gate = build_gate(UnitaryParams(*classical["argmax"]))
+    assert expected_payoff(n_tuple_driver_game(int(n), float(lam)),
+                           [gate] * (int(n) + 1)) == classical["actual"]
 
 
 def test_optimize_reports_the_value_of_its_argmax_on_a_narrow_peak(capsys):

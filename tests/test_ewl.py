@@ -562,12 +562,15 @@ def test_amplitude_one_param_matches_simulation():
 
 def test_amplitudes_one_param_index_the_closed_form_by_popcount():
     thetas = np.linspace(0.0, math.pi, 7)
-    for m in (1, 2, 5, 8):
+    for m in (1, 2, 3, 4, 5, 8):
         table = amplitudes_one_param(thetas, m)
         assert table.shape == (7, 2 ** m)
         for i, theta in enumerate(thetas.tolist()):
             expected = [amplitude_one_param(y, theta, m) for y in range(2 ** m)]
             np.testing.assert_allclose(table[i], expected, rtol=1e-14, atol=0)
+        # at theta = pi the closed form takes the gates' cos(pi/2) = 0, not 6e-17
+        at_pi = final_states(np.broadcast_to(gate_stack(math.pi), (1, m, 2, 2)))[0]
+        assert np.array_equal(table[-1], at_pi)
 
 
 def test_amplitude_m2_y2_is_i_cos_sin():
