@@ -39,7 +39,7 @@ from .ewl import (
     payoff_three_param_fn,
     two_stage_game,
 )
-from .optimize import TWO_PI, OptResult, maximize_1d, maximize_3d, wrap_phase
+from .optimize import GRID_BUDGET, TWO_PI, OptResult, maximize_1d, maximize_3d, wrap_phase
 from .qstate import check_qubit_count
 
 AMP_TOL = 1e-12
@@ -137,10 +137,17 @@ def _prop1_deviation(mixtures) -> float:
     return float(np.abs(masses[:, order] - mixtures).max())
 
 
+def _check_samples(count: int) -> None:
+    """Refuse a sample count below 1 or over GRID_BUDGET, before any random draw."""
+    if count < 1:
+        raise ValueError(f"samples must be >= 1, got {count}")
+    if count > GRID_BUDGET:
+        raise ValueError(f"{count:,} samples are over the budget of {GRID_BUDGET:,} (GRID_BUDGET)")
+
+
 def prop1_verify(sample_count: int = 1000, seed: int = 7) -> dict:
     """Seeded sweep of random and boundary mixtures through prop1_solve's kernel, _prop1_angles."""
-    if sample_count < 1:
-        raise ValueError("sample_count must be >= 1")
+    _check_samples(sample_count)
     rng = np.random.default_rng(seed)
     checks = []
 
@@ -177,13 +184,13 @@ def _exit_rows(thetas: np.ndarray) -> tuple:
     return ((c * c, s * s),)
 
 
-def prop2_verify(n_max: int = 5, theta_grid: int = 101) -> dict:
+def prop2_verify(n_max: int = 5) -> dict:
     """Simulation vs the closed-form amplitudes and vs the tree model's outcome
-    masses at exit probability cos^2(theta/2), over n <= n_max and a theta grid."""
+    masses at exit probability cos^2(theta/2), over n <= n_max and 101 thetas in [0, pi]."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    check_stack_size(theta_grid, n_max + 1)  # the largest stack, before n = 1 runs
-    thetas = np.linspace(0.0, math.pi, theta_grid)
+    thetas = np.linspace(0.0, math.pi, 101)
+    check_stack_size(len(thetas), n_max + 1)  # the largest stack, before n = 1 runs
     gates = gate_stack(thetas)
     exits = _exit_rows(thetas)
     checks = []
@@ -200,10 +207,10 @@ def prop2_verify(n_max: int = 5, theta_grid: int = 101) -> dict:
         tree = dict(behavioral_masses(problem, exits))
         mass_dev = float(np.abs(masses - np.stack([tree[lab] for lab in game.labels], 1)).max())
         checks.append(make_check(
-            f"prop2_amplitudes_n{n}", {"n": n, "theta_grid": theta_grid},
+            f"prop2_amplitudes_n{n}", {"n": n, "theta_grid": len(thetas)},
             0.0, amp_dev, amp_dev, amp_dev <= AMP_TOL))
         checks.append(make_check(
-            f"prop2_outcome_masses_n{n}", {"n": n, "theta_grid": theta_grid},
+            f"prop2_outcome_masses_n{n}", {"n": n, "theta_grid": len(thetas)},
             0.0, mass_dev, mass_dev, mass_dev <= MASS_TOL))
     return make_report(checks)
 
@@ -375,8 +382,7 @@ def formulas_verify(n_max: int = 5, samples: int = 500, seed: int = 11) -> dict:
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
+    _check_samples(samples)
     check_qubit_count(n_max + 1)
     rng = np.random.default_rng(seed)
     checks = []

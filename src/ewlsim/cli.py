@@ -52,11 +52,11 @@ def parse_angle(text: str) -> float:
 
 def _attach_negative_values(argv: list[str] | None) -> list[str]:
     """argv (sys.argv[1:] if None) with '--alpha -pi/4' written '--alpha=-pi/4':
-    argparse reads -pi/4, -1e-3 or -3,4 as an option, not as the value before it."""
+    argparse reads -pi/4, -1e-3, -3,4 or -inf as an option, not as the value before it."""
     joined: list[str] = []
     for arg in sys.argv[1:] if argv is None else argv:
         if (joined and re.fullmatch(r"--[^=]+", joined[-1])
-                and re.match(r"-(\d|\.\d|pi)", arg, re.IGNORECASE)):
+                and re.match(r"-(\d|\.\d|pi|(inf|infinity|nan)$)", arg, re.IGNORECASE)):
             joined[-1] += "=" + arg
         else:
             joined.append(arg)
@@ -82,12 +82,6 @@ def check_options(args: argparse.Namespace) -> None:
         if opts.get("mode") != "classical" and args.grid ** 3 > GRID_BUDGET:
             raise ValueError(f"--grid {args.grid} gives {args.grid ** 3:,} grid points, "
                              f"over the budget of {GRID_BUDGET:,} (GRID_BUDGET)")
-    if "samples" in opts:
-        if args.samples < 1:
-            raise ValueError(f"--samples must be >= 1, got {args.samples}")
-        if args.samples > GRID_BUDGET:
-            raise ValueError(f"--samples {args.samples:,} is over the budget of "
-                             f"{GRID_BUDGET:,} (GRID_BUDGET)")
     if opts.get("seed", 0) < 0:
         raise ValueError(f"--seed must be >= 0, got {args.seed}")
     # only the quantum search reads --starts
@@ -244,7 +238,7 @@ def verify_prop1(args: argparse.Namespace) -> dict:
 
 
 def verify_prop2(args: argparse.Namespace) -> dict:
-    return analysis.prop2_verify(n_max=args.n, theta_grid=101)
+    return analysis.prop2_verify(n_max=args.n)
 
 
 def verify_prop3(args: argparse.Namespace) -> dict:
@@ -287,6 +281,8 @@ def cmd_reproduce(args: argparse.Namespace) -> dict:
         lams = [float(x) for x in (args.lambda_sweep or "").split(",") if x.strip()]
     except ValueError:
         raise ValueError(f"cannot parse --lambda-sweep {args.lambda_sweep!r}") from None
+    if args.lambda_sweep is not None and not lams:
+        raise ValueError(f"--lambda-sweep {args.lambda_sweep!r} lists no value")
     if not all(math.isfinite(lam) for lam in lams):
         raise ValueError(f"--lambda-sweep entries must be finite, got {args.lambda_sweep!r}")
     checks = []

@@ -454,20 +454,18 @@ def behavioral_from_mixed(problem: DecisionProblem, strategy: MixedStrategy) -> 
 # behavioral reachability gap
 
 
-def behavioral_gap(problem: DecisionProblem, target: OutcomeDistribution,
-                   grid_points: int | None = None) -> float:
+def behavioral_gap(problem: DecisionProblem, target: OutcomeDistribution) -> float:
     """Smallest max-norm distance from any behavioral outcome to the target.
 
     The distance is minimized with optimize.maximize_box, the search of
-    maximize_3d: a grid_points**k scan of the box [0, 1]**k of first-action
+    maximize_3d: a g**k scan of the box [0, 1]**k of first-action
     probabilities of the k information sets, then maximize_box's refinement
     (cyclic line searches in Brent steps, and pattern steps) from the best grid
     point.  The distance comes from behavioral_masses, so the scan is one
     array call.  Information sets must be binary (every problem built in this
-    module is).  With no grid_points the grid has 201 points per set when
-    201**k fits in GRID_BUDGET, else the largest g >= 2 with g**k within it
-    (100 at k = 3); a grid over GRID_BUDGET points (given, or 2**k past
-    k = 19) is refused.
+    module is).  The grid has g = 201 points per set when 201**k fits in
+    GRID_BUDGET, else the largest g >= 2 with g**k within it (100 at k = 3);
+    past k = 19 even 2**k points are over GRID_BUDGET, and the scan is refused.
     """
     if set(target.probs) != set(problem.terminal_labels.values()):
         raise ValueError("target distribution is not over the problem's labels")
@@ -475,10 +473,9 @@ def behavioral_gap(problem: DecisionProblem, target: OutcomeDistribution,
         if len(problem.actions(cell[0])) != 2:
             raise ValueError("behavioral_gap supports binary action sets only")
     k = len(problem.info_partition)
-    if grid_points is None:
-        grid_points = 201
-        while grid_points > 2 and grid_points ** k > optimize.GRID_BUDGET:
-            grid_points -= 1
+    grid_points = 201
+    while grid_points > 2 and grid_points ** k > optimize.GRID_BUDGET:
+        grid_points -= 1
     axes = ((1.0, False),) * k
     return -optimize.maximize_box(_neg_distance_fn(problem, target), axes, grid_points, 1,
                                   1e-10).value

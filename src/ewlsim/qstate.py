@@ -148,12 +148,11 @@ def apply_single_qubit_gate(state: StateVector, qubit_index: int, gate: Gate) ->
     return _unchecked_state(state.m, new)
 
 
-def apply_entangler(state: StateVector, dagger: bool = False) -> StateVector:
-    """Apply J = (I + i X^m)/sqrt(2) (or its adjoint) without forming a matrix.
+def apply_entangler(state: StateVector) -> StateVector:
+    """Apply J = (I + i X^m)/sqrt(2) without forming a matrix.
 
     X^m reverses the amplitude array because flipping every bit maps index y
     to 2^m - 1 - y, so J acts as one axpy on the reversed amplitudes.
     """
-    sign = -1j if dagger else 1j
-    new = (state.amps + sign * state.amps[::-1]) * _SQRT2_INV
+    new = (state.amps + 1j * state.amps[::-1]) * _SQRT2_INV
     return _unchecked_state(state.m, new)

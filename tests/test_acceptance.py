@@ -71,7 +71,7 @@ def test_criterion_04_prop1_property_suite():
 
 def test_criterion_05_prop2_suite():
     with criterion(5, "prop2: n<=5, 101-point grid, amplitudes 1e-12, masses 1e-9"):
-        report = ez.prop2_verify(n_max=5, theta_grid=101)
+        report = ez.prop2_verify(n_max=5)
         assert report["pass"]
         for check in report["checks"]:
             bound = 1e-12 if "amplitudes" in check["check"] else 1e-9

@@ -156,12 +156,12 @@ def test_prop1_verify_sweep():
 
 
 def test_prop2_half_probabilities():
-    report = prop2_verify(n_max=2, theta_grid=3)  # grid includes theta = pi/2
+    report = prop2_verify(n_max=2)  # the 101-point grid includes theta = pi/2
     assert report["pass"]
 
 
 def test_prop2_sweep_small():
-    report = prop2_verify(n_max=3, theta_grid=51)
+    report = prop2_verify(n_max=3)
     assert report["pass"]
     amp_devs = [c["deviation"] for c in report["checks"] if "amplitudes" in c["check"]]
     mass_devs = [c["deviation"] for c in report["checks"] if "masses" in c["check"]]
@@ -169,7 +169,7 @@ def test_prop2_sweep_small():
     assert max(mass_devs) <= 1e-9
 
 
-@pytest.mark.parametrize("sweep", [lambda: prop1_verify(60, 3), lambda: prop2_verify(3, 51),
+@pytest.mark.parametrize("sweep", [lambda: prop1_verify(60, 3), lambda: prop2_verify(3),
                                    lambda: formulas_verify(3, 80, 5)],
                          ids=["prop1", "prop2", "formulas"])
 def test_sweeps_report_the_same_in_small_chunks(sweep, monkeypatch):
@@ -179,9 +179,9 @@ def test_sweeps_report_the_same_in_small_chunks(sweep, monkeypatch):
 
 
 def test_prop2_refuses_its_largest_stack_before_n1_runs(monkeypatch):
-    # theta_grid runs on n_max + 1 qubits: 101 * 2^4 entries fit n_max = 3, not 4
+    # the 101 thetas run on n_max + 1 qubits: 101 * 2^4 entries fit n_max = 3, not 4
     monkeypatch.setattr(ewl, "STACK_BUDGET", 101 * 2 ** 4)
-    assert prop2_verify(3, 101)["pass"]
+    assert prop2_verify(3)["pass"]
 
     def refused(*args, **kwargs):
         raise AssertionError("prop2_verify started a run")
@@ -189,13 +189,7 @@ def test_prop2_refuses_its_largest_stack_before_n1_runs(monkeypatch):
     monkeypatch.setattr(analysis, "final_states", refused)
     monkeypatch.setattr(ewl, "block_masses", refused)
     with pytest.raises(ValueError, match=r"101 runs on 5 qubits .* \(STACK_BUDGET\)"):
-        prop2_verify(4, 101)
-
-
-def test_prop2_refuses_an_empty_theta_grid_by_name():
-    for grid in (0, -3):
-        with pytest.raises(ValueError, match=f"need at least one run, got {grid}"):
-            prop2_verify(2, grid)
+        prop2_verify(4)
 
 
 def test_tree_references_take_one_array_call_per_tree(monkeypatch):
@@ -407,6 +401,18 @@ def test_formulas_report():
 def test_formulas_refuse_sweeps_without_samples(samples):
     with pytest.raises(ValueError, match="samples must be >= 1"):
         formulas_verify(samples=samples)
+
+
+@pytest.mark.parametrize("sweep", [lambda k: prop1_verify(k), lambda k: formulas_verify(samples=k)],
+                         ids=["prop1", "formulas"])
+@pytest.mark.parametrize("samples", [10 ** 6 + 1, 10 ** 9])
+def test_sweeps_refuse_samples_over_budget_before_drawing(sweep, samples, monkeypatch):
+    def refused(*args, **kwargs):
+        raise AssertionError("an oversized sweep made its random generator")
+
+    monkeypatch.setattr(np.random, "default_rng", refused)
+    with pytest.raises(ValueError, match=r"over the budget of 1,000,000 \(GRID_BUDGET\)"):
+        sweep(samples)
 
 
 # -------------------------------------------------------------------- recall

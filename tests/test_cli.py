@@ -62,6 +62,22 @@ def test_options_take_negative_values(argv, dest, expected, capsys, monkeypatch)
     assert vars(seen[1]) == vars(seen[0])
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["optimize", "--lambda", "-inf"], "--lambda must be finite"),
+    (["optimize", "--lambda", "-nan"], "--lambda must be finite"),
+    (["optimize", "--lambda", "-Infinity"], "--lambda must be finite"),
+    (["optimize", "--lambda", "-NaN"], "--lambda must be finite"),
+    (["simulate", "--theta", "1", "--alpha", "-inf"], "angles must be finite"),
+    (["simulate", "--theta", "1", "--beta", "-INF"], "angles must be finite"),
+], ids=" ".join)
+def test_negative_non_finite_values_reach_their_option(argv, message, capsys):
+    # argparse would read -inf as an unknown option and exit 2 with
+    # "expected one argument"; joined to its option, the value gets its own message
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and message in err and "expected one argument" not in err
+
+
 def test_simulate_reports_a_negative_alpha_wrapped(capsys):
     code, out = run_cli("simulate", "--theta", "1", "--alpha", "-pi/4", "--format", "json",
                         capsys=capsys)
@@ -456,13 +472,23 @@ def test_landscape_refuses_grids_over_budget(capsys, monkeypatch):
                                            ("formulas", "formulas_verify")])
 @pytest.mark.parametrize("samples", ["1000001", "1000000000"])
 def test_verify_refuses_sample_counts_over_budget(target, verify, samples, capsys, monkeypatch):
+    # the sweep itself refuses the count, before it makes its random generator
     def refused(*args, **kwargs):
         raise AssertionError("an oversized sweep started drawing its samples")
 
-    monkeypatch.setattr(cli.analysis, verify, refused)
+    calls = []
+    sweep = getattr(cli.analysis, verify)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return sweep(*args, **kwargs)
+
+    monkeypatch.setattr(cli.analysis, verify, counted)
+    monkeypatch.setattr(np.random, "default_rng", refused)
     assert cli.main(["verify", target, "--samples", samples]) == 2
     out, err = capsys.readouterr()
     assert out == "" and "over the budget of 1,000,000 (GRID_BUDGET)" in err
+    assert len(calls) == 1
 
 
 def test_landscape_refuses_n_beyond_the_optimize_range(capsys, monkeypatch):
@@ -619,6 +645,17 @@ def test_reproduce_refuses_lambda_sweeps_that_are_not_finite(sweep, capsys, monk
     assert cli.main(["reproduce", "--lambda-sweep", sweep]) == 2
     out, err = capsys.readouterr()
     assert out == "" and "--lambda-sweep entries must be finite" in err
+
+
+@pytest.mark.parametrize("sweep", [",,", "", " , "])
+def test_reproduce_refuses_a_sweep_that_lists_no_value(sweep, capsys, monkeypatch):
+    def refused(*args, **kwargs):
+        raise AssertionError("an empty sweep started its checks")
+
+    monkeypatch.setattr(cli.analysis, "classical_optimum", refused)
+    assert cli.main(["reproduce", "--lambda-sweep", sweep]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and f"--lambda-sweep {sweep!r} lists no value" in err
 
 
 # ----------------------------------------------------------- determinism etc
@@ -801,7 +838,7 @@ def test_options_a_command_does_not_read_are_refused(argv, capsys):
 
 @pytest.mark.parametrize("target,call", [
     ("prop1", lambda a: a.prop1_verify(1000, 7)),
-    ("prop2", lambda a: a.prop2_verify(n_max=5, theta_grid=101)),
+    ("prop2", lambda a: a.prop2_verify(n_max=5)),
     ("prop3", lambda a: a.prop3_sweep(n_values=(2, 3, 4, 5, 6))),
     ("recall", lambda a: a.recall_verify(None)),
     # formulas_verify's own defaults (500 samples, seed 11) are not the CLI's

@@ -528,13 +528,13 @@ def test_behavioral_outcomes_match_product_mixed_on_two_stage():
 def test_gap_achievable_target_is_tiny():
     prob = two_stage_problem()
     target = outcome_of(prob, BehavioralStrategy(((0.3, 0.7), (0.6, 0.4))))
-    assert behavioral_gap(prob, target, grid_points=41) <= 1e-6
+    assert behavioral_gap(prob, target) <= 1e-6
 
 
 def test_gap_point_mass_reachable():
     prob = two_stage_problem()
     target = OutcomeDistribution({"o00": 1.0, "o01": 0.0, "o10": 0.0, "o11": 0.0})
-    assert behavioral_gap(prob, target, grid_points=41) <= 1e-6
+    assert behavioral_gap(prob, target) <= 1e-6
 
 
 def test_gap_for_half_half_diagonal_target():
@@ -554,15 +554,8 @@ def test_gap_search_work_is_pinned(monkeypatch):
         return results[-1]
 
     monkeypatch.setattr(optimize, "maximize_box", recording)
-    assert behavioral_gap(two_stage_problem(), HALF_HALF, grid_points=201) == 0.25
+    assert behavioral_gap(two_stage_problem(), HALF_HALF) == 0.25
     assert [res.evaluations for res in results] == [40567]
-
-
-def test_gap_refuses_grids_over_budget():
-    prob = perfect_recall_control()  # three binary sets: 201**3 = 8.1e6 points
-    target = outcome_of(prob, BehavioralStrategy(((0.5, 0.5),) * 3))
-    with pytest.raises(ValueError, match="GRID_BUDGET"):
-        behavioral_gap(prob, target, grid_points=201)
 
 
 def _grids_used(monkeypatch):
@@ -622,12 +615,6 @@ def test_gap_rejects_foreign_labels():
         behavioral_gap(two_stage_problem(), OutcomeDistribution({"x": 1.0}))
 
 
-@pytest.mark.parametrize("grid_points", [1, 0, -3])
-def test_gap_refuses_grids_without_two_points_per_axis(grid_points):
-    with pytest.raises(ValueError, match="grid_per_dim must be >= 2"):
-        behavioral_gap(two_stage_problem(), HALF_HALF, grid_points=grid_points)
-
-
 def test_gap_with_one_information_set():
     # outcome (p, (1-p)p, (1-p)^2): the distance to (1/2, 0, 1/2) is least at
     # p = 1 - 1/sqrt(2), where (1-p)^2 = 1/2 and |p - 1/2| = (1-p)p = (sqrt(2)-1)/2
@@ -642,20 +629,21 @@ def test_gap_with_three_information_sets_obeys_kuhn():
     mixed = MixedStrategy({PureStrategy((0, 0, 0)): 0.5, PureStrategy((1, 1, 1)): 0.5})
     target = outcome_of(prob, mixed)
     assert outcome_equivalent(target, HALF_HALF, 0.0)
-    assert behavioral_gap(prob, target, grid_points=21) <= 1e-6
+    assert behavioral_gap(prob, target) <= 1e-6
 
 
 def test_gap_reaches_random_behavioral_targets_on_three_sets():
     # by Kuhn's theorem every target here has gap 0.  With Brent's line steps
-    # the median gap is 6e-12 and none is above 1e-6; golden-section steps
-    # gave a median of 4.4e-4, with 38 of the 40 above 1e-6
+    # on the default 100**3 grid the median gap is 6e-12, and one of the 40 is
+    # above 1e-6 (4.6e-6); golden-section steps from a 21**3 grid gave a
+    # median of 4.4e-4, with 38 of the 40 above 1e-6
     prob = perfect_recall_control()
     rng = np.random.default_rng(1)
     gaps = []
     for _ in range(40):
         probs = rng.uniform(size=3).tolist()
         target = outcome_of(prob, BehavioralStrategy(tuple((p, 1.0 - p) for p in probs)))
-        gaps.append(behavioral_gap(prob, target, grid_points=21))
+        gaps.append(behavioral_gap(prob, target))
     assert np.median(gaps) <= 1e-9
 
 

@@ -164,8 +164,11 @@ def test_final_state_matches_gate_by_gate_reference(m):
     state = apply_entangler(StateVector(m, basis_vector(m)))
     for qubit, gate in enumerate(gates, start=1):
         state = apply_single_qubit_gate(state, qubit, gate)
-    expected = apply_entangler(state, dagger=True).amps
-    np.testing.assert_allclose(final_state(gates).amps, expected, atol=1e-12)
+    # J^2 = i X^m, so J^4 = -1 and the closing J^-1 is -J^3 (a dense J^-1 at
+    # m = 14 would hold 2^28 entries)
+    for _ in range(3):
+        state = apply_entangler(state)
+    np.testing.assert_allclose(final_state(gates).amps, -state.amps, atol=1e-12)
 
 
 def test_final_state_peak_allocation():

@@ -1,6 +1,6 @@
 """Every module of the package uses each name it imports, every private
-module-level name it defines is read somewhere in the package, and every
-public one has a caller outside the tests."""
+module-level name it defines is read somewhere in the package, every public
+one has a caller outside the tests, and so has every keyword default."""
 
 import ast
 from pathlib import Path
@@ -115,15 +115,18 @@ def test_public_definitions_are_found():
     assert traced_names("TARGETS = (('m', 'f', 'span'), ('m', 'g', 'span'))\n") == {"f", "g"}
 
 
+# the callers outside the tests: the package modules (__init__'s imports only
+# re-export, so it is no caller), the README examples, the acceptance suite and
+# the benchmark's workloads
+CALLERS = ([PACKAGE.joinpath(module).read_text() for module in MODULES] + README_BLOCKS
+           + [(ROOT / "tests" / "test_acceptance.py").read_text(),
+              (ROOT / "perfbench" / "workloads.py").read_text()])
+
+
 def test_every_public_name_has_a_caller():
-    # __init__'s imports only re-export, so they are no caller; a name counts as
-    # read when a package module, a README example, the acceptance suite or the
-    # benchmark (its traced TARGETS and its workloads) reads it
+    # a name counts as read when a caller or the benchmark's traced TARGETS reads it
     sources = [path.read_text() for path in sorted(PACKAGE.glob("*.py"))]
-    read = set().union(*(names_read(PACKAGE.joinpath(module).read_text()) for module in MODULES),
-                       *map(names_read, README_BLOCKS),
-                       names_read((ROOT / "tests" / "test_acceptance.py").read_text()),
-                       names_read((ROOT / "perfbench" / "workloads.py").read_text()),
+    read = set().union(*map(names_read, CALLERS),
                        traced_names((ROOT / "perfbench" / "tracing.py").read_text()))
     assert [name for source in sources for name in public_definitions(source)
             if name not in read] == []
@@ -169,3 +172,69 @@ def test_every_public_member_has_a_caller():
     read = set().union(*map(members_read, readers))
     assert [member for module in MODULES for member in public_members((PACKAGE / module).read_text())
             if member.partition(".")[2] not in read] == []
+
+
+def defaulted_parameters(source: str) -> dict[str, list[tuple[str, int | None, str]]]:
+    """The parameters with a default of the module's public top-level functions:
+    function -> [(parameter, position or None if keyword-only, ast.dump of the default)]."""
+    found = {}
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            args = node.args
+            positional = args.posonlyargs + args.args
+            defaults = [None] * (len(positional) - len(args.defaults)) + args.defaults
+            params = [(arg.arg, i if i < len(positional) else None, ast.dump(default))
+                      for i, (arg, default) in enumerate(zip(positional + args.kwonlyargs,
+                                                             defaults + args.kw_defaults))
+                      if default is not None]
+            if params:
+                found[node.name] = params
+    return found
+
+
+def _sets_parameter(call: ast.Call, param: str, position: int | None, default: str) -> bool:
+    """Whether the call may pass ``param`` a value other than its literal default:
+    by keyword, by position, or through *args or **kwargs."""
+    for keyword in call.keywords:
+        if keyword.arg is None or (keyword.arg == param and ast.dump(keyword.value) != default):
+            return True
+    if position is None:
+        return False
+    for i, arg in enumerate(call.args):
+        if isinstance(arg, ast.Starred):
+            return True
+        if i == position:
+            return ast.dump(arg) != default
+    return False
+
+
+def unset_defaults(sources: list[str], callers: list[str]) -> list[str]:
+    """The function.parameter defaults of ``sources`` that no call in ``callers``
+    (by the function's name, or an attribute of that name) sets to another value."""
+    defaults = {}
+    for source in sources:
+        defaults.update(defaulted_parameters(source))
+    given = set()
+    for node in (n for caller in callers for n in ast.walk(ast.parse(caller))):
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            given.update(f"{name}.{param}" for param, position, default in defaults.get(name, ())
+                         if _sets_parameter(node, param, position, default))
+    return [f"{name}.{param}" for name, params in defaults.items() for param, _, _ in params
+            if f"{name}.{param}" not in given]
+
+
+def test_unset_defaults_are_found():
+    source = "def f(a, b=1, *, c=None, d=2): pass\ndef _g(x=1): pass\ndef h(y): pass\n"
+    assert list(defaulted_parameters(source)) == ["f"]
+    assert unset_defaults([source], ["f(0, 1, c=None)\nf(0, 2)\n"]) == ["f.c", "f.d"]
+    assert unset_defaults([source], ["m.f(0, d=3)\nf(b=1)\n"]) == ["f.b", "f.c"]
+    assert unset_defaults([source], ["f(*args)\n"]) == ["f.c", "f.d"]
+    assert unset_defaults([source], ["f(0, **opts)\n"]) == []
+
+
+def test_every_defaulted_keyword_is_set_by_a_caller():
+    # a default that every caller leaves alone, or passes as written, is a
+    # constant: it goes, and the function uses its value directly
+    sources = [path.read_text() for path in sorted(PACKAGE.glob("*.py"))]
+    assert unset_defaults(sources, CALLERS) == []
