@@ -221,10 +221,18 @@ def cmd_optimize(args: argparse.Namespace) -> dict:
         checks.append(_search_fields(analysis.make_check(
             "quantum_optimum", {"n": n, "lambda": lam, "grid": args.grid},
             sim, res.value, abs(sim - res.value), True), res))
+        if n >= 2:  # Prop. 3's gate, defined for every n the qubit cap lets through
+            theta, alpha, beta, _ = analysis.prop3_params(n)
+            known = ewl.payoff_three_param_fn(n, lam)(theta, alpha, beta)
+            shortfall = max(known - res.value, 0.0)
+            checks.append(analysis.make_check(
+                "quantum_reaches_prop3_point", {"n": n, "lambda": lam,
+                                                "params": [theta, alpha, beta]},
+                known, res.value, shortfall, shortfall <= analysis.search_slack(known, args.tol)))
 
     if args.mode == "both":
         # the quantum game embeds the classical one, so its optimum is no lower
-        classical, quantum = (c["actual"] for c in checks)
+        classical, quantum = (c["actual"] for c in checks[:2])
         shortfall = max(classical - quantum, 0.0)
         checks.append(analysis.make_check(
             "quantum_classical_ratio", {"n": n, "lambda": lam},

@@ -495,7 +495,8 @@ def payoff_three_param_fn(n: int, lam) -> Callable:
 
     ``f.line(coord, point)`` is h(t), f along coordinate ``coord`` (0 theta,
     1 alpha, 2 beta) with the other two held at the floats of ``point``;
-    ``optimize.maximize_box`` runs each line search on it.  The factors that do
+    ``optimize.maximize_box`` takes each line search's Brent steps on it (its
+    65 samples are one call of f for every live start).  The factors that do
     not depend on t are computed once: on a theta line the four phase terms, on
     a phase line the powers of c and s and the phase term of the held phase.  h
     meets maximize_box's objective contract, and on a phase line it is

@@ -22,6 +22,7 @@ _EPS = sys.float_info.epsilon
 
 GRID_1D = 257
 LINE_SAMPLES = 65
+_SAMPLE_INDEX = np.arange(LINE_SAMPLES)
 MAX_CYCLES = 60
 # a cycle of maximize_box that moves the point within this cosine of the
 # previous cycle's move is followed by a line search along its move
@@ -107,19 +108,21 @@ def _check_tol(tol: float) -> None:
         raise ValueError(f"tol must be finite and positive, got {tol!r}")
 
 
-def _grid_then_brent(f, lo: float, hi: float, n: int, tol: float,
-                     periodic: bool = False) -> tuple[float, float, int]:
-    """Best of n points spanning [lo, hi] ([lo, hi) if periodic), scored in one
-    call of f on their array, then Brent's method on its bracket from that
-    point: (argmax, value >= grid max, points evaluated).  A periodic
-    bracket may reach past lo or hi, where f must repeat itself; the argmax is
-    not wrapped.
-    """
-    step = (hi - lo) / (n if periodic else n - 1)
-    points = lo + np.arange(n) * step
-    values = f(points)
-    if np.size(values) < n:  # a scalar result stands for every point
-        values = np.broadcast_to(values, points.shape)
+def _values_on(points_shape: tuple[int, ...], values):
+    """f's values at an array of points, in the points' shape: a smaller result
+    (a scalar, or one that lacks an axis) stands for every point it broadcasts to."""
+    if np.size(values) < math.prod(points_shape):
+        return np.broadcast_to(values, points_shape)
+    return values.reshape(points_shape)
+
+
+def _brent_on_scan(f, lo: float, step: float, values: np.ndarray, tol: float,
+                   periodic: bool) -> tuple[float, float, int]:
+    """Brent's method from the best of the samples lo + i step (i < n), whose
+    values f already gave, on that sample's bracket: (argmax, value >= the
+    samples' max, points evaluated, the n samples included).  A periodic
+    bracket may reach past the samples' span, where f must repeat itself."""
+    n = values.size
     best_i = int(values.argmax())
     center = lo + best_i * step
     if periodic:
@@ -129,6 +132,14 @@ def _grid_then_brent(f, lo: float, hi: float, n: int, tol: float,
         b = lo + min(best_i + 1, n - 1) * step
     x, v, evaluations = _brent_max(f, a, b, center, float(values[best_i]), tol)
     return x, v, n + evaluations
+
+
+def _grid_then_brent(f, lo: float, hi: float, n: int, tol: float) -> tuple[float, float, int]:
+    """Best of n points spanning [lo, hi], scored in one call of f on their
+    array (a scalar result stands for every point), then _brent_on_scan."""
+    step = (hi - lo) / (n - 1)
+    points = lo + np.arange(n) * step
+    return _brent_on_scan(f, lo, step, _values_on(points.shape, f(points)), tol, False)
 
 
 def maximize_1d(f: Callable, lo: float, hi: float, tol: float = 1e-8) -> OptResult:
@@ -157,19 +168,23 @@ def _slice(f, x: list[float], coord: int) -> Callable:
     return lambda t: f(*head, t, *tail)
 
 
-def _line_max(f, x: list[float], coord: int, hi: float, periodic: bool,
-              tol: float) -> tuple[float, float, int]:
-    """Argmax of f along one coordinate of x, on [0, hi] or on a phase's period
-    from x's phase on, its value, and the number of points evaluated.
-
-    The 1-D function is built once per line: f.line(coord, x) when f has one,
-    else a slice of f.
-    """
-    line = getattr(f, "line", None)
-    h = line(coord, x) if line is not None else _slice(f, x, coord)
-    lo = x[coord] if periodic else 0.0
-    best, value, evaluations = _grid_then_brent(h, lo, lo + hi, LINE_SAMPLES, tol, periodic)
-    return (wrap_phase(best) if periodic else best), value, evaluations
+def _scan_lines(f, xs: list[list[float]], coord: int, hi: float,
+                periodic: bool) -> tuple[list[float], list[float], np.ndarray]:
+    """The LINE_SAMPLES samples of coordinate coord's line through each point of
+    xs, scored in one call of f: (lo, step, values), row s of values f at
+    lo[s] + i step[s].  A line spans [0, hi], or a phase's period from the
+    point's phase on.  One point's held coordinates go in as floats, several
+    points' as a column each."""
+    los = [x[coord] for x in xs] if periodic else [0.0] * len(xs)
+    steps = [((lo + hi) - lo) / (LINE_SAMPLES if periodic else LINE_SAMPLES - 1) for lo in los]
+    if len(xs) == 1:
+        x = xs[0]
+        values = f(*x[:coord], los[0] + _SAMPLE_INDEX * steps[0], *x[coord + 1:])
+    else:
+        columns = list(np.array(xs).T[:, :, None])
+        columns[coord] = np.array(los)[:, None] + np.multiply.outer(steps, _SAMPLE_INDEX)
+        values = f(*columns)
+    return los, steps, _values_on((len(xs), LINE_SAMPLES), values)
 
 
 def _displacement(start: list[float], x: list[float],
@@ -238,19 +253,23 @@ def maximize_box(f: Callable, axes: tuple[tuple[float, bool], ...], grid_per_dim
     (value, x) pair, and stops when a cycle raises the value by no more than
     1e-13 relative or after MAX_CYCLES cycles.  So the value reported is f at
     the argmax reported, a float call, and at least f at the best grid point.
-    Results merge by value with the lexicographically smallest argmax breaking
-    exact ties.
+    The refinements run in lockstep, and one whose (x, value, d) at the end of
+    a cycle equals the state another reached in that cycle stops and adds no
+    candidate: its future is the other's.  Results merge by value with the
+    lexicographically smallest argmax breaking exact ties.
 
     The objective contract, shared with maximize_1d: f takes floats, and numpy
     arrays that broadcast together, for which it returns the array of values (a
     scalar result broadcasts); f is periodic on a periodic axis, so a line
     search probes phases off [0, hi) unwrapped and wraps only its argmax.  The
-    scan is one array call.  Each line search builds its 1-D function h once:
+    seed scan is one array call, and so is each coordinate's scan of every
+    live refinement's line: f gets the samples as a (live, 65) array and each
+    held coordinate as a (live, 1) column, or as floats when one refinement is
+    live.  Brent's steps are float calls of h, built once per line search:
     f.line(coord, x) when f has that method, which must return f at x with
-    coordinate coord set to t, for float and array t; otherwise a slice of f.
-    A pattern step's h is always a slice of f.  A line's 65 samples are one
-    array call of h and its Brent steps float calls.  `evaluations` counts
-    points, not calls.  Scans over GRID_BUDGET points are refused.
+    coordinate coord set to the float t; otherwise a slice of f.  A pattern
+    step is one array call and float calls of a slice of f.  `evaluations`
+    counts points, not calls.  Scans over GRID_BUDGET points are refused.
     """
     k = len(axes)
     if grid_per_dim < 2:
@@ -272,35 +291,54 @@ def maximize_box(f: Callable, axes: tuple[tuple[float, bool], ...], grid_per_dim
         indices = np.unravel_index(flat, (grid_per_dim,) * k)
         return tuple(float(grid[i]) for grid, i in zip(grids, indices))
 
-    candidates: list[tuple[float, tuple[float, ...]]] = []
-    for flat in top:
-        x = list(grid_point(flat))
-        value = f(*x)
-        evaluations += 1
-        previous = [0.0] * k  # the last cycle's displacement
-        for _ in range(MAX_CYCLES):
-            start, start_value = list(x), value
-            for coord, (hi, periodic) in enumerate(axes):
-                t, line_value, line_evaluations = _line_max(f, x, coord, hi, periodic, tol)
+    line = getattr(f, "line", None)
+    xs = [list(grid_point(flat)) for flat in top]
+    fxs = [f(*x) for x in xs]  # the value at each refinement's x
+    evaluations += len(xs)
+    previous = [[0.0] * k for _ in xs]  # each refinement's last cycle's displacement
+    candidates: list = [None] * len(xs)
+    live = list(range(len(xs)))
+    for _ in range(MAX_CYCLES):
+        cycle_starts = [(list(xs[s]), fxs[s]) for s in live]
+        for coord, (hi, periodic) in enumerate(axes):
+            los, steps, scan = _scan_lines(f, [xs[s] for s in live], coord, hi, periodic)
+            for s, lo, step, row in zip(live, los, steps, scan):
+                x = xs[s]
+                h = line(coord, x) if line is not None else _slice(f, x, coord)
+                t, line_value, line_evaluations = _brent_on_scan(h, lo, step, row, tol, periodic)
                 evaluations += line_evaluations
-                if line_value > value:
-                    x[coord], value = t, line_value
+                if line_value > fxs[s]:
+                    x[coord], fxs[s] = (wrap_phase(t) if periodic else t), line_value
+        reached = set()  # the states of this cycle's refinements that go on
+        going_on = []
+        for s, (start, start_value) in zip(live, cycle_starts):
+            x = xs[s]
             d = _displacement(start, x, axes)
-            if _cosine(d, previous) > PATTERN_COSINE:
+            if _cosine(d, previous[s]) > PATTERN_COSINE:
                 point, pattern_value, pattern_evaluations = _pattern_max(f, x, d, axes, tol)
                 evaluations += pattern_evaluations
-                if pattern_value > value:
-                    x = point
-            previous = d
+                if pattern_value > fxs[s]:
+                    xs[s] = x = point
+            previous[s] = d
             # the steps' values come from slices at unwrapped phases; the
             # (value, x) pairs kept are f at x itself
-            value = f(*x)
+            value = fxs[s] = f(*x)
             evaluations += 1
             if value - start_value <= 1e-13 * (1.0 + abs(start_value)):
                 if value < start_value:
-                    x, value = start, start_value
-                break
-        candidates.append((value, tuple(x)))
+                    xs[s], fxs[s] = start, start_value
+                candidates[s] = (fxs[s], tuple(xs[s]))
+            # one in a state another reached this cycle has that one's future:
+            # it stops and adds no candidate
+            elif (state := (*x, value, *d)) not in reached:
+                reached.add(state)
+                going_on.append(s)
+        live = going_on
+        if not live:
+            break
+    for s in live:  # the refinements MAX_CYCLES cycles did not settle
+        candidates[s] = (fxs[s], tuple(xs[s]))
+    candidates = [c for c in candidates if c is not None]
 
     best_value = max(v for v, _ in candidates)
     best_arg = min(arg for v, arg in candidates if v == best_value)

@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 
 from ewlsim import cli
+from ewlsim.analysis import prop3_params
 from ewlsim.ewl import (UnitaryParams, build_gate, expected_payoff, n_tuple_driver_game,
                         payoff_three_param_fn)
+from ewlsim.optimize import OptResult
 from oracles import three_param_payoff
 
 
@@ -314,7 +316,7 @@ def test_optimize_reports_argmax_and_evaluations_as_fields(capsys):
     assert classical["argmax"] == [pytest.approx(2 * math.acos(math.sqrt(4 / 19)), abs=1e-6)]
     assert classical["evaluations"] == 267
     assert classical["note"] == f"p*={4 / 19:.9f}"
-    assert len(quantum["argmax"]) == 3 and quantum["evaluations"] == 49058
+    assert len(quantum["argmax"]) == 3 and quantum["evaluations"] == 45291
     assert "note" not in quantum
     assert payoff_three_param_fn(3, 20.0)(*quantum["argmax"]) == quantum["actual"]
 
@@ -740,6 +742,43 @@ def test_optimize_fails_when_the_quantum_optimum_is_below_the_classical_one(caps
     assert checks["classical_optimum"]["pass"] and checks["quantum_optimum"]["pass"]
     ratio = checks["quantum_classical_ratio"]
     assert not ratio["pass"] and ratio["deviation"] == pytest.approx(1e-6, rel=1e-6)
+
+
+def test_optimize_checks_its_search_against_prop3_point_from_n_2(capsys):
+    # Prop. 3's gate is one point of the box, so the search must reach its payoff
+    code, out = run_cli("optimize", "--n", "1", "--lambda", "4", "--mode", "quantum", "--grid",
+                        "9", "--format", "json", capsys=capsys)
+    assert code == 0
+    assert [c["check"] for c in json.loads(out)["checks"]] == ["quantum_optimum"]
+    code, out = run_cli("optimize", "--n", "6", "--lambda", "205885.75", "--format", "json",
+                        capsys=capsys)
+    assert code == 0
+    checks = {c["check"]: c for c in json.loads(out)["checks"]}
+    row = checks["quantum_reaches_prop3_point"]
+    theta, alpha, beta, _ = prop3_params(6)
+    assert row["inputs"]["params"] == [theta, alpha, beta]
+    assert row["expected"] == payoff_three_param_fn(6, 205885.75)(theta, alpha, beta)
+    assert row["pass"] and row["actual"] == checks["quantum_optimum"]["actual"] >= row["expected"]
+
+
+def test_optimize_fails_when_its_search_ends_below_prop3_point(capsys, monkeypatch):
+    # a search stopped 1e-3 off Prop. 3's theta: above the classical optimum,
+    # so only the Prop. 3 row fails, and its value is its argmax's, so the
+    # simulation cross-check passes
+    theta, alpha, beta, _ = prop3_params(6)
+
+    def stalled(f, grid_per_dim, starts, tol):
+        argmax = (theta + 1e-3, alpha, beta)
+        return OptResult(argmax, f(*argmax), 1)
+
+    monkeypatch.setattr(cli.analysis, "maximize_3d", stalled)
+    code, out = run_cli("optimize", "--n", "6", "--lambda", "205885.75", "--format", "json",
+                        capsys=capsys)
+    assert code == 1
+    checks = {c["check"]: c for c in json.loads(out)["checks"]}
+    assert [name for name, c in checks.items() if not c["pass"]] == ["quantum_reaches_prop3_point"]
+    row = checks["quantum_reaches_prop3_point"]
+    assert row["deviation"] == row["expected"] - row["actual"] == pytest.approx(0.0613, abs=1e-4)
 
 
 def test_optimize_exits_3_on_cross_check_failure(capsys, monkeypatch):

@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from ewlsim import optimize
 from ewlsim.analysis import prop3_params
 from ewlsim.ewl import payoff_one_param, payoff_three_param_fn
 from ewlsim.optimize import (GRID_1D, GRID_BUDGET, TWO_PI, _top_indices, maximize_1d, maximize_3d,
-                             wrap_phase)
+                             maximize_box, wrap_phase)
 
 # analytic optimum of the n=3, lam=20 classical payoff: exit probability 4/19
 THETA_STAR_N3 = 2.0 * math.acos(math.sqrt(4.0 / 19.0))
@@ -110,7 +111,7 @@ def test_3d_deterministic_bit_identical():
 
 
 def test_3d_evaluation_counts_are_pinned():
-    assert maximize_3d(payoff_three_param_fn(3, 20.0)).evaluations == 49058
+    assert maximize_3d(payoff_three_param_fn(3, 20.0)).evaluations == 45291
     res = maximize_3d(payoff_three_param_fn(1, 10.0), grid_per_dim=17, starts=6, tol=1e-9)
     assert res.evaluations == 10967
     assert maximize_3d(payoff_three_param_fn(6, 100.0)).evaluations == 47026
@@ -150,6 +151,30 @@ REPRODUCE_SETTINGS = {"grid_per_dim": 17, "starts": 6, "tol": 1e-9}
 ])
 def test_3d_optima_are_pinned(n, lam, settings, value):
     assert abs(maximize_3d(payoff_three_param_fn(n, lam), **settings).value - value) <= 1e-12
+
+
+# the benchmark's optimization cases and the CI's `optimize` cases: the
+# results of the search that refined each start on its own, bit for bit
+@pytest.mark.parametrize("n,lam,settings,value,argmax", [
+    (1, 3.0, REPRODUCE_SETTINGS, 1.5000000000000002,
+     (1.5707963149364823, 1.7095027491360006, 4.065697218080357)),
+    (1, 4.0, REPRODUCE_SETTINGS, 2.0000000000000004,
+     (1.5707963247572496, 4.666185432134645, 0.7391946154236599)),
+    (1, 10.0, REPRODUCE_SETTINGS, 5.000000000000001,
+     (1.5707963249285413, 4.666188970253458, 0.7391981546114915)),
+    (3, 20.0, {}, 5.0, (1.5707963182904605, 5.694136687022979, 6.086835767616304)),
+    (6, 100.0, {}, 6.0174162515159395, (2.391464829858663, 2.692793708628017, 3.5903916039111845)),
+    (6, 205885.75, {}, 11665.8103189345,
+     (2.3661467151486164, 1.1646197098286497, 2.288496687372624)),
+    (6, -1e300, {}, 1.0, (math.pi, 0.0, 0.0)),
+    (2, 5.0, {"grid_per_dim": 9, "tol": 1e-300}, 1.294331053951818,
+     (1.5707963341039033, 1.786655242138807, 5.451846668141526)),
+    (5, 50.0, {"grid_per_dim": 21, "starts": 12}, 3.928791917816621,
+     (0.890859559278794, 4.504759691111563, 2.1345879920127993)),
+])
+def test_3d_results_are_pinned_bit_for_bit(n, lam, settings, value, argmax):
+    res = maximize_3d(payoff_three_param_fn(n, lam), **settings)
+    assert (res.value, res.argmax) == (value, argmax)
 
 
 @pytest.mark.parametrize("n,lam", [(1, 4.0), (2, 7.0), (3, 20.0), (5, 3.0)])
@@ -253,17 +278,54 @@ def test_brent_search_stops_at_float_resolution(f, lo, hi, argmax, value, tol):
 
 @pytest.mark.parametrize("n, lam", [(3, 20.0), (6, 100.0)])
 def test_line_searches_take_about_ten_float_calls(n, lam):
-    # each line search is one array call and its Brent steps' float calls (the
-    # seeds' and cycles' own float calls ride along); golden section took 38
+    # each line search is one row of a scan that scores every live start's
+    # line, and its Brent steps' float calls (the seeds' and cycles' own float
+    # calls ride along); golden section took 38
     f = payoff_three_param_fn(n, lam)
-    calls = {"array": 0, "float": 0}
+    calls = {"rows": 0, "float": 0}
 
     def counted(*args):
-        calls["array" if any(isinstance(a, np.ndarray) for a in args) else "float"] += 1
+        shape = np.broadcast_shapes(*map(np.shape, args))
+        if not shape:
+            calls["float"] += 1
+        elif len(shape) < 3:  # the seed grid is the one 3-D call
+            calls["rows"] += shape[0] if len(shape) == 2 else 1
         return f(*args)
 
     maximize_3d(counted)
-    assert calls["float"] / (calls["array"] - 1) <= 12.0  # the seed grid is one array call
+    assert calls["float"] / calls["rows"] <= 12.0
+
+
+def test_a_start_that_reaches_another_starts_state_stops(monkeypatch):
+    # the default 33^3 scan at n = 3, lam = 20 seeds these two grid points, which
+    # differ only in theta; the theta samples are the same for every start, so
+    # both reach one point in their first cycle, and one (x, value,
+    # displacement) state at the end of their second
+    f = payoff_three_param_fn(3, 20.0)
+    grid = 33 ** 3
+    seeds = [int(np.ravel_multi_index(i, (33, 33, 33))) for i in ((16, 1, 28), (17, 1, 28))]
+
+    def run(flats):
+        monkeypatch.setattr(optimize, "_top_indices", lambda values, k: flats)
+        return maximize_3d(f, starts=len(flats))
+
+    first, second, both = run(seeds[:1]), run(seeds[1:]), run(seeds)
+    assert (both.argmax, both.value) == (first.argmax, first.value) == (second.argmax, second.value)
+    assert both.evaluations - grid < (first.evaluations - grid) + (second.evaluations - grid)
+
+
+def test_starts_whose_states_differ_in_the_last_bit_do_not_merge():
+    # the value ignores coordinate 0, so no line step moves it and each start
+    # keeps its seed's: 0 and the least float above it
+    tiny = math.nextafter(0.0, 1.0)
+    axes = ((2.0 * tiny, False), (TWO_PI, True))
+
+    def f(p, q):
+        return np.cos(q - 1.0)
+
+    one, two = (maximize_box(f, axes, 3, starts, 1e-10) for starts in (1, 2))
+    assert two.value == one.value and two.argmax == one.argmax and one.argmax[0] == 0.0
+    assert two.evaluations - 3 ** 2 == 2 * (one.evaluations - 3 ** 2)
 
 
 _SEED_CASES = {
