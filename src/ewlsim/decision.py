@@ -13,7 +13,10 @@ and costs O(1) per history, where a history tuple would cost O(depth) per
 hash.  A behavioral strategy's outcome is one top-down pass over the ids,
 behavioral_masses, which takes rows of floats or of numpy arrays (one
 strategy per element).  outcome_of, behavioral_gap's objective and the tree
-references of the analysis sweeps all run on it.
+references of the analysis sweeps all run on it.  A problem also keeps its
+pure strategies, built on first use, and the path of every pure strategy
+walked, so the mixed <-> behavioral translations and a mixed outcome neither
+rebuild strategies nor walk a path twice.
 """
 
 from __future__ import annotations
@@ -147,14 +150,28 @@ class DecisionProblem:
     def info_set_index(self, h: History) -> int:
         return self._set[self._nonterminal_id(h)]
 
-    def pure_strategies(self) -> list["PureStrategy"]:
-        """All pure strategies, in lexicographic order over the partition.  More
-        than GRID_BUDGET of them are refused before the first is built."""
+    @cached_property
+    def _pure_plan(self) -> tuple["PureStrategy", ...]:
+        """Every pure strategy, built once, in the order of itertools.product over
+        the action sets; product over the behavioral rows runs in the same order,
+        so it gives each strategy's factors row[action index].  More than
+        GRID_BUDGET of them are refused before the first is built."""
         count = math.prod(map(len, self._set_actions))
         if count > optimize.GRID_BUDGET:
             raise ValueError(f"the problem has {count:,} pure strategies, over the budget of "
                              f"{optimize.GRID_BUDGET:,} (GRID_BUDGET)")
-        return [PureStrategy(choice) for choice in product(*self._set_actions)]
+        return tuple(map(PureStrategy, product(*self._set_actions)))
+
+    @cached_property
+    def _paths(self) -> dict[tuple[int, ...], tuple[int, ...]]:
+        """_pure_walk's memo: the path ids of each valid pure strategy walked so
+        far, keyed by its choices."""
+        return {}
+
+    def pure_strategies(self) -> list["PureStrategy"]:
+        """All pure strategies, in lexicographic order over the partition.  More
+        than GRID_BUDGET of them are refused before the first is built."""
+        return list(self._pure_plan)
 
 
 def checked_probabilities(values: Iterable, what: str) -> tuple[float, ...]:
@@ -359,14 +376,19 @@ def _check_pure(problem: DecisionProblem, strategy: PureStrategy) -> None:
                 raise ValueError(f"action {a} unavailable after history {cell[0]}")
 
 
-def _pure_walk(problem: DecisionProblem, strategy: PureStrategy) -> list[int]:
-    """Ids of the histories the pure strategy passes, from the root to its terminal."""
-    _check_pure(problem, strategy)
-    steps = [acts.index(a) for acts, a in zip(problem._set_actions, strategy.choices)]
-    sets, kids = problem._set, problem._kids
-    path = [0]
-    while sets[path[-1]] is not None:
-        path.append(kids[path[-1]][steps[sets[path[-1]]]])
+def _pure_walk(problem: DecisionProblem, strategy: PureStrategy) -> tuple[int, ...]:
+    """Ids of the histories the pure strategy passes, from the root to its
+    terminal.  A strategy is checked and walked on its first call only; its path
+    then stays in problem._paths.  Threads that miss together store equal paths."""
+    path = problem._paths.get(strategy.choices)
+    if path is None:
+        _check_pure(problem, strategy)
+        steps = [acts.index(a) for acts, a in zip(problem._set_actions, strategy.choices)]
+        sets, kids = problem._set, problem._kids
+        walk = [0]
+        while sets[walk[-1]] is not None:
+            walk.append(kids[walk[-1]][steps[sets[walk[-1]]]])
+        path = problem._paths[strategy.choices] = tuple(walk)
     return path
 
 
@@ -418,14 +440,10 @@ def mixed_from_behavioral(problem: DecisionProblem, strategy: BehavioralStrategy
     information set twice (which fails, deliberately, for the driver).
     """
     _check_behavioral(problem, strategy)
-    weights: dict[PureStrategy, float] = {}
-    for pure in problem.pure_strategies():
-        w = 1.0
-        for row, acts, a in zip(strategy.local, problem._set_actions, pure.choices):
-            w *= row[acts.index(a)]
-        if w > 0.0:
-            weights[pure] = w
-    return MixedStrategy(weights)
+    # product over the rows yields each plan strategy's factors in plan order;
+    # math.prod multiplies them left to right, as w *= factor would from 1.0
+    weights = zip(problem.pure_strategies(), map(math.prod, product(*strategy.local)))
+    return MixedStrategy({pure: w for pure, w in weights if w > 0.0})
 
 
 def behavioral_from_mixed(problem: DecisionProblem, strategy: MixedStrategy) -> BehavioralStrategy:
@@ -435,12 +453,14 @@ def behavioral_from_mixed(problem: DecisionProblem, strategy: MixedStrategy) -> 
     """
     masses = [dict.fromkeys(acts, 0.0) for acts in problem._set_actions]
     reach_totals = [0.0] * len(masses)
+    sets = problem._set
     for pure, w in strategy.weights.items():
         # a pure strategy reaches exactly the histories on its path
+        choices = pure.choices
         for h in _pure_walk(problem, pure)[:-1]:
-            s = problem._set[h]
+            s = sets[h]
             reach_totals[s] += w
-            masses[s][pure.choices[s]] += w
+            masses[s][choices[s]] += w
     rows = []
     for mass, reach_total in zip(masses, reach_totals):
         if reach_total > 0.0:

@@ -9,10 +9,17 @@ package's real-arithmetic kernel.  ``tuple_walk_masses`` and
 ``tuple_walk_recall`` walk decision trees on history tuples through the public
 lookups, the references for the package's walks over integer history ids.
 ``tree_walk_values`` walks a tree once per basis state, the reference for the
-blocks that ``ewl_game`` compiles.
+blocks that ``ewl_game`` compiles.  ``per_call_mixed_from_behavioral``,
+``per_call_outcome`` and ``per_call_behavioral_from_mixed`` redo every step on
+each call (enumerate with ``product``, index actions with ``acts.index``, walk
+history tuples), the references for the package's cached pure-strategy plan and
+path memo.
 """
 
 import math
+from itertools import product
+
+from ewlsim.decision import BehavioralStrategy, MixedStrategy, PureStrategy
 
 import numpy as np
 
@@ -140,3 +147,55 @@ def tree_walk_values(problem):
     if problem.payoffs is None:
         return np.array(walked)
     return np.array([problem.payoffs[label] for label in walked])
+
+
+def per_call_mixed_from_behavioral(problem, strategy):
+    """Product-weight mixed strategy: every pure strategy rebuilt, and each
+    factor found with acts.index, in partition order."""
+    set_actions = [problem.actions(cell[0]) for cell in problem.info_partition]
+    weights = {}
+    for choices in product(*set_actions):
+        pure = PureStrategy(choices)
+        w = 1.0
+        for row, acts, a in zip(strategy.local, set_actions, pure.choices):
+            w *= row[acts.index(a)]
+        if w > 0.0:
+            weights[pure] = w
+    return MixedStrategy(weights)
+
+
+def tuple_walk_path(problem, pure):
+    """The nonterminal history tuples a pure strategy passes, from the root,
+    and the terminal it ends in."""
+    path, h = [], ()
+    while h not in problem.terminal_labels:
+        path.append(h)
+        h += (pure.choices[problem.info_set_index(h)],)
+    return path, h
+
+
+def per_call_outcome(problem, strategy):
+    """Outcome probabilities of a pure or mixed strategy, in sorted label
+    order, one tuple walk per pure strategy."""
+    weights = {strategy: 1.0} if isinstance(strategy, PureStrategy) else strategy.weights
+    probs = dict.fromkeys(problem.labels, 0.0)
+    for pure, w in weights.items():
+        probs[problem.terminal_labels[tuple_walk_path(problem, pure)[1]]] += w
+    return probs
+
+
+def per_call_behavioral_from_mixed(problem, strategy):
+    """Conditional choice probabilities given reach, one tuple walk per pure
+    strategy."""
+    set_actions = [problem.actions(cell[0]) for cell in problem.info_partition]
+    masses = [dict.fromkeys(acts, 0.0) for acts in set_actions]
+    reach_totals = [0.0] * len(masses)
+    for pure, w in strategy.weights.items():
+        for h in tuple_walk_path(problem, pure)[0]:
+            s = problem.info_set_index(h)
+            reach_totals[s] += w
+            masses[s][pure.choices[s]] += w
+    return BehavioralStrategy(tuple(
+        tuple(m / total for m in mass.values()) if total > 0.0
+        else tuple(1.0 / len(mass) for _ in mass)
+        for mass, total in zip(masses, reach_totals)))

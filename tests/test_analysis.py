@@ -321,6 +321,24 @@ def test_prop3_raises_when_the_simulation_misses_the_margin(monkeypatch):
         prop3_verify(3, 1.5)
 
 
+@pytest.mark.parametrize("n", range(2, 7))
+def test_prop3_cross_check_bound_is_n_plus_1_lambda_eps(monkeypatch, n):
+    # the simulation misses the exact margin by at most 0.98 lam eps here, so a
+    # shift of n lam eps stays within (n+1) lam eps and one of (n+2) lam eps
+    # does not; a bound of (n-1) lam eps would refuse the first
+    lam = 1.5 * prop3_params(n)[3]
+    original = analysis.expected_payoff
+    for ulps, passes in ((n, True), (n + 2, False)):
+        shift = ulps * lam * sys.float_info.epsilon
+        monkeypatch.setattr(analysis, "expected_payoff",
+                            lambda game, gates, shift=shift: original(game, gates) + shift)
+        if passes:
+            assert prop3_verify(n, 1.5).dominates
+        else:
+            with pytest.raises(analysis.CrossCheckError, match=f"prop3 margin mismatch at n={n}"):
+                prop3_verify(n, 1.5)
+
+
 def test_an_empty_report_does_not_pass():
     with pytest.raises(ValueError, match="at least one check"):
         analysis.make_report([])

@@ -3,8 +3,10 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import time
 import tracemalloc
+from itertools import product
 
 import numpy as np
 import pytest
@@ -36,7 +38,13 @@ from ewlsim.decision import (
     two_stage_problem,
 )
 from ewlsim.ewl import payoff_one_param
-from oracles import tuple_walk_masses, tuple_walk_recall
+from oracles import (
+    per_call_behavioral_from_mixed,
+    per_call_mixed_from_behavioral,
+    per_call_outcome,
+    tuple_walk_masses,
+    tuple_walk_recall,
+)
 
 # frozen from an independent 2001^2 grid + pattern-search minimization of
 # max(|pq-1/2|, p(1-q), (1-p)q, |(1-p)(1-q)-1/2|): minimum 0.25 at p=q=1/2
@@ -522,6 +530,75 @@ def test_behavioral_outcomes_match_product_mixed_on_two_stage():
         assert outcome_equivalent(outcome_of(prob, beh), outcome_of(prob, mixed), 1e-9)
 
 
+def _mixed_bits(mixed):
+    return [(pure.choices, w.hex()) for pure, w in mixed.weights.items()]
+
+
+def _dist_bits(probs):
+    return [(label, p.hex()) for label, p in probs.items()]
+
+
+def _rows_bits(beh):
+    return [tuple(map(float.hex, row)) for row in beh.local]
+
+
+def _fresh_copy(prob):
+    return DecisionProblem(prob.histories, prob.terminal_labels, prob.info_partition,
+                           prob.payoffs)
+
+
+def _assert_plan_matches_per_call(prob, rng):
+    """Translations and outcomes equal the per-call oracles bit for bit: with a
+    fresh problem for every call, then twice on one problem, which the first
+    round warms (its plan and path memo) and the second reads."""
+    per_call_pure = [PureStrategy(c) for c in
+                     product(*(prob.actions(cell[0]) for cell in prob.info_partition))]
+    behaviorals = []
+    for _ in range(4):  # some entries zero, so some product weights are dropped
+        rows = []
+        for cell in prob.info_partition:
+            k = len(prob.actions(cell[0]))
+            r = rng.uniform(size=k) * (rng.uniform(size=k) > 0.25)
+            r[0] += r.sum() == 0.0
+            rows.append(tuple(r / r.sum()))
+        behaviorals.append(BehavioralStrategy(tuple(rows)))
+    pures = [per_call_pure[int(i)] for i in rng.integers(0, len(per_call_pure), size=6)]
+    mixeds = [per_call_mixed_from_behavioral(prob, b) for b in behaviorals]
+    for _ in range(3):
+        chosen = sorted({int(i) for i in rng.integers(0, len(per_call_pure), size=5)})
+        raw = rng.uniform(size=len(chosen))
+        mixeds.append(MixedStrategy({per_call_pure[i]: float(w)
+                                     for i, w in zip(chosen, raw / raw.sum())}))
+    want = ([_mixed_bits(m) for m in mixeds[:len(behaviorals)]],
+            [_dist_bits(per_call_outcome(prob, s)) for s in pures + mixeds],
+            [_rows_bits(per_call_behavioral_from_mixed(prob, m)) for m in mixeds])
+
+    def calls(problem):
+        return ([_mixed_bits(mixed_from_behavioral(problem(), b)) for b in behaviorals],
+                [_dist_bits(outcome_of(problem(), s).probs) for s in pures + mixeds],
+                [_rows_bits(behavioral_from_mixed(problem(), m)) for m in mixeds])
+
+    assert calls(lambda: _fresh_copy(prob)) == want
+    warm = _fresh_copy(prob)
+    assert "_pure_plan" not in vars(warm) and "_paths" not in vars(warm)
+    assert calls(lambda: warm) == want
+    assert len(vars(warm)["_pure_plan"]) == len(per_call_pure)
+    assert calls(lambda: warm) == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(_partitioned_trees(), st.integers(0, 2**32 - 1))
+def test_plan_and_memo_match_the_per_call_oracles_on_partitioned_trees(prob, seed):
+    _assert_plan_matches_per_call(prob, np.random.default_rng(seed))
+
+
+def test_plan_and_memo_match_the_per_call_oracles_on_random_trees():
+    rng = np.random.default_rng(17)
+    for prob in ([_random_tree(rng) for _ in range(10)]
+                 + [two_stage_problem(), perfect_recall_control(), n_tuple_driver(5, 3.0)]):
+        _assert_plan_matches_per_call(prob, rng)
+
+
 # ------------------------------------------------------------ behavioral gap
 
 
@@ -608,6 +685,122 @@ def test_pure_strategies_past_the_budget_are_refused_before_any_is_built(monkeyp
         prob.pure_strategies()
     with pytest.raises(ValueError, match="GRID_BUDGET"):
         mixed_from_behavioral(prob, BehavioralStrategy(((0.5, 0.5),) * 21))
+
+
+def _ternary_pair():
+    """Two information sets of three actions each: 9 pure strategies."""
+    histories = [()] + [(a,) for a in range(3)] + [(a, b) for a in range(3) for b in range(3)]
+    return DecisionProblem(tuple(histories), {h: f"o{h[0]}{h[1]}" for h in histories[4:]},
+                           (((),), ((0,), (1,), (2,))))
+
+
+def test_pure_strategies_at_the_budget_enumerate_and_one_more_is_refused(monkeypatch):
+    beh = BehavioralStrategy(((0.5, 0.25, 0.25), (0.2, 0.3, 0.5)))
+    monkeypatch.setattr(optimize, "GRID_BUDGET", 9)
+    prob = _ternary_pair()
+    assert [s.choices for s in prob.pure_strategies()] == list(product(range(3), range(3)))
+    assert len(mixed_from_behavioral(prob, beh).weights) == 9
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a pure strategy was built")
+
+    monkeypatch.setattr(optimize, "GRID_BUDGET", 8)
+    monkeypatch.setattr(decision, "PureStrategy", refused)
+    prob = _ternary_pair()
+    for _ in range(2):  # a refusal is not cached: it is made again
+        with pytest.raises(ValueError, match=r"has 9 pure strategies, over the budget of 8 "
+                                             r"\(GRID_BUDGET\)"):
+            prob.pure_strategies()
+        with pytest.raises(ValueError, match="has 9 pure strategies, over the budget of 8"):
+            mixed_from_behavioral(prob, beh)
+    assert "_pure_plan" not in vars(prob)
+
+
+def test_a_pure_outcome_past_the_budget_walks_one_path_and_builds_no_plan(monkeypatch):
+    motorway = [(1,) * t for t in range(21)]  # 21 binary sets: 2**21 pure strategies
+    terminals = [h + (0,) for h in motorway] + [(1,) * 21]
+    prob = DecisionProblem(tuple(motorway + terminals), {h: str(h) for h in terminals},
+                           tuple((h,) for h in motorway))
+    pure = PureStrategy((1,) * 10 + (0,) * 11)
+    assert outcome_of(prob, pure)[str((1,) * 10 + (0,))] == 1.0
+    assert "_pure_plan" not in vars(prob)
+    assert list(prob._paths) == [pure.choices]
+
+    def walked(*args):
+        raise AssertionError("a memoized strategy was checked and walked again")
+
+    monkeypatch.setattr(decision, "_check_pure", walked)
+    assert outcome_of(prob, PureStrategy(pure.choices))[str((1,) * 10 + (0,))] == 1.0
+
+
+def test_an_invalid_pure_strategy_is_refused_on_every_call():
+    prob = two_stage_problem()
+    bad = {PureStrategy((0, 5)): "action 5 unavailable",
+           PureStrategy((0,)): "does not cover every information set"}
+    for rnd in range(2):  # the second round runs on a warm plan and memo
+        for pure, message in bad.items():
+            with pytest.raises(ValueError, match=message):
+                outcome_of(prob, pure)
+            with pytest.raises(ValueError, match=message):
+                outcome_of(prob, MixedStrategy({PureStrategy((1, 1)): 0.5, pure: 0.5}))
+            with pytest.raises(ValueError, match=message):
+                behavioral_from_mixed(prob, MixedStrategy({pure: 1.0}))
+        mixed = mixed_from_behavioral(prob, BehavioralStrategy(((0.5, 0.5), (0.5, 0.5))))
+        assert behavioral_from_mixed(prob, mixed).local == ((0.5, 0.5), (0.5, 0.5))
+        assert outcome_of(prob, mixed).probs == dict.fromkeys(prob.labels, 0.25)
+    assert sorted(prob._paths) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+
+
+def test_a_replaced_problem_gets_a_plan_and_memo_of_its_own():
+    prob = two_stage_problem()
+    mixed = mixed_from_behavioral(prob, BehavioralStrategy(((0.5, 0.5), (0.25, 0.75))))
+    outcome_of(prob, mixed)
+    control = perfect_recall_control()  # replace(two_stage_problem(), info_partition=...)
+    assert "_pure_plan" not in vars(control) and "_paths" not in vars(control)
+    assert [s.choices for s in control.pure_strategies()] == list(product((0, 1), repeat=3))
+    with pytest.raises(ValueError, match="does not cover every information set"):
+        outcome_of(control, PureStrategy((0, 1)))
+    assert outcome_of(control, PureStrategy((1, 0, 1)))["o11"] == 1.0
+    assert len(prob.pure_strategies()) == 4 and sorted(prob._paths) == sorted(
+        s.choices for s in prob.pure_strategies())
+
+
+def test_threads_sharing_one_problem_get_the_single_threaded_results():
+    rng = np.random.default_rng(5)
+    behaviorals = [BehavioralStrategy(tuple((p, 1.0 - p) for p in rng.uniform(size=3)))
+                   for _ in range(40)]
+
+    def work(prob):
+        out = []
+        for beh in behaviorals:
+            mixed = mixed_from_behavioral(prob, beh)
+            back = behavioral_from_mixed(prob, mixed)
+            out.append((_mixed_bits(mixed), _rows_bits(back),
+                        _dist_bits(outcome_of(prob, mixed).probs),
+                        [_dist_bits(outcome_of(prob, pure).probs) for pure in mixed.weights]))
+        return out
+
+    want = work(perfect_recall_control())
+    shared = perfect_recall_control()
+    results = [None] * 8
+    barrier = threading.Barrier(len(results))
+
+    def run(i):
+        barrier.wait()
+        results[i] = work(shared)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(len(results))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [want] * len(results)
 
 
 def test_gap_rejects_foreign_labels():
