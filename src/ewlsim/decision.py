@@ -197,6 +197,9 @@ class PureStrategy:
     def __post_init__(self):
         object.__setattr__(self, "choices", tuple(int(a) for a in self.choices))
 
+    def __hash__(self):  # kept by the dataclass; its own would hash (choices,)
+        return hash(self.choices)
+
 
 @dataclass(frozen=True)
 class MixedStrategy:
@@ -334,7 +337,8 @@ def behavioral_masses(problem: DecisionProblem,
     bit for bit.  One top-down pass multiplies each history's reach into its
     children and then drops it; a label is yielded as soon as its last terminal
     is reached, so an array call keeps only a few arrays of the broadcast shape
-    alive.  The rows are not checked.
+    alive.  A yielded array is a fresh sum or product that the pass does not
+    read again, so the caller may overwrite it.  The rows are not checked.
     """
     labels, kids, closers = problem._label, problem._kids, problem._label_closers
     if labels[0] is not None:  # a tree without moves
@@ -507,14 +511,27 @@ def _neg_distance_fn(problem: DecisionProblem, target: OutcomeDistribution):
 
     f takes Python floats or numpy arrays that broadcast together; both run
     through behavioral_masses, so a float call and an array call agree bit for
-    bit, and an array call keeps only a few arrays of the broadcast shape alive.
+    bit.  An array call keeps one worst-so-far array of the broadcast shape and
+    turns each mass into its distance in place, so it keeps only a few arrays of
+    that shape alive.
     """
+    probs = target.probs
+
     def neg_distance(*params):
-        peak = max if all(type(p) is float for p in params) else np.maximum
-        worst = 0.0
-        for label, mass in behavioral_masses(problem, [(p, 1.0 - p) for p in params]):
-            worst = peak(worst, abs(mass - target.probs[label]))
-        return -worst
+        masses = behavioral_masses(problem, [(p, 1.0 - p) for p in params])
+        if all(type(p) is float for p in params):
+            worst = 0.0
+            for label, mass in masses:
+                worst = max(worst, abs(mass - probs[label]))
+            return -worst
+        worst = np.zeros(np.broadcast(*params).shape)
+        for label, mass in masses:
+            if type(mass) is np.ndarray:  # a fresh product: measure it in place
+                mass = np.abs(np.subtract(mass, probs[label], out=mass), out=mass)
+            else:  # a label that only float parameters reach
+                mass = abs(mass - probs[label])
+            np.maximum(worst, mass, out=worst)
+        return np.negative(worst, out=worst)[()]  # [()] makes a 0-d result a scalar, as -worst did
 
     return neg_distance
 
@@ -525,13 +542,41 @@ def _neg_distance_fn(problem: DecisionProblem, target: OutcomeDistribution):
 
 
 def problem_to_json(problem: DecisionProblem, indent: int | None = None) -> str:
-    """The problem as compact JSON; indent=2 gives the readable, one-number-per-line form."""
-    return json.dumps({
-        "histories": [list(h) for h in problem.histories],
-        "partition": [[problem._ids[h] for h in cell] for cell in problem.info_partition],
+    """The problem as compact JSON; indent=2 gives the readable, one-number-per-line form.
+
+    The text is json.dumps's, byte for byte.  Each history's text is its
+    parent's with one more action, so a history costs O(1) Python work and one
+    string copy; an action that is not exactly an int is written, or refused,
+    by json.dumps itself.
+    """
+    cells: list[list[int]] = [[] for _ in problem.info_partition]
+    for i, s in enumerate(problem._set):  # ids ascend within a cell, as in info_partition
+        if s is not None:
+            cells[s].append(i)
+    rest = json.dumps({
+        "histories": 0,
+        "partition": cells,
         "labels": {str(i): lab for i, lab in enumerate(problem._label) if lab is not None},
         "payoffs": dict(problem.payoffs) if problem.payoffs is not None else None,
     }, indent=indent)
+    if indent is None:
+        outer = inner = ("[", ", ", "]")
+    else:  # json.dumps's layout: one item a line, indented by nesting level
+        step = indent if isinstance(indent, str) else " " * indent
+        outer = ("[\n" + step * 2, ",\n" + step * 2, "\n" + step + "]")
+        inner = ("[\n" + step * 3, ",\n" + step * 3, "\n" + step * 2 + "]")
+    first, sep, close = inner
+    hist = problem.histories
+    texts = ["[]"] * len(hist)
+    for parent, kids in enumerate(problem._kids):
+        if not kids:
+            continue
+        head = first if parent == 0 else texts[parent][:-len(close)] + sep
+        for child in kids:
+            a = hist[child][-1]
+            texts[child] = head + (str(a) if type(a) is int else json.dumps(a)) + close
+    before, _, after = rest.partition('"histories": 0')  # the first key
+    return before + '"histories": ' + outer[0] + outer[1].join(texts) + outer[2] + after
 
 
 def _is_int_type(t: type) -> bool:

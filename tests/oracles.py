@@ -13,9 +13,12 @@ blocks that ``ewl_game`` compiles.  ``per_call_mixed_from_behavioral``,
 ``per_call_outcome`` and ``per_call_behavioral_from_mixed`` redo every step on
 each call (enumerate with ``product``, index actions with ``acts.index``, walk
 history tuples), the references for the package's cached pure-strategy plan and
-path memo.
+path memo.  ``json_dumps_problem`` hands the whole document, every history as a
+list, to ``json.dumps``: the reference for ``problem_to_json``, which writes
+each history from its parent's text.
 """
 
+import json
 import math
 from itertools import product
 
@@ -199,3 +202,17 @@ def per_call_behavioral_from_mixed(problem, strategy):
         tuple(m / total for m in mass.values()) if total > 0.0
         else tuple(1.0 / len(mass) for _ in mass)
         for mass, total in zip(masses, reach_totals)))
+
+
+def json_dumps_problem(problem, indent=None):
+    """The problem's JSON document in one json.dumps call: every history as a
+    list of its actions, each information set as the positions of its members
+    in ``histories``, the labels keyed by position in that order."""
+    position = {h: i for i, h in enumerate(problem.histories)}
+    return json.dumps({
+        "histories": [list(h) for h in problem.histories],
+        "partition": [[position[h] for h in cell] for cell in problem.info_partition],
+        "labels": {str(i): problem.terminal_labels[h] for i, h in enumerate(problem.histories)
+                   if h in problem.terminal_labels},
+        "payoffs": dict(problem.payoffs) if problem.payoffs is not None else None,
+    }, indent=indent)

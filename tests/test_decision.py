@@ -39,6 +39,7 @@ from ewlsim.decision import (
 )
 from ewlsim.ewl import payoff_one_param
 from oracles import (
+    json_dumps_problem,
     per_call_behavioral_from_mixed,
     per_call_mixed_from_behavioral,
     per_call_outcome,
@@ -599,6 +600,14 @@ def test_plan_and_memo_match_the_per_call_oracles_on_random_trees():
         _assert_plan_matches_per_call(prob, rng)
 
 
+def test_equal_pure_strategies_hash_equal_and_find_each_others_weights():
+    a, b = PureStrategy((0, 1, 1)), PureStrategy((np.int64(0), True, 1.0))
+    assert a == b and a is not b and hash(a) == hash(b) == hash((0, 1, 1))
+    mixed = MixedStrategy({a: 0.25, PureStrategy((1, 1, 1)): 0.75})
+    assert mixed.weights[PureStrategy((0, 1, 1))] == 0.25
+    assert mixed.weights[b] == 0.25 and PureStrategy((1, 0, 1)) not in mixed.weights
+
+
 # ------------------------------------------------------------ behavioral gap
 
 
@@ -860,6 +869,67 @@ def test_gap_objective_float_and_array_calls_agree_with_path_products(prob):
         assert value == pytest.approx(-distance, abs=1e-15)
 
 
+def _grid_calls(k):
+    """Array calls on k = 2 or 3 sets: a 201**2 grid over two sets and, at
+    k = 3, a float for the third, once per choice of that set (maximize_box's
+    line scans mix floats and arrays so)."""
+    axis = np.linspace(0.0, 1.0, 201)
+    rows, cols = np.ix_(axis, axis)
+    if k == 2:
+        return [(rows, cols)]
+    return [(0.3, rows, cols), (rows, 0.3, cols), (rows, cols, 0.3)]
+
+
+@pytest.mark.parametrize("prob", [two_stage_problem(), perfect_recall_control()],
+                         ids=["two_sets", "three_sets"])
+def test_gap_objective_grid_values_equal_the_float_calls_exactly(prob):
+    k = len(prob.info_partition)
+    f = _neg_distance_fn(prob, outcome_of(prob, BehavioralStrategy(((0.3, 0.7),) * k)))
+    for params in _grid_calls(k):
+        values = f(*params)
+        grid = np.broadcast_arrays(*params)
+        floats = [f(*(float(p[idx]) for p in grid)) for idx in np.ndindex(values.shape)]
+        assert np.array_equal(values.ravel(), floats)
+
+
+@pytest.mark.parametrize("prob", [n_tuple_outcomes(2), two_stage_problem(),
+                                  perfect_recall_control()],
+                         ids=["one_set", "two_sets", "three_sets"])
+def test_gap_objective_array_call_leaves_the_callers_arrays_unchanged(prob):
+    k = len(prob.info_partition)
+    f = _neg_distance_fn(prob, outcome_of(prob, BehavioralStrategy(((0.3, 0.7),) * k)))
+    calls = [(np.linspace(0.0, 1.0, 201),)] if k == 1 else _grid_calls(k)
+    for params in calls:
+        kept = [np.copy(p) for p in params]
+        values = f(*params)
+        assert all(values is not p and np.array_equal(p, c) for p, c in zip(params, kept))
+
+
+def test_gap_objective_returns_a_scalar_for_scalar_arguments():
+    f = _neg_distance_fn(two_stage_problem(), HALF_HALF)
+    value = f(0.3, 0.4)
+    assert type(value) is float
+    for params in ((np.float64(0.3), 0.4), (np.array(0.3), np.array(0.4))):
+        result = f(*params)
+        assert type(result) is np.float64 and result == value
+
+
+def test_gap_objective_grid_scan_of_two_sets_peaks_within_3_75_grids():
+    # the 201**2 scan held 4.02 grids at its peak when each label's distance
+    # took three temporaries; reusing each mass in place holds 3.43
+    prob = two_stage_problem()
+    f = _neg_distance_fn(prob, HALF_HALF)
+    params = _grid_calls(2)[0]
+    f(*params)
+    tracemalloc.start()
+    try:
+        f(*params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.75 * 201**2 * 8
+
+
 def test_gap_objective_array_call_keeps_few_arrays_alive():
     # 32 labels of 100,000 points each would be 24.4 MiB if all were held at once
     prob = n_tuple_outcomes(30)
@@ -909,6 +979,55 @@ def test_json_documents_keep_their_value_compact_and_indented(prob, doc):
     compact = problem_to_json(prob)
     assert "\n" not in compact and json.loads(compact) == doc
     assert json.loads(problem_to_json(prob, indent=2)) == doc
+
+
+_INDENTS = (None, 0, 2, 4)
+
+
+def _assert_writer_matches_json_dumps(prob):
+    # no assert: pytest's diff of two texts of megabytes would take minutes
+    for indent in _INDENTS:
+        got, want = problem_to_json(prob, indent), json_dumps_problem(prob, indent)
+        if got != want:
+            at = len(os.path.commonprefix([got, want]))
+            pytest.fail(f"indent={indent!r}: {got[at - 20:at + 20]!r} where json.dumps writes "
+                        f"{want[at - 20:at + 20]!r}")
+
+
+@settings(max_examples=60, deadline=None)
+@given(_partitioned_trees())
+def test_json_writer_matches_json_dumps_on_partitioned_trees(prob):
+    _assert_writer_matches_json_dumps(prob)
+
+
+def test_json_writer_matches_json_dumps_on_random_and_named_trees():
+    rng = np.random.default_rng(30)
+    moveless = DecisionProblem(((),), {(): "a"}, ())
+    for prob in ([_random_tree(rng, max_depth=4) for _ in range(10)]
+                 + [two_stage_problem(), perfect_recall_control(), moveless]):
+        _assert_writer_matches_json_dumps(prob)
+
+
+@pytest.mark.parametrize("n", [1, 5, 100, 800])
+def test_json_writer_matches_json_dumps_on_driver_trees(n):
+    _assert_writer_matches_json_dumps(n_tuple_driver(n, 3.0))
+
+
+@pytest.mark.parametrize("actions", [(False, True), (np.int64(0), np.int64(1)), ("a", "b\"c"),
+                                     (0.5, 1.5)], ids=["bool", "int64", "str", "float"])
+def test_json_writer_leaves_actions_that_are_not_ints_to_json_dumps(actions):
+    # the driver tree of n = 1 on these actions: the second action continues
+    a, b = actions
+    prob = DecisionProblem(((), (a,), (b,), (b, a), (b, b)), {(a,): "x", (b, a): "y", (b, b): "z"},
+                           (((), (b,)),))
+    for indent in _INDENTS:
+        try:
+            want = json_dumps_problem(prob, indent)
+        except TypeError as error:
+            with pytest.raises(type(error)):
+                problem_to_json(prob, indent)
+        else:
+            assert problem_to_json(prob, indent) == want
 
 
 @pytest.mark.parametrize("histories", [
