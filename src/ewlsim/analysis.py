@@ -126,13 +126,17 @@ def _on_every_qubit(gates: np.ndarray, m: int) -> np.ndarray:
     return np.broadcast_to(gates[:, None], (len(gates), m, 2, 2))
 
 
+def _first_qubit_only(gates: np.ndarray) -> np.ndarray:
+    """Runs of row i of a (k, 2, 2) gate stack on qubit 1, the identity on qubit 2."""
+    return np.stack(np.broadcast_arrays(gates, gate_stack(0.0)), axis=1)
+
+
 def _prop1_deviation(mixtures) -> float:
     """Largest outcome error of the gates that _prop1_angles, prop1_solve's kernel, gives
     at once for the rows of a (k, 4) array of mixtures, simulated in one stacked call."""
     mixtures = np.asarray(mixtures, dtype=float)
-    first = gate_stack(*_prop1_angles(*mixtures.T))
-    runs = np.stack(np.broadcast_arrays(first, gate_stack(0.0)), axis=1)  # identity on qubit 2
-    masses = outcome_masses(_TWO_STAGE_GAME, runs)
+    gates = gate_stack(*_prop1_angles(*mixtures.T))
+    masses = outcome_masses(_TWO_STAGE_GAME, _first_qubit_only(gates))
     order = [_TWO_STAGE_GAME.labels.index(lab) for lab in ("o00", "o01", "o10", "o11")]
     return float(np.abs(masses[:, order] - mixtures).max())
 
@@ -294,11 +298,9 @@ def classical_optimum(n: int, lam: float, tol: float) -> tuple[OptResult, float,
 def quantum_optimum(n: int, lam: float, grid_per_dim: int, starts: int,
                     tol: float) -> tuple[OptResult, float]:
     """maximize_3d of the three-parameter payoff, cross-checked against the driver game
-    simulated at the argmax (theta clamped, phases wrapped): (result, simulated payoff)."""
+    simulated at the argmax: (result, simulated payoff)."""
     res = maximize_3d(payoff_three_param_fn(n, lam), grid_per_dim, starts, tol)
-    theta, alpha, beta = res.argmax
-    gate = build_gate(UnitaryParams(min(max(theta, 0.0), math.pi),
-                                    wrap_phase(alpha), wrap_phase(beta)))
+    gate = build_gate(UnitaryParams(*res.argmax))
     sim = expected_payoff(n_tuple_driver_game(n, lam), [gate] * (n + 1))
     _cross_check("quantum", res.value, sim, "simulation at the argmax", 0.0)
     return res, sim
@@ -412,10 +414,11 @@ def formulas_verify(n_max: int = 5, samples: int = 500, seed: int = 11) -> dict:
     lam = 4.0
     thetas = np.linspace(0.0, math.pi, 101)
     exits = _exit_rows(thetas)
+    gates = gate_stack(thetas)
     for n in range(1, max(n_max, 6) + 1):
         problem = n_tuple_driver(n, lam)
         closed = payoff_one_param(n, lam, thetas)
-        sim = expected_payoffs(ewl_game(problem), _on_every_qubit(gate_stack(thetas), n + 1))
+        sim = expected_payoffs(ewl_game(problem), _on_every_qubit(gates, n + 1))
         tree = sum(problem.payoffs[lab] * mass for lab, mass in behavioral_masses(problem, exits))
         dev_sim = max(dev_sim, _max_dev(closed, sim))
         dev_tree = max(dev_tree, _max_dev(closed, tree))
@@ -449,9 +452,7 @@ def formulas_verify(n_max: int = 5, samples: int = 500, seed: int = 11) -> dict:
     s2 = np.sin(theta1 / 2.0) ** 2
     form = ((payoffs[0] * np.cos(alpha1) ** 2 + payoffs[3] * np.sin(alpha1) ** 2) * c2
             + (payoffs[1] * np.sin(beta1) ** 2 + payoffs[2] * np.cos(beta1) ** 2) * s2)
-    first = gate_stack(theta1, alpha1, beta1)
-    runs = np.stack(np.broadcast_arrays(first, gate_stack(0.0)), axis=1)  # identity on qubit 2
-    sim = expected_payoffs(two_qubit_game, runs)
+    sim = expected_payoffs(two_qubit_game, _first_qubit_only(gate_stack(theta1, alpha1, beta1)))
     dev = _max_dev(sim, form)
     checks.append(make_check(
         "first_qubit_only_form_vs_simulation", {"samples": 100, "seed": seed},

@@ -236,7 +236,7 @@ def cmd_optimize(args: argparse.Namespace) -> dict:
         shortfall = max(classical - quantum, 0.0)
         checks.append(analysis.make_check(
             "quantum_classical_ratio", {"n": n, "lambda": lam},
-            None, quantum / classical if classical else math.inf, shortfall,
+            None, quantum / classical, shortfall,
             shortfall <= analysis.search_slack(classical, args.tol)))
     return analysis.make_report(checks)
 
@@ -273,9 +273,8 @@ def verify_formulas(args: argparse.Namespace) -> dict:
 def cmd_landscape(args: argparse.Namespace) -> str:
     if args.n > MAX_QUBITS - 1:  # the n range optimize searches the same closed form in
         raise ValueError(f"--n must be at most {MAX_QUBITS - 1} (MAX_QUBITS - 1), got {args.n}")
-    index = np.arange(args.grid)
-    thetas = index * math.pi / (args.grid - 1)
-    phases = index * TWO_PI / (args.grid - 1)
+    thetas = optimize.closed_grid(0.0, math.pi, args.grid)
+    phases = optimize.closed_grid(0.0, TWO_PI, args.grid)
     f = ewl.payoff_three_param_fn(args.n, args.lam)
     values = f(thetas[:, None, None], phases[None, :, None], phases[None, None, :])
     rows = ["theta,alpha,beta,payoff"]

@@ -46,6 +46,7 @@ class DecisionProblem:
     also keeps the integer plan the walks read: _ids (history -> id), and per
     id _kids (child ids in action order), _set (information set id, None at
     terminals) and _label (label, None at nonterminals), plus _set_actions.
+    A repeated history or set member, or a payoff no label takes, is refused.
     """
 
     histories: tuple[History, ...]
@@ -55,12 +56,15 @@ class DecisionProblem:
 
     def __post_init__(self):
         ids: dict[History, int] = {}  # sorted, so ids[h] is h's position
-        for h in sorted(map(tuple, self.histories), key=lambda h: (len(h), h)):
+        given = sorted(map(tuple, self.histories), key=lambda h: (len(h), h))
+        for h in given:
             ids.setdefault(h, len(ids))
         hist = tuple(ids)
         object.__setattr__(self, "histories", hist)
         if not hist or hist[0] != ():
             raise ValueError("the empty history must be present")
+        if len(hist) < len(given):
+            raise ValueError("'histories' lists a history twice")
         kids: list[tuple[int, ...]] = [()] * len(hist)
         for i, h in enumerate(hist[1:], 1):
             parent = ids.get(h[:-1])
@@ -100,6 +104,8 @@ class DecisionProblem:
             cells.append(sorted(members))
         if not covered or sets.count(None) != len(labels):
             raise ValueError("information partition must cover exactly the nonterminal histories")
+        if sum(map(len, cells)) < sum(map(len, self.info_partition)):
+            raise ValueError("an information set lists a history twice")
         set_actions = []
         for members in cells:
             acts = [tuple(hist[k][-1] for k in kids[i]) for i in members]
@@ -122,6 +128,9 @@ class DecisionProblem:
             missing = set(labels.values()) - set(pay)
             if missing:
                 raise ValueError(f"payoffs missing for labels {sorted(missing)}")
+            unknown = set(pay) - set(labels.values())
+            if unknown:
+                raise ValueError(f"payoffs name labels that no terminal carries: {sorted(unknown)}")
             object.__setattr__(self, "payoffs", pay)
 
     @cached_property
@@ -624,18 +633,9 @@ def problem_from_json(text: str) -> DecisionProblem:
               for i, lab in doc["labels"].items()}
     if len(labels) < len(doc["labels"]):
         raise ValueError("two label keys name the same history (as \"1\" and \"01\" do)")
-    problem = DecisionProblem(
+    return DecisionProblem(
         histories=tuple(histories),
         terminal_labels=labels,
         info_partition=tuple(tuple(history(i) for i in cell) for cell in doc["partition"]),
         payoffs=doc.get("payoffs"),
     )
-    # the tree keeps one copy of a repeated history or set member: count them
-    if len(problem.histories) < len(histories):
-        raise ValueError("'histories' lists a history twice")
-    if sum(map(len, problem.info_partition)) < sum(map(len, doc["partition"])):
-        raise ValueError("an information set in 'partition' lists a history twice")
-    unknown = set(problem.payoffs or ()) - set(problem.labels)
-    if unknown:
-        raise ValueError(f"payoffs name labels that no terminal carries: {sorted(unknown)}")
-    return problem

@@ -116,30 +116,34 @@ def _values_on(points_shape: tuple[int, ...], values):
     return values.reshape(points_shape)
 
 
-def _brent_on_scan(f, lo: float, step: float, values: np.ndarray, tol: float,
-                   periodic: bool) -> tuple[float, float, int]:
-    """Brent's method from the best of the samples lo + i step (i < n), whose
-    values f already gave, on that sample's bracket: (argmax, value >= the
-    samples' max, points evaluated, the n samples included).  A periodic
-    bracket may reach past the samples' span, where f must repeat itself."""
-    n = values.size
+def closed_grid(lo: float, hi: float, n: int) -> np.ndarray:
+    """n >= 2 points spanning [lo, hi]: lo + i (hi - lo)/(n - 1), the last one
+    hi itself, where the formula may round one ulp past it."""
+    points = lo + np.arange(n) * (hi - lo) / (n - 1)
+    points[-1] = hi
+    return points
+
+
+def _brent_on_scan(f, points: np.ndarray, values: np.ndarray, tol: float,
+                   period_step: float | None) -> tuple[float, float, int]:
+    """Brent's method from the best of the samples at points, whose values f
+    already gave: (argmax, value >= the samples' max, points evaluated, the
+    samples included).  Its bracket ends at the best sample's neighbours, or on
+    a periodic line period_step either side of it, where f must repeat itself."""
     best_i = int(values.argmax())
-    center = lo + best_i * step
-    if periodic:
-        a, b = center - step, center + step
+    center = float(points[best_i])
+    if period_step is not None:
+        a, b = center - period_step, center + period_step
     else:
-        a = lo + max(best_i - 1, 0) * step
-        b = lo + min(best_i + 1, n - 1) * step
+        a, b = float(points[max(best_i - 1, 0)]), float(points[min(best_i + 1, values.size - 1)])
     x, v, evaluations = _brent_max(f, a, b, center, float(values[best_i]), tol)
-    return x, v, n + evaluations
+    return x, v, values.size + evaluations
 
 
 def _grid_then_brent(f, lo: float, hi: float, n: int, tol: float) -> tuple[float, float, int]:
-    """Best of n points spanning [lo, hi], scored in one call of f on their
-    array (a scalar result stands for every point), then _brent_on_scan."""
-    step = (hi - lo) / (n - 1)
-    points = lo + np.arange(n) * step
-    return _brent_on_scan(f, lo, step, _values_on(points.shape, f(points)), tol, False)
+    """Best of closed_grid(lo, hi, n), scored in one array call of f, then _brent_on_scan."""
+    points = closed_grid(lo, hi, n)
+    return _brent_on_scan(f, points, _values_on(points.shape, f(points)), tol, None)
 
 
 def maximize_1d(f: Callable, lo: float, hi: float, tol: float = 1e-8) -> OptResult:
@@ -169,22 +173,18 @@ def _slice(f, x: list[float], coord: int) -> Callable:
 
 
 def _scan_lines(f, xs: list[list[float]], coord: int, hi: float,
-                periodic: bool) -> tuple[list[float], list[float], np.ndarray]:
+                periodic: bool) -> tuple[np.ndarray, np.ndarray, list[float]]:
     """The LINE_SAMPLES samples of coordinate coord's line through each point of
-    xs, scored in one call of f: (lo, step, values), row s of values f at
-    lo[s] + i step[s].  A line spans [0, hi], or a phase's period from the
-    point's phase on.  One point's held coordinates go in as floats, several
-    points' as a column each."""
+    xs, scored in one call of f: (points, values, steps), row s of values f at
+    row s of points, lo + i step.  A line spans [0, hi] from lo = 0, or a
+    phase's period from the point's phase lo.  f gets the samples as a
+    (len(xs), 65) array and each held coordinate as a (len(xs), 1) column."""
     los = [x[coord] for x in xs] if periodic else [0.0] * len(xs)
     steps = [((lo + hi) - lo) / (LINE_SAMPLES if periodic else LINE_SAMPLES - 1) for lo in los]
-    if len(xs) == 1:
-        x = xs[0]
-        values = f(*x[:coord], los[0] + _SAMPLE_INDEX * steps[0], *x[coord + 1:])
-    else:
-        columns = list(np.array(xs).T[:, :, None])
-        columns[coord] = np.array(los)[:, None] + np.multiply.outer(steps, _SAMPLE_INDEX)
-        values = f(*columns)
-    return los, steps, _values_on((len(xs), LINE_SAMPLES), values)
+    columns = list(np.array(xs).T[:, :, None])
+    columns[coord] = points = np.array(los)[:, None] + np.multiply.outer(steps, _SAMPLE_INDEX)
+    values = _values_on((len(xs), LINE_SAMPLES), f(*columns))
+    return points, values, steps
 
 
 def _displacement(start: list[float], x: list[float],
@@ -238,8 +238,10 @@ def maximize_box(f: Callable, axes: tuple[tuple[float, bool], ...], grid_per_dim
     """Maximize f(x_1, ..., x_k) over a box with one (hi, periodic) axis per argument.
 
     An axis spans [0, hi]; a periodic one is a phase, hi = 2pi, and wraps
-    around on [0, 2pi).  A grid_per_dim**k scan seeds `starts` refinements
-    from its best points, the lowest flat index first among equal values.
+    around on [0, 2pi).  Every argmax lies in the box: bounded coordinates in
+    [0, hi], phases in [0, 2pi).  A grid_per_dim**k scan of closed_grid axes
+    (a phase's without 2pi) seeds `starts` refinements from its best points,
+    the lowest flat index first among equal values.
     Each refinement runs cycles of line searches (65 samples, then Brent's
     method on the best one's bracket), one per coordinate in turn; a phase
     line's samples start at the current phase, so a narrow peak holding the
@@ -264,10 +266,10 @@ def maximize_box(f: Callable, axes: tuple[tuple[float, bool], ...], grid_per_dim
     search probes phases off [0, hi) unwrapped and wraps only its argmax.  The
     seed scan is one array call, and so is each coordinate's scan of every
     live refinement's line: f gets the samples as a (live, 65) array and each
-    held coordinate as a (live, 1) column, or as floats when one refinement is
-    live.  Brent's steps are float calls of h, built once per line search:
-    f.line(coord, x) when f has that method, which must return f at x with
-    coordinate coord set to the float t; otherwise a slice of f.  A pattern
+    held coordinate as a (live, 1) column.  Brent's steps are float calls of
+    h, built once per line search: f.line(coord, x) when f has that method,
+    which must return f at x with coordinate coord set to the float t;
+    otherwise a slice of f.  A pattern
     step is one array call and float calls of a slice of f.  `evaluations`
     counts points, not calls.  Scans over GRID_BUDGET points are refused.
     """
@@ -281,18 +283,14 @@ def maximize_box(f: Callable, axes: tuple[tuple[float, bool], ...], grid_per_dim
         raise ValueError("starts must be >= 1")
     _check_tol(tol)
 
-    index = np.arange(grid_per_dim)
-    grids = [index * hi / (grid_per_dim if periodic else grid_per_dim - 1) for hi, periodic in axes]
+    grids = [closed_grid(0.0, hi, grid_per_dim + periodic)[:grid_per_dim] for hi, periodic in axes]
     values = np.broadcast_to(f(*np.ix_(*grids)), (grid_per_dim,) * k).ravel()
     evaluations = grid_per_dim ** k
     top = _top_indices(values, starts)
 
-    def grid_point(flat: int) -> tuple[float, ...]:
-        indices = np.unravel_index(flat, (grid_per_dim,) * k)
-        return tuple(float(grid[i]) for grid, i in zip(grids, indices))
-
     line = getattr(f, "line", None)
-    xs = [list(grid_point(flat)) for flat in top]
+    seeds = np.unravel_index(top, (grid_per_dim,) * k)
+    xs = np.transpose([grid[i] for grid, i in zip(grids, seeds)]).tolist()
     fxs = [f(*x) for x in xs]  # the value at each refinement's x
     evaluations += len(xs)
     previous = [[0.0] * k for _ in xs]  # each refinement's last cycle's displacement
@@ -301,11 +299,12 @@ def maximize_box(f: Callable, axes: tuple[tuple[float, bool], ...], grid_per_dim
     for _ in range(MAX_CYCLES):
         cycle_starts = [(list(xs[s]), fxs[s]) for s in live]
         for coord, (hi, periodic) in enumerate(axes):
-            los, steps, scan = _scan_lines(f, [xs[s] for s in live], coord, hi, periodic)
-            for s, lo, step, row in zip(live, los, steps, scan):
+            points, scan, steps = _scan_lines(f, [xs[s] for s in live], coord, hi, periodic)
+            for s, row_points, row, step in zip(live, points, scan, steps):
                 x = xs[s]
                 h = line(coord, x) if line is not None else _slice(f, x, coord)
-                t, line_value, line_evaluations = _brent_on_scan(h, lo, step, row, tol, periodic)
+                t, line_value, line_evaluations = _brent_on_scan(h, row_points, row, tol,
+                                                                 step if periodic else None)
                 evaluations += line_evaluations
                 if line_value > fxs[s]:
                     x[coord], fxs[s] = (wrap_phase(t) if periodic else t), line_value

@@ -724,6 +724,30 @@ def test_optimize_quantum_optimum_at_theta_pi_equals_the_classical_one(capsys):
     assert ratio["pass"] and ratio["actual"] == 1.0 and ratio["deviation"] == 0.0
 
 
+def test_optimize_reports_theta_pi_itself_where_its_grid_formula_overshoots(capsys):
+    # grid 14's last theta, 13 pi/13, rounds one ulp past pi; the search seeds
+    # from pi itself and simulates its argmax as reported
+    assert 13 * math.pi / 13 > math.pi
+    code, out = run_cli("optimize", "--n", "1", "--lambda", "-5", "--grid", "14",
+                        "--mode", "quantum", "--format", "json", capsys=capsys)
+    assert code == 0
+    argmax = json.loads(out)["checks"][0]["argmax"]
+    assert argmax[0] == math.pi and all(0.0 <= phase < 2 * math.pi for phase in argmax[1:])
+
+
+def test_landscape_axes_end_at_pi_and_two_pi_themselves(capsys):
+    # at lambda = -1e300 a theta one ulp past pi gives a payoff near -1e269;
+    # at pi itself the payoff lies in [0, 1]
+    code, out = run_cli("landscape", "--n", "1", "--lambda", "-1e300", "--grid", "14",
+                        capsys=capsys)
+    assert code == 0
+    rows = [[float(x) for x in line.split(",")] for line in out.strip().splitlines()[1:]]
+    assert len(rows) == 14 ** 3
+    last = [payoff for theta, _, _, payoff in rows if theta == float(f"{math.pi:.12g}")]
+    assert len(last) == 14 ** 2 and all(0.0 <= payoff <= 1.0 for payoff in last)
+    assert max(alpha for _, alpha, _, _ in rows) == float(f"{2 * math.pi:.12g}")
+
+
 def test_optimize_fails_when_the_quantum_optimum_is_below_the_classical_one(capsys, monkeypatch):
     # the quantum game embeds the classical one, so a quantum search that ends
     # below the classical optimum fails the ratio check

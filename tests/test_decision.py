@@ -165,6 +165,20 @@ def test_unequal_action_sets_in_one_cell_rejected():
                         info_partition=(((),), ((0,), (1,))))
 
 
+@pytest.mark.parametrize("change, message", [
+    ({"histories": ((), (0,), (1,), (0,))}, "'histories' lists a history twice"),
+    ({"info_partition": (((), ()),)}, "an information set lists a history twice"),
+    ({"payoffs": {"a": 1.0, "b": 0.0, "zzz": 3.0}},
+     r"payoffs name labels that no terminal carries: \['zzz'\]"),
+], ids=["repeated_history", "repeated_set_member", "unknown_payoff_label"])
+def test_constructor_refuses_what_it_would_otherwise_drop_or_ignore(change, message):
+    fields = {"histories": ((), (0,), (1,)), "terminal_labels": {(0,): "a", (1,): "b"},
+              "info_partition": (((),),), "payoffs": {"a": 1.0, "b": 0.0}}
+    assert DecisionProblem(**fields).histories == ((), (0,), (1,))
+    with pytest.raises(ValueError, match=message):
+        DecisionProblem(**{**fields, **change})
+
+
 # ------------------------------------------------------------------ outcomes
 
 
@@ -1044,7 +1058,7 @@ def test_json_refuses_actions_that_are_not_integers(histories):
     ({"labels": {"1": "a", "01": "b"}}, "two label keys name the same history"),
     ({"payoffs": {"a": True, "b": 0.0}}, r"'payoffs' objects \(payoffs numbers\)"),
     ({"histories": [[], [0], [0]], "labels": {"1": "a"}}, "'histories' lists a history twice"),
-    ({"partition": [[0, 0]]}, "information set in 'partition' lists a history twice"),
+    ({"partition": [[0, 0]]}, "an information set lists a history twice"),
     ({"labels": {"1": ["a"], "2": None}}, "labels must be strings"),
     ({"partition": [["0"]]}, "history index '0' is not an integer"),
     ({"payoffs": {"a": 1, "b": 2, "zzz": 3}},

@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ewlsim import optimize
 from ewlsim.analysis import prop3_params
 from ewlsim.ewl import payoff_one_param, payoff_three_param_fn
-from ewlsim.optimize import (GRID_1D, GRID_BUDGET, TWO_PI, _top_indices, maximize_1d, maximize_3d,
-                             maximize_box, wrap_phase)
+from ewlsim.optimize import (GRID_1D, GRID_BUDGET, TWO_PI, _top_indices, closed_grid, maximize_1d,
+                             maximize_3d, maximize_box, wrap_phase)
 
 # analytic optimum of the n=3, lam=20 classical payoff: exit probability 4/19
 THETA_STAR_N3 = 2.0 * math.acos(math.sqrt(4.0 / 19.0))
@@ -62,6 +64,49 @@ def test_1d_scores_its_grid_in_one_call():
     assert isinstance(grid, np.ndarray) and grid.shape == (257,)
     assert all(type(t) is float for t in steps)
     assert res.evaluations == len(grid) + len(steps)
+
+
+@pytest.mark.parametrize("hi", [math.pi, TWO_PI])
+def test_closed_grids_end_exactly_at_hi_and_never_decrease(hi):
+    # i hi/(n - 1) rounds one ulp past hi at i = n - 1 for some n, 14 among them
+    overshoots = [n for n in range(2, 1001) if (n - 1) * hi / (n - 1) > hi]
+    assert overshoots
+    for n in range(2, 1001):
+        grid = closed_grid(0.0, hi, n)
+        assert grid.shape == (n,) and grid[0] == 0.0 and grid[-1] == hi
+        assert (np.diff(grid) >= 0.0).all()
+        # every other point is the formula's, bit for bit
+        assert np.array_equal(grid[:-1], np.arange(n - 1) * hi / (n - 1))
+
+
+# an interval on which lo + 256 ((hi - lo)/256) rounds one ulp past hi
+_OVERSHOT = (-2.1676199894367754, 7.805487040095848)
+
+
+def test_1d_argmax_of_an_increasing_function_is_hi_itself():
+    lo, hi = _OVERSHOT
+    assert lo + (GRID_1D - 1) * ((hi - lo) / (GRID_1D - 1)) > hi
+    res = maximize_1d(lambda x: x, lo, hi)
+    assert res.argmax == (hi,) and res.value == hi
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_1d_argmax_stays_in_its_interval(seed):
+    # on about 1 in 40 of these intervals lo + 256 ((hi - lo)/256) rounds past hi
+    for lo, hi in np.sort(np.random.default_rng(seed).uniform(-10.0, 10.0, (20, 2))).tolist():
+        assert maximize_1d(lambda x: x, lo, hi).argmax == (hi,)
+        assert maximize_1d(lambda x: -x, lo, hi).argmax == (lo,)
+
+
+@pytest.mark.parametrize("grid", [14, 27, 48, 53])
+@pytest.mark.parametrize("lam", [-5.0, 0.5])
+def test_3d_argmax_lies_in_the_box_on_grids_whose_formula_overshoots(grid, lam):
+    assert (grid - 1) * math.pi / (grid - 1) > math.pi
+    for n in (1, 2, 3):
+        theta, alpha, beta = maximize_3d(payoff_three_param_fn(n, lam), grid, 3).argmax
+        assert 0.0 <= theta <= math.pi
+        assert 0.0 <= alpha < TWO_PI and 0.0 <= beta < TWO_PI
 
 
 def test_3d_probes_phases_past_the_box_and_reports_them_wrapped():
