@@ -495,8 +495,9 @@ def behavioral_gap(problem: DecisionProblem, target: OutcomeDistribution) -> flo
     probabilities of the k information sets, then maximize_box's refinement
     (cyclic line searches in Brent steps, and pattern steps) from the best grid
     point.  The distance comes from behavioral_masses, so the scan is one
-    array call.  Information sets must be binary (every problem built in this
-    module is).  The grid has g = 201 points per set when 201**k fits in
+    array call per block of maximize_box's seed grid, and its memory does not
+    grow with g**k.  Information sets must be binary (every problem built in
+    this module is).  The grid has g = 201 points per set when 201**k fits in
     GRID_BUDGET, else the largest g >= 2 with g**k within it (100 at k = 3);
     past k = 19 even 2**k points are over GRID_BUDGET, and the scan is refused.
     """

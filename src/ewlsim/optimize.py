@@ -9,6 +9,7 @@ results.
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -30,8 +31,15 @@ PATTERN_COSINE = 0.9
 # most points one grid scan or sweep scores: maximize_box's seed grid
 # (maximize_3d, behavioral_gap), `landscape`'s rows, the samples of `verify
 # prop1` and `verify formulas`, and the pure strategies that
-# DecisionProblem.pure_strategies (so mixed_from_behavioral) enumerates
+# DecisionProblem.pure_strategies (so mixed_from_behavioral) enumerates.  The
+# seed grid is scored in blocks of _SEED_CHUNK points, so there the budget
+# bounds work, not memory
 GRID_BUDGET = 1_000_000
+# most grid points one call of f scores in maximize_box's seed scan: its
+# float64 arrays stay at 96 KiB, small enough for a core's cache and below the
+# 128 KiB from which glibc's malloc maps fresh pages for each array, and a
+# 100 x 100 plane (the grid-100 scan's) fits in one block
+_SEED_CHUNK = 12_288
 
 
 @dataclass(frozen=True)
@@ -113,7 +121,7 @@ def _values_on(points_shape: tuple[int, ...], values):
     (a scalar, or one that lacks an axis) stands for every point it broadcasts to."""
     if np.size(values) < math.prod(points_shape):
         return np.broadcast_to(values, points_shape)
-    return values.reshape(points_shape)
+    return np.reshape(values, points_shape)  # a float too, where there is one point
 
 
 def closed_grid(lo: float, hi: float, n: int) -> np.ndarray:
@@ -233,6 +241,44 @@ def _top_indices(values: np.ndarray, k: int) -> list[int]:
     return np.argsort(keys, kind="stable")[:k].tolist()
 
 
+def _seed_indices(f, grids: list[np.ndarray], starts: int) -> list[int]:
+    """The flat indices of the best `starts` points of the open mesh
+    np.ix_(*grids) under f, as _top_indices of all the mesh's values gives them.
+
+    f scores the mesh in blocks of at most _SEED_CHUNK points, one array call
+    each.  A block takes every point of the leading axes, a run of the next
+    axis and one index of each axis after that, so a term of f over trailing
+    axes alone (the phase terms of the three-parameter payoff) is scored once
+    per point, not once per block.  Each block keeps its own best `starts`.  A
+    point among the mesh's best `starts` is among its block's, so _top_indices
+    over these candidates, put in flat-index order, picks the mesh's: the
+    lowest index first among equal values, NaN last.
+    """
+    shape = tuple(map(len, grids))
+    axis, lead = len(shape) - 1, math.prod(shape[:-1])  # lead: the points of the axes before axis
+    while lead > _SEED_CHUNK and axis > 0:
+        axis -= 1
+        lead //= shape[axis]
+    run = max(_SEED_CHUNK // lead, 1)
+    stride = math.prod(shape[axis + 1:])
+    flats: list[int] = []
+    candidate_values = []
+    for trail_flat, trail in enumerate(itertools.product(*map(range, shape[axis + 1:]))):
+        for lo in range(0, shape[axis], run):
+            block = np.ix_(*grids[:axis], grids[axis][lo:lo + run],
+                           *(grid[i:i + 1] for grid, i in zip(grids[axis + 1:], trail)))
+            width = block[axis].size
+            values = _values_on(tuple(map(np.size, block)), f(*block)).ravel()
+            top = _top_indices(values, starts)
+            for i in top:  # i = o width + j: point o of the leading axes, lo + j of axis
+                o, j = divmod(i, width)
+                flats.append((o * shape[axis] + lo + j) * stride + trail_flat)
+            candidate_values.append(values[top])
+    order = np.argsort(flats)
+    picks = _top_indices(np.concatenate(candidate_values)[order], starts)
+    return np.array(flats)[order][picks].tolist()
+
+
 def maximize_box(f: Callable, axes: tuple[tuple[float, bool], ...], grid_per_dim: int,
                  starts: int, tol: float) -> OptResult:
     """Maximize f(x_1, ..., x_k) over a box with one (hi, periodic) axis per argument.
@@ -264,16 +310,19 @@ def maximize_box(f: Callable, axes: tuple[tuple[float, bool], ...], grid_per_dim
     arrays that broadcast together, for which it returns the array of values (a
     scalar result broadcasts); f is periodic on a periodic axis, so a line
     search probes phases off [0, hi) unwrapped and wraps only its argmax.  The
-    seed scan is one array call, and so is each coordinate's scan of every
-    live refinement's line: f gets the samples as a (live, 65) array and each
-    held coordinate as a (live, 1) column.  Brent's steps are float calls of
-    h, built once per line search: f.line(coord, x) when f has that method,
-    which must return f at x with coordinate coord set to the float t;
-    otherwise a slice of f.  A pattern
-    step is one array call and float calls of a slice of f.  `evaluations`
+    seed scan is one array call per block of at most _SEED_CHUNK grid points
+    (see _seed_indices), so its memory does not grow with the grid.  Each
+    coordinate's scan of every live refinement's line is one array call: f
+    gets the samples as a (live, 65) array and each held coordinate as a
+    (live, 1) column.  Brent's steps are float calls of h, built once per line
+    search: f.line(coord, x) when f has that method, which must return f at x
+    with coordinate coord set to the float t; otherwise a slice of f.  A
+    pattern step is one array call and float calls of a slice of f.  `evaluations`
     counts points, not calls.  Scans over GRID_BUDGET points are refused.
     """
     k = len(axes)
+    if k == 0:
+        raise ValueError("maximize_box needs at least one axis")
     if grid_per_dim < 2:
         raise ValueError("grid_per_dim must be >= 2")
     if grid_per_dim ** k > GRID_BUDGET:
@@ -284,9 +333,8 @@ def maximize_box(f: Callable, axes: tuple[tuple[float, bool], ...], grid_per_dim
     _check_tol(tol)
 
     grids = [closed_grid(0.0, hi, grid_per_dim + periodic)[:grid_per_dim] for hi, periodic in axes]
-    values = np.broadcast_to(f(*np.ix_(*grids)), (grid_per_dim,) * k).ravel()
     evaluations = grid_per_dim ** k
-    top = _top_indices(values, starts)
+    top = _seed_indices(f, grids, starts)
 
     line = getattr(f, "line", None)
     seeds = np.unravel_index(top, (grid_per_dim,) * k)

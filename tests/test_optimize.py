@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ewlsim import optimize
-from ewlsim.analysis import prop3_params
+from ewlsim.analysis import perfect_recall_control, prop3_params
+from ewlsim.decision import MixedStrategy, PureStrategy, behavioral_gap, outcome_of
 from ewlsim.ewl import payoff_one_param, payoff_three_param_fn
 from ewlsim.optimize import (GRID_1D, GRID_BUDGET, TWO_PI, _top_indices, closed_grid, maximize_1d,
                              maximize_3d, maximize_box, wrap_phase)
@@ -271,6 +273,11 @@ def test_3d_refuses_grids_over_budget():
         maximize_3d(refused, grid_per_dim=101)
 
 
+def test_a_box_without_axes_is_refused():
+    with pytest.raises(ValueError, match="at least one axis"):
+        maximize_box(lambda: 1.0, (), 2, 1, 1e-8)
+
+
 @pytest.mark.parametrize("tol", [math.nan, math.inf])
 def test_maximizers_refuse_tolerances_that_are_not_finite(tol):
     f = payoff_three_param_fn(1, 4.0)
@@ -351,7 +358,7 @@ def test_a_start_that_reaches_another_starts_state_stops(monkeypatch):
     seeds = [int(np.ravel_multi_index(i, (33, 33, 33))) for i in ((16, 1, 28), (17, 1, 28))]
 
     def run(flats):
-        monkeypatch.setattr(optimize, "_top_indices", lambda values, k: flats)
+        monkeypatch.setattr(optimize, "_seed_indices", lambda f, grids, k: flats)
         return maximize_3d(f, starts=len(flats))
 
     first, second, both = run(seeds[:1]), run(seeds[1:]), run(seeds)
@@ -383,9 +390,77 @@ _SEED_CASES = {
 }
 
 
+# each case also laid out as a mesh of more than one axis
+_SEED_SHAPES = {"ties": (3, 3), "nans": (3, 3), "mostly_nan": (2, 3), "signed_zeros": (7,),
+                "constant": (2, 4, 5), "random_ties": (5, 10, 10)}
+
+
+def _seed_ks(size):
+    return sorted({1, 2, 3, 5, 8, size - 1, size, size + 4})
+
+
+def _assert_streamed_seeds_match(monkeypatch, f, shape, expected):
+    """_seed_indices on the mesh of index grids of shape, in blocks of every
+    size from one point to the whole mesh, against expected(k); every point is
+    scored once, in blocks of at most the chunk size."""
+    grids = [np.arange(n, dtype=float) for n in shape]
+    blocks = []
+
+    def recorded(*block):
+        blocks.append(math.prod(np.broadcast_shapes(*map(np.shape, block))))
+        return f(*block)
+
+    for chunk in range(1, math.prod(shape) + 1):
+        monkeypatch.setattr(optimize, "_SEED_CHUNK", chunk)
+        for k in _seed_ks(math.prod(shape)):
+            blocks.clear()
+            assert optimize._seed_indices(recorded, grids, k) == expected(k), (chunk, k)
+            assert max(blocks) <= chunk and sum(blocks) == math.prod(shape), (chunk, k)
+
+
 @pytest.mark.parametrize("name", sorted(_SEED_CASES))
-def test_seed_selection_equals_the_full_stable_sort(name):
+def test_seed_selection_equals_the_full_stable_sort(name, monkeypatch):
     values = _SEED_CASES[name]
     full = np.argsort(-values, kind="stable").tolist()
-    for k in sorted({1, 2, 3, 5, 8, values.size - 1, values.size, values.size + 4}):
+    for k in _seed_ks(values.size):
         assert _top_indices(values, k) == full[:k], k
+    # the scan in blocks picks what whole-array selection picks, wherever the
+    # block boundaries fall among ties, NaNs and signed zeros
+    for shape in {values.shape, _SEED_SHAPES[name]}:
+        table = values.reshape(shape)
+        _assert_streamed_seeds_match(
+            monkeypatch, lambda *idx: table[tuple(i.astype(int) for i in idx)], shape,
+            lambda k: _top_indices(values, k))
+
+
+@pytest.mark.parametrize("f", [lambda *x: 1.5, lambda *x: np.floor(x[-1] / 2)],
+                         ids=["scalar", "last_axis_only"])
+def test_seed_selection_broadcasts_a_smaller_result(f, monkeypatch):
+    # a result that is a scalar, or lacks axes, stands for every point it
+    # broadcasts to, in each block as in the whole mesh
+    shape = (3, 2, 4)
+    whole = np.broadcast_to(f(*np.ix_(*(np.arange(n, dtype=float) for n in shape))), shape).ravel()
+    _assert_streamed_seeds_match(monkeypatch, f, shape, lambda k: _top_indices(whole, k))
+
+
+def test_seed_scans_stream_in_bounded_memory():
+    # scored in one array call, the grid-100 scan's temporaries peaked at 45.9
+    # MiB and the three-set gap's at 22.9 MiB; the search's result is unchanged
+    f = payoff_three_param_fn(3, 20.0)
+    prob = perfect_recall_control()
+    target = outcome_of(prob, MixedStrategy({PureStrategy((0, 0, 0)): 0.5,
+                                             PureStrategy((1, 1, 1)): 0.5}))
+    tracemalloc.start()
+    try:
+        res = maximize_3d(f, grid_per_dim=100)
+        grid_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        gap = behavioral_gap(prob, target)
+        gap_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert grid_peak <= 2 * 2**20 and gap_peak <= 2 * 2**20, (grid_peak, gap_peak)
+    assert res.value == float.fromhex("0x1.4p+2") and res.evaluations == 1_013_812
+    assert res.argmax == tuple(map(float.fromhex, ("0x1.921fb5503367fp+0", "0x1.c463abebca092p+0",
+                                                   "0x1.2d97c7dc98a1cp-1")))
+    assert gap == 0.0
