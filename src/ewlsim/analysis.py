@@ -39,7 +39,8 @@ from .ewl import (
     payoff_three_param_fn,
     two_stage_game,
 )
-from .optimize import GRID_BUDGET, TWO_PI, OptResult, maximize_1d, maximize_3d, wrap_phase
+from .optimize import GRID_BUDGET, TWO_PI, OptResult, closed_grid, maximize_1d, maximize_3d
+from .optimize import wrap_phase
 from .qstate import check_qubit_count
 
 AMP_TOL = 1e-12
@@ -181,11 +182,13 @@ def prop1_verify(sample_count: int = 1000, seed: int = 7) -> dict:
 # claim 2: one-parameter gates implement the label-valued n-tuple problem
 
 
-def _exit_rows(thetas: np.ndarray) -> tuple:
-    """Behavioral rows of the one-set driver trees: exit with probability
-    cos^2(theta/2) at every angle, as one array per action."""
+def _one_param_sweep() -> tuple:
+    """The 101 thetas of closed_grid(0, pi, 101), pi/2 among them, their
+    U(theta, 0, 0) stack, and the behavioral rows of the one-set driver trees:
+    exit with probability cos^2(theta/2) at every angle, one array per action."""
+    thetas = closed_grid(0.0, math.pi, 101)
     c, s = _half_angle(np, thetas)
-    return ((c * c, s * s),)
+    return thetas, gate_stack(thetas), ((c * c, s * s),)
 
 
 def prop2_verify(n_max: int = 5) -> dict:
@@ -193,10 +196,8 @@ def prop2_verify(n_max: int = 5) -> dict:
     masses at exit probability cos^2(theta/2), over n <= n_max and 101 thetas in [0, pi]."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    thetas = np.linspace(0.0, math.pi, 101)
+    thetas, gates, exits = _one_param_sweep()
     check_stack_size(len(thetas), n_max + 1)  # the largest stack, before n = 1 runs
-    gates = gate_stack(thetas)
-    exits = _exit_rows(thetas)
     checks = []
     for n in range(1, n_max + 1):
         m = n + 1
@@ -412,9 +413,7 @@ def formulas_verify(n_max: int = 5, samples: int = 500, seed: int = 11) -> dict:
     dev_sim = 0.0
     dev_tree = 0.0
     lam = 4.0
-    thetas = np.linspace(0.0, math.pi, 101)
-    exits = _exit_rows(thetas)
-    gates = gate_stack(thetas)
+    thetas, gates, exits = _one_param_sweep()
     for n in range(1, max(n_max, 6) + 1):
         problem = n_tuple_driver(n, lam)
         closed = payoff_one_param(n, lam, thetas)
@@ -432,9 +431,8 @@ def formulas_verify(n_max: int = 5, samples: int = 500, seed: int = 11) -> dict:
     payoffs = (3.0, -1.0, 2.0, 0.5)
     problem = two_stage_problem()
     two_qubit_game = ewl_game(replace(problem, payoffs=dict(zip(problem.labels, payoffs))))
-    theta1, theta2 = (t.ravel() for t in np.meshgrid(np.linspace(0.0, math.pi, 21),
-                                                     np.linspace(0.0, math.pi, 21),
-                                                     indexing="ij"))
+    axis = closed_grid(0.0, math.pi, 21)
+    theta1, theta2 = (t.ravel() for t in np.meshgrid(axis, axis, indexing="ij"))
     sim = expected_payoffs(two_qubit_game, np.stack((gate_stack(theta1), gate_stack(theta2)),
                                                     axis=1))
     form = sum(payoffs[2 * k + l]
@@ -466,9 +464,9 @@ def formulas_verify(n_max: int = 5, samples: int = 500, seed: int = 11) -> dict:
         "eta_symmetry", {"samples": 100, "seed": seed}, 0.0, dev, dev, dev <= 1e-12))
 
     lam = 4.0
-    theta, alpha = (t.ravel() for t in np.meshgrid(np.linspace(0.0, math.pi, 41),
-                                                   np.linspace(0.0, TWO_PI, 41), indexing="ij"))
-    wrapped = wrap_phase(alpha)
+    theta, alpha = (t.ravel() for t in np.meshgrid(closed_grid(0.0, math.pi, 41),
+                                                   closed_grid(0.0, TWO_PI, 41), indexing="ij"))
+    wrapped = wrap_phase(alpha)  # the alpha axis ends at 2 pi, which folds to 0
     sim = expected_payoffs(n_tuple_driver_game(1, lam),
                            _on_every_qubit(gate_stack(theta, wrapped, 0.0), 2))
     dev_linear = _max_dev(sim, _two_param_sine_variant(lam, theta, alpha))

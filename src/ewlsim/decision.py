@@ -500,19 +500,21 @@ def behavioral_gap(problem: DecisionProblem, target: OutcomeDistribution) -> flo
     this module is).  The grid has g = 201 points per set when 201**k fits in
     GRID_BUDGET, else the largest g >= 2 with g**k within it (100 at k = 3);
     past k = 19 even 2**k points are over GRID_BUDGET, and the scan is refused.
+    A tree without moves (k = 0) has one certain outcome, whose distance it is.
     """
     if set(target.probs) != set(problem.terminal_labels.values()):
         raise ValueError("target distribution is not over the problem's labels")
     for cell in problem.info_partition:
         if len(problem.actions(cell[0])) != 2:
             raise ValueError("behavioral_gap supports binary action sets only")
+    objective = _neg_distance_fn(problem, target)
     k = len(problem.info_partition)
+    if k == 0:
+        return -objective()
     grid_points = 201
     while grid_points > 2 and grid_points ** k > optimize.GRID_BUDGET:
         grid_points -= 1
-    axes = ((1.0, False),) * k
-    return -optimize.maximize_box(_neg_distance_fn(problem, target), axes, grid_points, 1,
-                                  1e-10).value
+    return -optimize.maximize_box(objective, ((1.0, False),) * k, grid_points, 1, 1e-10).value
 
 
 def _neg_distance_fn(problem: DecisionProblem, target: OutcomeDistribution):

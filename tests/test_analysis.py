@@ -156,8 +156,15 @@ def test_prop1_verify_sweep():
 
 
 def test_prop2_half_probabilities():
-    report = prop2_verify(n_max=2)  # the 101-point grid includes theta = pi/2
+    # theta = pi/2, where the exit probability cos^2(theta/2) is 1/2, is a
+    # point of the shared 101-point axis (np.linspace's lands one ulp above it)
+    thetas, _, ((exits, stays),) = analysis._one_param_sweep()
+    assert thetas.tolist().count(math.pi / 2) == 1
+    mid = thetas.tolist().index(math.pi / 2)
+    assert exits[mid] == stays[mid] == pytest.approx(0.5, abs=1e-15)
+    report = prop2_verify(n_max=2)
     assert report["pass"]
+    assert {c["inputs"]["theta_grid"] for c in report["checks"]} == {len(thetas)}
 
 
 def test_prop2_sweep_small():

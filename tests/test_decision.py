@@ -512,6 +512,13 @@ def test_tree_without_moves_has_one_certain_outcome():
     assert outcome_of(prob, PureStrategy(())).probs == {"z": 1.0}
 
 
+def test_gap_on_a_tree_without_moves_is_its_one_outcome_distance():
+    # no information set leaves no axis to search: the gap is the distance of
+    # the one certain outcome, without a call of maximize_box
+    prob = DecisionProblem(histories=((),), terminal_labels={(): "z"}, info_partition=())
+    assert behavioral_gap(prob, OutcomeDistribution({"z": 1.0})) == 0.0
+
+
 def test_n200_classical_payoff_matches_closed_form():
     lam = 7.5
     prob = n_tuple_driver(200, lam)

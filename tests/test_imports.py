@@ -1,6 +1,7 @@
 """Every module of the package uses each name it imports, every private
 module-level name it defines is read somewhere in the package, every public
-one has a caller outside the tests, and so has every keyword default."""
+one has a caller outside the tests, and so has every keyword default; no
+module builds a grid with linspace."""
 
 import ast
 from pathlib import Path
@@ -34,6 +35,26 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("module", MODULES)
 def test_module_has_no_unused_imports(module):
     assert unused_imports((PACKAGE / module).read_text()) == []
+
+
+def linspace_calls(source: str) -> list[int]:
+    """The lines of the module's linspace calls, by name or as an attribute."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "id", getattr(node.func, "attr", None)) == "linspace"]
+
+
+def test_linspace_calls_are_found():
+    source = ("import numpy as np\nx = np.linspace(0.0, 1.0, 5)\n"
+              "y = closed_grid(0.0, 1.0, 5)\nz = linspace(0.0, 1.0, 5)\n")
+    assert linspace_calls(source) == [2, 4]
+
+
+def test_every_grid_is_a_closed_grid():
+    # one grid rule for the package: optimize.closed_grid, whose last point is
+    # hi itself, where np.linspace's middle points differ from it by ulps
+    assert [(path.name, line) for path in sorted(PACKAGE.glob("*.py"))
+            for line in linspace_calls(path.read_text())] == []
 
 
 def definitions(source: str, methods: bool) -> list[str]:
