@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .decision import DecisionProblem, behavioral_masses, has_imperfect_recall
+from .decision import DecisionProblem, _check_n, behavioral_masses, has_imperfect_recall
 from .decision import checked_probabilities, n_tuple_driver, n_tuple_outcomes, two_stage_problem
 from .ewl import (
     UnitaryParams,
@@ -40,7 +40,6 @@ from .ewl import (
     two_stage_game,
 )
 from .optimize import GRID_BUDGET, TWO_PI, OptResult, closed_grid, maximize_1d, maximize_3d
-from .optimize import wrap_phase
 from .qstate import check_qubit_count
 
 AMP_TOL = 1e-12
@@ -226,8 +225,7 @@ def prop2_verify(n_max: int = 5) -> dict:
 
 def classical_max_closed_form(n: int, lam: float) -> tuple[float, float]:
     """Maximizer and maximum of (1-p)^n ((lam-1)p + 1) over p in [0, 1]."""
-    if not isinstance(n, int) or n < 1:
-        raise ValueError(f"n must be an integer >= 1, got {n}")
+    _check_n(n)
     lam = float(lam)
     if lam > 1.0:
         # divide before multiplying: (lam - 1) * (n + 1) overflows for lam near the largest float
@@ -466,11 +464,10 @@ def formulas_verify(n_max: int = 5, samples: int = 500, seed: int = 11) -> dict:
     lam = 4.0
     theta, alpha = (t.ravel() for t in np.meshgrid(closed_grid(0.0, math.pi, 41),
                                                    closed_grid(0.0, TWO_PI, 41), indexing="ij"))
-    wrapped = wrap_phase(alpha)  # the alpha axis ends at 2 pi, which folds to 0
     sim = expected_payoffs(n_tuple_driver_game(1, lam),
-                           _on_every_qubit(gate_stack(theta, wrapped, 0.0), 2))
+                           _on_every_qubit(gate_stack(theta, alpha, 0.0), 2))
     dev_linear = _max_dev(sim, _two_param_sine_variant(lam, theta, alpha))
-    dev_beta0 = _max_dev(sim, payoff_three_param_fn(1, lam)(theta, wrapped, np.zeros_like(theta)))
+    dev_beta0 = _max_dev(sim, payoff_three_param_fn(1, lam)(theta, alpha, np.zeros_like(theta)))
     checks.append(make_check(
         "two_param_form_known_discrepancy", {"lam": lam, "grid": 41},
         {"beta0_reduction_deviation": 0.0, "sine_linear_variant": "documented deviation"},

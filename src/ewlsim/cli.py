@@ -24,7 +24,7 @@ from itertools import product
 import numpy as np
 
 from . import analysis, decision, ewl, optimize
-from .optimize import GRID_BUDGET, TWO_PI, wrap_phase
+from .optimize import GRID_BUDGET, TWO_PI
 from .qstate import MAX_QUBITS, check_qubit_count
 
 _ANGLE_RE = re.compile(r"^([+-]?\d*\.?\d*)\*?pi(?:/(\d*\.?\d+))?$")
@@ -157,7 +157,7 @@ def _report_text(report: dict, fmt: str) -> str:
 
 
 def cmd_simulate(args: argparse.Namespace) -> str:
-    params = ewl.UnitaryParams(args.theta, wrap_phase(args.alpha), wrap_phase(args.beta))
+    params = ewl.UnitaryParams(args.theta, args.alpha, args.beta)
     n, m = args.n, args.n + 1
     check_qubit_count(m)
     if 1 << m > GRID_BUDGET:  # the table's dict and text cost far more than its state
@@ -169,7 +169,8 @@ def cmd_simulate(args: argparse.Namespace) -> str:
     masses = ewl.outcome_masses(game, np.array([[gate.matrix for gate in gates]]))
     # expected_payoffs' sum, on the row of label masses already computed
     payoff = float((masses * game.payoffs).sum(axis=1)[0])
-    dist = decision.OutcomeDistribution(dict(zip(game.labels, masses[0].tolist())))
+    by_label = dict(sorted(zip(game.labels, masses[0].tolist())))
+    outcomes = decision.OutcomeDistribution(by_label).probs
 
     basis = {format(y, f"0{m}b"): float(probs[y]) for y in range(1 << m)}
     doc = {
@@ -179,7 +180,7 @@ def cmd_simulate(args: argparse.Namespace) -> str:
         "alpha": params.alpha,
         "beta": params.beta,
         "basis_probabilities": basis,
-        "outcome_distribution": dict(sorted(dist.probs.items())),
+        "outcome_distribution": outcomes,
         "expected_payoff": payoff,
     }
     if args.format == "json":
@@ -187,14 +188,14 @@ def cmd_simulate(args: argparse.Namespace) -> str:
     if args.format == "csv":
         rows = ["field,key,value"]
         rows += [f"basis,{k},{v:.12g}" for k, v in basis.items()]
-        rows += [f"outcome,{k},{v:.12g}" for k, v in sorted(dist.probs.items())]
+        rows += [f"outcome,{k},{v:.12g}" for k, v in outcomes.items()]
         rows.append(f"payoff,,{payoff:.12g}")
         return "\n".join(rows)
     lines = [f"final state probabilities (n={n}, lambda={args.lam:g}, "
              f"theta={params.theta:.6f}, alpha={params.alpha:.6f}, beta={params.beta:.6f})"]
     lines += [f"  |{k}>  {v:.12f}" for k, v in basis.items()]
     lines.append("outcome distribution")
-    lines += [f"  {k}  {v:.12f}" for k, v in sorted(dist.probs.items())]
+    lines += [f"  {k}  {v:.12f}" for k, v in outcomes.items()]
     lines.append(f"expected payoff  {payoff:.12f}")
     return "\n".join(lines)
 

@@ -284,6 +284,12 @@ def two_stage_problem() -> DecisionProblem:
     )
 
 
+def _check_n(n) -> None:
+    """Refuse a driver size n that is not an integer >= 1."""
+    if not isinstance(n, int) or n < 1:
+        raise ValueError(f"n must be an integer >= 1, got {n}")
+
+
 def n_tuple_driver(n: int, lam: float) -> DecisionProblem:
     """Chain of n+1 indistinguishable intersections.
 
@@ -293,8 +299,7 @@ def n_tuple_driver(n: int, lam: float) -> DecisionProblem:
     information set holds every decision node, so the same rule must apply at
     all of them.
     """
-    if not isinstance(n, int) or n < 1:
-        raise ValueError(f"n must be an integer >= 1, got {n}")
+    _check_n(n)
     exits = {(1,) * t + (0,): f"o{t + 1}" for t in range(n + 1)}
     motorway = tuple((1,) * t for t in range(n + 2))
     return DecisionProblem(

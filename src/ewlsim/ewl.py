@@ -24,11 +24,12 @@ import numpy as np
 from .decision import (
     DecisionProblem,
     OutcomeDistribution,
+    _check_n,
     n_tuple_driver,
     n_tuple_outcomes,
     two_stage_problem,
 )
-from .optimize import TWO_PI
+from .optimize import wrap_phase
 from .qstate import (
     MAX_QUBITS,
     Gate,
@@ -54,7 +55,8 @@ MASS_CHUNK = 1 << 13
 
 @dataclass(frozen=True)
 class UnitaryParams:
-    """Angles (theta, alpha, beta) of a single-qubit SU(2) action."""
+    """Finite angles (theta, alpha, beta) of a single-qubit SU(2) action, theta
+    in [0, pi]; each phase is stored reduced to [0, 2pi) by wrap_phase."""
 
     theta: float
     alpha: float = 0.0
@@ -66,13 +68,9 @@ class UnitaryParams:
             raise ValueError("angles must be finite")
         if not 0.0 <= theta <= math.pi:
             raise ValueError(f"theta={theta!r} outside [0, pi]")
-        if not 0.0 <= alpha < TWO_PI:
-            raise ValueError(f"alpha={alpha!r} outside [0, 2pi)")
-        if not 0.0 <= beta < TWO_PI:
-            raise ValueError(f"beta={beta!r} outside [0, 2pi)")
         object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "beta", beta)
+        object.__setattr__(self, "alpha", wrap_phase(alpha))
+        object.__setattr__(self, "beta", wrap_phase(beta))
 
 
 def _half_angle(xp, theta):
@@ -91,16 +89,15 @@ def gate_stack(theta, alpha=0.0, beta=0.0) -> np.ndarray:
     U|0> = cos(theta/2) e^{i alpha} |0> + sin(theta/2) e^{i(pi/2 - beta)} |1>
     U|1> = sin(theta/2) e^{i(pi/2 + beta)} |0> + cos(theta/2) e^{-i alpha} |1>
 
-    UnitaryParams' range checks run once over the stack; an angle out of range
-    raises UnitaryParams' own error for the first gate that has one.  Finite
-    angles give unitary matrices by construction, so the stack gets no
-    unitarity check of its own: Gate checks each matrix it wraps, and
-    block_masses and final_states check every run's norm.
+    A non-finite angle or theta outside [0, pi] raises UnitaryParams' own error
+    for the first gate that has one; a finite phase is taken as given, since
+    cos and sin are periodic.  Finite angles give unitary matrices by
+    construction, so the stack gets no unitarity check: Gate checks each
+    matrix it wraps, and block_masses and final_states check every run's norm.
     """
     theta, alpha, beta = np.broadcast_arrays(*(np.asarray(x, dtype=float)
                                                for x in (theta, alpha, beta)))
-    in_range = ((0.0 <= theta) & (theta <= math.pi) & (0.0 <= alpha) & (alpha < TWO_PI)
-                & (0.0 <= beta) & (beta < TWO_PI))  # False for nan and inf too
+    in_range = (0.0 <= theta) & (theta <= math.pi) & np.isfinite(alpha) & np.isfinite(beta)
     if not in_range.all():
         first = np.unravel_index(np.argmin(in_range), in_range.shape)
         UnitaryParams(*(float(x[first]) for x in (theta, alpha, beta)))  # raises
@@ -397,9 +394,9 @@ def expected_payoff(game: EwlGame, gates: Sequence[Gate]) -> float:
 
 def outcome_distribution_ewl(game: EwlGame, gates: Sequence[Gate]) -> OutcomeDistribution:
     """Distribution over outcome labels induced by measuring the final state:
-    the one-row case of outcome_masses."""
+    the one-row case of outcome_masses, keyed in sorted label order."""
     masses = outcome_masses(game, _one_run(gates, game.m))[0]
-    return OutcomeDistribution(dict(zip(game.labels, masses.tolist())))
+    return OutcomeDistribution(dict(sorted(zip(game.labels, masses.tolist()))))
 
 
 # --------------------------------------------------------------------------
@@ -451,8 +448,7 @@ def payoff_one_param(n: int, lam, theta):
     p = cos^2(theta/2).  A float theta runs through math, an array (lam may be
     one too) through numpy, bit for bit alike: both take libm's pow.
     """
-    if not isinstance(n, int) or n < 1:
-        raise ValueError(f"n must be an integer >= 1, got {n}")
+    _check_n(n)
     xp, power = (math, math.pow) if type(theta) is float else (np, np.float_power)
     c, s = _half_angle(xp, theta)
     s2 = s * s
@@ -503,8 +499,7 @@ def payoff_three_param_fn(n: int, lam) -> Callable:
     2pi-periodic, so t is never wrapped.  h(t) equals f at that t bit for bit:
     it runs the same products in the same order.
     """
-    if not isinstance(n, int) or n < 1:
-        raise ValueError(f"n must be an integer >= 1, got {n}")
+    _check_n(n)
 
     def payoff(theta, alpha, beta):
         xp = math if type(theta) is type(alpha) is type(beta) is float else np

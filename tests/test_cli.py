@@ -86,6 +86,15 @@ def test_simulate_reports_a_negative_alpha_wrapped(capsys):
     assert code == 0 and json.loads(out)["alpha"] == pytest.approx(7 * math.pi / 4, abs=1e-15)
 
 
+def test_simulate_off_range_phases_print_the_reduced_phases_bytes(capsys):
+    args = ("simulate", "--n", "2", "--lambda", "5", "--theta", "1", "--format", "json")
+    code, off = run_cli(*args, "--alpha", "7", "--beta", "-pi/4", capsys=capsys)
+    assert code == 0
+    code, reduced = run_cli(*args, "--alpha", "0.7168146928204138", "--beta", "5.497787143782138",
+                            capsys=capsys)
+    assert code == 0 and off == reduced
+
+
 # ----------------------------------------------------------------- simulate
 
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ewlsim.analysis import perfect_recall_control
+from ewlsim.analysis import classical_max_closed_form, perfect_recall_control, search_slack
 from ewlsim.decision import (
     BehavioralStrategy,
     DecisionProblem,
@@ -43,6 +43,7 @@ from ewlsim.ewl import (
     payoff_three_param_fn,
     two_stage_game,
 )
+from ewlsim.optimize import maximize_3d, wrap_phase
 from ewlsim.qstate import Gate, StateVector, apply_entangler, apply_single_qubit_gate
 from oracles import (basis_vector, dense_final_state, dense_gate, three_param_payoff,
                      tree_walk_values)
@@ -87,13 +88,69 @@ def test_gate_matches_generator_construction():
 
 
 def test_params_range_validation():
-    for bad in ((-0.1, 0, 0), (math.pi + 0.1, 0, 0), (1, -1, 0), (1, 0, TWO_PI)):
+    for bad in ((-0.1, 0, 0), (math.pi + 0.1, 0, 0)):
         with pytest.raises(ValueError):
             UnitaryParams(*bad)
 
 
-@pytest.mark.parametrize("bad", [(-0.1, 0.0, 0.0), (math.pi + 0.1, 0.0, 0.0), (1.0, -1.0, 0.0),
-                                 (1.0, TWO_PI, 0.0), (1.0, 0.0, TWO_PI), (1.0, 0.0, -1e-300),
+def test_params_store_phases_reduced():
+    params = UnitaryParams(1.0, -1.0, TWO_PI)
+    assert (params.alpha, params.beta) == (TWO_PI - 1.0, 0.0)
+    assert UnitaryParams(1.0, -1e-300, -0.0).alpha == 0.0
+    for phase in (-1e-3, 7.0, 3 * TWO_PI + 0.2, -1e300, 1e300):
+        params = UnitaryParams(0.5, phase, phase)
+        assert params.alpha == params.beta == wrap_phase(phase)
+        assert 0.0 <= params.alpha < TWO_PI
+
+
+@pytest.mark.parametrize("k", [-3, -1, 1, 4])
+def test_build_gate_is_periodic_in_its_phases(k):
+    rng = np.random.default_rng(35)
+    for theta, alpha, beta in rng.uniform(0.0, (math.pi, TWO_PI, TWO_PI), size=(20, 3)).tolist():
+        shifted = build_gate(UnitaryParams(theta, alpha + k * TWO_PI, beta - k * TWO_PI))
+        reduced = build_gate(UnitaryParams(theta, wrap_phase(alpha + k * TWO_PI),
+                                           wrap_phase(beta - k * TWO_PI)))
+        assert np.array_equal(shifted.matrix, reduced.matrix)
+
+
+def test_gate_stack_takes_off_range_phases_as_given():
+    phases = np.array([-1e-3, -1e-300, -1.0, TWO_PI, TWO_PI + 0.7, 2 * TWO_PI + 0.2, -20.0])
+    theta = np.linspace(0.0, math.pi, 5)[:, None]
+    off = gate_stack(theta, phases, phases[::-1])
+    in_range = gate_stack(theta, wrap_phase(phases), wrap_phase(phases[::-1]))
+    assert np.abs(off - in_range).max() <= 1e-15
+    # gate_stack does not wrap: at 2pi the sine is the float sin(2pi), not 0
+    assert gate_stack(0.0, TWO_PI)[0, 0] == complex(1.0, math.sin(TWO_PI))
+
+
+def test_maximize_3d_searches_a_simulated_objective():
+    # the search probes phases off [0, 2pi), which the gates take as given
+    lam = 4.0
+    game = driver_game(lam)
+
+    def simulated(theta, alpha, beta):
+        mats = gate_stack(theta, alpha, beta)
+        runs = np.repeat(mats.reshape(-1, 1, 2, 2), 2, axis=1)
+        values = expected_payoffs(game, runs).reshape(mats.shape[:-2])
+        return values if values.ndim else float(values)
+
+    res = maximize_3d(simulated)
+    assert abs(res.value - lam / 2.0) <= search_slack(lam / 2.0, 1e-8)
+    assert res.value == simulated(*res.argmax)
+
+
+@pytest.mark.parametrize("build", [lambda n: n_tuple_driver(n, 4.0),
+                                   lambda n: payoff_one_param(n, 4.0, 1.0),
+                                   lambda n: payoff_three_param_fn(n, 4.0),
+                                   lambda n: classical_max_closed_form(n, 4.0)])
+def test_driver_size_rule_is_one_refusal(build):
+    for bad in (0, -3, 2.0):
+        with pytest.raises(ValueError, match=rf"^n must be an integer >= 1, got {bad}$"):
+            build(bad)
+
+
+@pytest.mark.parametrize("bad", [(-0.1, 0.0, 0.0), (math.pi + 0.1, 0.0, 0.0), (-math.inf, 0.0, 0.0),
+                                 (math.inf, 0.0, 0.0), (1.0, math.nan, 0.0), (1.0, 0.0, math.nan),
                                  (math.nan, 0.0, 0.0), (1.0, math.inf, 0.0), (1.0, 0.0, -math.inf)])
 def test_gate_stack_refuses_angles_as_unitary_params_does(bad):
     with pytest.raises(ValueError) as expected:
@@ -470,6 +527,16 @@ def test_games_with_payoffs_keep_their_labels():
     dist = outcome_distribution_ewl(driver_game(4.0), [quarter] * 2)
     assert set(dist.probs) == {"o1", "o2", "o3"}
     assert 4.0 * dist["o2"] + dist["o3"] == pytest.approx(2.0, abs=1e-12)
+
+
+def test_outcome_distribution_keys_labels_in_sorted_order_as_outcome_of_does():
+    # o10 and o11 sort before o2, where the basis blocks put them last
+    p = 0.3
+    dist = outcome_distribution_ewl(n_tuple_driver_game(9, 5.0),
+                                    [build_gate(UnitaryParams(2.0 * math.acos(math.sqrt(p))))] * 10)
+    tree = outcome_of(n_tuple_driver(9, 5.0), BehavioralStrategy(((p, 1.0 - p),)))
+    assert list(dist.probs) == list(tree.probs) == sorted(tree.probs)
+    assert max(abs(dist[label] - tree[label]) for label in tree.probs) <= 1e-12
 
 
 @pytest.mark.parametrize("n", range(1, 6))
