@@ -42,9 +42,10 @@ from .ewl import (
 from .optimize import GRID_BUDGET, TWO_PI, OptResult, closed_grid, maximize_1d, maximize_3d
 from .qstate import check_qubit_count
 
-AMP_TOL = 1e-12
-MASS_TOL = 1e-9
-PROB1_TOL = 1e-9
+AMP_TOL = 1e-12  # closed-form amplitudes against simulation
+SIM_TOL = 1e-9  # a closed form or tree model against simulation
+EXACT_TOL = 0.0
+STRICT_TOL = -math.ulp(0.0)  # the largest float below 0, which only a negative deviation meets
 
 
 class CrossCheckError(ArithmeticError):
@@ -63,14 +64,15 @@ def _jsonable(value):
 
 
 def make_check(check: str, inputs: dict, expected, actual, deviation: float,
-               passed: bool, note: str | None = None) -> dict:
+               tol: float, note: str | None = None) -> dict:
+    """One report row, which passes iff deviation <= tol (a nan deviation fails)."""
     entry = {
         "check": check,
         "inputs": _jsonable(inputs),
         "expected": _jsonable(expected),
         "actual": _jsonable(actual),
         "deviation": float(deviation),
-        "pass": bool(passed),
+        "pass": bool(deviation <= tol),
     }
     if note is not None:
         entry["note"] = note
@@ -158,12 +160,10 @@ def prop1_verify(sample_count: int = 1000, seed: int = 7) -> dict:
     # one draw of k Dirichlet rows is the same stream as k draws of one row
     dev = _prop1_deviation(rng.dirichlet((1.0,) * 4, size=sample_count))
     checks.append(make_check(
-        "prop1_random_mixtures", {"samples": sample_count, "seed": seed},
-        0.0, dev, dev, dev <= PROB1_TOL))
+        "prop1_random_mixtures", {"samples": sample_count, "seed": seed}, 0.0, dev, dev, SIM_TOL))
 
     dev = _prop1_deviation(np.eye(4))
-    checks.append(make_check(
-        "prop1_unit_vectors", {}, 0.0, dev, dev, dev <= PROB1_TOL))
+    checks.append(make_check("prop1_unit_vectors", {}, 0.0, dev, dev, SIM_TOL))
 
     faces = rng.dirichlet((1.0,) * 3, size=(4, 5))
     boundary = [np.insert(faces[hole], hole, 0.0, axis=1) for hole in range(4)]
@@ -172,8 +172,7 @@ def prop1_verify(sample_count: int = 1000, seed: int = 7) -> dict:
     boundary = np.concatenate(boundary)
     dev = _prop1_deviation(boundary)
     checks.append(make_check(
-        "prop1_boundary_mixtures", {"cases": len(boundary), "seed": seed},
-        0.0, dev, dev, dev <= PROB1_TOL))
+        "prop1_boundary_mixtures", {"cases": len(boundary), "seed": seed}, 0.0, dev, dev, SIM_TOL))
     return make_report(checks)
 
 
@@ -210,12 +209,10 @@ def prop2_verify(n_max: int = 5) -> dict:
         masses = outcome_masses(game, stack)
         tree = dict(behavioral_masses(problem, exits))
         mass_dev = float(np.abs(masses - np.stack([tree[lab] for lab in game.labels], 1)).max())
-        checks.append(make_check(
-            f"prop2_amplitudes_n{n}", {"n": n, "theta_grid": len(thetas)},
-            0.0, amp_dev, amp_dev, amp_dev <= AMP_TOL))
-        checks.append(make_check(
-            f"prop2_outcome_masses_n{n}", {"n": n, "theta_grid": len(thetas)},
-            0.0, mass_dev, mass_dev, mass_dev <= MASS_TOL))
+        inputs = {"n": n, "theta_grid": len(thetas)}
+        checks += [make_check(f"prop2_amplitudes_n{n}", inputs, 0.0, amp_dev, amp_dev, AMP_TOL),
+                   make_check(f"prop2_outcome_masses_n{n}", inputs, 0.0, mass_dev, mass_dev,
+                              SIM_TOL)]
     return make_report(checks)
 
 
@@ -269,13 +266,12 @@ class Prop3Certificate:
     quantum_payoff: float
     classical_max: float
     margin: float
-    dominates: bool
 
 
 def search_slack(reference: float, tol: float) -> float:
     """How far a search's value at tolerance ``tol`` may miss ``reference``:
-    max(tol, 1e-9) * max(1, |reference|)."""
-    return max(tol, 1e-9) * max(1.0, abs(reference))
+    max(tol, SIM_TOL) * max(1, |reference|)."""
+    return max(tol, SIM_TOL) * max(1.0, abs(reference))
 
 
 def _cross_check(kind: str, value: float, other: float, against: str, tol: float) -> None:
@@ -283,6 +279,12 @@ def _cross_check(kind: str, value: float, other: float, against: str, tol: float
     search_slack(other, tol) of ``other``, a second computation of it."""
     if not abs(value - other) <= search_slack(other, tol):
         raise CrossCheckError(f"{kind} optimum mismatch: search {value!r} vs {against} {other!r}")
+
+
+def _driver_payoff(n: int, lam: float, theta: float, alpha: float, beta: float) -> float:
+    """The driver game's expected payoff, simulated with U(theta, alpha, beta) on all n+1 qubits."""
+    gate = build_gate(UnitaryParams(theta, alpha, beta))
+    return expected_payoff(n_tuple_driver_game(n, lam), [gate] * (n + 1))
 
 
 def classical_optimum(n: int, lam: float, tol: float) -> tuple[OptResult, float, float]:
@@ -299,8 +301,7 @@ def quantum_optimum(n: int, lam: float, grid_per_dim: int, starts: int,
     """maximize_3d of the three-parameter payoff, cross-checked against the driver game
     simulated at the argmax: (result, simulated payoff)."""
     res = maximize_3d(payoff_three_param_fn(n, lam), grid_per_dim, starts, tol)
-    gate = build_gate(UnitaryParams(*res.argmax))
-    sim = expected_payoff(n_tuple_driver_game(n, lam), [gate] * (n + 1))
+    sim = _driver_payoff(n, lam, *res.argmax)
     _cross_check("quantum", res.value, sim, "simulation at the argmax", 0.0)
     return res, sim
 
@@ -324,8 +325,7 @@ def prop3_verify(n: int, delta: float) -> Prop3Certificate:
     if not delta > 1.0:
         raise ValueError(f"delta must exceed 1, got {delta}")
     lam = delta * lam0
-    gate = build_gate(UnitaryParams(theta, alpha, beta))
-    quantum = expected_payoff(n_tuple_driver_game(n, lam), [gate] * (n + 1))
+    quantum = _driver_payoff(n, lam, theta, alpha, beta)
     classical = classical_max_closed_form(n, lam)[1]
     odd_term = 2 * n ** ((n - 1) // 2) if n % 2 else 0
     margin = (delta * (1.0 + odd_term)
@@ -334,7 +334,7 @@ def prop3_verify(n: int, delta: float) -> Prop3Certificate:
     if abs(quantum - classical - margin) > (n + 1) * lam * sys.float_info.epsilon:
         raise CrossCheckError(f"prop3 margin mismatch at n={n}, delta={delta}: simulation "
                               f"{quantum - classical!r} vs exact structure {margin!r}")
-    return Prop3Certificate(lam, quantum, classical, margin, margin > 0.0)
+    return Prop3Certificate(lam, quantum, classical, margin)
 
 
 # the payoff multiples of lambda0 that prop3_sweep certifies at every n
@@ -354,7 +354,7 @@ def prop3_sweep(n_values=(2, 3, 4, 5, 6)) -> dict:
                 "quantum > classical",
                 {"quantum": cert.quantum_payoff, "classical": cert.classical_max,
                  "margin": cert.margin},
-                -cert.margin, cert.dominates))
+                -cert.margin, STRICT_TOL))
     return make_report(checks)
 
 
@@ -406,7 +406,7 @@ def formulas_verify(n_max: int = 5, samples: int = 500, seed: int = 11) -> dict:
     checks.append(make_check(
         "three_param_closed_form_vs_simulation",
         {"samples": samples, "seed": seed, "n_max": n_max},
-        0.0, dev, dev, dev <= 1e-9))
+        0.0, dev, dev, SIM_TOL))
 
     dev_sim = 0.0
     dev_tree = 0.0
@@ -421,10 +421,10 @@ def formulas_verify(n_max: int = 5, samples: int = 500, seed: int = 11) -> dict:
         dev_tree = max(dev_tree, _max_dev(closed, tree))
     checks.append(make_check(
         "one_param_closed_form_vs_simulation", {"n_max": max(n_max, 6), "lam": lam},
-        0.0, dev_sim, dev_sim, dev_sim <= 1e-9))
+        0.0, dev_sim, dev_sim, SIM_TOL))
     checks.append(make_check(
         "one_param_closed_form_vs_tree_model", {"n_max": max(n_max, 6), "lam": lam},
-        0.0, dev_tree, dev_tree, dev_tree <= 1e-9))
+        0.0, dev_tree, dev_tree, SIM_TOL))
 
     payoffs = (3.0, -1.0, 2.0, 0.5)
     problem = two_stage_problem()
@@ -440,7 +440,7 @@ def formulas_verify(n_max: int = 5, samples: int = 500, seed: int = 11) -> dict:
     dev = _max_dev(sim, form)
     checks.append(make_check(
         "two_qubit_product_form_vs_simulation", {"grid": 21, "payoffs": list(payoffs)},
-        0.0, dev, dev, dev <= 1e-9))
+        0.0, dev, dev, SIM_TOL))
 
     # one draw of (100, 3) uniforms is the same stream as 100 draws of three
     theta1, alpha1, beta1 = rng.uniform(0.0, (math.pi, TWO_PI, TWO_PI), size=(100, 3)).T
@@ -452,14 +452,14 @@ def formulas_verify(n_max: int = 5, samples: int = 500, seed: int = 11) -> dict:
     dev = _max_dev(sim, form)
     checks.append(make_check(
         "first_qubit_only_form_vs_simulation", {"samples": 100, "seed": seed},
-        0.0, dev, dev, dev <= 1e-9))
+        0.0, dev, dev, SIM_TOL))
 
     # <01|psi_f> = <10|psi_f> for the same gate on both qubits
     same = gate_stack(*rng.uniform(0.0, (math.pi, TWO_PI, TWO_PI), size=(100, 3)).T)
     amps = final_states(_on_every_qubit(same, 2))
     dev = float(np.abs(amps[:, 1] - amps[:, 2]).max())
     checks.append(make_check(
-        "eta_symmetry", {"samples": 100, "seed": seed}, 0.0, dev, dev, dev <= 1e-12))
+        "eta_symmetry", {"samples": 100, "seed": seed}, 0.0, dev, dev, AMP_TOL))
 
     lam = 4.0
     theta, alpha = (t.ravel() for t in np.meshgrid(closed_grid(0.0, math.pi, 41),
@@ -472,7 +472,7 @@ def formulas_verify(n_max: int = 5, samples: int = 500, seed: int = 11) -> dict:
         "two_param_form_known_discrepancy", {"lam": lam, "grid": 41},
         {"beta0_reduction_deviation": 0.0, "sine_linear_variant": "documented deviation"},
         {"beta0_reduction_deviation": dev_beta0, "sine_linear_deviation": dev_linear},
-        dev_beta0, dev_beta0 <= 1e-9,
+        dev_beta0, SIM_TOL,
         note=("known discrepancy: the sine-linear two-parameter variant deviates from "
               f"simulation by up to {dev_linear:.6f}; the beta=0 reduction of the "
               "three-parameter form matches simulation and is the form this package uses")))
@@ -501,12 +501,11 @@ def recall_verify(problem: DecisionProblem | None = None) -> dict:
         actual = has_imperfect_recall(prob)
         checks.append(make_check(
             name, {"information_sets": len(prob.info_partition)},
-            expected, actual, 0.0 if actual == expected else 1.0, actual == expected))
+            expected, actual, float(actual != expected), EXACT_TOL))
     if problem is not None:
         actual = has_imperfect_recall(problem)
         checks.append(make_check(
-            "user_problem_imperfect_recall",
-            {"information_sets": len(problem.info_partition)},
-            None, actual, 0.0, True,
+            "user_problem_imperfect_recall", {"information_sets": len(problem.info_partition)},
+            None, actual, 0.0, EXACT_TOL,
             note="informational: no expected value for user-supplied problems"))
     return make_report(checks)

@@ -215,13 +215,14 @@ def cmd_optimize(args: argparse.Namespace) -> dict:
         res, p_star, closed = analysis.classical_optimum(n, lam, args.tol)
         checks.append(_search_fields(analysis.make_check(
             "classical_optimum", {"n": n, "lambda": lam},
-            closed, res.value, abs(res.value - closed), True, note=f"p*={p_star:.9f}"), res))
+            closed, res.value, abs(res.value - closed), analysis.search_slack(closed, args.tol),
+            note=f"p*={p_star:.9f}"), res))
 
     if args.mode in ("quantum", "both"):
         res, sim = analysis.quantum_optimum(n, lam, args.grid, args.starts, args.tol)
         checks.append(_search_fields(analysis.make_check(
             "quantum_optimum", {"n": n, "lambda": lam, "grid": args.grid},
-            sim, res.value, abs(sim - res.value), True), res))
+            sim, res.value, abs(sim - res.value), analysis.search_slack(sim, 0.0)), res))
         if n >= 2:  # Prop. 3's gate, defined for every n the qubit cap lets through
             theta, alpha, beta, _ = analysis.prop3_params(n)
             known = ewl.payoff_three_param_fn(n, lam)(theta, alpha, beta)
@@ -229,7 +230,7 @@ def cmd_optimize(args: argparse.Namespace) -> dict:
             checks.append(analysis.make_check(
                 "quantum_reaches_prop3_point", {"n": n, "lambda": lam,
                                                 "params": [theta, alpha, beta]},
-                known, res.value, shortfall, shortfall <= analysis.search_slack(known, args.tol)))
+                known, res.value, shortfall, analysis.search_slack(known, args.tol)))
 
     if args.mode == "both":
         # the quantum game embeds the classical one, so its optimum is no lower
@@ -237,8 +238,7 @@ def cmd_optimize(args: argparse.Namespace) -> dict:
         shortfall = max(classical - quantum, 0.0)
         checks.append(analysis.make_check(
             "quantum_classical_ratio", {"n": n, "lambda": lam},
-            None, quantum / classical, shortfall,
-            shortfall <= analysis.search_slack(classical, args.tol)))
+            None, quantum / classical, shortfall, analysis.search_slack(classical, args.tol)))
     return analysis.make_report(checks)
 
 
@@ -284,6 +284,12 @@ def cmd_landscape(args: argparse.Namespace) -> str:
     return "\n".join(rows)
 
 
+# reproduce's tolerances against the reference values: an optimum (searched, or
+# the n = 3 closed form's) and the n = 1 closed form; simulated payoffs take SIM_TOL
+OPTIMUM_TOL = 1e-6
+CLOSED_FORM_TOL = 1e-12
+
+
 def cmd_reproduce(args: argparse.Namespace) -> dict:
     try:
         lams = [float(x) for x in (args.lambda_sweep or "").split(",") if x.strip()]
@@ -293,49 +299,31 @@ def cmd_reproduce(args: argparse.Namespace) -> dict:
         raise ValueError(f"--lambda-sweep {args.lambda_sweep!r} lists no value")
     if not all(math.isfinite(lam) for lam in lams):
         raise ValueError(f"--lambda-sweep entries must be finite, got {args.lambda_sweep!r}")
-    checks = []
-
+    driver, example = {"n": 1, "lambda": 4.0}, {"n": 3, "lambda": 20.0}
     res1, _, value_n1 = analysis.classical_optimum(1, 4.0, 1e-10)
-    checks.append(analysis.make_check(
-        "driver_classical_optimum", {"n": 1, "lambda": 4.0}, 4.0 / 3.0, res1.value,
-        abs(res1.value - 4.0 / 3.0), abs(res1.value - 4.0 / 3.0) <= 1e-6))
-    closed_n1 = 16.0 / (4.0 * 3.0)
-    checks.append(analysis.make_check(
-        "driver_classical_closed_form", {"n": 1, "lambda": 4.0,
-                                         "formula": "lambda^2/(4(lambda-1))"},
-        closed_n1, value_n1, abs(value_n1 - closed_n1), abs(value_n1 - closed_n1) <= 1e-12))
-
-    gate = ewl.build_gate(ewl.UnitaryParams(math.pi / 2.0, math.pi / 4.0, 0.0))
-    sim = ewl.expected_payoff(ewl.n_tuple_driver_game(1, 4.0), [gate] * 2)
-    checks.append(analysis.make_check(
-        "driver_quantum_payoff", {"n": 1, "lambda": 4.0,
-                                  "params": ["pi/2", "pi/4", "0"]},
-        2.0, sim, abs(sim - 2.0), abs(sim - 2.0) <= 1e-9))
-
-    _, value_n3 = analysis.classical_max_closed_form(3, 20.0)
-    expected_n3 = 16875.0 / 6859.0
-    checks.append(analysis.make_check(
-        "example_classical_optimum", {"n": 3, "lambda": 20.0},
-        expected_n3, value_n3, abs(value_n3 - expected_n3),
-        abs(value_n3 - expected_n3) <= 1e-6))
-
-    gate3 = ewl.build_gate(ewl.UnitaryParams(math.pi / 2.0, 9.0 * math.pi / 16.0,
-                                             3.0 * math.pi / 16.0))
-    sim3 = ewl.expected_payoff(ewl.n_tuple_driver_game(3, 20.0), [gate3] * 4)
-    checks.append(analysis.make_check(
-        "example_quantum_payoff", {"n": 3, "lambda": 20.0,
-                                   "params": ["pi/2", "9pi/16", "3pi/16"]},
-        5.0, sim3, abs(sim3 - 5.0), abs(sim3 - 5.0) <= 1e-9))
+    rows = [
+        ("driver_classical_optimum", driver, 4.0 / 3.0, res1.value, OPTIMUM_TOL),
+        ("driver_classical_closed_form", {**driver, "formula": "lambda^2/(4(lambda-1))"},
+         16.0 / (4.0 * 3.0), value_n1, CLOSED_FORM_TOL),
+        ("driver_quantum_payoff", {**driver, "params": ["pi/2", "pi/4", "0"]}, 2.0,
+         analysis._driver_payoff(1, 4.0, math.pi / 2.0, math.pi / 4.0, 0.0), analysis.SIM_TOL),
+        ("example_classical_optimum", example, 16875.0 / 6859.0,
+         analysis.classical_max_closed_form(3, 20.0)[1], OPTIMUM_TOL),
+        ("example_quantum_payoff", {**example, "params": ["pi/2", "9pi/16", "3pi/16"]}, 5.0,
+         analysis._driver_payoff(3, 20.0, math.pi / 2.0, 9.0 * math.pi / 16.0,
+                                 3.0 * math.pi / 16.0), analysis.SIM_TOL),
+    ]
+    checks = [analysis.make_check(check, inputs, expected, actual, abs(actual - expected), tol)
+              for check, inputs, expected, actual, tol in rows]
 
     for lam in lams:
         res, _ = analysis.quantum_optimum(1, lam, 17, 6, 1e-9)
         expected = max(1.0, lam / 2.0)
-        # 1e-6 up to |expected| ~ 7e7, then a few ulps of expected
-        tol = max(1e-6, 64.0 * sys.float_info.epsilon * abs(expected))
+        # OPTIMUM_TOL up to |expected| ~ 7e7, then a few ulps of expected
+        tol = max(OPTIMUM_TOL, 64.0 * sys.float_info.epsilon * abs(expected))
         checks.append(_search_fields(analysis.make_check(
             f"driver_quantum_optimum_lambda{lam:g}", {"n": 1, "lambda": lam},
-            expected, res.value, abs(res.value - expected),
-            abs(res.value - expected) <= tol), res))
+            expected, res.value, abs(res.value - expected), tol), res))
 
     return analysis.make_report(checks)
 

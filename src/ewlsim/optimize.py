@@ -207,11 +207,18 @@ def _cosine(u: list[float], v: list[float]) -> float:
     return sum(a * b for a, b in zip(u, v)) / norms if norms > 0.0 else 0.0
 
 
+def _clamp(v, hi: float):
+    """v clamped into [0, hi]: a float stays a float, an array is clipped elementwise."""
+    return np.clip(v, 0.0, hi) if isinstance(v, np.ndarray) else min(max(v, 0.0), hi)
+
+
 def _pattern_max(f, x: list[float], d: list[float], axes: tuple[tuple[float, bool], ...],
                  tol: float) -> tuple[list[float], float, int]:
     """Argmax of f along x + t d over t in [0, T], its value, and the points
     evaluated.  T keeps each non-periodic coordinate in [0, hi] and moves no
-    phase by more than pi; a reach of 0 evaluates nothing."""
+    phase by more than pi; a reach of 0 evaluates nothing.  x + T d may round
+    past hi or below 0, so every probe clamps its bounded coordinates into
+    [0, hi]: f sees only points of the box, and the argmax is the point probed."""
     reach = math.inf
     for xi, di, (hi, periodic) in zip(x, d, axes):
         if di != 0.0:
@@ -219,11 +226,14 @@ def _pattern_max(f, x: list[float], d: list[float], axes: tuple[tuple[float, boo
             reach = min(reach, room / abs(di))
     if not reach > 0.0:
         return x, -math.inf, 0
-    t, value, evaluations = _grid_then_brent(
-        lambda t: f(*(xi + t * di for xi, di in zip(x, d))), 0.0, reach, LINE_SAMPLES,
-        tol / max(map(abs, d)))
-    point = [wrap_phase(xi + t * di) if periodic else min(max(xi + t * di, 0.0), hi)
-             for xi, di, (hi, periodic) in zip(x, d, axes)]
+
+    def along(t):  # a float t gives floats, an array t arrays
+        return [xi + t * di if periodic else _clamp(xi + t * di, hi)
+                for xi, di, (hi, periodic) in zip(x, d, axes)]
+
+    t, value, evaluations = _grid_then_brent(lambda t: f(*along(t)), 0.0, reach, LINE_SAMPLES,
+                                             tol / max(map(abs, d)))
+    point = [wrap_phase(xi) if periodic else xi for xi, (_, periodic) in zip(along(t), axes)]
     return point, value, evaluations
 
 

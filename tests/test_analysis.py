@@ -152,6 +152,13 @@ def test_prop1_verify_sweep():
     json.dumps(report)  # report must be serializable as emitted by the CLI
 
 
+def test_prop1_verify_takes_one_sample_and_refuses_none():
+    report = prop1_verify(1)
+    assert report["pass"] and report["checks"][0]["inputs"]["samples"] == 1
+    with pytest.raises(ValueError, match="samples must be >= 1, got 0"):
+        prop1_verify(0)
+
+
 # ------------------------------------------------------------------- prop2
 
 
@@ -165,6 +172,15 @@ def test_prop2_half_probabilities():
     report = prop2_verify(n_max=2)
     assert report["pass"]
     assert {c["inputs"]["theta_grid"] for c in report["checks"]} == {len(thetas)}
+
+
+def test_prop2_verify_runs_from_n_max_1_and_refuses_0():
+    report = prop2_verify(1)
+    assert report["pass"]
+    assert [c["check"] for c in report["checks"]] == ["prop2_amplitudes_n1",
+                                                       "prop2_outcome_masses_n1"]
+    with pytest.raises(ValueError, match="n_max must be >= 1"):
+        prop2_verify(0)
 
 
 def test_prop2_sweep_small():
@@ -277,7 +293,7 @@ def test_prop3_verify_refuses_n1():
 def test_prop3_margins_match_frozen_constants():
     for (n, delta), frozen in DOMINANCE_MARGINS.items():
         cert = prop3_verify(n, delta)
-        assert cert.dominates, (n, delta)
+        assert cert.margin > 0, (n, delta)
         assert cert.margin == pytest.approx(frozen, abs=1e-6 * max(1.0, frozen))
 
 
@@ -340,10 +356,26 @@ def test_prop3_cross_check_bound_is_n_plus_1_lambda_eps(monkeypatch, n):
         monkeypatch.setattr(analysis, "expected_payoff",
                             lambda game, gates, shift=shift: original(game, gates) + shift)
         if passes:
-            assert prop3_verify(n, 1.5).dominates
+            assert prop3_verify(n, 1.5).margin > 0
         else:
             with pytest.raises(analysis.CrossCheckError, match=f"prop3 margin mismatch at n={n}"):
                 prop3_verify(n, 1.5)
+
+
+@pytest.mark.parametrize("deviation, tol, passed", [
+    (1e-9, analysis.SIM_TOL, True),
+    (math.nextafter(1e-9, 1.0), analysis.SIM_TOL, False),
+    (math.nan, analysis.SIM_TOL, False),
+    (0.0, analysis.EXACT_TOL, True),
+    (1.0, analysis.EXACT_TOL, False),
+    # Prop. 3's rows pass deviation -margin, so STRICT_TOL passes exactly margin > 0
+    (-5e-324, analysis.STRICT_TOL, True),
+    (0.0, analysis.STRICT_TOL, False),
+    (-0.0, analysis.STRICT_TOL, False),
+])
+def test_a_check_passes_iff_its_deviation_is_at_most_its_tolerance(deviation, tol, passed):
+    check = analysis.make_check("row", {}, 0.0, deviation, deviation, tol)
+    assert check["pass"] is passed
 
 
 def test_an_empty_report_does_not_pass():

@@ -374,6 +374,16 @@ def test_verify_prop3_small(capsys):
     assert all(c["actual"]["margin"] > 0 for c in report["checks"])
 
 
+def test_verify_prop3_runs_from_n_2_and_refuses_n_1(capsys):
+    code, out = run_cli("verify", "prop3", "--n", "2", "--format", "json", capsys=capsys)
+    assert code == 0
+    report = json.loads(out)
+    assert report["pass"] and [c["inputs"]["n"] for c in report["checks"]] == [2, 2, 2]
+    assert cli.main(["verify", "prop3", "--n", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "--n must be >= 2" in err
+
+
 def test_verify_prop3_refuses_n_below_2_before_any_work(capsys, monkeypatch):
     def refused(*args, **kwargs):
         raise AssertionError("verify prop3 --n 1 started its work")
@@ -687,7 +697,7 @@ def test_verify_exits_1_on_failed_check(capsys, monkeypatch):
     from ewlsim import analysis
 
     broken = analysis.make_report([analysis.make_check(
-        "forced_failure", {}, 0.0, 1.0, 1.0, False)])
+        "forced_failure", {}, 0.0, 1.0, 1.0, analysis.SIM_TOL)])
     monkeypatch.setattr(cli.analysis, "recall_verify", lambda problem=None: broken)
     code, _ = run_cli("verify", "recall", capsys=capsys)
     assert code == 1

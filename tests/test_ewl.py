@@ -616,6 +616,13 @@ def test_amplitude_one_param_extremes():
                                                                       abs=1e-15)
 
 
+@pytest.mark.parametrize("m", [1, 3])
+def test_amplitude_one_param_takes_indices_below_2_to_the_m(m):
+    assert isinstance(amplitude_one_param(2 ** m - 1, 0.7, m), complex)
+    with pytest.raises(ValueError, match=f"basis index {2 ** m} out of range for {m} qubits"):
+        amplitude_one_param(2 ** m, 0.7, m)
+
+
 def test_amplitude_one_param_matches_simulation():
     for m in (2, 3, 4, 5):
         for theta in np.linspace(0.0, math.pi, 21):

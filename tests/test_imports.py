@@ -1,9 +1,11 @@
 """Every module of the package uses each name it imports, every private
 module-level name it defines is read somewhere in the package, every public
 one has a caller outside the tests, and so has every keyword default; no
-module builds a grid with linspace."""
+module builds a grid with linspace; every report check takes a named
+tolerance, and every tolerance keeps its value."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -37,11 +39,15 @@ def test_module_has_no_unused_imports(module):
     assert unused_imports((PACKAGE / module).read_text()) == []
 
 
+def _called(node: ast.Call) -> str | None:
+    """The name a call calls, bare or as an attribute."""
+    return getattr(node.func, "id", getattr(node.func, "attr", None))
+
+
 def linspace_calls(source: str) -> list[int]:
     """The lines of the module's linspace calls, by name or as an attribute."""
     return [node.lineno for node in ast.walk(ast.parse(source))
-            if isinstance(node, ast.Call)
-            and getattr(node.func, "id", getattr(node.func, "attr", None)) == "linspace"]
+            if isinstance(node, ast.Call) and _called(node) == "linspace"]
 
 
 def test_linspace_calls_are_found():
@@ -55,6 +61,59 @@ def test_every_grid_is_a_closed_grid():
     # hi itself, where np.linspace's middle points differ from it by ulps
     assert [(path.name, line) for path in sorted(PACKAGE.glob("*.py"))
             for line in linspace_calls(path.read_text())] == []
+
+
+def check_tolerances(source: str) -> list[tuple[int, bool]]:
+    """(line, named) for each of the module's make_check calls: whether its
+    tolerance, the sixth argument or tol=, is a name, an attribute or a
+    search_slack call, not a literal or an expression."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and _called(node) == "make_check":
+            tol = (node.args[5] if len(node.args) > 5
+                   else next((k.value for k in node.keywords if k.arg == "tol"), None))
+            found.append((node.lineno, isinstance(tol, (ast.Name, ast.Attribute))
+                          or isinstance(tol, ast.Call) and _called(tol) == "search_slack"))
+    return found
+
+
+def test_unnamed_tolerances_are_found():
+    source = ("make_check('a', {}, 0.0, d, d, 1e-9)\n"
+              "analysis.make_check('b', {}, 0.0, d, d, SIM_TOL, note='n')\n"
+              "make_check('c', {}, 0.0, d, d, tol=-1e-6)\n"
+              "make_check('d', {}, 0.0, d, d, analysis.search_slack(x, 0.0))\n"
+              "make_check('e', {}, 0.0, d, d, 2 * SIM_TOL)\n"
+              "make_check('f', {}, 0.0, d, d, tol)\n")
+    assert check_tolerances(source) == [(1, False), (2, True), (3, False), (4, True),
+                                        (5, False), (6, True)]
+
+
+def test_every_check_takes_a_named_tolerance():
+    # a row passes iff its deviation is at most its tolerance, so a tolerance
+    # is a named constant (pinned below) or the search's own slack
+    calls = [(path.name, line, named) for path in sorted(PACKAGE.glob("*.py"))
+             for line, named in check_tolerances(path.read_text())]
+    assert calls and [call for call in calls if not call[2]] == []
+
+
+TOLERANCES = {
+    "qstate.NORM_TOL": 1e-12,
+    "qstate.UNITARY_TOL": 1e-12,
+    "decision.PROB_TOL": 1e-12,
+    "analysis.AMP_TOL": 1e-12,
+    "analysis.SIM_TOL": 1e-9,
+    "analysis.EXACT_TOL": 0.0,
+    "analysis.STRICT_TOL": -5e-324,  # the largest float below 0
+    "cli.OPTIMUM_TOL": 1e-6,
+    "cli.CLOSED_FORM_TOL": 1e-12,
+}
+
+
+@pytest.mark.parametrize("name", sorted(TOLERANCES))
+def test_every_tolerance_keeps_its_value(name):
+    module, _, constant = name.partition(".")
+    value = getattr(importlib.import_module(f"ewlsim.{module}"), constant)
+    assert type(value) is float and value == TOLERANCES[name]
 
 
 def definitions(source: str, methods: bool) -> list[str]:
@@ -238,7 +297,7 @@ def unset_defaults(sources: list[str], callers: list[str]) -> list[str]:
     given = set()
     for node in (n for caller in callers for n in ast.walk(ast.parse(caller))):
         if isinstance(node, ast.Call):
-            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            name = _called(node)
             given.update(f"{name}.{param}" for param, position, default in defaults.get(name, ())
                          if _sets_parameter(node, param, position, default))
     return [f"{name}.{param}" for name, params in defaults.items() for param, _, _ in params

@@ -130,6 +130,24 @@ def test_3d_probes_phases_past_the_box_and_reports_them_wrapped():
         assert min(phase, TWO_PI - phase) == pytest.approx(0.0, abs=1e-6)
 
 
+@pytest.mark.parametrize("lam, grid", [(50.0, 17), (3.0, 33)])
+def test_3d_probes_theta_only_inside_its_bounds(lam, grid):
+    # a pattern step's reach puts one coordinate on its bound only up to
+    # rounding: unclamped, both runs probed theta = -2.220446049250313e-16
+    payoff = payoff_three_param_fn(1, lam)
+    probed, kinds = [], set()
+
+    def f(theta, alpha, beta):  # hides payoff.line, so every probe passes here
+        probed.extend(np.ravel(theta).tolist())
+        kinds.add(type(theta))
+        return payoff(theta, alpha, beta)
+
+    res = maximize_3d(f, grid_per_dim=grid, starts=3, tol=1e-9)
+    assert 0.0 <= min(probed) and max(probed) <= math.pi
+    assert kinds == {float, np.ndarray}  # float probes keep the payoff's math path
+    assert payoff(*res.argmax) == res.value
+
+
 @pytest.mark.parametrize("f", [lambda t, a, b: 1.5, lambda t, a, b: np.cos(a) + np.cos(b)],
                          ids=["constant", "theta_free"])
 def test_3d_broadcasts_objectives_that_omit_a_coordinate(f):
