@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .decision import DecisionProblem, _check_n, behavioral_masses, has_imperfect_recall
+from .decision import DecisionProblem, behavioral_masses, has_imperfect_recall
 from .decision import checked_probabilities, n_tuple_driver, n_tuple_outcomes, two_stage_problem
 from .ewl import (
     UnitaryParams,
@@ -39,7 +39,8 @@ from .ewl import (
     payoff_three_param_fn,
     two_stage_game,
 )
-from .optimize import GRID_BUDGET, TWO_PI, OptResult, closed_grid, maximize_1d, maximize_3d
+from .optimize import (TWO_PI, OptResult, check_budget, check_count, closed_grid, maximize_1d,
+                       maximize_3d)
 from .qstate import check_qubit_count
 
 AMP_TOL = 1e-12  # closed-form amplitudes against simulation
@@ -143,17 +144,11 @@ def _prop1_deviation(mixtures) -> float:
     return float(np.abs(masses[:, order] - mixtures).max())
 
 
-def _check_samples(count: int) -> None:
-    """Refuse a sample count below 1 or over GRID_BUDGET, before any random draw."""
-    if count < 1:
-        raise ValueError(f"samples must be >= 1, got {count}")
-    if count > GRID_BUDGET:
-        raise ValueError(f"{count:,} samples are over the budget of {GRID_BUDGET:,} (GRID_BUDGET)")
-
-
 def prop1_verify(sample_count: int = 1000, seed: int = 7) -> dict:
     """Seeded sweep of random and boundary mixtures through prop1_solve's kernel, _prop1_angles."""
-    _check_samples(sample_count)
+    sample_count = check_count(sample_count, "samples")
+    check_budget(sample_count, f"{sample_count:,} samples")  # before any random draw
+    seed = check_count(seed, "seed", low=0)
     rng = np.random.default_rng(seed)
     checks = []
 
@@ -192,8 +187,7 @@ def _one_param_sweep() -> tuple:
 def prop2_verify(n_max: int = 5) -> dict:
     """Simulation vs the closed-form amplitudes and vs the tree model's outcome
     masses at exit probability cos^2(theta/2), over n <= n_max and 101 thetas in [0, pi]."""
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
+    n_max = check_count(n_max, "n_max")
     thetas, gates, exits = _one_param_sweep()
     check_stack_size(len(thetas), n_max + 1)  # the largest stack, before n = 1 runs
     checks = []
@@ -222,7 +216,7 @@ def prop2_verify(n_max: int = 5) -> dict:
 
 def classical_max_closed_form(n: int, lam: float) -> tuple[float, float]:
     """Maximizer and maximum of (1-p)^n ((lam-1)p + 1) over p in [0, 1]."""
-    _check_n(n)
+    n = check_count(n, "n")
     lam = float(lam)
     if lam > 1.0:
         # divide before multiplying: (lam - 1) * (n + 1) overflows for lam near the largest float
@@ -246,8 +240,7 @@ def prop3_params(n: int) -> tuple[float, float, float, float]:
     n = 143 on it exceeds the largest float, so a ValueError is raised before
     the power is built.
     """
-    if not isinstance(n, int) or n < 2:
-        raise ValueError(f"n must be an integer >= 2, got {n}")
+    n = check_count(n, "n", low=2)
     if n > 142:
         raise ValueError(f"lambda0 = (n+1)^(n+1)/n at n={n} is beyond the largest float; "
                          "prop3_params needs n <= 142")
@@ -321,6 +314,7 @@ def prop3_verify(n: int, delta: float) -> Prop3Certificate:
     gate.  A simulation that misses the margin by more than (n+1) lam eps
     raises CrossCheckError.
     """
+    n = check_count(n, "n", low=2)  # a Python int, so n ** (n - 1) below is exact
     theta, alpha, beta, lam0 = prop3_params(n)
     if not delta > 1.0:
         raise ValueError(f"delta must exceed 1, got {delta}")
@@ -343,6 +337,7 @@ PROP3_DELTAS = (1.1, 1.5, 3.0)
 
 def prop3_sweep(n_values=(2, 3, 4, 5, 6)) -> dict:
     """Dominance certificates over n_values x PROP3_DELTAS; all must be strict."""
+    n_values = [check_count(n, "n", low=2) for n in n_values]
     check_qubit_count(max(n_values, default=1) + 1)  # before the sweep's first run
     checks = []
     for n in n_values:
@@ -381,9 +376,10 @@ def formulas_verify(n_max: int = 5, samples: int = 500, seed: int = 11) -> dict:
     payoffs and masses through block_masses, the eta symmetry through the
     amplitudes of final_states.
     """
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    _check_samples(samples)
+    n_max = check_count(n_max, "n_max")
+    samples = check_count(samples, "samples")
+    check_budget(samples, f"{samples:,} samples")  # before any random draw
+    seed = check_count(seed, "seed", low=0)
     check_qubit_count(n_max + 1)
     rng = np.random.default_rng(seed)
     checks = []

@@ -24,7 +24,7 @@ from itertools import product
 import numpy as np
 
 from . import analysis, decision, ewl, optimize
-from .optimize import GRID_BUDGET, TWO_PI
+from .optimize import TWO_PI, _check_tol, check_budget, check_count
 from .qstate import MAX_QUBITS, check_qubit_count
 
 _ANGLE_RE = re.compile(r"^([+-]?\d*\.?\d*)\*?pi(?:/(\d*\.?\d+))?$")
@@ -66,8 +66,8 @@ def _attach_negative_values(argv: list[str] | None) -> list[str]:
 def check_options(args: argparse.Namespace) -> None:
     """Refuse bad values of the options the command declares, before any work."""
     opts = vars(args)
-    if opts.get("n", 1) < 1:
-        raise ValueError(f"--n must be >= 1, got {args.n}")
+    if "n" in opts:
+        check_count(args.n, "--n")
     if not math.isfinite(opts.get("lam", 0.0)):
         raise ValueError("--lambda must be finite")
     if "theta" in opts:
@@ -76,19 +76,17 @@ def check_options(args: argparse.Namespace) -> None:
         if not 0.0 <= args.theta <= math.pi:
             raise ValueError(f"--theta must lie in [0, pi], got {args.theta!r}")
     if "grid" in opts:
-        if args.grid < 2:
-            raise ValueError(f"--grid must be >= 2, got {args.grid}")
+        check_count(args.grid, "--grid", low=2)
         # landscape always scans the grid; optimize does unless it is classical only
-        if opts.get("mode") != "classical" and args.grid ** 3 > GRID_BUDGET:
-            raise ValueError(f"--grid {args.grid} gives {args.grid ** 3:,} grid points, "
-                             f"over the budget of {GRID_BUDGET:,} (GRID_BUDGET)")
-    if opts.get("seed", 0) < 0:
-        raise ValueError(f"--seed must be >= 0, got {args.seed}")
+        if opts.get("mode") != "classical":
+            check_budget(args.grid ** 3, f"--grid {args.grid} gives {args.grid ** 3:,} grid points")
+    if "seed" in opts:
+        check_count(args.seed, "--seed", low=0)
     # only the quantum search reads --starts
-    if opts.get("mode") != "classical" and opts.get("starts", 1) < 1:
-        raise ValueError(f"--starts must be >= 1, got {args.starts}")
-    if "tol" in opts and not (math.isfinite(args.tol) and args.tol > 0):
-        raise ValueError(f"--tol must be finite and positive, got {args.tol!r}")
+    if opts.get("mode") != "classical" and "starts" in opts:
+        check_count(args.starts, "--starts")
+    if "tol" in opts:
+        _check_tol(args.tol, "--tol")
 
 
 # --------------------------------------------------------------------------
@@ -160,9 +158,8 @@ def cmd_simulate(args: argparse.Namespace) -> str:
     params = ewl.UnitaryParams(args.theta, args.alpha, args.beta)
     n, m = args.n, args.n + 1
     check_qubit_count(m)
-    if 1 << m > GRID_BUDGET:  # the table's dict and text cost far more than its state
-        raise ValueError(f"--n {n} gives a basis table of {1 << m:,} rows, over the budget of "
-                         f"{GRID_BUDGET:,} (GRID_BUDGET)")
+    # the table's dict and text cost far more than its state
+    check_budget(1 << m, f"--n {n} gives a basis table of {1 << m:,} rows")
     game = ewl.n_tuple_driver_game(n, args.lam)
     gates = [ewl.build_gate(params)] * m
     probs = ewl.final_state(gates).probabilities  # only the basis table needs the 2^m amplitudes
@@ -251,8 +248,7 @@ def verify_prop2(args: argparse.Namespace) -> dict:
 
 
 def verify_prop3(args: argparse.Namespace) -> dict:
-    if args.n < 2:  # the certificates start at n = 2
-        raise ValueError(f"--n must be >= 2 for verify prop3, got {args.n}")
+    check_count(args.n, "--n", low=2)  # the certificates start at n = 2
     return analysis.prop3_sweep(n_values=tuple(range(2, args.n + 1)))
 
 

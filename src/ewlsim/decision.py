@@ -166,9 +166,7 @@ class DecisionProblem:
         so it gives each strategy's factors row[action index].  More than
         GRID_BUDGET of them are refused before the first is built."""
         count = math.prod(map(len, self._set_actions))
-        if count > optimize.GRID_BUDGET:
-            raise ValueError(f"the problem has {count:,} pure strategies, over the budget of "
-                             f"{optimize.GRID_BUDGET:,} (GRID_BUDGET)")
+        optimize.check_budget(count, f"the problem has {count:,} pure strategies")
         return tuple(map(PureStrategy, product(*self._set_actions)))
 
     @cached_property
@@ -284,12 +282,6 @@ def two_stage_problem() -> DecisionProblem:
     )
 
 
-def _check_n(n) -> None:
-    """Refuse a driver size n that is not an integer >= 1."""
-    if not isinstance(n, int) or n < 1:
-        raise ValueError(f"n must be an integer >= 1, got {n}")
-
-
 def n_tuple_driver(n: int, lam: float) -> DecisionProblem:
     """Chain of n+1 indistinguishable intersections.
 
@@ -299,7 +291,7 @@ def n_tuple_driver(n: int, lam: float) -> DecisionProblem:
     information set holds every decision node, so the same rule must apply at
     all of them.
     """
-    _check_n(n)
+    n = optimize.check_count(n, "n")
     exits = {(1,) * t + (0,): f"o{t + 1}" for t in range(n + 1)}
     motorway = tuple((1,) * t for t in range(n + 2))
     return DecisionProblem(
@@ -596,10 +588,6 @@ def problem_to_json(problem: DecisionProblem, indent: int | None = None) -> str:
     return before + '"histories": ' + outer[0] + outer[1].join(texts) + outer[2] + after
 
 
-def _is_int_type(t: type) -> bool:
-    return issubclass(t, int) and not issubclass(t, bool)
-
-
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
     """json's object_pairs_hook: an object, refused when it names a key twice."""
     doc = {}
@@ -620,7 +608,7 @@ def problem_from_json(text: str) -> DecisionProblem:
     if not (isinstance(doc, Mapping) and isinstance(doc.get("histories"), list)
             and isinstance(doc.get("partition"), list) and isinstance(doc.get("labels"), Mapping)
             and all(isinstance(x, list) for x in doc["histories"] + doc["partition"])
-            and all(map(_is_int_type, set(map(type, chain.from_iterable(doc["histories"])))))
+            and set(map(type, chain.from_iterable(doc["histories"]))) <= {int}
             and (doc.get("payoffs") is None or isinstance(doc["payoffs"], Mapping)
                  and all(isinstance(v, (int, float)) and not isinstance(v, bool)
                          for v in doc["payoffs"].values()))):
@@ -630,7 +618,7 @@ def problem_from_json(text: str) -> DecisionProblem:
     histories = [tuple(h) for h in doc["histories"]]
 
     def history(i) -> History:
-        if not (_is_int_type(type(i)) and 0 <= i < len(histories)):
+        if not (type(i) is int and 0 <= i < len(histories)):
             raise ValueError(f"history index {i!r} is not an integer in 0..{len(histories) - 1}")
         return histories[i]
 

@@ -24,12 +24,11 @@ import numpy as np
 from .decision import (
     DecisionProblem,
     OutcomeDistribution,
-    _check_n,
     n_tuple_driver,
     n_tuple_outcomes,
     two_stage_problem,
 )
-from .optimize import wrap_phase
+from .optimize import check_count, wrap_phase
 from .qstate import (
     MAX_QUBITS,
     Gate,
@@ -410,20 +409,15 @@ def _amplitude_by_weight(r, theta, m: int):
     return _I_POW[r % 4] * c ** (m - r) * s ** r
 
 
-def _check_basis_index(y: int, m: int) -> None:
-    if not isinstance(m, int) or m < 1:
-        raise ValueError(f"qubit count must be an integer >= 1, got {m}")
-    if not isinstance(y, int) or not 0 <= y < (1 << m):
-        raise ValueError(f"basis index {y} out of range for {m} qubits")
-
-
 def amplitude_one_param(y: int, theta: float, m: int) -> complex:
     """<y|psi_f> when the same U(theta, 0, 0) acts on all m qubits:
 
     i^r(y) * cos^r(ybar)(theta/2) * sin^r(y)(theta/2),
     with r the Hamming weight and ybar the bit complement.
     """
-    _check_basis_index(y, m)
+    m = check_count(m, "qubit count")
+    if not isinstance(y, int) or not 0 <= y < (1 << m):
+        raise ValueError(f"basis index {y} out of range for {m} qubits")
     return complex(_amplitude_by_weight(y.bit_count(), theta, m))
 
 
@@ -448,7 +442,7 @@ def payoff_one_param(n: int, lam, theta):
     p = cos^2(theta/2).  A float theta runs through math, an array (lam may be
     one too) through numpy, bit for bit alike: both take libm's pow.
     """
-    _check_n(n)
+    n = check_count(n, "n")
     xp, power = (math, math.pow) if type(theta) is float else (np, np.float_power)
     c, s = _half_angle(xp, theta)
     s2 = s * s
@@ -499,7 +493,7 @@ def payoff_three_param_fn(n: int, lam) -> Callable:
     2pi-periodic, so t is never wrapped.  h(t) equals f at that t bit for bit:
     it runs the same products in the same order.
     """
-    _check_n(n)
+    n = check_count(n, "n")
 
     def payoff(theta, alpha, beta):
         xp = math if type(theta) is type(alpha) is type(beta) is float else np

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from typing import Callable
@@ -28,12 +29,12 @@ MAX_CYCLES = 60
 # a cycle of maximize_box that moves the point within this cosine of the
 # previous cycle's move is followed by a line search along its move
 PATTERN_COSINE = 0.9
-# most points one grid scan or sweep scores: maximize_box's seed grid
-# (maximize_3d, behavioral_gap), `landscape`'s rows, the samples of `verify
-# prop1` and `verify formulas`, and the pure strategies that
-# DecisionProblem.pure_strategies (so mixed_from_behavioral) enumerates.  The
-# seed grid is scored in blocks of _SEED_CHUNK points, so there the budget
-# bounds work, not memory
+# most points one grid scan or sweep scores, refused past it by check_budget:
+# maximize_box's seed grid (maximize_3d, behavioral_gap), `landscape`'s rows,
+# `simulate`'s basis table, the samples of `verify prop1` and `verify
+# formulas`, and the pure strategies that DecisionProblem.pure_strategies (so
+# mixed_from_behavioral) enumerates.  The seed grid is scored in blocks of
+# _SEED_CHUNK points, so there the budget bounds work, not memory
 GRID_BUDGET = 1_000_000
 # most grid points one call of f scores in maximize_box's seed scan: its
 # float64 arrays stay at 96 KiB, small enough for a core's cache and below the
@@ -111,9 +112,30 @@ def _brent_max(f, a: float, b: float, x: float, fx: float,
     return x, fx, evaluations
 
 
-def _check_tol(tol: float) -> None:
+def check_count(value, what: str, low: int = 1) -> int:
+    """A count the caller chooses, ``what`` naming it, as a Python int: refused
+    unless it is an integer (a numpy integer is one, a bool is not) of at least low."""
+    try:
+        count = operator.index(value)
+    except TypeError:
+        count = None
+    if count is None or isinstance(value, bool):
+        raise ValueError(f"{what} must be an integer, got {value}")
+    if count < low:
+        raise ValueError(f"{what} must be >= {low}, got {value}")
+    return count
+
+
+def check_budget(count: int, what: str) -> None:
+    """Refuse a count over GRID_BUDGET; ``what``, which leads the message,
+    says how many of what (grid points, samples, rows or pure strategies)."""
+    if count > GRID_BUDGET:
+        raise ValueError(f"{what}, over the budget of {GRID_BUDGET:,} (GRID_BUDGET)")
+
+
+def _check_tol(tol: float, what: str = "tol") -> None:
     if not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"tol must be finite and positive, got {tol!r}")
+        raise ValueError(f"{what} must be finite and positive, got {tol!r}")
 
 
 def _values_on(points_shape: tuple[int, ...], values):
@@ -333,17 +355,13 @@ def maximize_box(f: Callable, axes: tuple[tuple[float, bool], ...], grid_per_dim
     k = len(axes)
     if k == 0:
         raise ValueError("maximize_box needs at least one axis")
-    if grid_per_dim < 2:
-        raise ValueError("grid_per_dim must be >= 2")
-    if grid_per_dim ** k > GRID_BUDGET:
-        raise ValueError(f"grid_per_dim={grid_per_dim} gives {grid_per_dim ** k:,} grid points, "
-                         f"over the budget of {GRID_BUDGET:,} (GRID_BUDGET)")
-    if starts < 1:
-        raise ValueError("starts must be >= 1")
+    grid_per_dim = check_count(grid_per_dim, "grid_per_dim", low=2)
+    evaluations = grid_per_dim ** k
+    check_budget(evaluations, f"grid_per_dim={grid_per_dim} gives {evaluations:,} grid points")
+    starts = check_count(starts, "starts")
     _check_tol(tol)
 
     grids = [closed_grid(0.0, hi, grid_per_dim + periodic)[:grid_per_dim] for hi, periodic in axes]
-    evaluations = grid_per_dim ** k
     top = _seed_indices(f, grids, starts)
 
     line = getattr(f, "line", None)

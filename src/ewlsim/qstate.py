@@ -15,6 +15,8 @@ from functools import cached_property
 
 import numpy as np
 
+from .optimize import check_count
+
 NORM_TOL = 1e-12
 UNITARY_TOL = 1e-12
 # largest qubit count of any protocol run, payoffs and masses included; at the
@@ -26,9 +28,7 @@ _SQRT2_INV = 1.0 / math.sqrt(2.0)
 
 def check_qubit_count(m: int) -> None:
     """Refuse a qubit count outside 1..MAX_QUBITS before any work on it starts."""
-    if not isinstance(m, int) or m < 1:
-        raise ValueError(f"qubit count must be an integer >= 1, got {m}")
-    if m > MAX_QUBITS:
+    if check_count(m, "qubit count") > MAX_QUBITS:
         raise ValueError(f"{m} qubits exceed the limit of MAX_QUBITS = {MAX_QUBITS}")
 
 

@@ -286,7 +286,7 @@ def test_prop3_params_rejects_n1():
 
 
 def test_prop3_verify_refuses_n1():
-    with pytest.raises(ValueError, match="n must be an integer >= 2"):
+    with pytest.raises(ValueError, match="n must be >= 2, got 1"):
         prop3_verify(1, 1.5)
 
 

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from argparse import Namespace
 from dataclasses import replace
 from itertools import chain, product
 
@@ -8,7 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ewlsim.analysis import classical_max_closed_form, perfect_recall_control, search_slack
+from ewlsim.analysis import (classical_max_closed_form, formulas_verify, perfect_recall_control,
+                             prop1_verify, prop2_verify, prop3_params, prop3_sweep, prop3_verify,
+                             search_slack)
 from ewlsim.decision import (
     BehavioralStrategy,
     DecisionProblem,
@@ -18,7 +21,7 @@ from ewlsim.decision import (
     outcome_of,
     two_stage_problem,
 )
-from ewlsim import ewl
+from ewlsim import cli, ewl
 from ewlsim.ewl import (
     EwlGame,
     UnitaryParams,
@@ -139,14 +142,46 @@ def test_maximize_3d_searches_a_simulated_objective():
     assert res.value == simulated(*res.argmax)
 
 
-@pytest.mark.parametrize("build", [lambda n: n_tuple_driver(n, 4.0),
-                                   lambda n: payoff_one_param(n, 4.0, 1.0),
-                                   lambda n: payoff_three_param_fn(n, 4.0),
-                                   lambda n: classical_max_closed_form(n, 4.0)])
+# every count a caller chooses, keyed by a call that passes it one: (the name
+# its refusals report, its lowest value, a value it takes)
+COUNT_ENTRY_POINTS = {
+    lambda n: n_tuple_driver(n, 4.0): ("n", 1, 3),
+    lambda n: payoff_one_param(n, 4.0, 1.0): ("n", 1, 3),
+    lambda n: payoff_three_param_fn(n, 4.0)(1.0, 0.5, 0.25): ("n", 1, 3),
+    lambda n: classical_max_closed_form(n, 4.0): ("n", 1, 3),
+    lambda m: amplitudes_one_param(np.array([0.4]), m).tolist(): ("qubit count", 1, 3),
+    lambda m: amplitude_one_param(1, 0.4, m): ("qubit count", 1, 3),
+    lambda n: prop3_params(n): ("n", 2, 20),
+    lambda n: prop3_verify(n, 1.5): ("n", 2, 20),
+    lambda n: prop3_sweep((n,)): ("n", 2, 2),
+    lambda n: prop2_verify(n): ("n_max", 1, 1),
+    lambda n: formulas_verify(n, 5): ("n_max", 1, 1),
+    lambda k: formulas_verify(1, k): ("samples", 1, 5),
+    lambda seed: formulas_verify(1, 5, seed): ("seed", 0, 3),
+    lambda k: prop1_verify(k): ("samples", 1, 5),
+    lambda seed: prop1_verify(5, seed): ("seed", 0, 3),
+    lambda g: maximize_3d(payoff_three_param_fn(1, 4.0), g, 2): ("grid_per_dim", 2, 5),
+    lambda k: maximize_3d(payoff_three_param_fn(1, 4.0), 5, k): ("starts", 1, 2),
+    lambda n: cli.check_options(Namespace(n=n)): ("--n", 1, 3),
+    lambda g: cli.check_options(Namespace(grid=g)): ("--grid", 2, 5),
+    lambda seed: cli.check_options(Namespace(seed=seed)): ("--seed", 0, 3),
+    lambda k: cli.check_options(Namespace(starts=k)): ("--starts", 1, 2),
+    lambda n: cli.verify_prop3(Namespace(n=n)): ("--n", 2, 2),
+}
+
+
+@pytest.mark.parametrize("build", list(COUNT_ENTRY_POINTS))
 def test_driver_size_rule_is_one_refusal(build):
-    for bad in (0, -3, 2.0):
-        with pytest.raises(ValueError, match=rf"^n must be an integer >= 1, got {bad}$"):
+    # one rule, optimize.check_count, for each of them: an integer of at least
+    # its lowest value, a bool refused and a numpy integer taken as the int
+    what, low, good = COUNT_ENTRY_POINTS[build]
+    for bad in (low - 1, -3):
+        with pytest.raises(ValueError, match=rf"^{what} must be >= {low}, got {bad}$"):
             build(bad)
+    for bad in (2.0, 2.5, True):
+        with pytest.raises(ValueError, match=rf"^{what} must be an integer, got {bad}$"):
+            build(bad)
+    assert repr(build(np.int64(good))) == repr(build(good))
 
 
 @pytest.mark.parametrize("bad", [(-0.1, 0.0, 0.0), (math.pi + 0.1, 0.0, 0.0), (-math.inf, 0.0, 0.0),

@@ -1,8 +1,9 @@
 """Every module of the package uses each name it imports, every private
 module-level name it defines is read somewhere in the package, every public
 one has a caller outside the tests, and so has every keyword default; no
-module builds a grid with linspace; every report check takes a named
-tolerance, and every tolerance keeps its value."""
+module builds a grid with linspace; every refusal of a count or of a
+GRID_BUDGET overrun is check_count's or check_budget's; every report check
+takes a named tolerance, and every tolerance keeps its value."""
 
 import ast
 import importlib
@@ -61,6 +62,38 @@ def test_every_grid_is_a_closed_grid():
     # hi itself, where np.linspace's middle points differ from it by ulps
     assert [(path.name, line) for path in sorted(PACKAGE.glob("*.py"))
             for line in linspace_calls(path.read_text())] == []
+
+
+# the texts of a refusal of a count or of a GRID_BUDGET overrun
+SIZE_REFUSALS = (" must be >= ", " must be an integer", "(GRID_BUDGET)")
+
+
+def size_refusals(source: str) -> list[int]:
+    """The lines that hold a text of SIZE_REFUSALS outside the module's
+    check_count and check_budget."""
+    rules = {line for node in ast.parse(source).body
+             if isinstance(node, ast.FunctionDef) and node.name in ("check_count", "check_budget")
+             for line in range(node.lineno, node.end_lineno + 1)}
+    return [line for line, text in enumerate(source.splitlines(), 1)
+            if line not in rules and any(refusal in text for refusal in SIZE_REFUSALS)]
+
+
+def test_size_refusals_are_found():
+    source = ("def check_count(value, what, low=1):\n"
+              "    raise ValueError(f'{what} must be an integer, got {value}')\n"
+              "def check_budget(count, what):\n"
+              "    raise ValueError(f'{what}, over the budget (GRID_BUDGET)')\n"
+              "def f(n):\n    if n < 1:\n        raise ValueError(f'n must be >= 1, got {n}')\n"
+              "x = 'm must be an integer'  # over GRID_BUDGET\n"
+              "y = f'{k:,} rows, over the budget of {GRID_BUDGET:,} (GRID_BUDGET)'\n")
+    assert size_refusals(source) == [7, 8, 9]
+
+
+def test_every_size_refusal_is_check_count_or_check_budget():
+    # one rule per refusal: each count a caller picks goes through
+    # optimize.check_count, and each GRID_BUDGET overrun through check_budget
+    assert [(path.name, line) for path in sorted(PACKAGE.glob("*.py"))
+            for line in size_refusals(path.read_text())] == []
 
 
 def check_tolerances(source: str) -> list[tuple[int, bool]]:
